@@ -1,9 +1,10 @@
 """Command-line front end: decide, witness, verify and explain.
 
 Exit codes: 0 sat/ok, 1 unsat, 2 usage or input error, 3 disagreement with
-the brute-force cross-check, 4 witness failure (a solver defect).  Reports
-go to stdout, diagnostics to stderr.  JSON output is byte-stable: the same
-input and flags always produce the same bytes.
+the brute-force cross-check, 4 solver defect: a witness failure, a failed
+internal check or any other unexpected exception, so that a crash is never
+read as unsat.  Reports go to stdout, diagnostics to stderr.  JSON output
+is byte-stable: the same input and flags always produce the same bytes.
 """
 
 from __future__ import annotations
@@ -185,6 +186,23 @@ def cmd_witness(args) -> int:
 
 
 def _print_report(report: VerificationReport, n: ExponentSolution, fmt: str):
+    """Print the exact values, however many digits they have.
+
+    CPython (3.10.7 and later) refuses to convert an int of more than 4300
+    digits to text by default; the limit is lifted here and restored
+    afterwards.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _print_exact_report(report, n, fmt)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        _print_exact_report(report, n, fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _print_exact_report(report: VerificationReport, n: ExponentSolution, fmt: str):
     if fmt == "json":
         obj = {
             "status": "ok",
@@ -322,6 +340,10 @@ def main(argv=None) -> int:
         return 4
     except SolverDefect as exc:
         print(f"solver defect: {exc}", file=sys.stderr)
+        return 4
+    except Exception as exc:
+        message = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 4
 
 

@@ -1,12 +1,28 @@
 """Exact rational satisfiability for the linear dominance condition.
 
-Conjunctions of ``coeffs . n >= 1`` rows are decided by Fourier-Motzkin
-elimination over :class:`fractions.Fraction`, with a model recovered by
-back-substitution.  The CNF is decided by chronological depth-first
-selection of one literal per clause, pruning any partial selection whose
-conjunction is already infeasible.  Everything is deterministic: clauses
-and literals are visited in stored order and the first model found is
-returned.
+One incremental general simplex over :class:`fractions.Fraction`, in the
+style of Dutertre & de Moura (CAV 2006), decides every conjunction of
+``coeffs . n >= 1`` literals.  Each distinct primitive linear form gets one
+slack variable (``coeffs / gcd``, signed so that a form and its negation
+share it), and a literal becomes a rational lower or upper bound on that
+slack; a literal with a single nonzero coefficient bounds its variable
+directly.  Bounds are asserted and retracted; the assignment is never
+rebuilt, and only the rows of slacks without bounds are dropped and
+rebuilt.  Bland's rule (smallest index first) picks every pivot, so each
+check terminates.  An infeasible check names the bounds of one violated
+tableau row, whose conjunction is infeasible by Farkas' lemma.
+
+The CNF is searched depth first with conflict-directed backjumping: clause
+i is decided at level i, and a literal's bound is asserted at that level.
+Every conflict records the lower levels it involves; when a clause runs
+out of literals, the search jumps back to the highest level recorded for
+it, and that level inherits the rest.  The skipped subtrees hold no
+feasible full selection, so the search finds the same first selection as
+chronological depth-first search in stored clause and literal order.
+
+The model is the simplex assignment of ``n`` at that selection.  Every
+nonbasic variable sits at 0 or at the value of a bound asserted during the
+search; basic variables follow from the tableau.
 
 Feasibility over the rationals and over the reals coincide for these
 conditions, so a rational "no" is a real "no".  Integer solutions come
@@ -53,124 +69,284 @@ class ConjunctionSystem:
                 raise ValueError(f"row {row} has {len(row)} entries, expected {self.num_vars}")
 
 
-# Internal rows are (integer coefficient tuple, rational bound): coeffs . n >= bound.
-_Row = tuple[tuple[int, ...], Fraction]
+LOWER, UPPER = 0, 1
 
 
-def _normalized(rows) -> list[_Row] | None:
-    """Scale rows to primitive integer coefficients, deduplicate, detect contradictions.
+def _reduced(den: int, nums: list[int]) -> tuple[int, list[int]]:
+    """Row ``(den, nums)`` divided by the common factor of its entries."""
+    g = math.gcd(den, *nums)
+    return (den, nums) if g == 1 else (den // g, [c // g for c in nums])
 
-    Returns None when some row degenerates to ``0 >= bound`` with a positive
-    bound.  Among rows with identical coefficient vectors only the largest
-    bound is kept; rows that hold trivially are dropped.
+
+class _Simplex:
+    """Tableau, assignment and leveled bounds of the incremental simplex.
+
+    Variables ``0 .. num_vars-1`` are the entries of ``n``; slacks follow in
+    creation order.  There are always ``num_vars`` nonbasic variables;
+    ``nonbasic[p]`` is the one in column ``p`` and ``column`` inverts that.
+    ``rows`` maps each basic variable to its row ``(den, nums)``: the
+    variable equals ``sum(nums[p] * nonbasic[p]) / den``, with integer
+    ``nums`` and ``den > 0``, so pivots run on integers.  A basic slack
+    without bounds can never be violated, so it keeps no row; the row is
+    rebuilt from the slack's form when a bound is next asserted on it.
+    ``bounds[LOWER]`` and ``bounds[UPPER]`` hold each variable's bounds,
+    ``levels`` the decision levels that asserted them, and the trail what
+    each assertion replaced, so :meth:`backtrack` restores older bounds
+    exactly.
     """
-    best: dict[tuple[int, ...], Fraction] = {}
-    for coeffs, bound in rows:
-        if all(a == 0 for a in coeffs):
-            if bound > 0:
-                return None
-            continue
-        scale = Fraction(math.lcm(*(Fraction(a).denominator for a in coeffs)))
-        ints = [int(a * scale) for a in coeffs]
-        g = math.gcd(*(abs(x) for x in ints))
-        key = tuple(x // g for x in ints)
-        scaled_bound = bound * scale / g
-        if key not in best or scaled_bound > best[key]:
-            best[key] = scaled_bound
-    return [(key, bound) for key, bound in best.items()]
 
+    def __init__(self, num_vars: int):
+        self.num_vars = num_vars
+        self.value: list[Fraction] = [Fraction(0)] * num_vars
+        self.bounds: tuple[list[Fraction | None], ...] = ([None] * num_vars, [None] * num_vars)
+        self.levels: tuple[list[int], ...] = ([0] * num_vars, [0] * num_vars)
+        self.nonbasic = list(range(num_vars))
+        self.column = {j: j for j in range(num_vars)}
+        self.rows: dict[int, tuple[int, list[int]]] = {}
+        self.trail: list[tuple[int, int, Fraction | None, int, int]] = []
+        self._forms: list[tuple[int, ...]] = []
+        self._slacks: dict[tuple[int, ...], int] = {}
+        self._literals: dict[tuple[int, ...], tuple[int, int, Fraction] | None] = {}
 
-def _eliminate(rows: list[_Row], var: int) -> list[_Row]:
-    """Project away variable ``var`` by combining every lower/upper bound pair."""
-    lower = [r for r in rows if r[0][var] > 0]
-    upper = [r for r in rows if r[0][var] < 0]
-    out = [r for r in rows if r[0][var] == 0]
-    for lc, lb in lower:
-        p = lc[var]
-        for uc, ub in upper:
-            q = -uc[var]
-            out.append((tuple(q * a + p * b for a, b in zip(lc, uc)), q * lb + p * ub))
-    return out
+    def _new_slack(self, form: tuple[int, ...]) -> int:
+        """A new slack for ``form . n``, basic and without bounds, so without a row."""
+        var = len(self.value)
+        self._forms.append(form)
+        self.value.append(Fraction(0))
+        for side in (LOWER, UPPER):
+            self.bounds[side].append(None)
+            self.levels[side].append(0)
+        self._slacks[form] = var
+        return var
 
+    def _activate(self, var: int):
+        """Give slack ``var`` its row and value over the current nonbasic variables."""
+        form = self._forms[var - self.num_vars]
+        den = math.lcm(*(self.rows[j][0] for j, a in enumerate(form) if a and j in self.rows))
+        nums = [0] * self.num_vars
+        for j, a in enumerate(form):
+            if a and j in self.rows:
+                row_den, row = self.rows[j]
+                scale = a * (den // row_den)
+                nums = [x + scale * c for x, c in zip(nums, row)]
+            elif a:
+                nums[self.column[j]] += a * den
+        self.rows[var] = _reduced(den, nums)
+        self.value[var] = sum(a * x for a, x in zip(form, self.value))
 
-def _solve_rows(num_vars: int, coeff_rows) -> RationalModel | None:
-    rows = [(tuple(int(a) for a in coeffs), Fraction(1)) for coeffs in coeff_rows]
-    stages: list[list[_Row] | None] = [None] * (num_vars + 1)
-    current = _normalized(rows)
-    if current is None:
-        return None
-    stages[num_vars] = current
-    for var in range(num_vars - 1, -1, -1):
-        current = _normalized(_eliminate(current, var))
-        if current is None:
-            return None
-        stages[var] = current
-    values: list[Fraction] = []
-    for var in range(num_vars):
-        lower = upper = None
-        for coeffs, bound in stages[var + 1]:
-            a = coeffs[var]
-            if a == 0:
-                continue
-            rest = bound - sum(c * x for c, x in zip(coeffs[:var], values))
-            ratio = rest / a
-            if a > 0:
-                lower = ratio if lower is None else max(lower, ratio)
+    def _literal(self, coeffs: tuple[int, ...]) -> tuple[int, int, Fraction] | None:
+        """``coeffs . n >= 1`` as (variable, LOWER or UPPER, bound); None if all zero.
+
+        With ``coeffs = g * form``, ``form`` primitive and its first nonzero
+        entry positive, the literal bounds ``form . n`` by ``1/g`` from
+        below when ``g > 0`` and from above when ``g < 0``.  A form with one
+        nonzero entry is a variable of ``n`` itself.
+        """
+        if coeffs in self._literals:
+            return self._literals[coeffs]
+        support = [j for j, a in enumerate(coeffs) if a]
+        found = None
+        if support:
+            g = math.gcd(*coeffs) if coeffs[support[0]] > 0 else -math.gcd(*coeffs)
+            if len(support) == 1:
+                var = support[0]
             else:
-                upper = ratio if upper is None else min(upper, ratio)
-        if lower is not None and upper is not None:
-            if lower > upper:
-                raise SolverDefect("back-substitution produced an empty interval")
-            values.append((lower + upper) / 2)
-        elif lower is not None:
-            values.append(lower + 1)
-        elif upper is not None:
-            values.append(upper - 1)
-        else:
-            values.append(Fraction(0))
-    return RationalModel(tuple(values))
+                form = tuple(a // g for a in coeffs)
+                var = self._slacks.get(form)
+                if var is None:
+                    var = self._new_slack(form)
+            found = (var, LOWER if g > 0 else UPPER, Fraction(1, g))
+        self._literals[coeffs] = found
+        return found
+
+    def assert_literal(self, coeffs: tuple[int, ...], level: int) -> set[int] | None:
+        """Assert ``coeffs . n >= 1`` at ``level``; the conflicting levels, or None.
+
+        Only a clash with the variable's opposite bound is found here;
+        :meth:`check` finds the rest.
+        """
+        literal = self._literal(coeffs)
+        if literal is None:
+            return {level}
+        var, side, bound = literal
+        if var not in self.rows and var not in self.column:
+            self._activate(var)
+        sign = 1 if side == LOWER else -1
+        old = self.bounds[side][var]
+        if old is not None and sign * old >= sign * bound:
+            return None
+        opposite = self.bounds[1 - side][var]
+        if opposite is not None and sign * opposite < sign * bound:
+            return {self.levels[1 - side][var], level}
+        self.trail.append((var, side, old, self.levels[side][var], level))
+        self.bounds[side][var] = bound
+        self.levels[side][var] = level
+        if var in self.column and sign * self.value[var] < sign * bound:
+            self._update(var, bound)
+        return None
+
+    def backtrack(self, level: int):
+        """Retract every bound asserted at ``level`` or above; the assignment stays."""
+        trail = self.trail
+        while trail and trail[-1][4] >= level:
+            var, side, old, old_level, _ = trail.pop()
+            self.bounds[side][var] = old
+            self.levels[side][var] = old_level
+            self._drop_if_free(var)
+
+    def _drop_if_free(self, var: int):
+        """Forget the row of a basic slack without bounds; it can never be violated."""
+        free = self.bounds[LOWER][var] is None and self.bounds[UPPER][var] is None
+        if free and var >= self.num_vars:
+            self.rows.pop(var, None)
+
+    def _update(self, var: int, target: Fraction):
+        """Move nonbasic ``var`` to ``target`` and carry the change into every row."""
+        value = self.value
+        delta = target - value[var]
+        num, den = delta.numerator, delta.denominator
+        p = self.column[var]
+        for basic, (row_den, row) in self.rows.items():
+            if row[p]:
+                value[basic] += Fraction(row[p] * num, row_den * den)
+        value[var] = target
+
+    def _pivot(self, basic: int, p: int, target: Fraction):
+        """Set ``basic`` to ``target`` by moving the nonbasic of column ``p``; swap them."""
+        value, rows = self.value, self.rows
+        entering = self.nonbasic[p]
+        den, row = rows.pop(basic)
+        a = row[p]
+        theta = (target - value[basic]) * den / a
+        value[basic] = target
+        value[entering] += theta
+        num, den_theta = theta.numerator, theta.denominator
+        # entering = (den * basic - sum of the row's other terms) / a, written with
+        # basic in column p and a positive denominator
+        sign = 1 if a > 0 else -1
+        new_den = sign * a
+        new_row = [-sign * c for c in row]
+        new_row[p] = sign * den
+        for other, (other_den, other_row) in rows.items():
+            c = other_row[p]
+            if not c:
+                continue
+            value[other] += Fraction(c * num, den_theta * other_den)
+            nums = [b * new_den + c * e for b, e in zip(other_row, new_row)]
+            nums[p] = c * new_row[p]
+            rows[other] = _reduced(other_den * new_den, nums)
+        rows[entering] = (new_den, new_row)
+        self.nonbasic[p] = basic
+        del self.column[entering]
+        self.column[basic] = p
+        self._drop_if_free(entering)
+
+    def check(self) -> set[int] | None:
+        """Restore every bound by Bland-rule pivoting; the conflicting levels, or None.
+
+        On conflict, the levels are those of the bounds in the violated
+        row: the basic variable's violated bound and, for each nonbasic
+        variable of the row, the bound that blocks it.
+        """
+        value, (lower, upper), nonbasic = self.value, self.bounds, self.nonbasic
+        while True:
+            for basic in sorted(self.rows):
+                x = value[basic]
+                if lower[basic] is not None and x < lower[basic]:
+                    side = LOWER
+                    break
+                if upper[basic] is not None and x > upper[basic]:
+                    side = UPPER
+                    break
+            else:
+                return None
+            row = self.rows[basic][1]
+            # the bound that stops each nonbasic variable from moving basic toward its
+            # bound: raising a variable with a positive coefficient raises basic
+            up = side == LOWER
+            blocking = [UPPER if (c > 0) == up else LOWER for c in row]
+            free = [
+                p for p, c in enumerate(row)
+                if c and value[nonbasic[p]] != self.bounds[blocking[p]][nonbasic[p]]
+            ]
+            if not free:
+                return {self.levels[side][basic]} | {
+                    self.levels[blocking[p]][nonbasic[p]] for p, c in enumerate(row) if c
+                }
+            self._pivot(basic, min(free, key=nonbasic.__getitem__), self.bounds[side][basic])
+
+    def model(self) -> RationalModel:
+        """The current assignment of ``n``."""
+        return RationalModel(tuple(self.value[: self.num_vars]))
 
 
 def solve_conjunction(system: ConjunctionSystem) -> RationalModel | None:
     """Exact rational point satisfying every row, or None when infeasible.
 
-    Variables are eliminated in reverse index order; back-substitution then
-    assigns each variable the midpoint of its derived interval, lower + 1
-    or upper - 1 when one side is unbounded, and 0 when both are.
+    Every row is asserted at one level, then the simplex checks once.  The
+    point is the simplex assignment: each nonbasic variable sits at 0 or at
+    an asserted bound, so the empty conjunction gives the zero vector and a
+    single row ``a * n_j >= 1`` gives ``n_j = 1/a``.
     """
-    model = _solve_rows(system.num_vars, system.rows)
-    if model is not None:
-        for coeffs in system.rows:
-            if sum(a * x for a, x in zip(coeffs, model.n)) < 1:
-                raise SolverDefect(f"model {model.n} fails row {coeffs}")
+    engine = _Simplex(system.num_vars)
+    for coeffs in system.rows:
+        if engine.assert_literal(coeffs, 0) is not None:
+            return None
+    if engine.check() is not None:
+        return None
+    model = engine.model()
+    for coeffs in system.rows:
+        if sum(a * x for a, x in zip(coeffs, model.n)) < 1:
+            raise SolverDefect(f"model {model.n} fails row {coeffs}")
     return model
 
 
 def solve_cnf(condition: LinearCondition) -> RationalModel | None:
     """First model of the CNF under depth-first literal selection, or None.
 
-    The Sat/Unsat answer does not depend on clause or literal order; the
-    model itself does, but identical inputs always give identical models.
+    Clause i is decided at level i: its literals are tried in stored order,
+    each asserted as a bound at that level.  A conflict adds the lower
+    levels it involves to the clause's conflict set.  A clause whose
+    literals are exhausted jumps back to the highest level in its set,
+    which inherits the rest of the set; an empty set means the CNF is
+    unsatisfiable.  Only subtrees without a feasible full selection are
+    skipped, so the selection found is the first feasible one in stored
+    order, as chronological search would find it.  The model is the
+    simplex assignment there: each nonbasic variable sits at 0 or at a
+    bound asserted during the search.  The Sat/Unsat answer does not
+    depend on clause or literal order; the model does, but identical
+    inputs always give identical models.
     """
-    if any(not clause.literals for clause in condition.clauses):
+    clauses = condition.clauses
+    if any(not clause.literals for clause in clauses):
         return None
-    num_vars = condition.num_vars
-    chosen: list[tuple[int, ...]] = []
-
-    def dfs(index: int) -> RationalModel | None:
-        if index == len(condition.clauses):
-            return _solve_rows(num_vars, chosen)
-        for literal in condition.clauses[index].literals:
-            chosen.append(literal.coeffs)
-            if _solve_rows(num_vars, chosen) is not None:
-                found = dfs(index + 1)
-                if found is not None:
-                    return found
-            chosen.pop()
-        return None
-
-    model = dfs(0)
-    if model is not None and not condition.satisfied_by(model.n):
+    engine = _Simplex(condition.num_vars)
+    depth = len(clauses)
+    choice = [0] * (depth + 1)
+    conflicts: dict[int, set[int]] = {}  # level -> lower levels its literals conflict with
+    level = 0
+    while level < depth:
+        literals = clauses[level].literals
+        if choice[level] < len(literals):
+            engine.backtrack(level)  # retracts the clause's previous literal, if any
+            coeffs = literals[choice[level]].coeffs
+            culprits = engine.assert_literal(coeffs, level) or engine.check()
+            if culprits is None:
+                level += 1
+                choice[level] = 0
+                conflicts.pop(level, None)
+                continue
+        else:
+            culprits = conflicts.pop(level, None)
+            if not culprits:
+                return None
+            level = max(culprits)
+            engine.backtrack(level)
+        culprits.discard(level)
+        conflicts.setdefault(level, set()).update(culprits)
+        choice[level] += 1
+    model = engine.model()
+    if not condition.satisfied_by(model.n):
         raise SolverDefect("search returned a model that fails direct substitution")
     return model
 

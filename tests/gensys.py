@@ -18,7 +18,8 @@ from subtrop import (
 
 
 def random_exponent_rows(rng: random.Random, v: int, d: int, max_exp: int):
-    """v distinct exponent vectors with entries in [0, max_exp]."""
+    """min(v, (max_exp+1)^d) distinct exponent vectors with entries in [0, max_exp]."""
+    v = min(v, (max_exp + 1) ** d)
     rows: list[tuple[int, ...]] = []
     seen = set()
     while len(rows) < v:
@@ -116,3 +117,14 @@ def random_condition(
             literals.append(LinearLiteral(coeffs, 0, l + 1, 0))
         clauses.append(Clause(0, c, tuple(literals)))
     return LinearCondition(d, tuple(clauses))
+
+
+def long_row_text(k: int, *, unsat: bool = False) -> str:
+    """``.spp`` text of ``c*x^2000 - sum_{j=1..k} c_j x^j``, with ``- d*x^2001`` if unsat.
+
+    The CNF has one single-literal clause per negative term, so a
+    depth-first search descends k levels; the extra term contradicts every
+    other clause and makes the row unsatisfiable.
+    """
+    terms = "".join(f" - c{j}*x^{j}" for j in range(1, k + 1))
+    return f"vars x\npoly f = c*x^2000{terms}{' - d*x^2001' if unsat else ''}\n"

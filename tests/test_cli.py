@@ -1,12 +1,14 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from subtrop import build_cnf, main
+from subtrop import build_cnf, main, parse_system
 from subtrop.cli import decide_system, parse_coefficient_bindings
 
 from conftest import DATA, load
+from gensys import long_row_text
 
 
 def run(capsys, *argv):
@@ -55,13 +57,25 @@ class TestDecide:
         b = run(capsys, "decide", DATA / "example2.spp", "--check", "--seed", "99")
         assert a == b
 
-    def test_shrink_gives_smaller_vector(self, capsys):
+    def test_shrink_gives_smaller_vector(self, capsys, tmp_path):
         code, out, _ = run(capsys, "decide", DATA / "example2.spp", "--format", "json",
                            "--shrink")
         assert code == 0
         n = tuple(json.loads(out)["n"])
-        assert n == (-6, -5)
+        assert n == (-5, -4)
         assert build_cnf(load("example2.spp")).satisfied_by(n)
+        # the solver's vector for this input is not minimal, so shrinking takes steps
+        path = tmp_path / "loose.spp"
+        path.write_text(
+            "vars x y\npoly f1 = a*y^3 + b*x - c*x^2*y^3\npoly f2 = -d*y^3 + e*x*y^3\n"
+        )
+        _, out, _ = run(capsys, "decide", path, "--format", "json")
+        assert tuple(json.loads(out)["n"]) == (3, -2)
+        code, out, _ = run(capsys, "decide", path, "--format", "json", "--shrink")
+        assert code == 0
+        n = tuple(json.loads(out)["n"])
+        assert n == (1, -1)
+        assert build_cnf(parse_system(path.read_text())).satisfied_by(n)
 
     def test_parse_error_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.spp"
@@ -195,6 +209,49 @@ class TestVerify:
         assert code == 0
 
 
+    def test_point_beyond_int_text_limit(self, capsys, tmp_path):
+        # r = t = 10^3000 + 2 and n = (2, 1): the first coordinate has 6001 digits,
+        # more than CPython converts to text by default
+        big = 10**3000
+        path = tmp_path / "huge.spp"
+        path.write_text(f"vars x y\npoly f1 = x - {big}*y\npoly f2 = y - 1\n")
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "verify", path, "--format", "json")
+        assert code == 0, err
+        assert sys.get_int_max_str_digits() == limit
+        payload = json.loads(out)
+        assert payload["n"] == [2, 1]
+        code, text, err = run(capsys, "verify", path)
+        assert code == 0, err
+        sys.set_int_max_str_digits(0)
+        try:
+            r = big + 2
+            assert payload["point"] == [str(r**2), str(r)]
+            assert payload["values"] == [str(r**2 - big * r), str(r - 1)]
+            assert f"point = ({r**2}, {r})" in text.splitlines()
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(payload["point"][0]) > 4300
+
+
+class TestLongRows:
+    """One variable, one single-literal clause per negative term."""
+
+    @pytest.mark.parametrize("k, unsat, expected", [
+        (1200, False, {"status": "sat", "n": [1]}),
+        (200, True, {"status": "unsat"}),
+    ])
+    def test_long_row(self, capsys, tmp_path, k, unsat, expected):
+        text = long_row_text(k, unsat=unsat)
+        decision = decide_system(parse_system(text))
+        assert decision.status == expected["status"]
+        path = tmp_path / "long.spp"
+        path.write_text(text)
+        code, out, err = run(capsys, "decide", path, "--format", "json")
+        assert code == (1 if unsat else 0), err
+        assert json.loads(out) == expected
+
+
 class TestExplain:
     def test_example2_debug_text(self, capsys):
         code, out, _ = run(capsys, "explain", DATA / "example2.spp")
@@ -237,6 +294,28 @@ class TestDefectExitCodes:
         code, _, err = run(capsys, "decide", DATA / "example2.spp", "--check")
         assert code == 4
         assert "witness failure" in err
+
+    def test_unexpected_exception_exits_4(self, capsys, monkeypatch):
+        import subtrop.cli as cli
+
+        def crash(condition):
+            raise RuntimeError("forced\nfor the test")
+
+        monkeypatch.setattr(cli, "solve_cnf", crash)
+        code, out, err = run(capsys, "decide", DATA / "example2.spp", "--format", "json")
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: RuntimeError: forced for the test\n"
+
+    def test_interrupt_is_not_swallowed(self, capsys, monkeypatch):
+        import subtrop.cli as cli
+
+        def interrupt(condition):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "solve_cnf", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["decide", str(DATA / "example2.spp")])
 
     def test_verify_zero_row_exits_1(self, capsys):
         code, out, _ = run(capsys, "verify", DATA / "zero_row.spp", "--format", "json")

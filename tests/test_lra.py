@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,8 +11,10 @@ from subtrop import (
     ConjunctionSystem,
     ExponentSolution,
     LinearCondition,
+    LinearLiteral,
     RationalModel,
     build_cnf,
+    exhaustive_decide,
     scale_to_integer,
     shrink_model,
     solve_cnf,
@@ -28,8 +31,9 @@ def conjunction(*rows):
 
 class TestSolveConjunction:
     def test_single_lower_bound(self):
+        # n_0 >= 1 bounds the variable directly; the simplex moves it onto the bound
         model = solve_conjunction(conjunction((1,)))
-        assert model.n == (Fraction(2),)
+        assert model.n == (Fraction(1),)
 
     def test_contradictory_bounds(self):
         assert solve_conjunction(conjunction((-1,), (1,))) is None
@@ -39,10 +43,11 @@ class TestSolveConjunction:
         assert model.n == (Fraction(0),) * 3
 
     def test_two_sided_interval_takes_midpoint(self):
-        # x >= 1 and x <= 5 (written as -x >= 1 shifted: -x + 6 ... use 2 vars instead)
+        # x >= 1 bounds x directly; -x + y >= 1 is an upper bound -1 on the slack
+        # x - y.  Asserting x >= 1 moves x to 1, then one pivot brings the slack
+        # to its bound by raising y: both nonbasic variables sit at bounds.
         model = solve_conjunction(conjunction((1, 0), (-1, 1)))
-        # back-substitution assigns x first (lower bound only), then y
-        assert model.n[0] == 2
+        assert model.n == (Fraction(1), Fraction(2))
         assert model.n[1] - model.n[0] >= 1
 
     def test_models_satisfy_all_rows(self):
@@ -94,6 +99,106 @@ class TestSolveCnf:
             assert (solve_cnf(LinearCondition(cond.num_vars, shuffled)) is not None) == baseline
 
 
+def tricky_condition(rng: random.Random) -> LinearCondition:
+    """Literals that share slacks, bound variables directly or are all zero.
+
+    Each literal is a multiple ``k * base`` of a few small base forms, with
+    ``k`` in {-3, ..., 3}: scaled copies such as (2, -2) and (1, -1) bound the
+    same slack, opposite signs bound it from above, unit bases bound a
+    variable directly and ``k = 0`` gives the all-zero literal.  Half of the
+    conditions end with clauses that contradict each other and nothing
+    else, so an UNSAT answer needs a jump over every earlier level.
+    """
+    d = rng.randint(1, 3)
+    bases = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(3)]
+    bases.append(tuple(int(j == rng.randrange(d)) for j in range(d)))
+
+    def literal(coeffs, pos):
+        return LinearLiteral(tuple(coeffs), 0, pos, 0)
+
+    clauses = []
+    for c in range(rng.randint(0, 5)):
+        literals = [
+            literal((rng.choice((-3, -2, -1, 0, 1, 1, 2, 3)) * a for a in rng.choice(bases)), p)
+            for p in range(rng.randint(1, 3))
+        ]
+        clauses.append(Clause(0, c, tuple(literals)))
+    if rng.random() < 0.5:
+        base = rng.choice(bases)
+        for c, k in enumerate((rng.randint(1, 3), -rng.randint(1, 3)), start=len(clauses)):
+            clauses.append(Clause(0, c, (literal((k * a for a in base), 0),)))
+    return LinearCondition(d, tuple(clauses))
+
+
+def first_feasible_selection(condition: LinearCondition):
+    """The first selection, in stored order, whose conjunction the oracle finds feasible."""
+    for pick in itertools.product(*(clause.literals for clause in condition.clauses)):
+        singles = tuple(Clause(0, i, (lit,)) for i, lit in enumerate(pick))
+        if exhaustive_decide(LinearCondition(condition.num_vars, singles)):
+            return pick
+    return None
+
+
+class TestSearchAgainstOracle:
+    def test_verdicts_match_exhaustive_oracle(self):
+        rng = random.Random(11)
+        for _ in range(400):
+            cond = tricky_condition(rng)
+            model = solve_cnf(cond)
+            assert (model is not None) == exhaustive_decide(cond), cond
+            if model is not None:
+                assert cond.satisfied_by(model.n)
+
+    def test_model_satisfies_first_feasible_selection(self):
+        # backjumping skips only subtrees without a feasible full selection,
+        # so the model comes from the selection chronological search finds
+        rng = random.Random(12)
+        for _ in range(150):
+            cond = random_condition(rng) if rng.random() < 0.5 else tricky_condition(rng)
+            first = first_feasible_selection(cond)
+            model = solve_cnf(cond)
+            assert (model is None) == (first is None)
+            if model is not None:
+                assert all(lit.satisfied_by(model.n) for lit in first)
+
+    def test_scaled_and_opposite_forms_share_one_slack(self):
+        # (2,-2) and (1,-1) bound x - y below by 1/2 and 1; (-1,1) bounds it above
+        d = 2
+        shared = LinearCondition(d, (
+            Clause(0, 0, (LinearLiteral((2, -2), 0, 1, 0),)),
+            Clause(0, 1, (LinearLiteral((1, -1), 0, 1, 0),)),
+        ))
+        model = solve_cnf(shared)
+        assert model.n[0] - model.n[1] == 1
+        clash = LinearCondition(d, shared.clauses + (
+            Clause(0, 2, (LinearLiteral((-1, 1), 0, 1, 0),)),
+        ))
+        assert solve_cnf(clash) is None
+
+    def test_conflict_names_the_level_of_the_violated_row(self):
+        # levels 0-1 bound the slacks x - y and x + 2y from above; x >= 1/4 at
+        # level 2 then violates the row of a slack bounded at level 1, so the
+        # search must jump to level 1, whose second literal is feasible
+        def clause(index, *forms):
+            return Clause(0, index, tuple(LinearLiteral(f, 0, 1, index) for f in forms))
+
+        cond = LinearCondition(3, (
+            clause(0, (-2, 2, 0)),
+            clause(1, (-2, -4, 0), (-2, 4, 0)),
+            clause(2, (4, 0, 0)),
+        ))
+        model = solve_cnf(cond)
+        assert model is not None
+        assert cond.clauses[1].literals[1].satisfied_by(model.n)
+
+    def test_zero_and_single_variable_literals(self):
+        zero = LinearLiteral((0, 0), 0, 1, 0)
+        single = LinearLiteral((0, -3), 0, 2, 0)
+        cond = LinearCondition(2, (Clause(0, 0, (zero, single)),))
+        assert solve_cnf(cond).n == (0, Fraction(-1, 3))
+        assert solve_cnf(LinearCondition(2, (Clause(0, 0, (zero,)),))) is None
+
+
 class TestScaleToInteger:
     def test_clears_denominators(self):
         model = RationalModel((Fraction(3, 2), Fraction(-5, 4)))
@@ -139,10 +244,11 @@ class TestScaleToInteger:
 
 class TestShrinkModel:
     def test_intro_f_shrinks_to_one(self):
+        # the simplex model n = 1 is already minimal, so shrinking keeps it
         cond = build_cnf(load("intro_f.spp"))
         model = solve_cnf(cond)
         n = scale_to_integer(model)
-        assert n.n == (2,)
+        assert n.n == (1,)
         assert shrink_model(cond, n).n == (1,)
 
     def test_shrunk_vector_still_certifies(self):
