@@ -9,7 +9,6 @@ of the coefficients and whose integer exponent vector n is found by exact
 linear reasoning.  All arithmetic is exact.
 """
 
-from .cli import Decision, decide_system, main
 from .condition import (
     Clause,
     DnfBranch,
@@ -49,6 +48,7 @@ from .oracle import (
     grid_search,
 )
 from .parser import ParseError, parse_system, print_system
+from .pipeline import Decision, decide_system
 from .witness import (
     NonIntegerCoefficient,
     NonPositivePoint,
@@ -112,7 +112,6 @@ __all__ = [
     "exhaustive_decide",
     "grid_search",
     "instantiate",
-    "main",
     "parse_system",
     "print_system",
     "ratio_terms",

@@ -1,10 +1,12 @@
 """Command-line front end: decide, witness, verify and explain.
 
-Exit codes: 0 sat/ok, 1 unsat, 2 usage or input error, 3 disagreement with
-the brute-force cross-check, 4 solver defect: a witness failure, a failed
-internal check or any other unexpected exception, so that a crash is never
-read as unsat.  Reports go to stdout, diagnostics to stderr.  JSON output
-is byte-stable: the same input and flags always produce the same bytes.
+Exit codes: 0 sat/ok, 1 unsat, 2 usage or input error, 3 a failed
+``decide --check`` (a SAT vector that fails its condition, or disagreement
+with a brute-force cross-check), 4 solver defect: a witness failure, a
+failed internal check or any other unexpected exception, so that a crash
+is never read as unsat.  Reports go to stdout, diagnostics to stderr.
+JSON output is byte-stable: the same input and flags always produce the
+same bytes.  The decision pipeline itself is :mod:`subtrop.pipeline`.
 """
 
 from __future__ import annotations
@@ -13,23 +15,15 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .condition import LinearCondition, build_cnf, build_dnf_single
-from .core import ExponentSolution, SignedSystem, zero_sign_rows
-from .lra import (
-    ConjunctionSystem,
-    RationalModel,
-    SolverDefect,
-    scale_to_integer,
-    shrink_model,
-    solve_cnf,
-    solve_conjunction,
-)
+from .condition import build_cnf, build_dnf_single
+from .core import ExponentSolution, SignedSystem
+from .lra import ConjunctionSystem, SolverDefect, solve_conjunction
 from .oracle import BoxTooLarge, TooManySelections, exhaustive_decide
 from .parser import ParseError, parse_system
+from .pipeline import Decision, decide_system, parse_coefficient_bindings
 from .witness import (
     NonIntegerCoefficient,
     NonPositivePoint,
@@ -44,61 +38,6 @@ from .witness import (
     uniform_bound,
     verify_witness,
 )
-
-
-@dataclass(frozen=True)
-class Decision:
-    """Result of the full decision pipeline on one system."""
-
-    status: str  # "sat" | "unsat"
-    n: ExponentSolution | None
-    model: RationalModel | None
-    condition: LinearCondition
-    zero_row: int | None
-
-
-def decide_system(system: SignedSystem, *, shrink: bool = False) -> Decision:
-    """Decide positive solvability and, in the positive case, produce an integer vector.
-
-    A row whose polynomial is identically zero can never be positive, so
-    such systems are unsatisfiable regardless of the linear condition.
-    """
-    condition = build_cnf(system)
-    zeros = zero_sign_rows(system)
-    if zeros:
-        return Decision("unsat", None, None, condition, zeros[0])
-    model = solve_cnf(condition)
-    if model is None:
-        return Decision("unsat", None, None, condition, None)
-    n = scale_to_integer(model)
-    if shrink:
-        n = shrink_model(condition, n)
-    return Decision("sat", n, model, condition, None)
-
-
-def parse_coefficient_bindings(text: str) -> dict[str, Fraction]:
-    """Parse a values file: one ``name = p`` or ``name = p/q`` per line, ``#`` comments."""
-    bindings: dict[str, Fraction] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        name, eq, value = line.partition("=")
-        name = name.strip()
-        value = value.strip()
-        if not eq or not name or not value:
-            raise ParseError("expected 'name = p' or 'name = p/q'", lineno, 1)
-        if name in bindings:
-            raise ParseError(f"duplicate value for {name!r}", lineno, 1)
-        num, slash, den = value.partition("/")
-        try:
-            fraction = Fraction(int(num), int(den) if slash else 1)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"invalid value {value!r}", lineno, 1) from None
-        if fraction <= 0:
-            raise ParseError(f"value for {name!r} must be positive", lineno, 1)
-        bindings[name] = fraction
-    return bindings
 
 
 def _load_system(path: str) -> SignedSystem:
@@ -133,9 +72,18 @@ def _sample_bindings(system: SignedSystem, rng: random.Random) -> dict[str, Frac
 
 
 def _run_checks(system: SignedSystem, decision: Decision, seed: int) -> int:
-    """Cross-check a decision against the brute-force deciders; 0 when all agree."""
+    """Cross-check a decision; 0 when every check holds, 3 on a disagreement.
+
+    A SAT answer is checked against its certificate: the integer vector
+    must satisfy the CNF, which proves that some selection is feasible, so
+    the exhaustive enumeration would agree.  An UNSAT answer has no
+    certificate and is re-decided by the exhaustive oracle.
+    """
     sat = decision.status == "sat"
-    if exhaustive_decide(decision.condition) != sat:
+    if sat and not decision.condition.satisfied_by(decision.n.n):
+        print("check failed: the vector does not satisfy the linear condition", file=sys.stderr)
+        return 3
+    if not sat and exhaustive_decide(decision.condition):
         print("check failed: exhaustive selection search disagrees", file=sys.stderr)
         return 3
     if system.u == 1:

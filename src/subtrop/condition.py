@@ -5,8 +5,16 @@ point of the form ``x = t^n`` exactly when, for each negatively signed
 monomial k of the row, some positively signed monomial j dominates it:
 ``(e_j - e_k) . n >= 1``.  Collecting these alternatives gives a CNF over
 the unknown integer vector n with one clause per (row, negative monomial)
-pair.  For a single inequality the same condition flattens into a
-disjunction of small conjunctions, one per positive monomial.
+pair.
+
+The same condition also flattens, row by row, into a disjunction of small
+conjunctions, one branch per positive monomial j: ``(e_j - e_k) . n >= 1``
+for every negative k of the row.  The two forms are equivalent: a branch
+implies each of the row's clauses, and at any n satisfying the clauses the
+positive monomial j* that maximises ``e_j . n`` satisfies its branch,
+because ``e_j* . n >= e_j . n >= e_k . n + 1`` for the j that dominates k.
+A row thus needs one choice among its positive monomials instead of one
+per negative monomial.
 """
 
 from __future__ import annotations
@@ -118,21 +126,39 @@ def build_cnf(system: SignedSystem) -> LinearCondition:
     return LinearCondition(system.d, tuple(clauses))
 
 
-def build_dnf_single(system: SignedSystem) -> tuple[DnfBranch, ...]:
-    """Branch decomposition for a one-row system: one branch per positive monomial.
+def _row_branches(system: SignedSystem, i: int) -> tuple[DnfBranch, ...]:
+    positive, negative = row_supports(system, i)
+    return tuple(
+        DnfBranch(
+            j,
+            tuple(LinearLiteral(_difference(system, j, k), i, j, k) for k in sorted(negative)),
+        )
+        for j in sorted(positive)
+    )
 
-    Branch j collects ``(e_j - e_k) . n >= 1`` for every negative monomial k;
-    the branch is a plain conjunction, so each one is a standalone linear
-    feasibility problem.  Some branch is feasible iff :func:`build_cnf` of the
-    same system is satisfiable, provided the row is not identically zero.
+
+def build_dnf(system: SignedSystem) -> tuple[tuple[DnfBranch, ...], ...]:
+    """Branches of every row that has negative monomials, rows in index order.
+
+    Row i gives one branch per positive monomial j, in increasing j: the
+    conjunction of ``(e_j - e_k) . n >= 1`` over the row's negative
+    monomials k.  Some choice of one branch per row is feasible iff
+    :func:`build_cnf` of the same system is satisfiable.  A row with
+    negative monomials but no positive ones gives no branch at all, so no
+    choice exists; rows without negative monomials are left out.
+    """
+    return tuple(
+        _row_branches(system, i) for i in range(system.u) if row_supports(system, i)[1]
+    )
+
+
+def build_dnf_single(system: SignedSystem) -> tuple[DnfBranch, ...]:
+    """The branches of :func:`build_dnf` for a one-row system.
+
+    Some branch is feasible iff :func:`build_cnf` of the same system is
+    satisfiable, provided the row is not identically zero.  A row without
+    negative monomials keeps its branches, each with no constraints.
     """
     if system.u != 1:
         raise MultiRowError(f"expected a single inequality, got {system.u} rows")
-    positive, negative = row_supports(system, 0)
-    branches = []
-    for j in sorted(positive):
-        constraints = tuple(
-            LinearLiteral(_difference(system, j, k), 0, j, k) for k in sorted(negative)
-        )
-        branches.append(DnfBranch(j, constraints))
-    return tuple(branches)
+    return _row_branches(system, 0)

@@ -12,17 +12,32 @@ rebuilt.  Bland's rule (smallest index first) picks every pivot, so each
 check terminates.  An infeasible check names the bounds of one violated
 tableau row, whose conjunction is infeasible by Farkas' lemma.
 
-The CNF is searched depth first with conflict-directed backjumping: clause
-i is decided at level i, and a literal's bound is asserted at that level.
-Every conflict records the lower levels it involves; when a clause runs
-out of literals, the search jumps back to the highest level recorded for
-it, and that level inherits the rest.  The skipped subtrees hold no
-feasible full selection, so the search finds the same first selection as
-chronological depth-first search in stored clause and literal order.
+One search loop, :func:`_search`, chooses one alternative per level, depth
+first with conflict-directed backjumping.  An alternative is a tuple of
+literals, all asserted as bounds at its level.  Every conflict records the
+lower levels it involves; when a level runs out of alternatives, the
+search jumps back to the highest level recorded for it, and that level
+inherits the rest.  The skipped subtrees hold no feasible full choice, so
+the search finds the same first choice as chronological depth-first search
+in stored level and alternative order.
 
-The model is the simplex assignment of ``n`` at that selection.  Every
-nonbasic variable sits at 0 or at the value of a bound asserted during the
-search; basic variables follow from the tableau.
+The pipeline searches rows (:func:`solve_dnf`): a level is a row with
+negative monomials, and an alternative is one of the row's positive
+monomials j, asserting ``(e_j - e_k) . n >= 1`` for every negative k.  No
+solution of the CNF is lost: at any n satisfying it, the positive monomial
+that maximises ``e_j . n`` dominates every negative one (the argmax
+argument of :mod:`subtrop.condition`).  A row of ``|P|`` positive and
+``|N|`` negative monomials thus offers ``|P|`` choices instead of the
+CNF's ``|P|^|N|``.  :func:`solve_cnf` searches the CNF itself, one level
+per clause and one alternative per literal.
+
+The model is the simplex assignment of ``n`` at the first feasible choice:
+the first branch selection in (row, positive monomial) order for
+:func:`solve_dnf`, the first literal selection in stored order for
+:func:`solve_cnf`.  Every nonbasic variable sits at 0 or at the value of a
+bound asserted during the search; basic variables follow from the
+tableau.  Before it is returned, the model is checked by direct
+substitution against every literal of the choice.
 
 Feasibility over the rationals and over the reals coincide for these
 conditions, so a rational "no" is a real "no".  Integer solutions come
@@ -33,10 +48,11 @@ model by any positive integer preserves every ``coeffs . n >= delta >= 1``.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .condition import LinearCondition
+from .condition import DnfBranch, LinearCondition
 from .core import ExponentSolution, SubtropError
 
 
@@ -283,54 +299,50 @@ class _Simplex:
 def solve_conjunction(system: ConjunctionSystem) -> RationalModel | None:
     """Exact rational point satisfying every row, or None when infeasible.
 
-    Every row is asserted at one level, then the simplex checks once.  The
-    point is the simplex assignment: each nonbasic variable sits at 0 or at
-    an asserted bound, so the empty conjunction gives the zero vector and a
-    single row ``a * n_j >= 1`` gives ``n_j = 1/a``.
+    One level of :func:`_search` with one alternative: every row is
+    asserted at that level, then the simplex checks once.  The point is the
+    simplex assignment: each nonbasic variable sits at 0 or at an asserted
+    bound, so the empty conjunction gives the zero vector and a single row
+    ``a * n_j >= 1`` gives ``n_j = 1/a``.
     """
-    engine = _Simplex(system.num_vars)
-    for coeffs in system.rows:
-        if engine.assert_literal(coeffs, 0) is not None:
-            return None
-    if engine.check() is not None:
-        return None
-    model = engine.model()
-    for coeffs in system.rows:
-        if sum(a * x for a, x in zip(coeffs, model.n)) < 1:
-            raise SolverDefect(f"model {model.n} fails row {coeffs}")
-    return model
+    return _search(system.num_vars, [[system.rows]])
 
 
-def solve_cnf(condition: LinearCondition) -> RationalModel | None:
-    """First model of the CNF under depth-first literal selection, or None.
+def _search(
+    num_vars: int, levels: Sequence[Sequence[Sequence[tuple[int, ...]]]]
+) -> RationalModel | None:
+    """Model of the first feasible choice of one alternative per level, or None.
 
-    Clause i is decided at level i: its literals are tried in stored order,
-    each asserted as a bound at that level.  A conflict adds the lower
-    levels it involves to the clause's conflict set.  A clause whose
-    literals are exhausted jumps back to the highest level in its set,
-    which inherits the rest of the set; an empty set means the CNF is
-    unsatisfiable.  Only subtrees without a feasible full selection are
-    skipped, so the selection found is the first feasible one in stored
-    order, as chronological search would find it.  The model is the
-    simplex assignment there: each nonbasic variable sits at 0 or at a
-    bound asserted during the search.  The Sat/Unsat answer does not
-    depend on clause or literal order; the model does, but identical
-    inputs always give identical models.
+    ``levels[i]`` lists the alternatives of level i, and an alternative is a
+    tuple of rows ``coeffs``, each meaning ``coeffs . n >= 1``.  Choosing an
+    alternative asserts all of its rows as bounds at level i, then the
+    simplex checks once.  A conflict adds the lower levels it involves to
+    the level's conflict set.  A level whose alternatives are exhausted
+    jumps back to the highest level in its set, which inherits the rest of
+    the set; an empty set means no choice is feasible.  Only subtrees
+    without a feasible full choice are skipped, so the choice found is the
+    first feasible one in stored order, as chronological search would find
+    it.  The model is the simplex assignment there: each nonbasic variable
+    sits at 0 or at a bound asserted during the search.
     """
-    clauses = condition.clauses
-    if any(not clause.literals for clause in clauses):
+    if any(not alternatives for alternatives in levels):
         return None
-    engine = _Simplex(condition.num_vars)
-    depth = len(clauses)
+    engine = _Simplex(num_vars)
+    depth = len(levels)
     choice = [0] * (depth + 1)
-    conflicts: dict[int, set[int]] = {}  # level -> lower levels its literals conflict with
+    conflicts: dict[int, set[int]] = {}  # level -> lower levels its alternatives conflict with
     level = 0
     while level < depth:
-        literals = clauses[level].literals
-        if choice[level] < len(literals):
-            engine.backtrack(level)  # retracts the clause's previous literal, if any
-            coeffs = literals[choice[level]].coeffs
-            culprits = engine.assert_literal(coeffs, level) or engine.check()
+        alternatives = levels[level]
+        if choice[level] < len(alternatives):
+            engine.backtrack(level)  # retracts the level's previous alternative, if any
+            culprits = None
+            for coeffs in alternatives[choice[level]]:
+                culprits = engine.assert_literal(coeffs, level)
+                if culprits is not None:
+                    break
+            else:
+                culprits = engine.check()
             if culprits is None:
                 level += 1
                 choice[level] = 0
@@ -346,9 +358,39 @@ def solve_cnf(condition: LinearCondition) -> RationalModel | None:
         conflicts.setdefault(level, set()).update(culprits)
         choice[level] += 1
     model = engine.model()
-    if not condition.satisfied_by(model.n):
-        raise SolverDefect("search returned a model that fails direct substitution")
+    for alternatives, pick in zip(levels, choice):
+        for coeffs in alternatives[pick]:
+            if sum(a * x for a, x in zip(coeffs, model.n)) < 1:
+                raise SolverDefect(f"model {model.n} fails row {coeffs}")
     return model
+
+
+def solve_cnf(condition: LinearCondition) -> RationalModel | None:
+    """First model of the CNF under depth-first literal selection, or None.
+
+    Each clause is one level of :func:`_search` and each of its literals
+    one alternative, tried in stored order.  The model satisfies the first
+    feasible selection of one literal per clause in stored order.  The
+    Sat/Unsat answer does not depend on clause or literal order; the model
+    does, but identical inputs always give identical models.
+    """
+    levels = [[(lit.coeffs,) for lit in clause.literals] for clause in condition.clauses]
+    return _search(condition.num_vars, levels)
+
+
+def solve_dnf(num_vars: int, rows: Sequence[Sequence[DnfBranch]]) -> RationalModel | None:
+    """First model of one branch per row, as :func:`build_dnf` gives them, or None.
+
+    Each row is one level of :func:`_search` and each of its branches one
+    alternative, tried in stored order: choosing branch j asserts every
+    ``(e_j - e_k) . n >= 1`` of the row at once.  The model satisfies the
+    first feasible selection of one branch per row in (row, positive
+    monomial) order.  A row of ``|P|`` branches is one level with ``|P|``
+    alternatives, where the CNF has one level of ``|P|`` literals for each
+    negative monomial of the row.
+    """
+    levels = [[tuple(lit.coeffs for lit in branch.constraints) for branch in row] for row in rows]
+    return _search(num_vars, levels)
 
 
 def scale_to_integer(model: RationalModel) -> ExponentSolution:

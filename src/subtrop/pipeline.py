@@ -1,0 +1,76 @@
+"""The decision pipeline as a library: reduce, search, scale, and read coefficient files.
+
+:func:`decide_system` is what the ``decide``, ``witness`` and ``verify``
+commands run; :mod:`subtrop.cli` only parses arguments and prints.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .condition import LinearCondition, build_cnf, build_dnf
+from .core import ExponentSolution, SignedSystem, zero_sign_rows
+from .lra import RationalModel, SolverDefect, scale_to_integer, shrink_model, solve_dnf
+from .parser import ParseError
+
+
+@dataclass(frozen=True)
+class Decision:
+    """Result of the full decision pipeline on one system."""
+
+    status: str  # "sat" | "unsat"
+    n: ExponentSolution | None
+    model: RationalModel | None
+    condition: LinearCondition
+    zero_row: int | None
+
+
+def decide_system(system: SignedSystem, *, shrink: bool = False) -> Decision:
+    """Decide positive solvability and, in the positive case, produce an integer vector.
+
+    A row whose polynomial is identically zero can never be positive, so
+    such systems are unsatisfiable regardless of the linear condition.
+    Otherwise the search picks one dominating positive monomial per row
+    (:func:`~subtrop.lra.solve_dnf` over :func:`~subtrop.condition.build_dnf`).
+    ``condition`` is always the CNF of :func:`~subtrop.condition.build_cnf`,
+    and a model that fails it raises :class:`~subtrop.lra.SolverDefect`.
+    """
+    condition = build_cnf(system)
+    zeros = zero_sign_rows(system)
+    if zeros:
+        return Decision("unsat", None, None, condition, zeros[0])
+    model = solve_dnf(system.d, build_dnf(system))
+    if model is None:
+        return Decision("unsat", None, None, condition, None)
+    if not condition.satisfied_by(model.n):
+        raise SolverDefect(f"row search returned a model {model.n} that fails the CNF")
+    n = scale_to_integer(model)
+    if shrink:
+        n = shrink_model(condition, n)
+    return Decision("sat", n, model, condition, None)
+
+
+def parse_coefficient_bindings(text: str) -> dict[str, Fraction]:
+    """Parse a values file: one ``name = p`` or ``name = p/q`` per line, ``#`` comments."""
+    bindings: dict[str, Fraction] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        name, eq, value = line.partition("=")
+        name = name.strip()
+        value = value.strip()
+        if not eq or not name or not value:
+            raise ParseError("expected 'name = p' or 'name = p/q'", lineno, 1)
+        if name in bindings:
+            raise ParseError(f"duplicate value for {name!r}", lineno, 1)
+        num, slash, den = value.partition("/")
+        try:
+            fraction = Fraction(int(num), int(den) if slash else 1)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"invalid value {value!r}", lineno, 1) from None
+        if fraction <= 0:
+            raise ParseError(f"value for {name!r} must be positive", lineno, 1)
+        bindings[name] = fraction
+    return bindings

@@ -59,6 +59,7 @@ def random_signed_system(
     v = rng.randint(1, max_monomials)
     d = rng.randint(1, max_vars)
     exps = random_exponent_rows(rng, v, d, max_exp)
+    v = len(exps)  # fewer than asked for when the box [0, max_exp]^d is small
     signs = random_sign_rows(rng, u, v, ensure_positive=ensure_positive)
     var_names = tuple(f"x{i + 1}" for i in range(d))
     if parametric:

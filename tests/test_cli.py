@@ -1,11 +1,13 @@
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from subtrop import build_cnf, main, parse_system
-from subtrop.cli import decide_system, parse_coefficient_bindings
+from subtrop import build_cnf, parse_system
+from subtrop.cli import main
+from subtrop.pipeline import decide_system, parse_coefficient_bindings
 
 from conftest import DATA, load
 from gensys import long_row_text
@@ -108,6 +110,22 @@ class TestDecide:
 
         assert once("decide") == once("decide")
         assert once("witness") == once("witness")
+
+    def test_module_entry_point_warns_nothing(self):
+        # the package must not import subtrop.cli, or runpy warns before running it
+        import os
+        import subprocess
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "subtrop.cli", "decide",
+             str(DATA / "example2.spp")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+        assert result.stdout.splitlines()[0] == "SAT"
 
 
 class TestWitness:
@@ -275,13 +293,33 @@ class TestExplain:
 
 class TestDefectExitCodes:
     def test_oracle_disagreement_exits_3(self, capsys, monkeypatch):
+        # the oracle re-decides UNSAT answers only
         import subtrop.cli as cli
 
-        monkeypatch.setattr(cli, "exhaustive_decide", lambda cond: False)
-        code, out, err = run(capsys, "decide", DATA / "example2.spp", "--check")
+        monkeypatch.setattr(cli, "exhaustive_decide", lambda cond: True)
+        code, out, err = run(capsys, "decide", DATA / "example3.spp", "--check")
         assert code == 3
         assert out == ""
         assert "disagrees" in err
+
+    def test_sat_vector_failing_its_condition_exits_3(self, capsys, monkeypatch):
+        # a SAT answer is checked against its certificate, not by enumeration
+        import subtrop.cli as cli
+        from subtrop import ExponentSolution
+        from subtrop.pipeline import Decision
+
+        def bogus(system, *, shrink=False):
+            return Decision("sat", ExponentSolution((0, 0)), None, build_cnf(system), None)
+
+        def explode(cond):
+            raise AssertionError("the oracle must not run on a SAT answer")
+
+        monkeypatch.setattr(cli, "decide_system", bogus)
+        monkeypatch.setattr(cli, "exhaustive_decide", explode)
+        code, out, err = run(capsys, "decide", DATA / "example2.spp", "--check")
+        assert code == 3
+        assert out == ""
+        assert "does not satisfy the linear condition" in err
 
     def test_witness_failure_exits_4(self, capsys, monkeypatch):
         import subtrop.cli as cli
@@ -296,24 +334,24 @@ class TestDefectExitCodes:
         assert "witness failure" in err
 
     def test_unexpected_exception_exits_4(self, capsys, monkeypatch):
-        import subtrop.cli as cli
+        import subtrop.pipeline as pipeline
 
-        def crash(condition):
+        def crash(num_vars, rows):
             raise RuntimeError("forced\nfor the test")
 
-        monkeypatch.setattr(cli, "solve_cnf", crash)
+        monkeypatch.setattr(pipeline, "solve_dnf", crash)
         code, out, err = run(capsys, "decide", DATA / "example2.spp", "--format", "json")
         assert code == 4
         assert out == ""
         assert err == "internal error: RuntimeError: forced for the test\n"
 
     def test_interrupt_is_not_swallowed(self, capsys, monkeypatch):
-        import subtrop.cli as cli
+        import subtrop.pipeline as pipeline
 
-        def interrupt(condition):
+        def interrupt(num_vars, rows):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli, "solve_cnf", interrupt)
+        monkeypatch.setattr(pipeline, "solve_dnf", interrupt)
         with pytest.raises(KeyboardInterrupt):
             main(["decide", str(DATA / "example2.spp")])
 
@@ -362,3 +400,11 @@ class TestDecideSystem:
         assert decision.status == "sat"
         assert decision.condition.satisfied_by(decision.n.n)
         assert decision.condition.satisfied_by(decision.model.n)
+
+    def test_model_failing_the_cnf_is_a_solver_defect(self, monkeypatch):
+        import subtrop.pipeline as pipeline
+        from subtrop import RationalModel, SolverDefect
+
+        monkeypatch.setattr(pipeline, "solve_dnf", lambda num_vars, rows: RationalModel((0, 0)))
+        with pytest.raises(SolverDefect):
+            decide_system(load("example2.spp"))

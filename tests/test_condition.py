@@ -10,6 +10,7 @@ from subtrop import (
     parse_system,
     row_supports,
 )
+from subtrop.condition import build_dnf
 
 from conftest import load
 from gensys import random_bindings, random_signed_system
@@ -105,3 +106,35 @@ class TestBuildDnfSingle:
     def test_multi_row_is_rejected(self):
         with pytest.raises(MultiRowError):
             build_dnf_single(load("example2.spp"))
+
+
+class TestBuildDnf:
+    def test_example2_one_row_of_branches_per_row(self):
+        rows = build_dnf(load("example2.spp"))
+        assert [[b.pivot for b in row] for row in rows] == [[1, 3], [0, 1, 2]]
+        assert [(l.row, l.pos, l.neg) for l in rows[0][0].constraints] == [(0, 1, 0), (0, 1, 2)]
+        assert rows[0][0].constraints[0].coeffs == (-3, 1)
+
+    def test_same_literals_as_the_cnf(self):
+        rng = random.Random(13)
+        for _ in range(60):
+            system = random_signed_system(rng, parametric=True, ensure_positive=False)
+            cond = build_cnf(system)
+            rows = build_dnf(system)
+            from_cnf = {lit for clause in cond.clauses for lit in clause.literals}
+            from_dnf = {lit for row in rows for branch in row for lit in branch.constraints}
+            assert from_cnf == from_dnf
+            assert len(rows) == len({clause.row for clause in cond.clauses})
+
+    def test_rows_without_negatives_are_left_out(self):
+        system = parse_system("vars x\npoly f = x + 1\npoly g = x - 2\n")
+        rows = build_dnf(system)
+        assert len(rows) == 1
+        assert [(l.row, l.pos, l.neg) for l in rows[0][0].constraints] == [(1, 0, 1)]
+
+    def test_negative_only_row_has_no_branch(self):
+        assert build_dnf(parse_system("vars x\npoly f = -2*x\n")) == ((),)
+
+    def test_single_row_case_matches(self):
+        system = load("intro_f.spp")
+        assert build_dnf(system) == (build_dnf_single(system),)

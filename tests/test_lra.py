@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,15 +15,18 @@ from subtrop import (
     LinearLiteral,
     RationalModel,
     build_cnf,
+    decide_system,
     exhaustive_decide,
     scale_to_integer,
     shrink_model,
     solve_cnf,
     solve_conjunction,
 )
+from subtrop.condition import build_dnf
+from subtrop.lra import solve_dnf
 
 from conftest import load
-from gensys import random_condition
+from gensys import random_condition, random_signed_system
 
 
 def conjunction(*rows):
@@ -197,6 +201,77 @@ class TestSearchAgainstOracle:
         cond = LinearCondition(2, (Clause(0, 0, (zero, single)),))
         assert solve_cnf(cond).n == (0, Fraction(-1, 3))
         assert solve_cnf(LinearCondition(2, (Clause(0, 0, (zero,)),))) is None
+
+
+def branch_conjunction(num_vars: int, pick) -> ConjunctionSystem:
+    """Every constraint of one branch per row, as one conjunction."""
+    return ConjunctionSystem(
+        num_vars, tuple(lit.coeffs for branch in pick for lit in branch.constraints)
+    )
+
+
+class TestRowSearch:
+    """One level per row, one alternative per positive monomial (``solve_dnf``)."""
+
+    def test_agrees_with_literal_search_and_oracle(self):
+        rng = random.Random(21)
+        oracle_runs = 0
+        for _ in range(500):
+            system = random_signed_system(
+                rng, max_rows=4, max_monomials=8, max_vars=3, max_exp=4,
+                ensure_positive=rng.random() < 0.8,
+            )
+            cond = build_cnf(system)
+            model = solve_dnf(system.d, build_dnf(system))
+            assert (model is None) == (solve_cnf(cond) is None), system
+            if math.prod(len(c.literals) for c in cond.clauses) <= 1000:
+                oracle_runs += 1
+                assert (model is not None) == exhaustive_decide(cond), system
+            if model is not None:
+                assert cond.satisfied_by(model.n)
+        assert oracle_runs > 250
+
+    def test_model_satisfies_first_feasible_branch_selection(self):
+        # the model comes from the first feasible choice in (row, positive monomial) order
+        rng = random.Random(22)
+        checked = 0
+        for _ in range(150):
+            system = random_signed_system(rng, max_rows=3, max_monomials=6, max_vars=2)
+            rows = build_dnf(system)
+            if math.prod(len(row) for row in rows) > 200:
+                continue
+            first = next(
+                (
+                    pick for pick in itertools.product(*rows)
+                    if solve_conjunction(branch_conjunction(system.d, pick)) is not None
+                ),
+                None,
+            )
+            model = solve_dnf(system.d, rows)
+            assert (model is None) == (first is None)
+            if model is not None:
+                checked += 1
+                assert all(
+                    lit.satisfied_by(model.n) for branch in first for lit in branch.constraints
+                )
+        assert checked > 30
+
+    def test_row_without_branches_is_unsat(self):
+        assert solve_dnf(1, ((),)) is None
+
+    def test_no_rows_gives_zero_vector(self):
+        assert solve_dnf(2, ()).n == (0, 0)
+
+    def test_hard_unsat_template(self):
+        # 2.2e14 literal selections but 1120 branch selections; every one is infeasible
+        system = load("search_head_8.spp")
+        rows = build_dnf(system)
+        assert [len(row) for row in rows] == [4, 7, 5, 8]
+        assert decide_system(system).status == "unsat"
+        assert all(
+            solve_conjunction(branch_conjunction(system.d, pick)) is None
+            for pick in itertools.product(*rows)
+        )
 
 
 class TestScaleToInteger:
