@@ -14,7 +14,9 @@ implies each of the row's clauses, and at any n satisfying the clauses the
 positive monomial j* that maximises ``e_j . n`` satisfies its branch,
 because ``e_j* . n >= e_j . n >= e_k . n + 1`` for the j that dominates k.
 A row thus needs one choice among its positive monomials instead of one
-per negative monomial.
+per negative monomial.  The search runs on this form (:func:`build_dnf`);
+the CNF (:func:`build_cnf`) is what a SAT vector is checked against and
+what ``explain`` prints.
 """
 
 from __future__ import annotations
@@ -22,11 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import SignedSystem, SubtropError, row_supports
-
-
-class MultiRowError(SubtropError):
-    """Raised when a single-inequality operation receives a multi-row system."""
+from .core import SignedSystem, row_supports
 
 
 @dataclass(frozen=True)
@@ -126,17 +124,6 @@ def build_cnf(system: SignedSystem) -> LinearCondition:
     return LinearCondition(system.d, tuple(clauses))
 
 
-def _row_branches(system: SignedSystem, i: int) -> tuple[DnfBranch, ...]:
-    positive, negative = row_supports(system, i)
-    return tuple(
-        DnfBranch(
-            j,
-            tuple(LinearLiteral(_difference(system, j, k), i, j, k) for k in sorted(negative)),
-        )
-        for j in sorted(positive)
-    )
-
-
 def build_dnf(system: SignedSystem) -> tuple[tuple[DnfBranch, ...], ...]:
     """Branches of every row that has negative monomials, rows in index order.
 
@@ -147,18 +134,16 @@ def build_dnf(system: SignedSystem) -> tuple[tuple[DnfBranch, ...], ...]:
     negative monomials but no positive ones gives no branch at all, so no
     choice exists; rows without negative monomials are left out.
     """
-    return tuple(
-        _row_branches(system, i) for i in range(system.u) if row_supports(system, i)[1]
-    )
-
-
-def build_dnf_single(system: SignedSystem) -> tuple[DnfBranch, ...]:
-    """The branches of :func:`build_dnf` for a one-row system.
-
-    Some branch is feasible iff :func:`build_cnf` of the same system is
-    satisfiable, provided the row is not identically zero.  A row without
-    negative monomials keeps its branches, each with no constraints.
-    """
-    if system.u != 1:
-        raise MultiRowError(f"expected a single inequality, got {system.u} rows")
-    return _row_branches(system, 0)
+    rows = []
+    for i in range(system.u):
+        positive, negative = row_supports(system, i)
+        if not negative:
+            continue
+        branches = []
+        for j in sorted(positive):
+            constraints = tuple(
+                LinearLiteral(_difference(system, j, k), i, j, k) for k in sorted(negative)
+            )
+            branches.append(DnfBranch(j, constraints))
+        rows.append(tuple(branches))
+    return tuple(rows)

@@ -35,6 +35,28 @@ def _require_int(x, what: str) -> int:
     return x
 
 
+def _freeze_int_matrix(matrix, what: str) -> tuple[tuple[int, ...], ...]:
+    """Freeze ``matrix.entries`` and fill in ``cols``; every row has ``cols`` ints.
+
+    A negative ``cols`` means "take it from the first row", which needs at
+    least one row.  Returns the frozen entries.
+    """
+    entries = _frozen_rows(matrix.entries)
+    cols = matrix.cols
+    if cols < 0:
+        if not entries:
+            raise ValueError(f"cols is required for {what} matrices with no rows")
+        cols = len(entries[0])
+    for row in entries:
+        if len(row) != cols:
+            raise ValueError(f"{what} row {row} has {len(row)} entries, expected {cols}")
+        for x in row:
+            _require_int(x, what)
+    object.__setattr__(matrix, "entries", entries)
+    object.__setattr__(matrix, "cols", cols)
+    return entries
+
+
 @dataclass(frozen=True)
 class ExponentMatrix:
     """v x d matrix of nonnegative integers; row j is the exponent vector of monomial j.
@@ -47,20 +69,10 @@ class ExponentMatrix:
     cols: int = -1
 
     def __post_init__(self):
-        entries = _frozen_rows(self.entries)
-        object.__setattr__(self, "entries", entries)
-        cols = self.cols
-        if cols < 0:
-            if not entries:
-                raise ValueError("cols is required for an exponent matrix with no rows")
-            cols = len(entries[0])
-        object.__setattr__(self, "cols", cols)
         seen = set()
-        for row in entries:
-            if len(row) != cols:
-                raise ValueError(f"exponent row {row} has {len(row)} entries, expected {cols}")
+        for row in _freeze_int_matrix(self, "exponent"):
             for x in row:
-                if _require_int(x, "exponent") < 0:
+                if x < 0:
                     raise ValueError(f"negative exponent {x} in row {row}")
             if row in seen:
                 raise ValueError(f"duplicate monomial row {row}")
@@ -82,19 +94,9 @@ class SignMatrix:
     cols: int = -1
 
     def __post_init__(self):
-        entries = _frozen_rows(self.entries)
-        object.__setattr__(self, "entries", entries)
-        cols = self.cols
-        if cols < 0:
-            if not entries:
-                raise ValueError("cols is required for a sign matrix with no rows")
-            cols = len(entries[0])
-        object.__setattr__(self, "cols", cols)
-        for row in entries:
-            if len(row) != cols:
-                raise ValueError(f"sign row {row} has {len(row)} entries, expected {cols}")
+        for row in _freeze_int_matrix(self, "sign"):
             for x in row:
-                if _require_int(x, "sign") not in (-1, 0, 1):
+                if x not in (-1, 0, 1):
                     raise ValueError(f"sign entries must be -1, 0 or 1, got {x}")
 
     @property

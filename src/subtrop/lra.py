@@ -21,23 +21,21 @@ inherits the rest.  The skipped subtrees hold no feasible full choice, so
 the search finds the same first choice as chronological depth-first search
 in stored level and alternative order.
 
-The pipeline searches rows (:func:`solve_dnf`): a level is a row with
-negative monomials, and an alternative is one of the row's positive
+The one entry point, :func:`solve_dnf`, searches rows: a level is a row
+with negative monomials, and an alternative is one of the row's positive
 monomials j, asserting ``(e_j - e_k) . n >= 1`` for every negative k.  No
 solution of the CNF is lost: at any n satisfying it, the positive monomial
 that maximises ``e_j . n`` dominates every negative one (the argmax
 argument of :mod:`subtrop.condition`).  A row of ``|P|`` positive and
 ``|N|`` negative monomials thus offers ``|P|`` choices instead of the
-CNF's ``|P|^|N|``.  :func:`solve_cnf` searches the CNF itself, one level
-per clause and one alternative per literal.
+CNF's ``|P|^|N|``.
 
-The model is the simplex assignment of ``n`` at the first feasible choice:
-the first branch selection in (row, positive monomial) order for
-:func:`solve_dnf`, the first literal selection in stored order for
-:func:`solve_cnf`.  Every nonbasic variable sits at 0 or at the value of a
-bound asserted during the search; basic variables follow from the
-tableau.  Before it is returned, the model is checked by direct
-substitution against every literal of the choice.
+The model is the simplex assignment of ``n`` at the first feasible choice,
+the first branch selection in (row, positive monomial) order.  Every
+nonbasic variable sits at 0 or at the value of a bound asserted during
+the search; basic variables follow from the tableau.  Before it is
+returned, the model is checked by direct substitution against every
+literal of the choice.
 
 Feasibility over the rationals and over the reals coincide for these
 conditions, so a rational "no" is a real "no".  Integer solutions come
@@ -68,21 +66,6 @@ class RationalModel:
 
     def __post_init__(self):
         object.__setattr__(self, "n", tuple(Fraction(x) for x in self.n))
-
-
-@dataclass(frozen=True)
-class ConjunctionSystem:
-    """Plain conjunction of integer rows, each meaning ``coeffs . n >= 1``."""
-
-    num_vars: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        for row in rows:
-            if len(row) != self.num_vars:
-                raise ValueError(f"row {row} has {len(row)} entries, expected {self.num_vars}")
 
 
 LOWER, UPPER = 0, 1
@@ -296,18 +279,6 @@ class _Simplex:
         return RationalModel(tuple(self.value[: self.num_vars]))
 
 
-def solve_conjunction(system: ConjunctionSystem) -> RationalModel | None:
-    """Exact rational point satisfying every row, or None when infeasible.
-
-    One level of :func:`_search` with one alternative: every row is
-    asserted at that level, then the simplex checks once.  The point is the
-    simplex assignment: each nonbasic variable sits at 0 or at an asserted
-    bound, so the empty conjunction gives the zero vector and a single row
-    ``a * n_j >= 1`` gives ``n_j = 1/a``.
-    """
-    return _search(system.num_vars, [[system.rows]])
-
-
 def _search(
     num_vars: int, levels: Sequence[Sequence[Sequence[tuple[int, ...]]]]
 ) -> RationalModel | None:
@@ -363,19 +334,6 @@ def _search(
             if sum(a * x for a, x in zip(coeffs, model.n)) < 1:
                 raise SolverDefect(f"model {model.n} fails row {coeffs}")
     return model
-
-
-def solve_cnf(condition: LinearCondition) -> RationalModel | None:
-    """First model of the CNF under depth-first literal selection, or None.
-
-    Each clause is one level of :func:`_search` and each of its literals
-    one alternative, tried in stored order.  The model satisfies the first
-    feasible selection of one literal per clause in stored order.  The
-    Sat/Unsat answer does not depend on clause or literal order; the model
-    does, but identical inputs always give identical models.
-    """
-    levels = [[(lit.coeffs,) for lit in clause.literals] for clause in condition.clauses]
-    return _search(condition.num_vars, levels)
 
 
 def solve_dnf(num_vars: int, rows: Sequence[Sequence[DnfBranch]]) -> RationalModel | None:

@@ -5,14 +5,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from subtrop import (
-    Clause,
+from subtrop import Clause, LinearCondition, LinearLiteral, SignedSystem
+from subtrop.core import (
     ConcreteCoefficients,
     ExponentMatrix,
-    LinearCondition,
-    LinearLiteral,
     ParametricCoefficients,
-    SignedSystem,
     SignMatrix,
 )
 

@@ -12,29 +12,23 @@ from fractions import Fraction
 import pytest
 
 from subtrop import (
-    ConjunctionSystem,
     ExponentSolution,
-    GridSpec,
-    NotFoundWithin,
     build_cnf,
-    build_dnf_single,
     decide_system,
     evaluate_t,
-    exhaustive_decide,
-    grid_search,
     instantiate,
     parse_system,
     print_system,
-    ratio_terms,
-    scale_to_integer,
-    solve_cnf,
-    solve_conjunction,
     symbolic_t,
     uniform_bound,
     verify_witness,
 )
+from subtrop.condition import build_dnf
+from subtrop.lra import scale_to_integer, solve_dnf
+from subtrop.oracle import GridSpec, NotFoundWithin, exhaustive_decide, grid_search
+from subtrop.witness import ratio_terms
 
-from conftest import load, read_data
+from conftest import load, read_data, solve_condition
 from gensys import random_bindings, random_condition, random_signed_system
 
 GOLDEN_FILES = [
@@ -168,7 +162,7 @@ def test_criterion_5_oracle_equivalence():
     disagreements = 0
     for _ in range(200):
         condition = random_condition(rng, max_vars=3, max_clauses=6, max_literals=4, max_exp=5)
-        if exhaustive_decide(condition) != (solve_cnf(condition) is not None):
+        if exhaustive_decide(condition) != (solve_condition(condition) is not None):
             disagreements += 1
     assert disagreements == 0
     clock.check()
@@ -180,18 +174,10 @@ def test_criterion_6_dnf_cnf_agreement():
     rng = random.Random(606)
     for _ in range(200):
         system = random_signed_system(rng, max_rows=1, parametric=True, ensure_positive=False)
-        branches = build_dnf_single(system)
-        dnf_sat = any(
-            solve_conjunction(
-                ConjunctionSystem(system.d, tuple(lit.coeffs for lit in branch.constraints))
-            )
-            is not None
-            for branch in branches
-        )
-        cnf_sat = solve_cnf(build_cnf(system)) is not None
-        assert dnf_sat == cnf_sat
+        dnf_sat = solve_dnf(system.d, build_dnf(system)) is not None
+        assert dnf_sat == exhaustive_decide(build_cnf(system))
     clock.check()
-    report(6, "single-row branch decomposition matches the CNF on 200 random systems")
+    report(6, "single-row branch search matches the CNF oracle on 200 random systems")
 
 
 def test_criterion_7_scaling_invariance(sat_instances):

@@ -389,7 +389,7 @@ class TestCoefficientBindings:
 
 class TestDecideSystem:
     def test_single_row_dnf_matches_cnf_on_goldens(self, capsys):
-        # --check exercises the branch comparison on one-row inputs
+        # --check re-decides one-row UNSAT answers with the oracle and checks SAT vectors
         for name in ["intro_f.spp", "intro_g.spp", "intro_f_ones.spp"]:
             code, _, err = run(capsys, "decide", DATA / name, "--check")
             assert code in (0, 1)
@@ -403,7 +403,8 @@ class TestDecideSystem:
 
     def test_model_failing_the_cnf_is_a_solver_defect(self, monkeypatch):
         import subtrop.pipeline as pipeline
-        from subtrop import RationalModel, SolverDefect
+        from subtrop import SolverDefect
+        from subtrop.lra import RationalModel
 
         monkeypatch.setattr(pipeline, "solve_dnf", lambda num_vars, rows: RationalModel((0, 0)))
         with pytest.raises(SolverDefect):

@@ -1,16 +1,8 @@
 import random
 
-import pytest
-
-from subtrop import (
-    MultiRowError,
-    build_cnf,
-    build_dnf_single,
-    instantiate,
-    parse_system,
-    row_supports,
-)
-from subtrop.condition import build_dnf
+from subtrop import LinearLiteral, build_cnf, instantiate, parse_system
+from subtrop.condition import DnfBranch, build_dnf
+from subtrop.core import row_supports
 
 from conftest import load
 from gensys import random_bindings, random_signed_system
@@ -86,26 +78,23 @@ class TestBuildCnf:
 
 
 class TestBuildDnfSingle:
+    """``build_dnf`` on one-row systems."""
+
     def test_intro_f_two_branches(self):
-        branches = build_dnf_single(load("intro_f.spp"))
+        (branches,) = build_dnf(load("intro_f.spp"))
         assert [b.pivot for b in branches] == [0, 2]
         assert [c.coeffs for c in branches[0].constraints] == [(1,)]
         assert [c.coeffs for c in branches[1].constraints] == [(-1,)]
 
     def test_intro_g_single_infeasible_branch(self):
-        branches = build_dnf_single(load("intro_g.spp"))
+        (branches,) = build_dnf(load("intro_g.spp"))
         assert len(branches) == 1
         assert branches[0].pivot == 1
         assert sorted(c.coeffs for c in branches[0].constraints) == [(-1,), (1,)]
 
     def test_positive_monomial_without_negatives(self):
-        branches = build_dnf_single(parse_system("vars x\npoly f = 3*x^2\n"))
-        assert len(branches) == 1
-        assert branches[0].constraints == ()
-
-    def test_multi_row_is_rejected(self):
-        with pytest.raises(MultiRowError):
-            build_dnf_single(load("example2.spp"))
+        # a row without negative monomials needs no choice, so it is left out
+        assert build_dnf(parse_system("vars x\npoly f = 3*x^2\n")) == ()
 
 
 class TestBuildDnf:
@@ -136,5 +125,8 @@ class TestBuildDnf:
         assert build_dnf(parse_system("vars x\npoly f = -2*x\n")) == ((),)
 
     def test_single_row_case_matches(self):
-        system = load("intro_f.spp")
-        assert build_dnf(system) == (build_dnf_single(system),)
+        # intro_f is c2*x^2 - c1*x + c0: positive monomials 0 and 2, negative 1
+        assert build_dnf(load("intro_f.spp")) == ((
+            DnfBranch(0, (LinearLiteral((1,), 0, 0, 1),)),
+            DnfBranch(2, (LinearLiteral((-1,), 0, 2, 1),)),
+        ),)

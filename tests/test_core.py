@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from subtrop import (
+from subtrop import ExponentSolution, SignedSystem
+from subtrop.core import (
     ConcreteCoefficients,
     ExponentMatrix,
-    ExponentSolution,
     ParametricCoefficients,
     Rational,
-    SignedSystem,
     SignMatrix,
     row_supports,
     zero_sign_rows,
@@ -68,6 +67,20 @@ class TestMatrices:
     def test_sign_matrix_rejects_other_values(self):
         with pytest.raises(ValueError, match="sign entries"):
             SignMatrix(((2, 0),))
+
+    def test_rows_must_match_cols_and_hold_ints(self):
+        for matrix in (ExponentMatrix, SignMatrix):
+            with pytest.raises(ValueError, match="entries, expected 2"):
+                matrix(((1, 0), (1,)))
+            with pytest.raises(ValueError, match="entries, expected 3"):
+                matrix(((1, 0),), cols=3)
+            with pytest.raises(TypeError, match="must be an int"):
+                matrix(((1, True),))
+            with pytest.raises(TypeError, match="must be an int"):
+                matrix(((1, 1.0),))
+            with pytest.raises(ValueError, match="cols is required"):
+                matrix(())
+            assert matrix((), cols=2).cols == 2
 
     def test_parametric_names_must_be_distinct(self):
         with pytest.raises(ValueError, match="duplicate coefficient name"):

@@ -9,48 +9,40 @@ from hypothesis import strategies as st
 
 from subtrop import (
     Clause,
-    ConjunctionSystem,
     ExponentSolution,
     LinearCondition,
     LinearLiteral,
-    RationalModel,
     build_cnf,
     decide_system,
-    exhaustive_decide,
-    scale_to_integer,
-    shrink_model,
-    solve_cnf,
-    solve_conjunction,
 )
 from subtrop.condition import build_dnf
-from subtrop.lra import solve_dnf
+from subtrop.lra import RationalModel, scale_to_integer, shrink_model, solve_dnf
+from subtrop.oracle import exhaustive_decide
 
-from conftest import load
+from conftest import load, solve_condition, solve_rows
 from gensys import random_condition, random_signed_system
 
 
-def conjunction(*rows):
-    return ConjunctionSystem(len(rows[0]) if rows else 1, tuple(rows))
-
-
 class TestSolveConjunction:
+    """One row with one branch that asserts every constraint."""
+
     def test_single_lower_bound(self):
         # n_0 >= 1 bounds the variable directly; the simplex moves it onto the bound
-        model = solve_conjunction(conjunction((1,)))
+        model = solve_rows(1, [(1,)])
         assert model.n == (Fraction(1),)
 
     def test_contradictory_bounds(self):
-        assert solve_conjunction(conjunction((-1,), (1,))) is None
+        assert solve_rows(1, [(-1,), (1,)]) is None
 
     def test_empty_row_list_gives_zero_vector(self):
-        model = solve_conjunction(ConjunctionSystem(3, ()))
+        model = solve_rows(3, [])
         assert model.n == (Fraction(0),) * 3
 
     def test_two_sided_interval_takes_midpoint(self):
         # x >= 1 bounds x directly; -x + y >= 1 is an upper bound -1 on the slack
         # x - y.  Asserting x >= 1 moves x to 1, then one pivot brings the slack
         # to its bound by raising y: both nonbasic variables sit at bounds.
-        model = solve_conjunction(conjunction((1, 0), (-1, 1)))
+        model = solve_rows(2, [(1, 0), (-1, 1)])
         assert model.n == (Fraction(1), Fraction(2))
         assert model.n[1] - model.n[0] >= 1
 
@@ -61,46 +53,49 @@ class TestSolveConjunction:
             rows = tuple(
                 tuple(rng.randint(-5, 5) for _ in range(d)) for _ in range(rng.randint(0, 6))
             )
-            model = solve_conjunction(ConjunctionSystem(d, rows))
+            model = solve_rows(d, rows)
             if model is not None:
                 for row in rows:
                     assert sum(a * x for a, x in zip(row, model.n)) >= 1
 
 
 class TestSolveCnf:
+    """The CNF searched as rows of single-literal branches."""
+
     def test_example2_sat(self):
         cond = build_cnf(load("example2.spp"))
-        model = solve_cnf(cond)
+        model = solve_condition(cond)
         assert model is not None
         assert cond.satisfied_by(model.n)
 
     def test_example3_unsat(self):
-        assert solve_cnf(build_cnf(load("example3.spp"))) is None
+        assert solve_condition(build_cnf(load("example3.spp"))) is None
 
     def test_empty_clause_is_unsat(self):
         cond = LinearCondition(2, (Clause(0, 0, ()),))
-        assert solve_cnf(cond) is None
+        assert solve_condition(cond) is None
 
     def test_empty_condition_gives_zero_vector(self):
-        model = solve_cnf(LinearCondition(2, ()))
+        model = solve_condition(LinearCondition(2, ()))
         assert model.n == (Fraction(0), Fraction(0))
 
     def test_deterministic(self):
         cond = build_cnf(load("example2.spp"))
-        assert solve_cnf(cond) == solve_cnf(cond)
+        assert solve_condition(cond) == solve_condition(cond)
 
     def test_sat_answer_is_order_independent(self):
         rng = random.Random(4)
         for _ in range(60):
             cond = random_condition(rng)
-            baseline = solve_cnf(cond) is not None
+            baseline = solve_condition(cond) is not None
             clauses = list(cond.clauses)
             rng.shuffle(clauses)
             shuffled = tuple(
                 Clause(c.row, c.neg, tuple(rng.sample(c.literals, len(c.literals))))
                 for c in clauses
             )
-            assert (solve_cnf(LinearCondition(cond.num_vars, shuffled)) is not None) == baseline
+            shuffled_model = solve_condition(LinearCondition(cond.num_vars, shuffled))
+            assert (shuffled_model is not None) == baseline
 
 
 def tricky_condition(rng: random.Random) -> LinearCondition:
@@ -148,7 +143,7 @@ class TestSearchAgainstOracle:
         rng = random.Random(11)
         for _ in range(400):
             cond = tricky_condition(rng)
-            model = solve_cnf(cond)
+            model = solve_condition(cond)
             assert (model is not None) == exhaustive_decide(cond), cond
             if model is not None:
                 assert cond.satisfied_by(model.n)
@@ -160,7 +155,7 @@ class TestSearchAgainstOracle:
         for _ in range(150):
             cond = random_condition(rng) if rng.random() < 0.5 else tricky_condition(rng)
             first = first_feasible_selection(cond)
-            model = solve_cnf(cond)
+            model = solve_condition(cond)
             assert (model is None) == (first is None)
             if model is not None:
                 assert all(lit.satisfied_by(model.n) for lit in first)
@@ -172,12 +167,12 @@ class TestSearchAgainstOracle:
             Clause(0, 0, (LinearLiteral((2, -2), 0, 1, 0),)),
             Clause(0, 1, (LinearLiteral((1, -1), 0, 1, 0),)),
         ))
-        model = solve_cnf(shared)
+        model = solve_condition(shared)
         assert model.n[0] - model.n[1] == 1
         clash = LinearCondition(d, shared.clauses + (
             Clause(0, 2, (LinearLiteral((-1, 1), 0, 1, 0),)),
         ))
-        assert solve_cnf(clash) is None
+        assert solve_condition(clash) is None
 
     def test_conflict_names_the_level_of_the_violated_row(self):
         # levels 0-1 bound the slacks x - y and x + 2y from above; x >= 1/4 at
@@ -191,7 +186,7 @@ class TestSearchAgainstOracle:
             clause(1, (-2, -4, 0), (-2, 4, 0)),
             clause(2, (4, 0, 0)),
         ))
-        model = solve_cnf(cond)
+        model = solve_condition(cond)
         assert model is not None
         assert cond.clauses[1].literals[1].satisfied_by(model.n)
 
@@ -199,21 +194,20 @@ class TestSearchAgainstOracle:
         zero = LinearLiteral((0, 0), 0, 1, 0)
         single = LinearLiteral((0, -3), 0, 2, 0)
         cond = LinearCondition(2, (Clause(0, 0, (zero, single)),))
-        assert solve_cnf(cond).n == (0, Fraction(-1, 3))
-        assert solve_cnf(LinearCondition(2, (Clause(0, 0, (zero,)),))) is None
+        assert solve_condition(cond).n == (0, Fraction(-1, 3))
+        assert solve_condition(LinearCondition(2, (Clause(0, 0, (zero,)),))) is None
 
 
-def branch_conjunction(num_vars: int, pick) -> ConjunctionSystem:
-    """Every constraint of one branch per row, as one conjunction."""
-    return ConjunctionSystem(
-        num_vars, tuple(lit.coeffs for branch in pick for lit in branch.constraints)
-    )
+def branch_rows(pick):
+    """Every constraint of one branch per row, as the rows of one conjunction."""
+    return [lit.coeffs for branch in pick for lit in branch.constraints]
 
 
 class TestRowSearch:
     """One level per row, one alternative per positive monomial (``solve_dnf``)."""
 
     def test_agrees_with_literal_search_and_oracle(self):
+        # the oracle decides every system up to 1000 selections; SAT models must satisfy the CNF
         rng = random.Random(21)
         oracle_runs = 0
         for _ in range(500):
@@ -223,7 +217,6 @@ class TestRowSearch:
             )
             cond = build_cnf(system)
             model = solve_dnf(system.d, build_dnf(system))
-            assert (model is None) == (solve_cnf(cond) is None), system
             if math.prod(len(c.literals) for c in cond.clauses) <= 1000:
                 oracle_runs += 1
                 assert (model is not None) == exhaustive_decide(cond), system
@@ -243,7 +236,7 @@ class TestRowSearch:
             first = next(
                 (
                     pick for pick in itertools.product(*rows)
-                    if solve_conjunction(branch_conjunction(system.d, pick)) is not None
+                    if solve_rows(system.d, branch_rows(pick)) is not None
                 ),
                 None,
             )
@@ -269,7 +262,7 @@ class TestRowSearch:
         assert [len(row) for row in rows] == [4, 7, 5, 8]
         assert decide_system(system).status == "unsat"
         assert all(
-            solve_conjunction(branch_conjunction(system.d, pick)) is None
+            solve_rows(system.d, branch_rows(pick)) is None
             for pick in itertools.product(*rows)
         )
 
@@ -284,13 +277,12 @@ class TestScaleToInteger:
         assert scale_to_integer(model).n == (2, -7)
 
     def test_third_satisfying_row_scales_to_one(self):
-        system = conjunction((3,))
         model = RationalModel((Fraction(1, 3),))
         assert sum(a * x for a, x in zip((3,), model.n)) >= 1
         scaled = scale_to_integer(model)
         assert scaled.n == (1,)
         assert 3 * scaled.n[0] >= 1
-        assert solve_conjunction(system) is not None
+        assert solve_rows(1, [(3,)]) is not None
 
     @given(st.lists(st.fractions(min_value=-100, max_value=100), min_size=1, max_size=4))
     def test_result_is_a_positive_integer_multiple(self, values):
@@ -307,7 +299,7 @@ class TestScaleToInteger:
         rng = random.Random(5)
         for _ in range(80):
             cond = random_condition(rng)
-            model = solve_cnf(cond)
+            model = solve_condition(cond)
             if model is None:
                 continue
             n = scale_to_integer(model)
@@ -321,7 +313,7 @@ class TestShrinkModel:
     def test_intro_f_shrinks_to_one(self):
         # the simplex model n = 1 is already minimal, so shrinking keeps it
         cond = build_cnf(load("intro_f.spp"))
-        model = solve_cnf(cond)
+        model = solve_condition(cond)
         n = scale_to_integer(model)
         assert n.n == (1,)
         assert shrink_model(cond, n).n == (1,)
@@ -330,7 +322,7 @@ class TestShrinkModel:
         rng = random.Random(6)
         for _ in range(60):
             cond = random_condition(rng)
-            model = solve_cnf(cond)
+            model = solve_condition(cond)
             if model is None:
                 continue
             n = scale_to_integer(model)

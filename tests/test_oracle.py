@@ -3,21 +3,22 @@ import random
 import pytest
 
 from subtrop import (
-    BoxTooLarge,
     Clause,
     ExponentSolution,
-    GridSpec,
     LinearCondition,
     LinearLiteral,
+    build_cnf,
+)
+from subtrop.oracle import (
+    BoxTooLarge,
+    GridSpec,
     NotFoundWithin,
     TooManySelections,
-    build_cnf,
     exhaustive_decide,
     grid_search,
-    solve_cnf,
 )
 
-from conftest import load
+from conftest import load, solve_condition
 from gensys import random_condition
 
 
@@ -44,7 +45,7 @@ class TestExhaustiveDecide:
         rng = random.Random(31)
         for _ in range(100):
             cond = random_condition(rng)
-            assert exhaustive_decide(cond) == (solve_cnf(cond) is not None)
+            assert exhaustive_decide(cond) == (solve_condition(cond) is not None)
 
 
 class TestGridSearch:

@@ -11,15 +11,14 @@ from subtrop import (
     UnboundCoefficient,
     UncertifiedExponent,
     decide_system,
-    evaluate_system_at,
     evaluate_t,
     instantiate,
     parse_system,
-    ratio_terms,
     symbolic_t,
     uniform_bound,
     verify_witness,
 )
+from subtrop.witness import evaluate_system_at, ratio_terms
 
 from conftest import load
 from gensys import random_bindings, random_signed_system
