@@ -190,20 +190,19 @@ def cmd_explain(args) -> int:
     system = _load_system(args.input)
     condition = build_cnf(system)
     if args.format == "json":
-        obj = {
-            "num_vars": condition.num_vars,
-            "clauses": [
+        # One clause at a time, so the literal dicts of only one clause are alive; the
+        # bytes equal json.dumps of the whole {"num_vars", "clauses"} object.
+        clauses = ", ".join(
+            json.dumps(
                 {
                     "row": clause.row,
                     "neg": clause.neg,
-                    "literals": [
-                        {"pos": lit.pos, "coeffs": list(lit.coeffs)} for lit in clause.literals
-                    ],
+                    "literals": [{"pos": lit.pos, "coeffs": lit.coeffs} for lit in clause.literals],
                 }
-                for clause in condition.clauses
-            ],
-        }
-        print(json.dumps(obj))
+            )
+            for clause in condition.clauses
+        )
+        print(f'{{"num_vars": {condition.num_vars}, "clauses": [{clauses}]}}')
     else:
         text = condition.to_debug_text()
         if text:

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from .core import SignedSystem, row_supports
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearLiteral:
     """One dominance constraint ``coeffs . n >= 1`` with ``coeffs = e[pos] - e[neg]``."""
 
@@ -48,7 +49,7 @@ class LinearLiteral:
         return self.value_at(n) >= 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clause:
     """Alternatives for dominating negative monomial ``neg`` of row ``row``."""
 
@@ -63,7 +64,7 @@ class Clause:
         return any(lit.satisfied_by(n) for lit in self.literals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearCondition:
     """CNF of dominance constraints; clauses ordered by (row, neg), literals by pos."""
 
@@ -82,14 +83,13 @@ class LinearCondition:
         lines = []
         for clause in self.clauses:
             body = " ".join(
-                "[{}: {}]".format(lit.pos, " ".join(str(c) for c in lit.coeffs))
-                for lit in clause.literals
+                f"[{lit.pos}: {' '.join(map(str, lit.coeffs))}]" for lit in clause.literals
             )
             lines.append(f"clause {clause.row} {clause.neg}: {body}".rstrip())
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DnfBranch:
     """Constraints forcing positive monomial ``pivot`` to dominate every negative one."""
 
@@ -100,11 +100,6 @@ class DnfBranch:
         object.__setattr__(self, "constraints", tuple(self.constraints))
 
 
-def _difference(system: SignedSystem, j: int, k: int) -> tuple[int, ...]:
-    ej, ek = system.e.row(j), system.e.row(k)
-    return tuple(a - b for a, b in zip(ej, ek))
-
-
 def build_cnf(system: SignedSystem) -> LinearCondition:
     """CNF over n: for every row i and negative monomial k, some positive j dominates k.
 
@@ -113,12 +108,14 @@ def build_cnf(system: SignedSystem) -> LinearCondition:
     (unsatisfiable) clause.  The result depends only on the sign and
     exponent matrices, never on coefficient values.
     """
+    exponents = system.e.entries
     clauses = []
     for i in range(system.u):
-        positive, negative = row_supports(system, i)
-        for k in sorted(negative):
+        positive, negative = map(sorted, row_supports(system, i))
+        for k in negative:
+            ek = exponents[k]
             literals = tuple(
-                LinearLiteral(_difference(system, j, k), i, j, k) for j in sorted(positive)
+                LinearLiteral(tuple(map(sub, exponents[j], ek)), i, j, k) for j in positive
             )
             clauses.append(Clause(i, k, literals))
     return LinearCondition(system.d, tuple(clauses))
@@ -134,15 +131,17 @@ def build_dnf(system: SignedSystem) -> tuple[tuple[DnfBranch, ...], ...]:
     negative monomials but no positive ones gives no branch at all, so no
     choice exists; rows without negative monomials are left out.
     """
+    exponents = system.e.entries
     rows = []
     for i in range(system.u):
-        positive, negative = row_supports(system, i)
+        positive, negative = map(sorted, row_supports(system, i))
         if not negative:
             continue
         branches = []
-        for j in sorted(positive):
+        for j in positive:
+            ej = exponents[j]
             constraints = tuple(
-                LinearLiteral(_difference(system, j, k), i, j, k) for k in sorted(negative)
+                LinearLiteral(tuple(map(sub, ej, exponents[k])), i, j, k) for k in negative
             )
             branches.append(DnfBranch(j, constraints))
         rows.append(tuple(branches))

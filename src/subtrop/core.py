@@ -50,8 +50,9 @@ def _freeze_int_matrix(matrix, what: str) -> tuple[tuple[int, ...], ...]:
     for row in entries:
         if len(row) != cols:
             raise ValueError(f"{what} row {row} has {len(row)} entries, expected {cols}")
-        for x in row:
-            _require_int(x, what)
+        if not all(type(x) is int for x in row):
+            for x in row:
+                _require_int(x, what)
     object.__setattr__(matrix, "entries", entries)
     object.__setattr__(matrix, "cols", cols)
     return entries
@@ -86,6 +87,9 @@ class ExponentMatrix:
         return self.entries[j]
 
 
+_SIGNS = frozenset((-1, 0, 1))
+
+
 @dataclass(frozen=True)
 class SignMatrix:
     """u x v matrix over {-1, 0, 1}; entry (i, j) is the sign of monomial j in row i."""
@@ -95,9 +99,9 @@ class SignMatrix:
 
     def __post_init__(self):
         for row in _freeze_int_matrix(self, "sign"):
-            for x in row:
-                if x not in (-1, 0, 1):
-                    raise ValueError(f"sign entries must be -1, 0 or 1, got {x}")
+            if not _SIGNS.issuperset(row):
+                bad = next(x for x in row if x not in _SIGNS)
+                raise ValueError(f"sign entries must be -1, 0 or 1, got {bad}")
 
     @property
     def rows(self) -> int:
@@ -187,19 +191,21 @@ class SignedSystem:
         grid = self.c.names if isinstance(self.c, ParametricCoefficients) else self.c.values
         if len(grid) != self.s.rows or any(len(row) != self.s.cols for row in grid):
             raise ValueError("coefficient matrix shape does not match the sign matrix")
-        for i, sign_row in enumerate(self.s.entries):
-            for j, sign in enumerate(sign_row):
-                if isinstance(self.c, ParametricCoefficients):
-                    present = self.c.names[i][j] is not None
-                    if present != (sign != 0):
+        if isinstance(self.c, ParametricCoefficients):
+            for i, (sign_row, name_row) in enumerate(zip(self.s.entries, grid)):
+                for j, (sign, name) in enumerate(zip(sign_row, name_row)):
+                    if (name is None) != (sign == 0):
                         raise ValueError(
                             f"coefficient name at ({i}, {j}) must be present iff the sign is nonzero"
                         )
-                elif sign == 0 and self.c.values[i][j] != _ONE:
-                    raise ValueError(
-                        f"zero-sign position ({i}, {j}) must hold the placeholder 1, "
-                        f"got {self.c.values[i][j]}"
-                    )
+        else:
+            for i, (sign_row, value_row) in enumerate(zip(self.s.entries, grid)):
+                for j, (sign, value) in enumerate(zip(sign_row, value_row)):
+                    if sign == 0 and value != _ONE:
+                        raise ValueError(
+                            f"zero-sign position ({i}, {j}) must hold the placeholder 1, "
+                            f"got {value}"
+                        )
 
     @property
     def u(self) -> int:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import (
     ConcreteCoefficients,
@@ -49,8 +50,7 @@ class ParseError(SubtropError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'ident', 'number', one of '*^+-=/', or 'end'
     text: str
     line: int
@@ -58,6 +58,7 @@ class _Token:
 
 
 _TOKEN_RE = re.compile(r"[A-Za-z_]\w*|\d+|[*^+\-=/]|\S")
+_ONE = Fraction(1)
 
 
 def _tokenize(line: str, lineno: int) -> list[_Token]:
@@ -185,6 +186,14 @@ def _parse_poly_line(cursor: _Cursor, var_index: dict[str, int]) -> list[_RawTer
         sign = -1 if token.kind == "-" else 1
 
 
+def _scatter(entries: dict[int, object], fill, v: int) -> tuple:
+    """Dense row of length ``v``: ``entries[j]`` at the columns it names, ``fill`` elsewhere."""
+    row = [fill] * v
+    for j, x in entries.items():
+        row[j] = x
+    return tuple(row)
+
+
 def parse_system(source: str) -> SignedSystem:
     """Parse ``.spp`` text into a :class:`SignedSystem`."""
     token_lines = []
@@ -277,13 +286,8 @@ def parse_system(source: str) -> SignedSystem:
             sign_rows.append(signs)
             name_rows.append(names)
         v = len(mono_index)
-        s_entries = tuple(
-            tuple(signs.get(j, 0) for j in range(v)) for signs in sign_rows
-        )
-        c_names = tuple(
-            tuple(names.get(j) for j in range(v)) for names in name_rows
-        )
-        spec = ParametricCoefficients(c_names)
+        s_entries = tuple(_scatter(signs, 0, v) for signs in sign_rows)
+        spec = ParametricCoefficients(tuple(_scatter(names, None, v) for names in name_rows))
     else:
         sum_rows: list[dict[int, Fraction]] = []
         for terms in polys:
@@ -295,7 +299,7 @@ def parse_system(source: str) -> SignedSystem:
                         term.line,
                         term.col,
                     )
-                value = term.coeff_value if term.coeff_value is not None else Fraction(1)
+                value = term.coeff_value if term.coeff_value is not None else _ONE
                 col = column_of(term.exponents)
                 sums[col] = sums.get(col, Fraction(0)) + term.sign * value
             sum_rows.append(sums)
@@ -303,19 +307,15 @@ def parse_system(source: str) -> SignedSystem:
         s_entries = []
         c_values = []
         for sums in sum_rows:
-            sign_row = []
-            value_row = []
-            for j in range(v):
-                total = sums.get(j, Fraction(0))
+            sign_row = [0] * v
+            value_row = [_ONE] * v
+            for j, total in sums.items():
                 if total > 0:
-                    sign_row.append(1)
-                    value_row.append(total)
+                    sign_row[j] = 1
+                    value_row[j] = total
                 elif total < 0:
-                    sign_row.append(-1)
-                    value_row.append(-total)
-                else:
-                    sign_row.append(0)
-                    value_row.append(Fraction(1))
+                    sign_row[j] = -1
+                    value_row[j] = -total
             s_entries.append(tuple(sign_row))
             c_values.append(tuple(value_row))
         s_entries = tuple(s_entries)

@@ -1,16 +1,17 @@
 import json
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from subtrop import build_cnf, parse_system
+from subtrop import build_cnf, parse_system, print_system
 from subtrop.cli import main
 from subtrop.pipeline import decide_system, parse_coefficient_bindings
 
 from conftest import DATA, load
-from gensys import long_row_text
+from gensys import long_row_text, random_signed_system
 
 
 def run(capsys, *argv):
@@ -289,6 +290,66 @@ class TestExplain:
             {"row": 0, "neg": 0, "literals": [{"pos": 1, "coeffs": [-1]}]},
             {"row": 0, "neg": 2, "literals": [{"pos": 1, "coeffs": [1]}]},
         ]
+
+
+def reference_explain_json(condition) -> str:
+    """``explain --format json`` stdout, encoded as one object with list coefficients."""
+    obj = {
+        "num_vars": condition.num_vars,
+        "clauses": [
+            {
+                "row": clause.row,
+                "neg": clause.neg,
+                "literals": [
+                    {"pos": lit.pos, "coeffs": list(lit.coeffs)} for lit in clause.literals
+                ],
+            }
+            for clause in condition.clauses
+        ],
+    }
+    return json.dumps(obj) + "\n"
+
+
+def explain_inputs(tmp_path):
+    """Every golden file, seeded random systems with many clauses, and one with no clause."""
+    paths = sorted(DATA.glob("*.spp"))
+    for seed, parametric in [(0, True), (11, True), (9, False)]:
+        system = random_signed_system(
+            random.Random(seed), max_rows=6, max_monomials=14, max_vars=4, max_exp=6,
+            parametric=parametric,
+        )
+        path = tmp_path / f"random_{seed}.spp"
+        path.write_text(print_system(system), encoding="utf-8")
+        paths.append(path)
+    no_clause = tmp_path / "no_clause.spp"
+    no_clause.write_text("vars x y\npoly f = a*x + b*y\npoly g = c*x*y\n", encoding="utf-8")
+    paths.append(no_clause)
+    return paths
+
+
+class TestExplainBytes:
+    """``explain`` output is pinned byte for byte, not only as parsed JSON."""
+
+    def test_inputs_cover_rows_clauses_and_none(self, tmp_path):
+        conditions = [build_cnf(parse_system(p.read_text())) for p in explain_inputs(tmp_path)]
+        assert max(len(c.clauses) for c in conditions) >= 18
+        assert max(len({cl.row for cl in c.clauses}) for c in conditions) >= 4
+        assert any(not c.clauses for c in conditions)
+
+    def test_json_bytes_equal_whole_object_dump(self, capsys, tmp_path):
+        for path in explain_inputs(tmp_path):
+            condition = build_cnf(parse_system(path.read_text()))
+            code, out, err = run(capsys, "explain", path, "--format", "json")
+            assert (code, err) == (0, ""), path.name
+            assert out == reference_explain_json(condition), path.name
+
+    def test_text_bytes_equal_debug_text(self, capsys, tmp_path):
+        for path in explain_inputs(tmp_path):
+            condition = build_cnf(parse_system(path.read_text()))
+            code, out, err = run(capsys, "explain", path)
+            assert (code, err) == (0, ""), path.name
+            expected = condition.to_debug_text() + "\n" if condition.clauses else ""
+            assert out == expected, path.name
 
 
 class TestDefectExitCodes:

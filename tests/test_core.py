@@ -118,6 +118,42 @@ class TestMatrices:
         system = SignedSystem(s, e, ParametricCoefficients((("a", None),)), ("x",))
         assert system.coefficient_name(0, 0) == "a"
 
+    def test_int_subclass_entries_are_accepted(self):
+        class Small(int):
+            pass
+
+        assert SignMatrix(((Small(1), 0, Small(-1)),)).entries == ((1, 0, -1),)
+        assert ExponentMatrix(((Small(2), 0),)).entries == ((2, 0),)
+
+    def test_non_int_entries_are_named_in_the_message(self):
+        for matrix, what in ((ExponentMatrix, "exponent"), (SignMatrix, "sign")):
+            for bad in (True, 1.0):
+                with pytest.raises(TypeError) as err:
+                    matrix(((1, 0), (0, bad)))
+                assert str(err.value) == f"{what} must be an int, got {bad!r}"
+
+    def test_sign_error_names_the_first_bad_entry(self):
+        with pytest.raises(ValueError) as err:
+            SignMatrix(((1, -1, 0), (0, 2, 3)))
+        assert str(err.value) == "sign entries must be -1, 0 or 1, got 2"
+
+    def test_coefficient_errors_name_their_position(self):
+        s = SignMatrix(((1, -1, 0), (1, 0, -1)))
+        e = ExponentMatrix(((2,), (1,), (0,)), cols=1)
+        one = Fraction(1)
+        with pytest.raises(ValueError) as err:
+            SignedSystem(s, e, ConcreteCoefficients(((1, 2, 1), (3, 5, 1))), ("x",))
+        assert str(err.value) == "zero-sign position (1, 1) must hold the placeholder 1, got 5"
+        SignedSystem(s, e, ConcreteCoefficients(((1, 2, one), (3, one, 1))), ("x",))
+        missing = ParametricCoefficients((("a", "b", None), ("c", None, None)))
+        extra = ParametricCoefficients((("a", "b", None), ("c", "d", "e")))
+        for names, where in ((missing, "(1, 2)"), (extra, "(1, 1)")):
+            with pytest.raises(ValueError) as err:
+                SignedSystem(s, e, names, ("x",))
+            assert str(err.value) == (
+                f"coefficient name at {where} must be present iff the sign is nonzero"
+            )
+
     def test_exponent_solution_requires_ints(self):
         with pytest.raises(TypeError):
             ExponentSolution((Fraction(1, 2),))

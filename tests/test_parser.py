@@ -149,6 +149,29 @@ class TestParseErrors:
             parse_system("vars x\npoly f = x )\n")
 
 
+class TestParseErrorPositions:
+    """Line and column of a parse error, both 1-based, counted in the raw text."""
+
+    @pytest.mark.parametrize(
+        "text, message, line, col",
+        [
+            ("vars x\npoly f = a*y\n", "unknown variable 'y'", 2, 12),
+            ("vars x\npoly f = x^-1\n", "negative exponents", 2, 12),
+            ("vars x\npoly f = x + 3/0*x^2\n", "zero denominator", 2, 16),
+            ("vars x\n# comment\n\n  poly f = x $ 2\n", "unexpected character '\\$'", 4, 14),
+            ("vars x\npoly f x\n", "expected '='", 2, 8),
+            ("vars x\npoly f = 2*x\npoly g = x^2 + a*x\n", "cannot mix", 3, 16),
+            ("vars x y\npoly f = x*y + + y\n", "expected a term", 2, 16),
+            ("vars x\npoly f = x )\n", "unexpected character", 2, 12),
+        ],
+    )
+    def test_position(self, text, message, line, col):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_system(text)
+        assert (err.value.line, err.value.col) == (line, col)
+        assert str(err.value).startswith(f"line {line}, column {col}: ")
+
+
 class TestPrintRoundTrip:
     @pytest.mark.parametrize(
         "name",
