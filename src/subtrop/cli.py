@@ -18,10 +18,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .condition import build_cnf
+from .condition import build_cnf, certifies
 from .core import ExponentSolution, SignedSystem
 from .lra import SolverDefect
-from .oracle import BoxTooLarge, TooManySelections, exhaustive_decide
+from .oracle import TooManySelections, exhaustive_decide
 from .parser import ParseError, parse_system
 from .pipeline import Decision, decide_system, parse_coefficient_bindings
 from .witness import (
@@ -75,19 +75,20 @@ def _run_checks(system: SignedSystem, decision: Decision, seed: int) -> int:
     """Cross-check a decision; 0 when every check holds, 3 on a disagreement.
 
     A SAT answer is checked against its certificate: the integer vector
-    must satisfy the CNF, which proves that some selection is feasible, so
-    the exhaustive enumeration would agree.  For a parametric template the
-    witness is then verified exactly at 3 coefficient samples drawn from
-    ``seed``; a failure raises :class:`~subtrop.witness.WitnessFailure`.  An
-    UNSAT answer has no certificate and is re-decided by the exhaustive
-    oracle, which shares no code with the search.
+    must certify the system (:func:`~subtrop.condition.certifies`), which
+    proves that some selection is feasible, so the exhaustive enumeration
+    would agree.  For a parametric template the witness is then verified
+    exactly at 3 coefficient samples drawn from ``seed``; a failure raises
+    :class:`~subtrop.witness.WitnessFailure`.  An UNSAT answer has no
+    certificate: the CNF is built and re-decided by the exhaustive oracle,
+    which shares no code with the search.
     """
     if decision.status == "unsat":
-        if exhaustive_decide(decision.condition):
+        if exhaustive_decide(build_cnf(system)):
             print("check failed: exhaustive selection search disagrees", file=sys.stderr)
             return 3
         return 0
-    if not decision.condition.satisfied_by(decision.n.n):
+    if not certifies(system, decision.n.n):
         print("check failed: the vector does not satisfy the linear condition", file=sys.stderr)
         return 3
     if system.is_parametric:
@@ -269,7 +270,6 @@ def main(argv=None) -> int:
         PreconditionViolated,
         SizeLimitExceeded,
         TooManySelections,
-        BoxTooLarge,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,16 +14,21 @@ implies each of the row's clauses, and at any n satisfying the clauses the
 positive monomial j* that maximises ``e_j . n`` satisfies its branch,
 because ``e_j* . n >= e_j . n >= e_k . n + 1`` for the j that dominates k.
 A row thus needs one choice among its positive monomials instead of one
-per negative monomial.  The search runs on this form (:func:`build_dnf`);
-the CNF (:func:`build_cnf`) is what a SAT vector is checked against and
-what ``explain`` prints.
+per negative monomial.  The search runs on this form (:func:`build_dnf`).
+
+The same argmax argument checks a given vector without building either
+form: n satisfies the CNF exactly when, in every row with negative
+monomials, the largest ``e_j . n`` over positive j is at least 1 more than
+the largest ``e_k . n`` over negative k (:func:`certifies`).  The CNF
+(:func:`build_cnf`) is built only for ``explain`` and for the brute-force
+UNSAT cross-check of ``decide --check``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
+from operator import mul, sub
 
 from .core import SignedSystem, row_supports
 
@@ -146,3 +151,24 @@ def build_dnf(system: SignedSystem) -> tuple[tuple[DnfBranch, ...], ...]:
             branches.append(DnfBranch(j, constraints))
         rows.append(tuple(branches))
     return tuple(rows)
+
+
+def certifies(system: SignedSystem, n) -> bool:
+    """True when ``n`` satisfies :func:`build_cnf` of ``system``, in O(v*d + u*v) steps.
+
+    Each monomial's height ``e_j . n`` is computed once.  A row with
+    negative monomials passes when its highest positive monomial stands at
+    least 1 above its highest negative one; a row with negative monomials
+    but no positive ones fails, and a row without negative monomials
+    passes.  Exact for ``int`` and ``Fraction`` entries.
+    """
+    if len(n) != system.d:
+        raise ValueError(f"expected a vector of length {system.d}, got {len(n)}")
+    heights = [sum(map(mul, exps, n)) for exps in system.e.entries]
+    for row in system.s.entries:
+        negative = [h for h, sign in zip(heights, row) if sign < 0]
+        if negative:
+            positive = [h for h, sign in zip(heights, row) if sign > 0]
+            if not positive or max(positive) < max(negative) + 1:
+                return False
+    return True

@@ -50,8 +50,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .condition import DnfBranch, LinearCondition
-from .core import ExponentSolution, SubtropError
+from .condition import DnfBranch, certifies
+from .core import ExponentSolution, SignedSystem, SubtropError
 
 
 class SolverDefect(SubtropError):
@@ -361,14 +361,15 @@ def scale_to_integer(model: RationalModel) -> ExponentSolution:
     return ExponentSolution(tuple(int(x * delta) for x in model.n))
 
 
-def shrink_model(condition: LinearCondition, solution: ExponentSolution) -> ExponentSolution:
-    """Greedily step each coordinate toward 0 while the condition stays satisfied.
+def shrink_model(system: SignedSystem, solution: ExponentSolution) -> ExponentSolution:
+    """Greedily step each coordinate toward 0 while ``n`` still certifies ``system``.
 
     Purely cosmetic: any certified vector is valid, smaller entries are just
-    easier to read.  The input must already satisfy the condition.
+    easier to read.  The input must already certify the system
+    (:func:`~subtrop.condition.certifies`).
     """
     n = list(solution.n)
-    if not condition.satisfied_by(n):
+    if not certifies(system, n):
         raise ValueError("cannot shrink a vector that does not satisfy the condition")
     changed = True
     while changed:
@@ -377,7 +378,7 @@ def shrink_model(condition: LinearCondition, solution: ExponentSolution) -> Expo
             while n[idx] != 0:
                 step = -1 if n[idx] > 0 else 1
                 n[idx] += step
-                if condition.satisfied_by(n):
+                if certifies(system, n):
                     changed = True
                 else:
                     n[idx] -= step

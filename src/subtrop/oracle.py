@@ -1,50 +1,25 @@
-"""Brute-force cross-checks for the main solver.
+"""Brute-force cross-check for the main solver.
 
-Two deliberately dumb deciders used by the test suite and ``decide
---check``: exhaustive enumeration of one-literal-per-clause selections,
-each decided by a from-scratch Fourier-Motzkin pass (no code shared with
-:mod:`subtrop.lra`, forward elimination order, no pruning), and a plain
-lexicographic integer grid scan.  The grid scan is one-sided: not finding
-a point inside the box proves nothing.
+A deliberately dumb decider used by the test suite and by ``decide
+--check`` on UNSAT answers: exhaustive enumeration of one-literal-per-clause
+selections of the CNF, each decided by a from-scratch Fourier-Motzkin pass
+(no code shared with :mod:`subtrop.lra`, forward elimination order, no
+pruning).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .condition import LinearCondition
-from .core import ExponentSolution, SubtropError
+from .core import SubtropError
 
 SELECTION_LIMIT = 10**6
-GRID_LIMIT = 10**7
 
 
 class TooManySelections(SubtropError):
     """The product of clause sizes exceeds the enumeration guard."""
-
-
-class BoxTooLarge(SubtropError):
-    """The grid box holds more points than the scan guard allows."""
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Search box [-radius, radius]^d."""
-
-    radius: int
-
-    def __post_init__(self):
-        if not isinstance(self.radius, int) or self.radius < 1:
-            raise ValueError(f"radius must be a positive integer, got {self.radius!r}")
-
-
-@dataclass(frozen=True)
-class NotFoundWithin:
-    """No satisfying integer point exists inside the scanned box."""
-
-    radius: int
 
 
 def _feasible(rows, num_vars: int) -> bool:
@@ -84,23 +59,3 @@ def exhaustive_decide(condition: LinearCondition) -> bool:
         if _feasible([literal.coeffs for literal in pick], condition.num_vars):
             return True
     return False
-
-
-def grid_search(condition: LinearCondition, grid: GridSpec) -> ExponentSolution | NotFoundWithin:
-    """First integer point of the box, in lexicographic order, satisfying every clause."""
-    radius = grid.radius
-    if (2 * radius + 1) ** condition.num_vars > GRID_LIMIT:
-        raise BoxTooLarge(
-            f"box [-{radius}, {radius}]^{condition.num_vars} exceeds {GRID_LIMIT} points"
-        )
-    for point in itertools.product(range(-radius, radius + 1), repeat=condition.num_vars):
-        good = all(
-            any(
-                sum(a * x for a, x in zip(literal.coeffs, point)) >= 1
-                for literal in clause.literals
-            )
-            for clause in condition.clauses
-        )
-        if good:
-            return ExponentSolution(point)
-    return NotFoundWithin(radius)

@@ -57,23 +57,22 @@ class _Token(NamedTuple):
     col: int
 
 
-_TOKEN_RE = re.compile(r"[A-Za-z_]\w*|\d+|[*^+\-=/]|\S")
+_TOKEN_RE = re.compile(r"(?P<ident>[A-Za-z_]\w*)|(?P<number>\d+)|(?P<op>[*^+\-=/])|(?P<bad>\S)")
 _ONE = Fraction(1)
 
 
 def _tokenize(line: str, lineno: int) -> list[_Token]:
+    """Tokens of one line, each classified by the ``_TOKEN_RE`` alternative that matched."""
     tokens = []
     for match in _TOKEN_RE.finditer(line):
+        kind = match.lastgroup
         text = match.group()
         col = match.start() + 1
-        if text[0].isalpha() or text[0] == "_":
-            tokens.append(_Token("ident", text, lineno, col))
-        elif text.isdigit():
-            tokens.append(_Token("number", text, lineno, col))
-        elif text in "*^+-=/":
-            tokens.append(_Token(text, text, lineno, col))
-        else:
+        if kind == "op":
+            kind = text
+        elif kind == "bad":
             raise ParseError(f"unexpected character {text!r}", lineno, col)
+        tokens.append(_Token(kind, text, lineno, col))
     tokens.append(_Token("end", "", lineno, len(line) + 1))
     return tokens
 

@@ -1,7 +1,8 @@
 """The decision pipeline as a library: reduce, search, scale, and read coefficient files.
 
 :func:`decide_system` is what the ``decide``, ``witness`` and ``verify``
-commands run; :mod:`subtrop.cli` only parses arguments and prints.
+commands run; :mod:`subtrop.cli` only parses arguments and prints.  It
+builds only the row branches the search needs, never the CNF.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .condition import LinearCondition, build_cnf, build_dnf
+from .condition import build_dnf, certifies
 from .core import ExponentSolution, SignedSystem, zero_sign_rows
 from .lra import RationalModel, SolverDefect, scale_to_integer, shrink_model, solve_dnf
 from .parser import ParseError
@@ -22,7 +23,6 @@ class Decision:
     status: str  # "sat" | "unsat"
     n: ExponentSolution | None
     model: RationalModel | None
-    condition: LinearCondition
     zero_row: int | None
 
 
@@ -33,22 +33,21 @@ def decide_system(system: SignedSystem, *, shrink: bool = False) -> Decision:
     such systems are unsatisfiable regardless of the linear condition.
     Otherwise the search picks one dominating positive monomial per row
     (:func:`~subtrop.lra.solve_dnf` over :func:`~subtrop.condition.build_dnf`).
-    ``condition`` is always the CNF of :func:`~subtrop.condition.build_cnf`,
-    and a model that fails it raises :class:`~subtrop.lra.SolverDefect`.
+    A model that fails :func:`~subtrop.condition.certifies` raises
+    :class:`~subtrop.lra.SolverDefect`.
     """
-    condition = build_cnf(system)
     zeros = zero_sign_rows(system)
     if zeros:
-        return Decision("unsat", None, None, condition, zeros[0])
+        return Decision("unsat", None, None, zeros[0])
     model = solve_dnf(system.d, build_dnf(system))
     if model is None:
-        return Decision("unsat", None, None, condition, None)
-    if not condition.satisfied_by(model.n):
+        return Decision("unsat", None, None, None)
+    if not certifies(system, model.n):
         raise SolverDefect(f"row search returned a model {model.n} that fails the CNF")
     n = scale_to_integer(model)
     if shrink:
-        n = shrink_model(condition, n)
-    return Decision("sat", n, model, condition, None)
+        n = shrink_model(system, n)
+    return Decision("sat", n, model, None)
 
 
 def parse_coefficient_bindings(text: str) -> dict[str, Fraction]:

@@ -12,11 +12,12 @@ negative coefficients``, and checks ``f(r^n) > 0`` by exact evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .condition import build_cnf
+from .condition import certifies
 from .core import (
     ConcreteCoefficients,
     ExponentSolution,
@@ -124,10 +125,9 @@ def ratio_terms(system: SignedSystem) -> tuple[RatioTerm, ...]:
 
 def symbolic_t(system: SignedSystem, n: ExponentSolution) -> SymbolicWitness:
     """Witness for a certified exponent vector; rejects vectors that fail a clause."""
-    condition = build_cnf(system)
     if len(n.n) != system.d:
         raise UncertifiedExponent(f"expected {system.d} entries, got {len(n.n)}")
-    if not condition.satisfied_by(n.n):
+    if not certifies(system, n.n):
         raise UncertifiedExponent(f"{n.n} does not satisfy the dominance condition")
     return SymbolicWitness(ratio_terms(system), n, system.var_names)
 
@@ -191,7 +191,13 @@ def uniform_bound(system: SignedSystem) -> Fraction:
 
 
 def evaluate_system_at(system: SignedSystem, point) -> tuple[Fraction, ...]:
-    """Exact values (f_1, ..., f_u) at a strictly positive rational point."""
+    """Exact values (f_1, ..., f_u) at a strictly positive rational point.
+
+    With ``x_i = p_i / q_i``, every monomial is an integer over the common
+    denominator ``prod_i q_i^(max_j e_ji)``.  Each row is summed as integers
+    over that times the least common denominator of its coefficients, and
+    reduced once at the end.
+    """
     if system.is_parametric:
         raise ValueError("cannot evaluate a system with parametric coefficients")
     coords = []
@@ -203,25 +209,20 @@ def evaluate_system_at(system: SignedSystem, point) -> tuple[Fraction, ...]:
         raise ValueError(f"expected {system.d} coordinates, got {len(coords)}")
     if any(x <= 0 for x in coords):
         raise NonPositivePoint(f"point {tuple(coords)} has a coordinate <= 0")
+    exponents = system.e.entries
+    top = [max(column) for column in zip(*exponents)]
+    common = math.prod(x.denominator**m for x, m in zip(coords, top))
     monomials = [
-        1 if all(e == 0 for e in exps) else _product(x**e for x, e in zip(coords, exps))
-        for exps in system.e.entries
+        math.prod(x.numerator**e * x.denominator ** (m - e) for x, e, m in zip(coords, exps, top))
+        for exps in exponents
     ]
     values = []
-    for i, sign_row in enumerate(system.s.entries):
-        total = Fraction(0)
-        for j, sign in enumerate(sign_row):
-            if sign != 0:
-                total += sign * system.c.values[i][j] * monomials[j]
-        values.append(total)
+    for sign_row, value_row in zip(system.s.entries, system.c.values):
+        terms = [(s, c, m) for s, c, m in zip(sign_row, value_row, monomials) if s != 0]
+        den = math.lcm(*(c.denominator for _, c, _ in terms))
+        total = sum(s * c.numerator * (den // c.denominator) * m for s, c, m in terms)
+        values.append(Fraction(total, den * common))
     return tuple(values)
-
-
-def _product(factors) -> Fraction:
-    result = Fraction(1)
-    for f in factors:
-        result *= f
-    return result
 
 
 def _check_size_guard(system: SignedSystem, n: ExponentSolution, r: Fraction, max_bits: int):

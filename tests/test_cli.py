@@ -88,6 +88,16 @@ class TestDecide:
         assert out == ""
         assert "line 2" in err
 
+    def test_non_ascii_digit_exits_2_on_every_command(self, capsys, tmp_path):
+        # str.isdigit accepts a superscript two, int() does not: it must be a parse error
+        bad = tmp_path / "bad.spp"
+        bad.write_text("vars x\npoly f = a*x^\u00b2\n", encoding="utf-8")
+        for command in ("decide", "witness", "verify", "explain"):
+            code, out, err = run(capsys, command, bad)
+            assert code == 2
+            assert out == ""
+            assert err == "error: line 2, column 14: unexpected character '\u00b2'\n"
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "decide", tmp_path / "nope.spp")
         assert code == 2
@@ -370,7 +380,7 @@ class TestDefectExitCodes:
         from subtrop.pipeline import Decision
 
         def bogus(system, *, shrink=False):
-            return Decision("sat", ExponentSolution((0, 0)), None, build_cnf(system), None)
+            return Decision("sat", ExponentSolution((0, 0)), None, None)
 
         def explode(cond):
             raise AssertionError("the oracle must not run on a SAT answer")
@@ -457,10 +467,12 @@ class TestDecideSystem:
             assert "disagrees" not in err
 
     def test_decision_carries_certifying_vector(self):
-        decision = decide_system(load("example2.spp"))
+        system = load("example2.spp")
+        decision = decide_system(system)
         assert decision.status == "sat"
-        assert decision.condition.satisfied_by(decision.n.n)
-        assert decision.condition.satisfied_by(decision.model.n)
+        condition = build_cnf(system)
+        assert condition.satisfied_by(decision.n.n)
+        assert condition.satisfied_by(decision.model.n)
 
     def test_model_failing_the_cnf_is_a_solver_defect(self, monkeypatch):
         import subtrop.pipeline as pipeline

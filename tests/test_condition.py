@@ -1,7 +1,10 @@
 import random
+from fractions import Fraction
+
+import pytest
 
 from subtrop import LinearLiteral, build_cnf, instantiate, parse_system
-from subtrop.condition import DnfBranch, build_dnf
+from subtrop.condition import DnfBranch, build_dnf, certifies
 from subtrop.core import row_supports
 
 from conftest import load
@@ -130,3 +133,51 @@ class TestBuildDnf:
             DnfBranch(0, (LinearLiteral((1,), 0, 0, 1),)),
             DnfBranch(2, (LinearLiteral((-1,), 0, 2, 1),)),
         ),)
+
+
+class TestCertifies:
+    def test_agrees_with_the_cnf(self):
+        rng = random.Random(14)
+        seen = {True: 0, False: 0}
+        for index in range(2000):
+            system = random_signed_system(
+                rng, parametric=index % 4 < 2, ensure_positive=index % 2 == 0
+            )
+            cond = build_cnf(system)
+            for _ in range(3):
+                if rng.random() < 0.5:
+                    n = tuple(rng.randint(-6, 6) for _ in range(system.d))
+                else:
+                    n = tuple(
+                        Fraction(rng.randint(-12, 12), rng.randint(1, 5)) for _ in range(system.d)
+                    )
+                answer = certifies(system, n)
+                assert answer == cond.satisfied_by(n)
+                seen[answer] += 1
+        assert min(seen.values()) >= 1000
+
+    def test_zero_row_passes(self):
+        # a zero row has no negative monomial; decide_system rejects it on its own
+        assert certifies(load("zero_row.spp"), (0,))
+        assert certifies(load("zero_row.spp"), (-3,))
+
+    def test_negative_only_row_fails(self):
+        system = parse_system("vars x\npoly f = -2*x\n")
+        assert not any(certifies(system, (k,)) for k in range(-5, 6))
+
+    def test_positive_only_row_passes(self):
+        system = parse_system("vars x y\npoly f = x + y + 1\n")
+        assert certifies(system, (0, 0))
+        assert certifies(system, (Fraction(-7, 3), 5))
+
+    def test_strict_margin_of_one(self):
+        # intro_f is c2*x^2 - c1*x + c0: n = 1 puts x^2 at 2 >= 1 + 1, n = 1/2 at 1 < 1/2 + 1
+        system = load("intro_f.spp")
+        assert certifies(system, (1,))
+        assert not certifies(system, (Fraction(1, 2),))
+        assert certifies(system, (-1,))
+        assert not certifies(system, (0,))
+
+    def test_rejects_a_vector_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="length 2"):
+            certifies(load("example2.spp"), (1,))

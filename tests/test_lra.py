@@ -312,25 +312,28 @@ class TestScaleToInteger:
 class TestShrinkModel:
     def test_intro_f_shrinks_to_one(self):
         # the simplex model n = 1 is already minimal, so shrinking keeps it
-        cond = build_cnf(load("intro_f.spp"))
-        model = solve_condition(cond)
+        system = load("intro_f.spp")
+        model = solve_condition(build_cnf(system))
         n = scale_to_integer(model)
         assert n.n == (1,)
-        assert shrink_model(cond, n).n == (1,)
+        assert shrink_model(system, n).n == (1,)
 
     def test_shrunk_vector_still_certifies(self):
         rng = random.Random(6)
+        shrunk = 0
         for _ in range(60):
-            cond = random_condition(rng)
+            system = random_signed_system(rng, parametric=True)
+            cond = build_cnf(system)
             model = solve_condition(cond)
             if model is None:
                 continue
             n = scale_to_integer(model)
-            small = shrink_model(cond, n)
+            small = shrink_model(system, n)
             assert cond.satisfied_by(small.n)
             assert sum(abs(x) for x in small.n) <= sum(abs(x) for x in n.n)
+            shrunk += 1
+        assert shrunk >= 20
 
     def test_rejects_uncertified_input(self):
-        cond = build_cnf(load("intro_f.spp"))
         with pytest.raises(ValueError):
-            shrink_model(cond, ExponentSolution((0,)))
+            shrink_model(load("intro_f.spp"), ExponentSolution((0,)))

@@ -163,6 +163,7 @@ class TestParseErrorPositions:
             ("vars x\npoly f = 2*x\npoly g = x^2 + a*x\n", "cannot mix", 3, 16),
             ("vars x y\npoly f = x*y + + y\n", "expected a term", 2, 16),
             ("vars x\npoly f = x )\n", "unexpected character", 2, 12),
+            ("vars x\npoly f = a*x^\u00b2\n", "unexpected character '\u00b2'", 2, 14),
         ],
     )
     def test_position(self, text, message, line, col):

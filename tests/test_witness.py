@@ -171,7 +171,40 @@ class TestUniformBound:
             assert uniform_bound(system) >= t_of(system)
 
 
+def term_by_term(system, point):
+    """Row values summed one Fraction term at a time, as a reference."""
+    monomials = []
+    for exps in system.e.entries:
+        value = Fraction(1)
+        for x, e in zip(point, exps):
+            value *= Fraction(x) ** e
+        monomials.append(value)
+    return tuple(
+        sum(
+            (sign * c * m for sign, c, m in zip(sign_row, value_row, monomials) if sign != 0),
+            Fraction(0),
+        )
+        for sign_row, value_row in zip(system.s.entries, system.c.values)
+    )
+
+
 class TestEvaluateSystemAt:
+    def test_matches_term_by_term_sums(self):
+        rng = random.Random(25)
+        for index in range(300):
+            system = random_signed_system(
+                rng, max_rows=4, max_monomials=8, parametric=False, ensure_positive=index % 2 == 0
+            )
+            point = tuple(
+                Fraction(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(system.d)
+            )
+            if index % 3 == 0:
+                r = Fraction(rng.randint(2, 9), rng.randint(1, 9))
+                point = tuple(r ** rng.randint(-8, 8) for _ in range(system.d))
+            values = evaluate_system_at(system, point)
+            assert values == term_by_term(system, point)
+            assert all(type(value) is Fraction for value in values)
+
     def test_intro_f_at_three(self):
         system = instantiate(load("intro_f.spp"), INTRO_BINDINGS)
         assert evaluate_system_at(system, (Fraction(3),)) == (Fraction(7),)
