@@ -1,5 +1,17 @@
 """Command-line front end: decide, witness, verify and explain.
 
+Grammar: ``subtrop COMMAND INPUT [OPTIONS]``, options before or after
+INPUT, as listed in ``_USAGE``.  An option's value follows it as the next
+argument or after ``=`` (``--seed 3`` or ``--seed=3``; ``--seed -3`` is a
+negative value).  Options are spelled in full, with no abbreviations, and
+``--`` ends them, so ``-- -x.spp`` names an INPUT that starts with ``-``.
+``-h`` or ``--help`` prints the usage and a summary to stdout; :func:`main`
+returns 0.
+Any other argument outside the grammar is a usage error: the usage and
+``subtrop: error: <reason>`` go to stderr and :func:`main` returns 2.
+Arguments are read from one table, ``_COMMANDS``, by a short loop: building
+:mod:`argparse` parsers cost more than deciding a small system.
+
 Exit codes: 0 sat/ok, 1 unsat, 2 usage or input error, 3 a failed
 ``decide --check`` (a SAT vector that fails its condition, or disagreement
 with a brute-force cross-check), 4 solver defect: a witness failure, a
@@ -11,12 +23,12 @@ same bytes.  The decision pipeline itself is :mod:`subtrop.pipeline`.
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from .condition import build_cnf, certifies
 from .core import ExponentSolution, SignedSystem
@@ -211,55 +223,149 @@ def cmd_explain(args) -> int:
     return 0
 
 
-def _build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="subtrop",
-        description=(
-            "Decide whether a polynomial system with a fixed sign pattern has a "
-            "positive solution for every choice of positive coefficients, and "
-            "construct an exact witness when it does."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_FORMATS = ("text", "json")
 
-    def common(p):
-        p.add_argument("input", help="input system (.spp file)")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+# Each command's handler and options.  An option maps to its value's type (int or
+# str), to the tuple of values it accepts, or to None for a switch, which takes no
+# value and is False unless given.
+_COMMANDS = {
+    "decide": (cmd_decide, {"--format": _FORMATS, "--check": None, "--seed": int, "--shrink": None}),
+    "witness": (cmd_witness, {"--format": _FORMATS, "--shrink": None}),
+    "verify": (
+        cmd_verify,
+        {
+            "--format": _FORMATS,
+            "--coeffs": str,
+            "--use-uniform-bound": None,
+            "--max-bits": int,
+            "--shrink": None,
+        },
+    ),
+    "explain": (cmd_explain, {"--format": _FORMATS}),
+}
+# Values of the valued options that are not given; the others default to None.
+_DEFAULTS = {"format": "text", "seed": 0}
 
-    p_decide = sub.add_parser("decide", help="report SAT with an integer vector, or UNSAT")
-    common(p_decide)
-    p_decide.add_argument("--check", action="store_true", help="cross-check with brute force")
-    p_decide.add_argument("--seed", type=int, default=0, help="seed for --check sampling")
-    p_decide.add_argument("--shrink", action="store_true", help="shrink the vector toward 0")
-    p_decide.set_defaults(func=cmd_decide)
+_USAGE = """\
+usage: subtrop decide  INPUT [--format {text,json}] [--check] [--seed N] [--shrink]
+       subtrop witness INPUT [--format {text,json}] [--shrink]
+       subtrop verify  INPUT [--format {text,json}] [--coeffs FILE] [--use-uniform-bound]
+                             [--max-bits N] [--shrink]
+       subtrop explain INPUT [--format {text,json}]
+       subtrop -h | --help
+"""
 
-    p_witness = sub.add_parser("witness", help="print the symbolic witness t and t^n")
-    common(p_witness)
-    p_witness.add_argument("--shrink", action="store_true", help="shrink the vector toward 0")
-    p_witness.set_defaults(func=cmd_witness)
+_HELP = (
+    _USAGE
+    + """
+Decide whether a polynomial system with a fixed sign pattern has a positive
+solution for every choice of positive coefficients, and construct an exact
+witness when it does.  INPUT is a system in the .spp format.
 
-    p_verify = sub.add_parser("verify", help="evaluate the witness exactly and check f > 0")
-    common(p_verify)
-    p_verify.add_argument("--coeffs", help="coefficient values file (parametric input)")
-    p_verify.add_argument(
-        "--use-uniform-bound",
-        action="store_true",
-        help="use 1 + v * (sum of negative integer coefficients) instead of t",
-    )
-    p_verify.add_argument("--max-bits", type=int, help="abort if evaluation exceeds this size")
-    p_verify.add_argument("--shrink", action="store_true", help="shrink the vector toward 0")
-    p_verify.set_defaults(func=cmd_verify)
+commands:
+  decide    report SAT with an integer vector, or UNSAT
+  witness   print the symbolic witness t and t^n
+  verify    evaluate the witness exactly and check f > 0
+  explain   print the linear condition with provenance
 
-    p_explain = sub.add_parser("explain", help="print the linear condition with provenance")
-    common(p_explain)
-    p_explain.set_defaults(func=cmd_explain)
-    return parser
+options:
+  --format {text,json}  output format (default: text)
+  --check               cross-check the answer (decide)
+  --seed N              seed for the --check coefficient samples (default: 0)
+  --shrink              shrink the vector toward 0 (decide, witness, verify)
+  --coeffs FILE         coefficient values file for parametric input (verify)
+  --use-uniform-bound   use 1 + v * (sum of negative integer coefficients)
+                        instead of t (verify)
+  --max-bits N          abort if evaluation exceeds this size (verify)
+
+An option's value follows it as the next argument or after '=' (--seed=3).
+Options are spelled in full, and '--' ends them.
+"""
+)
+
+
+class _UsageError(Exception):
+    """Command-line arguments that do not follow the grammar in ``_USAGE``."""
+
+
+def _dest(flag: str) -> str:
+    """The attribute of ``args`` that holds an option: ``--max-bits`` -> ``max_bits``."""
+    return flag[2:].replace("-", "_")
+
+
+def _is_option(arg: str) -> bool:
+    """Whether an argument reads as an option; '-' and negative integers do not."""
+    return arg.startswith("-") and arg != "-" and not arg[1:].isdigit()
+
+
+def _parse_args(argv: list[str]):
+    """The handler and its arguments, or None when help was asked for.
+
+    Raises :class:`_UsageError` for arguments outside the grammar.
+    """
+    if not argv:
+        raise _UsageError("a command is required")
+    if argv[0] in ("-h", "--help"):
+        return None
+    if argv[0] not in _COMMANDS:
+        raise _UsageError(f"unknown command {argv[0]!r} (choose from {', '.join(_COMMANDS)})")
+    handler, options = _COMMANDS[argv[0]]
+    values = {
+        _dest(flag): False if kind is None else _DEFAULTS.get(_dest(flag))
+        for flag, kind in options.items()
+    }
+    inputs = []
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg == "--":
+            inputs.extend(rest)
+            break
+        if not _is_option(arg):
+            inputs.append(arg)
+            continue
+        if arg in ("-h", "--help"):
+            return None
+        flag, eq, value = arg.partition("=")
+        if flag not in options:
+            raise _UsageError(f"unknown option {flag!r} for {argv[0]}")
+        kind = options[flag]
+        if kind is None:
+            if eq:
+                raise _UsageError(f"option {flag} takes no value")
+            values[_dest(flag)] = True
+            continue
+        if not eq:
+            value = next(rest, None)
+            if value is None or _is_option(value):
+                raise _UsageError(f"option {flag} needs a value")
+        if isinstance(kind, tuple):
+            if value not in kind:
+                raise _UsageError(
+                    f"option {flag}: invalid choice {value!r} (choose from {', '.join(kind)})"
+                )
+        elif kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _UsageError(f"option {flag}: invalid integer {value!r}") from None
+        values[_dest(flag)] = value
+    if len(inputs) != 1:
+        raise _UsageError(f"{argv[0]} needs one INPUT, got {len(inputs)}")
+    return handler, SimpleNamespace(input=inputs[0], **values)
 
 
 def main(argv=None) -> int:
-    args = _build_arg_parser().parse_args(argv)
     try:
-        return args.func(args)
+        parsed = _parse_args(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        print(f"{_USAGE}subtrop: error: {exc}", file=sys.stderr)
+        return 2
+    if parsed is None:
+        print(_HELP, end="")
+        return 0
+    handler, args = parsed
+    try:
+        return handler(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

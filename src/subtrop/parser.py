@@ -57,7 +57,7 @@ class _Token(NamedTuple):
     col: int
 
 
-_TOKEN_RE = re.compile(r"(?P<ident>[A-Za-z_]\w*)|(?P<number>\d+)|(?P<op>[*^+\-=/])|(?P<bad>\S)")
+_TOKEN_RE = re.compile(r"(?P<ident>[A-Za-z_]\w*)|(?P<number>[0-9]+)|(?P<op>[*^+\-=/])|(?P<bad>\S)")
 _ONE = Fraction(1)
 
 

@@ -7,6 +7,7 @@ builds only the row branches the search needs, never the CNF.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,6 +15,10 @@ from .condition import build_dnf, certifies
 from .core import ExponentSolution, SignedSystem, zero_sign_rows
 from .lra import RationalModel, SolverDefect, scale_to_integer, shrink_model, solve_dnf
 from .parser import ParseError
+
+# p and q of a value: ASCII digits only, where int() would also take other
+# decimal digits, signs and underscores.
+_DIGITS = re.compile("[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -51,7 +56,10 @@ def decide_system(system: SignedSystem, *, shrink: bool = False) -> Decision:
 
 
 def parse_coefficient_bindings(text: str) -> dict[str, Fraction]:
-    """Parse a values file: one ``name = p`` or ``name = p/q`` per line, ``#`` comments."""
+    """Parse a values file: one ``name = p`` or ``name = p/q`` per line, ``#`` comments.
+
+    ``p`` and ``q`` are written in ASCII digits.
+    """
     bindings: dict[str, Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -64,11 +72,12 @@ def parse_coefficient_bindings(text: str) -> dict[str, Fraction]:
             raise ParseError("expected 'name = p' or 'name = p/q'", lineno, 1)
         if name in bindings:
             raise ParseError(f"duplicate value for {name!r}", lineno, 1)
-        num, slash, den = value.partition("/")
-        try:
-            fraction = Fraction(int(num), int(den) if slash else 1)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"invalid value {value!r}", lineno, 1) from None
+        num, slash, den = (part.strip() for part in value.partition("/"))
+        if not slash:
+            den = "1"
+        if not (_DIGITS.fullmatch(num) and _DIGITS.fullmatch(den)) or int(den) == 0:
+            raise ParseError(f"invalid value {value!r}", lineno, 1)
+        fraction = Fraction(int(num), int(den))
         if fraction <= 0:
             raise ParseError(f"value for {name!r} must be positive", lineno, 1)
         bindings[name] = fraction

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from subtrop import build_cnf, parse_system, print_system
+from subtrop import ParseError, build_cnf, parse_system, print_system
 from subtrop.cli import main
 from subtrop.pipeline import decide_system, parse_coefficient_bindings
 
@@ -89,14 +89,20 @@ class TestDecide:
         assert "line 2" in err
 
     def test_non_ascii_digit_exits_2_on_every_command(self, capsys, tmp_path):
-        # str.isdigit accepts a superscript two, int() does not: it must be a parse error
+        # str.isdigit accepts a superscript two, int() does not; int() accepts an
+        # Arabic-Indic three and a fullwidth three.  Each must be a parse error.
         bad = tmp_path / "bad.spp"
-        bad.write_text("vars x\npoly f = a*x^\u00b2\n", encoding="utf-8")
-        for command in ("decide", "witness", "verify", "explain"):
-            code, out, err = run(capsys, command, bad)
-            assert code == 2
-            assert out == ""
-            assert err == "error: line 2, column 14: unexpected character '\u00b2'\n"
+        for text, column, char in [
+            ("vars x\npoly f = a*x^\u00b2\n", 14, "\u00b2"),
+            ("vars x\npoly f = a*x^\u0663\n", 14, "\u0663"),
+            ("vars x\npoly f = \uff13*x\n", 10, "\uff13"),
+        ]:
+            bad.write_text(text, encoding="utf-8")
+            for command in ("decide", "witness", "verify", "explain"):
+                code, out, err = run(capsys, command, bad)
+                assert code == 2
+                assert out == ""
+                assert err == f"error: line 2, column {column}: unexpected character '{char}'\n"
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "decide", tmp_path / "nope.spp")
@@ -137,6 +143,96 @@ class TestDecide:
         assert result.returncode == 0
         assert result.stderr == ""
         assert result.stdout.splitlines()[0] == "SAT"
+
+
+EXAMPLE2 = str(DATA / "example2.spp")
+SAT_JSON = '{"status": "sat", "n": [-5, -4]}'
+USAGE = "usage: subtrop decide "
+
+
+# argv -> exit code, and the start of stdout or of the error line on stderr
+GRAMMAR = [
+    ([], 2, "subtrop: error: a command is required"),
+    (["bogus", EXAMPLE2], 2, "subtrop: error: unknown command 'bogus'"),
+    (["decide"], 2, "subtrop: error: decide needs one INPUT, got 0"),
+    (["decide", EXAMPLE2, EXAMPLE2], 2, "subtrop: error: decide needs one INPUT, got 2"),
+    (["decide", EXAMPLE2, "--bogus"], 2, "subtrop: error: unknown option '--bogus'"),
+    (["explain", EXAMPLE2, "--check"], 2, "subtrop: error: unknown option '--check'"),
+    (["decide", EXAMPLE2, "--form", "json"], 2, "subtrop: error: unknown option '--form'"),
+    (["decide", EXAMPLE2, "--check=1"], 2, "subtrop: error: option --check takes no value"),
+    (["decide", EXAMPLE2, "--seed"], 2, "subtrop: error: option --seed needs a value"),
+    (["decide", EXAMPLE2, "--format", "--check"], 2,
+     "subtrop: error: option --format needs a value"),
+    (["decide", EXAMPLE2, "--format", "xml"], 2,
+     "subtrop: error: option --format: invalid choice 'xml'"),
+    (["decide", EXAMPLE2, "--seed", "x"], 2, "subtrop: error: option --seed: invalid integer"),
+    (["verify", EXAMPLE2, "--max-bits", "x"], 2,
+     "subtrop: error: option --max-bits: invalid integer"),
+    (["decide", "-ex2.spp"], 2, "subtrop: error: unknown option '-ex2.spp'"),
+    (["decide", EXAMPLE2, "--format", "json"], 0, SAT_JSON),
+    (["decide", "--format", "json", EXAMPLE2], 0, SAT_JSON),
+    (["decide", EXAMPLE2, "--format=json", "--check", "--seed=3"], 0, SAT_JSON),
+    (["decide", EXAMPLE2, "--format", "json", "--check", "--seed", "-3"], 0, SAT_JSON),
+    (["decide", "--format", "json", "--", "-ex2.spp"], 0, SAT_JSON),
+    (["verify", EXAMPLE2, "--coeffs=" + str(DATA / "example2_ones.coeffs"),
+      "--max-bits", "1000", "--format=json"], 0, '{"status": "ok"'),
+    (["-h"], 0, USAGE),
+    (["--help"], 0, USAGE),
+    (["decide", EXAMPLE2, "-h"], 0, USAGE),
+]
+
+
+class TestGrammar:
+    @pytest.mark.parametrize("argv, code, expected", GRAMMAR, ids=[
+        " ".join(argv).replace(str(DATA) + "/", "") or "no-args" for argv, _, _ in GRAMMAR
+    ])
+    def test_argv(self, capsys, tmp_path, monkeypatch, argv, code, expected):
+        (tmp_path / "-ex2.spp").write_text((DATA / "example2.spp").read_text())
+        monkeypatch.chdir(tmp_path)
+        got, out, err = run(capsys, *argv)
+        assert got == code, err
+        if code == 2:
+            assert out == ""
+            assert err.startswith(USAGE)
+            assert err.splitlines()[-1].startswith(expected)
+        else:
+            assert err == ""
+            assert out.startswith(expected)
+
+    def test_inline_and_separate_values_agree(self, capsys):
+        for inline, separate in [("--seed=3", ["--seed", "3"]), ("--format=json", ["--format", "json"])]:
+            a = run(capsys, "decide", EXAMPLE2, "--check", inline)
+            b = run(capsys, "decide", EXAMPLE2, "--check", *separate)
+            assert a == b
+            assert a[0] == 0
+
+    def test_usage_lists_every_option(self):
+        import subtrop.cli as cli
+
+        for command, (_, options) in cli._COMMANDS.items():
+            assert f"subtrop {command} " in cli._USAGE
+            for flag in options:
+                assert flag in cli._USAGE and flag in cli._HELP
+
+    def test_cold_start_imports_no_argparse(self):
+        # pytest itself imports argparse, so only a fresh interpreter can tell
+        import os
+        import subprocess
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        script = (
+            "import sys\n"
+            "from subtrop.cli import main\n"
+            f"code = main(['decide', {EXAMPLE2!r}, '--format', 'json'])\n"
+            "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.stderr == ""
+        assert result.stdout.splitlines() == [SAT_JSON, "0 []"]
 
 
 class TestWitness:
@@ -453,8 +549,9 @@ class TestCoefficientBindings:
         }
 
     def test_rejects_bad_lines(self):
-        for text in ["a 1\n", "a = \n", "a = x\n", "a = 1/0\n", "a = 0\n", "a = 1\na = 2\n"]:
-            with pytest.raises(Exception):
+        for text in ["a 1\n", "a = \n", "a = x\n", "a = 1/0\n", "a = 0\n", "a = 1\na = 2\n",
+                     "a = \u0663\n", "a = \uff13\n", "a = 1_000\n", "a = 1/\u0663\n", "a = +3\n"]:
+            with pytest.raises(ParseError):
                 parse_coefficient_bindings(text)
 
 
