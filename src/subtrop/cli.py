@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -114,7 +115,7 @@ def _run_checks(system: SignedSystem, decision: Decision, seed: int) -> int:
 
 def cmd_decide(args) -> int:
     system = _load_system(args.input)
-    decision = decide_system(system, shrink=args.shrink)
+    decision = decide_system(system)
     if args.check and decision.zero_row is None:
         code = _run_checks(system, decision, args.seed)
         if code:
@@ -125,7 +126,7 @@ def cmd_decide(args) -> int:
 
 def cmd_witness(args) -> int:
     system = _load_system(args.input)
-    decision = decide_system(system, shrink=args.shrink)
+    decision = decide_system(system)
     if decision.status == "unsat":
         _print_decision(decision, args.format)
         print("no witness: the system has no positive solution scheme", file=sys.stderr)
@@ -186,7 +187,7 @@ def cmd_verify(args) -> int:
         system = instantiate(system, bindings)
     elif args.coeffs:
         print("note: input is concrete, ignoring --coeffs", file=sys.stderr)
-    decision = decide_system(system, shrink=args.shrink)
+    decision = decide_system(system)
     if decision.status == "unsat":
         _print_decision(decision, args.format)
         return 1
@@ -229,28 +230,25 @@ _FORMATS = ("text", "json")
 # str), to the tuple of values it accepts, or to None for a switch, which takes no
 # value and is False unless given.
 _COMMANDS = {
-    "decide": (cmd_decide, {"--format": _FORMATS, "--check": None, "--seed": int, "--shrink": None}),
-    "witness": (cmd_witness, {"--format": _FORMATS, "--shrink": None}),
+    "decide": (cmd_decide, {"--format": _FORMATS, "--check": None, "--seed": int}),
+    "witness": (cmd_witness, {"--format": _FORMATS}),
     "verify": (
         cmd_verify,
-        {
-            "--format": _FORMATS,
-            "--coeffs": str,
-            "--use-uniform-bound": None,
-            "--max-bits": int,
-            "--shrink": None,
-        },
+        {"--format": _FORMATS, "--coeffs": str, "--use-uniform-bound": None, "--max-bits": int},
     ),
     "explain": (cmd_explain, {"--format": _FORMATS}),
 }
 # Values of the valued options that are not given; the others default to None.
 _DEFAULTS = {"format": "text", "seed": 0}
+# An int option's value, in ASCII digits only, as in .spp files and values files;
+# int() would also take other decimal digits, spaces and underscores.
+_INTEGER = re.compile("-?[0-9]+")
 
 _USAGE = """\
-usage: subtrop decide  INPUT [--format {text,json}] [--check] [--seed N] [--shrink]
-       subtrop witness INPUT [--format {text,json}] [--shrink]
+usage: subtrop decide  INPUT [--format {text,json}] [--check] [--seed N]
+       subtrop witness INPUT [--format {text,json}]
        subtrop verify  INPUT [--format {text,json}] [--coeffs FILE] [--use-uniform-bound]
-                             [--max-bits N] [--shrink]
+                             [--max-bits N]
        subtrop explain INPUT [--format {text,json}]
        subtrop -h | --help
 """
@@ -272,7 +270,6 @@ options:
   --format {text,json}  output format (default: text)
   --check               cross-check the answer (decide)
   --seed N              seed for the --check coefficient samples (default: 0)
-  --shrink              shrink the vector toward 0 (decide, witness, verify)
   --coeffs FILE         coefficient values file for parametric input (verify)
   --use-uniform-bound   use 1 + v * (sum of negative integer coefficients)
                         instead of t (verify)
@@ -295,7 +292,7 @@ def _dest(flag: str) -> str:
 
 def _is_option(arg: str) -> bool:
     """Whether an argument reads as an option; '-' and negative integers do not."""
-    return arg.startswith("-") and arg != "-" and not arg[1:].isdigit()
+    return arg.startswith("-") and arg != "-" and not _INTEGER.fullmatch(arg)
 
 
 def _parse_args(argv: list[str]):
@@ -344,10 +341,9 @@ def _parse_args(argv: list[str]):
                     f"option {flag}: invalid choice {value!r} (choose from {', '.join(kind)})"
                 )
         elif kind is int:
-            try:
-                value = int(value)
-            except ValueError:
-                raise _UsageError(f"option {flag}: invalid integer {value!r}") from None
+            if not _INTEGER.fullmatch(value):
+                raise _UsageError(f"option {flag}: invalid integer {value!r}")
+            value = int(value)
         values[_dest(flag)] = value
     if len(inputs) != 1:
         raise _UsageError(f"{argv[0]} needs one INPUT, got {len(inputs)}")

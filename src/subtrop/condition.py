@@ -22,6 +22,11 @@ monomials, the largest ``e_j . n`` over positive j is at least 1 more than
 the largest ``e_k . n`` over negative k (:func:`certifies`).  The CNF
 (:func:`build_cnf`) is built only for ``explain`` and for the brute-force
 UNSAT cross-check of ``decide --check``.
+
+The argmax argument also bounds where a vector can move: at a certified n,
+the branches of each row's highest positive monomial define a convex
+polyhedron that contains n, and every integer point of it certifies the
+system.  :func:`shrink` walks n toward 0 inside that polyhedron.
 """
 
 from __future__ import annotations
@@ -172,3 +177,101 @@ def certifies(system: SignedSystem, n) -> bool:
             if not positive or max(positive) < max(negative) + 1:
                 return False
     return True
+
+
+def _argmax_branches(system: SignedSystem, n) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The forms ``e_j - e_k`` of the branches picked at ``n``, and their values at ``n``.
+
+    In each row with negative monomials, j is the highest positive monomial
+    at n, the first in index order on a tie, and k runs over the row's
+    negative monomials.  Every value is at least 1 exactly when ``n``
+    certifies the system; a ValueError says that it does not.
+    """
+    exponents = system.e.entries
+    heights = [sum(map(mul, exps, n)) for exps in exponents]
+    forms: list[tuple[int, ...]] = []
+    values: list[int] = []
+    for row in system.s.entries:
+        negative = [k for k, sign in enumerate(row) if sign < 0]
+        if negative:
+            positive = [j for j, sign in enumerate(row) if sign > 0]
+            top = max(positive, key=heights.__getitem__, default=None)
+            if top is None or heights[top] < max(heights[k] for k in negative) + 1:
+                raise ValueError(f"{tuple(n)} does not certify the system")
+            forms += [tuple(map(sub, exponents[top], exponents[k])) for k in negative]
+            values += [heights[top] - heights[k] for k in negative]
+    return forms, values
+
+
+def _descend(forms: list[tuple[int, ...]], values: list[int], n: list[int]) -> bool:
+    """Move ``n`` toward 0 inside ``{m : a . m >= 1 for a in forms}``; whether it moved.
+
+    ``values`` holds each ``a . n``, all at least 1: ``n`` lies in the
+    polyhedron.  Both are changed in place.  A sweep sets each coordinate in
+    turn to the value nearest 0 of its feasible integer interval, the
+    others held fixed: ``a . m >= 1`` bounds coordinate c from below by
+    ``ceil(b / a_c)`` when ``a_c > 0`` and from above by ``floor(b / a_c)``
+    when ``a_c < 0``, with ``b`` = 1 minus the other terms.  After each
+    sweep that moved, ``n`` also takes the longest feasible integer step
+    along the sweep's move over the coordinates that are still nonzero,
+    stopping at 0; plain sweeps zig-zag between two constraints in many
+    short moves.  No coordinate ever grows in absolute value or changes
+    sign, so ``sum(|n_i|)`` falls with every sweep that moves, and the loop
+    ends at a vector that no single unit step toward 0 keeps inside the
+    polyhedron.
+    """
+    columns = [[(r, a[c]) for r, a in enumerate(forms) if a[c]] for c in range(len(n))]
+    moved = False
+    while True:
+        start = n[:]
+        for c, column in enumerate(columns):
+            x = n[c]
+            # a . m >= 1 asks a * y >= b of the coordinate's new value y; lower > 0 or
+            # upper < 0 when the bounds keep y from 0, never both, as y = x is feasible
+            lower = upper = 0
+            for r, a in column:
+                b = 1 - values[r] + a * x
+                if a > 0:
+                    lower = max(lower, -(-b // a))
+                else:
+                    upper = min(upper, b // a)
+            target = lower or upper
+            if target != x:
+                for r, a in column:
+                    values[r] += a * (target - x)
+                n[c] = target
+        if n == start:
+            return moved
+        moved = True
+        step = [m - s if m else 0 for s, m in zip(start, n)]
+        slopes = [sum(map(mul, a, step)) for a in forms]
+        length = min(
+            [abs(x) // abs(s) for x, s in zip(n, step) if s]
+            + [(v - 1) // -g for v, g in zip(values, slopes) if g < 0],
+            default=0,
+        )
+        if length:
+            n[:] = [x + length * s for x, s in zip(n, step)]
+            values[:] = [v + length * g for v, g in zip(values, slopes)]
+
+
+def shrink(system: SignedSystem, n) -> tuple[int, ...]:
+    """A certified integer vector no farther from 0 than ``n`` in any coordinate.
+
+    ``n`` must certify ``system`` (:func:`certifies`), or ValueError is
+    raised.  Any certified vector is a valid answer, and a smaller one
+    gives a smaller witness point ``t^n`` that is cheaper to check exactly.
+    Each round takes the polyhedron of the branches that the rows' highest
+    positive monomials pick at the current vector, which contains it, and
+    moves the vector toward 0 inside it (:func:`_descend`).  The next round
+    picks the branches again at the new vector; the rounds end when the
+    vector is a fixed point of its own polyhedron.  Every point reached lies
+    in such a polyhedron, so it certifies, and since ``sum(|n_i|)`` falls
+    with every round but the last, the rounds end.
+    """
+    n = list(n)
+    if len(n) != system.d:
+        raise ValueError(f"expected a vector of length {system.d}, got {len(n)}")
+    while _descend(*_argmax_branches(system, n), n):
+        pass
+    return tuple(n)

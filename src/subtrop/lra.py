@@ -50,8 +50,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .condition import DnfBranch, certifies
-from .core import ExponentSolution, SignedSystem, SubtropError
+from .condition import DnfBranch
+from .core import ExponentSolution, SubtropError
 
 
 class SolverDefect(SubtropError):
@@ -360,27 +360,3 @@ def scale_to_integer(model: RationalModel) -> ExponentSolution:
     delta = math.lcm(*(x.denominator for x in model.n)) if model.n else 1
     return ExponentSolution(tuple(int(x * delta) for x in model.n))
 
-
-def shrink_model(system: SignedSystem, solution: ExponentSolution) -> ExponentSolution:
-    """Greedily step each coordinate toward 0 while ``n`` still certifies ``system``.
-
-    Purely cosmetic: any certified vector is valid, smaller entries are just
-    easier to read.  The input must already certify the system
-    (:func:`~subtrop.condition.certifies`).
-    """
-    n = list(solution.n)
-    if not certifies(system, n):
-        raise ValueError("cannot shrink a vector that does not satisfy the condition")
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(n)):
-            while n[idx] != 0:
-                step = -1 if n[idx] > 0 else 1
-                n[idx] += step
-                if certifies(system, n):
-                    changed = True
-                else:
-                    n[idx] -= step
-                    break
-    return ExponentSolution(tuple(n))

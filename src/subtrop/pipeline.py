@@ -2,7 +2,8 @@
 
 :func:`decide_system` is what the ``decide``, ``witness`` and ``verify``
 commands run; :mod:`subtrop.cli` only parses arguments and prints.  It
-builds only the row branches the search needs, never the CNF.
+builds only the row branches the search needs, never the CNF, and always
+returns the shrunk integer vector.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .condition import build_dnf, certifies
+from .condition import build_dnf, shrink
 from .core import ExponentSolution, SignedSystem, zero_sign_rows
-from .lra import RationalModel, SolverDefect, scale_to_integer, shrink_model, solve_dnf
+from .lra import RationalModel, SolverDefect, scale_to_integer, solve_dnf
 from .parser import ParseError
 
 # p and q of a value: ASCII digits only, where int() would also take other
@@ -31,15 +32,19 @@ class Decision:
     zero_row: int | None
 
 
-def decide_system(system: SignedSystem, *, shrink: bool = False) -> Decision:
+def decide_system(system: SignedSystem) -> Decision:
     """Decide positive solvability and, in the positive case, produce an integer vector.
 
     A row whose polynomial is identically zero can never be positive, so
     such systems are unsatisfiable regardless of the linear condition.
     Otherwise the search picks one dominating positive monomial per row
     (:func:`~subtrop.lra.solve_dnf` over :func:`~subtrop.condition.build_dnf`).
-    A model that fails :func:`~subtrop.condition.certifies` raises
-    :class:`~subtrop.lra.SolverDefect`.
+    The model's denominators are cleared
+    (:func:`~subtrop.lra.scale_to_integer`), and the integer vector is moved
+    toward 0 (:func:`~subtrop.condition.shrink`), which first checks that
+    it certifies the system; one that does not raises
+    :class:`~subtrop.lra.SolverDefect`.  ``model`` keeps the search's
+    rational assignment.
     """
     zeros = zero_sign_rows(system)
     if zeros:
@@ -47,12 +52,11 @@ def decide_system(system: SignedSystem, *, shrink: bool = False) -> Decision:
     model = solve_dnf(system.d, build_dnf(system))
     if model is None:
         return Decision("unsat", None, None, None)
-    if not certifies(system, model.n):
-        raise SolverDefect(f"row search returned a model {model.n} that fails the CNF")
-    n = scale_to_integer(model)
-    if shrink:
-        n = shrink_model(system, n)
-    return Decision("sat", n, model, None)
+    try:
+        n = shrink(system, scale_to_integer(model).n)
+    except ValueError:
+        raise SolverDefect(f"row search returned a model {model.n} that fails the CNF") from None
+    return Decision("sat", ExponentSolution(n), model, None)
 
 
 def parse_coefficient_bindings(text: str) -> dict[str, Fraction]:

@@ -106,20 +106,16 @@ def ratio_terms(system: SignedSystem) -> tuple[RatioTerm, ...]:
     """All (negative, positive) same-row coefficient ratios, row-major then (neg, pos).
 
     Concrete systems use the synthesized positional names ``c_<i+1>_<j+1>``.
-    Name pairs are deduplicated, which is a no-op while names stay pairwise
-    distinct.
+    Names are pairwise distinct, so no pair repeats.
     """
     out: list[RatioTerm] = []
-    seen: set[tuple[str, str]] = set()
     for i in range(system.u):
         positive, negative = row_supports(system, i)
         for k in sorted(negative):
             for j in sorted(positive):
-                pair = (system.coefficient_name(i, k), system.coefficient_name(i, j))
-                if pair in seen:
-                    continue
-                seen.add(pair)
-                out.append(RatioTerm(pair[0], pair[1], i, j, k))
+                out.append(
+                    RatioTerm(system.coefficient_name(i, k), system.coefficient_name(i, j), i, j, k)
+                )
     return tuple(out)
 
 

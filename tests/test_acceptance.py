@@ -124,7 +124,7 @@ def test_criterion_2_golden_unsat_example3():
 def test_criterion_3_intro_pair():
     clock = Stopwatch(1.0)
     f = load("intro_f.spp")
-    decision = decide_system(f, shrink=True)
+    decision = decide_system(f)
     assert decision.status == "sat"
     assert decision.n.n == (1,)
 

@@ -8,6 +8,7 @@ import pytest
 
 from subtrop import ParseError, build_cnf, parse_system, print_system
 from subtrop.cli import main
+from subtrop.lra import scale_to_integer
 from subtrop.pipeline import decide_system, parse_coefficient_bindings
 
 from conftest import DATA, load
@@ -61,24 +62,23 @@ class TestDecide:
         assert a == b
 
     def test_shrink_gives_smaller_vector(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "decide", DATA / "example2.spp", "--format", "json",
-                           "--shrink")
+        code, out, _ = run(capsys, "decide", DATA / "example2.spp", "--format", "json")
         assert code == 0
         n = tuple(json.loads(out)["n"])
         assert n == (-5, -4)
         assert build_cnf(load("example2.spp")).satisfied_by(n)
-        # the solver's vector for this input is not minimal, so shrinking takes steps
+        # the solver's vector for this input is not minimal, so decide shrinks it
+        text = "vars x y\npoly f1 = a*y^3 + b*x - c*x^2*y^3\npoly f2 = -d*y^3 + e*x*y^3\n"
+        decision = decide_system(parse_system(text))
+        assert scale_to_integer(decision.model).n == (3, -2)
+        assert decision.n.n == (1, -1)
         path = tmp_path / "loose.spp"
-        path.write_text(
-            "vars x y\npoly f1 = a*y^3 + b*x - c*x^2*y^3\npoly f2 = -d*y^3 + e*x*y^3\n"
-        )
-        _, out, _ = run(capsys, "decide", path, "--format", "json")
-        assert tuple(json.loads(out)["n"]) == (3, -2)
-        code, out, _ = run(capsys, "decide", path, "--format", "json", "--shrink")
+        path.write_text(text)
+        code, out, _ = run(capsys, "decide", path, "--format", "json")
         assert code == 0
         n = tuple(json.loads(out)["n"])
         assert n == (1, -1)
-        assert build_cnf(parse_system(path.read_text())).satisfied_by(n)
+        assert build_cnf(parse_system(text)).satisfied_by(n)
 
     def test_parse_error_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.spp"
@@ -168,6 +168,15 @@ GRAMMAR = [
     (["decide", EXAMPLE2, "--seed", "x"], 2, "subtrop: error: option --seed: invalid integer"),
     (["verify", EXAMPLE2, "--max-bits", "x"], 2,
      "subtrop: error: option --max-bits: invalid integer"),
+    (["decide", EXAMPLE2, "--check", "--seed", "\u0663"], 2,
+     "subtrop: error: option --seed: invalid integer"),
+    (["decide", EXAMPLE2, "--check", "--seed", "1_000"], 2,
+     "subtrop: error: option --seed: invalid integer"),
+    (["verify", EXAMPLE2, "--max-bits", " 7"], 2,
+     "subtrop: error: option --max-bits: invalid integer"),
+    (["decide", EXAMPLE2, "--shrink"], 2, "subtrop: error: unknown option '--shrink'"),
+    (["witness", EXAMPLE2, "--shrink"], 2, "subtrop: error: unknown option '--shrink'"),
+    (["verify", EXAMPLE2, "--shrink"], 2, "subtrop: error: unknown option '--shrink'"),
     (["decide", "-ex2.spp"], 2, "subtrop: error: unknown option '-ex2.spp'"),
     (["decide", EXAMPLE2, "--format", "json"], 0, SAT_JSON),
     (["decide", "--format", "json", EXAMPLE2], 0, SAT_JSON),
@@ -248,7 +257,7 @@ class TestWitness:
         assert build_cnf(load("example2.spp")).satisfied_by(tuple(payload["n"]))
 
     def test_intro_f_display_text(self, capsys):
-        code, out, _ = run(capsys, "witness", DATA / "intro_f.spp", "--shrink")
+        code, out, _ = run(capsys, "witness", DATA / "intro_f.spp")
         assert code == 0
         assert out == "t = 1 + c1/c2 + c1/c0; z = (t^1)\n"
 
@@ -268,7 +277,7 @@ class TestWitness:
 
 class TestVerify:
     def test_concrete_intro(self, capsys):
-        code, out, _ = run(capsys, "verify", DATA / "intro_f_ones.spp", "--shrink")
+        code, out, _ = run(capsys, "verify", DATA / "intro_f_ones.spp")
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "t = 3"
@@ -304,7 +313,7 @@ class TestVerify:
 
     def test_uniform_bound_flag(self, capsys):
         code, out, _ = run(
-            capsys, "verify", DATA / "intro_f_ones.spp", "--use-uniform-bound", "--shrink"
+            capsys, "verify", DATA / "intro_f_ones.spp", "--use-uniform-bound"
         )
         assert code == 0
         lines = out.splitlines()
@@ -323,6 +332,18 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", DATA / "intro_g.spp",
                            "--coeffs", DATA / "intro_ones.coeffs")
         assert code == 1
+
+    def test_shrunk_witness_fits_max_bits(self, capsys):
+        # the unshrunk vector (15, 64, -86) of this benchmark template needs more
+        # than 32768 bits at these values; the shrunk vector (0, 0, -1) does not
+        code, out, err = run(
+            capsys, "verify", DATA / "certify_head_42.spp",
+            "--coeffs", DATA / "certify_head_42.coeffs", "--max-bits", "32768", "--format", "json",
+        )
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["status"] == "ok"
+        assert payload["n"] == [0, 0, -1]
 
     def test_max_bits_guard(self, capsys, tmp_path):
         path = tmp_path / "big.spp"
@@ -475,7 +496,7 @@ class TestDefectExitCodes:
         from subtrop import ExponentSolution
         from subtrop.pipeline import Decision
 
-        def bogus(system, *, shrink=False):
+        def bogus(system):
             return Decision("sat", ExponentSolution((0, 0)), None, None)
 
         def explode(cond):

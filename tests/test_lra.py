@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from subtrop import (
     Clause,
-    ExponentSolution,
     LinearCondition,
     LinearLiteral,
     build_cnf,
     decide_system,
+    parse_system,
 )
-from subtrop.condition import build_dnf
-from subtrop.lra import RationalModel, scale_to_integer, shrink_model, solve_dnf
+from subtrop.condition import build_dnf, certifies, shrink
+from subtrop.lra import RationalModel, scale_to_integer, solve_dnf
 from subtrop.oracle import exhaustive_decide
 
 from conftest import load, solve_condition, solve_rows
@@ -309,31 +309,65 @@ class TestScaleToInteger:
                 assert cond.satisfied_by(tuple(delta * x for x in n.n))
 
 
+def argmax_branch_polyhedron(system, n):
+    """Forms a with ``a . m >= 1`` on the branch of each row's first highest positive monomial."""
+    exps = system.e.entries
+    heights = [sum(a * x for a, x in zip(e, n)) for e in exps]
+    forms = []
+    for row in system.s.entries:
+        positive = [j for j, sign in enumerate(row) if sign > 0]
+        negative = [k for k, sign in enumerate(row) if sign < 0]
+        if negative:
+            top = max(heights[j] for j in positive)
+            j = next(j for j in positive if heights[j] == top)
+            forms += [tuple(a - b for a, b in zip(exps[j], exps[k])) for k in negative]
+    return forms
+
+
 class TestShrinkModel:
     def test_intro_f_shrinks_to_one(self):
         # the simplex model n = 1 is already minimal, so shrinking keeps it
         system = load("intro_f.spp")
-        model = solve_condition(build_cnf(system))
-        n = scale_to_integer(model)
-        assert n.n == (1,)
-        assert shrink_model(system, n).n == (1,)
+        decision = decide_system(system)
+        assert scale_to_integer(decision.model).n == (1,)
+        assert decision.n.n == (1,)
+        assert shrink(system, (1,)) == (1,)
 
     def test_shrunk_vector_still_certifies(self):
+        # every SAT answer is certified, no farther from 0 than the scaled model in any
+        # entry, and a fixed point: no unit step of one entry toward 0 stays inside the
+        # polyhedron of the branches that its rows' highest positive monomials pick
         rng = random.Random(6)
-        shrunk = 0
-        for _ in range(60):
-            system = random_signed_system(rng, parametric=True)
-            cond = build_cnf(system)
-            model = solve_condition(cond)
-            if model is None:
+        sat = moved = 0
+        for _ in range(240):
+            system = random_signed_system(rng, max_rows=4, max_monomials=10, max_vars=5, max_exp=10)
+            decision = decide_system(system)
+            if decision.status == "unsat":
                 continue
-            n = scale_to_integer(model)
-            small = shrink_model(system, n)
-            assert cond.satisfied_by(small.n)
-            assert sum(abs(x) for x in small.n) <= sum(abs(x) for x in n.n)
-            shrunk += 1
-        assert shrunk >= 20
+            sat += 1
+            n = decision.n.n
+            scaled = scale_to_integer(decision.model).n
+            assert certifies(system, n)
+            assert all(abs(x) <= abs(y) for x, y in zip(n, scaled, strict=True))
+            moved += n != scaled
+            forms = argmax_branch_polyhedron(system, n)
+            assert all(sum(a * x for a, x in zip(form, n)) >= 1 for form in forms)
+            for c, x in enumerate(n):
+                if x:
+                    step = list(n)
+                    step[c] -= 1 if x > 0 else -1
+                    assert any(sum(a * y for a, y in zip(form, step)) < 1 for form in forms)
+        assert sat >= 150  # 193 of the 240
+        assert moved >= 50  # 73 of them
+
+    def test_no_entry_changes_sign(self):
+        # one row, forms (2, -2, 3) and (0, 2, -3): the first sweep moves (7, 9, 3) to
+        # (5, 5, 1), and the step along (-2, -4, -2) that follows must stop before n_3
+        # passes 0; without that stop the walk ends at (2, 0, -1), which also certifies
+        system = parse_system("vars x y z\npoly f = a*x^2*y^2*z^3 - b*y^4 - c*x^2*z^6\n")
+        assert certifies(system, (2, 0, -1))
+        assert shrink(system, (7, 9, 3)) == (2, 1, 0)
 
     def test_rejects_uncertified_input(self):
         with pytest.raises(ValueError):
-            shrink_model(load("intro_f.spp"), ExponentSolution((0,)))
+            shrink(load("intro_f.spp"), (0,))
