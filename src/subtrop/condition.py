@@ -14,7 +14,9 @@ implies each of the row's clauses, and at any n satisfying the clauses the
 positive monomial j* that maximises ``e_j . n`` satisfies its branch,
 because ``e_j* . n >= e_j . n >= e_k . n + 1`` for the j that dominates k.
 A row thus needs one choice among its positive monomials instead of one
-per negative monomial.  The search runs on this form (:func:`build_dnf`).
+per negative monomial.  The search runs on this form (:func:`build_dnf`),
+given as plain integer forms ``e_j - e_k``; only the CNF's literals carry
+their (row, positive, negative) provenance, for ``explain``.
 
 The same argmax argument checks a given vector without building either
 form: n satisfies the CNF exactly when, in every row with negative
@@ -99,17 +101,6 @@ class LinearCondition:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True, slots=True)
-class DnfBranch:
-    """Constraints forcing positive monomial ``pivot`` to dominate every negative one."""
-
-    pivot: int
-    constraints: tuple[LinearLiteral, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-
-
 def build_cnf(system: SignedSystem) -> LinearCondition:
     """CNF over n: for every row i and negative monomial k, some positive j dominates k.
 
@@ -131,76 +122,66 @@ def build_cnf(system: SignedSystem) -> LinearCondition:
     return LinearCondition(system.d, tuple(clauses))
 
 
-def build_dnf(system: SignedSystem) -> tuple[tuple[DnfBranch, ...], ...]:
+def build_dnf(system: SignedSystem) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
     """Branches of every row that has negative monomials, rows in index order.
 
     Row i gives one branch per positive monomial j, in increasing j: the
-    conjunction of ``(e_j - e_k) . n >= 1`` over the row's negative
-    monomials k.  Some choice of one branch per row is feasible iff
-    :func:`build_cnf` of the same system is satisfiable.  A row with
-    negative monomials but no positive ones gives no branch at all, so no
-    choice exists; rows without negative monomials are left out.
+    tuple of forms ``e_j - e_k`` over the row's negative monomials k, in
+    increasing k, each meaning ``(e_j - e_k) . n >= 1``.  Some choice of one
+    branch per row satisfies all of its forms iff :func:`build_cnf` of the
+    same system is satisfiable.  A row with negative monomials but no
+    positive ones gives no branch at all, so no choice exists; rows without
+    negative monomials are left out.
     """
     exponents = system.e.entries
     rows = []
     for i in range(system.u):
         positive, negative = map(sorted, row_supports(system, i))
-        if not negative:
-            continue
-        branches = []
-        for j in positive:
-            ej = exponents[j]
-            constraints = tuple(
-                LinearLiteral(tuple(map(sub, ej, exponents[k])), i, j, k) for k in negative
-            )
-            branches.append(DnfBranch(j, constraints))
-        rows.append(tuple(branches))
+        if negative:
+            rows.append(tuple(
+                tuple(tuple(map(sub, exponents[j], exponents[k])) for k in negative)
+                for j in positive
+            ))
     return tuple(rows)
 
 
-def certifies(system: SignedSystem, n) -> bool:
-    """True when ``n`` satisfies :func:`build_cnf` of ``system``, in O(v*d + u*v) steps.
+def _argmax_branches(system: SignedSystem, n) -> tuple[list[tuple[int, ...]], list] | None:
+    """The forms ``e_j - e_k`` of the branches picked at ``n`` and their values, or None.
 
-    Each monomial's height ``e_j . n`` is computed once.  A row with
-    negative monomials passes when its highest positive monomial stands at
-    least 1 above its highest negative one; a row with negative monomials
-    but no positive ones fails, and a row without negative monomials
-    passes.  Exact for ``int`` and ``Fraction`` entries.
+    Each monomial's height ``e_j . n`` is computed once.  In each row with
+    negative monomials, j is the highest positive monomial at n, the first
+    in index order on a tie, and k runs over the row's negative monomials.
+    None means that ``n`` does not certify the system: some row has
+    negative monomials and no positive one 1 above the highest of them.
     """
     if len(n) != system.d:
         raise ValueError(f"expected a vector of length {system.d}, got {len(n)}")
-    heights = [sum(map(mul, exps, n)) for exps in system.e.entries]
-    for row in system.s.entries:
-        negative = [h for h, sign in zip(heights, row) if sign < 0]
-        if negative:
-            positive = [h for h, sign in zip(heights, row) if sign > 0]
-            if not positive or max(positive) < max(negative) + 1:
-                return False
-    return True
-
-
-def _argmax_branches(system: SignedSystem, n) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The forms ``e_j - e_k`` of the branches picked at ``n``, and their values at ``n``.
-
-    In each row with negative monomials, j is the highest positive monomial
-    at n, the first in index order on a tie, and k runs over the row's
-    negative monomials.  Every value is at least 1 exactly when ``n``
-    certifies the system; a ValueError says that it does not.
-    """
     exponents = system.e.entries
     heights = [sum(map(mul, exps, n)) for exps in exponents]
     forms: list[tuple[int, ...]] = []
-    values: list[int] = []
+    values: list = []
     for row in system.s.entries:
         negative = [k for k, sign in enumerate(row) if sign < 0]
         if negative:
             positive = [j for j, sign in enumerate(row) if sign > 0]
             top = max(positive, key=heights.__getitem__, default=None)
             if top is None or heights[top] < max(heights[k] for k in negative) + 1:
-                raise ValueError(f"{tuple(n)} does not certify the system")
+                return None
             forms += [tuple(map(sub, exponents[top], exponents[k])) for k in negative]
             values += [heights[top] - heights[k] for k in negative]
     return forms, values
+
+
+def certifies(system: SignedSystem, n) -> bool:
+    """True when ``n`` satisfies :func:`build_cnf` of ``system``, in O(u*v*d) steps.
+
+    The check is :func:`_argmax_branches`, without building the CNF.  A row
+    with negative monomials passes when its highest positive monomial
+    stands at least 1 above its highest negative one; a row with negative
+    monomials but no positive ones fails, and a row without negative
+    monomials passes.  Exact for ``int`` and ``Fraction`` entries.
+    """
+    return _argmax_branches(system, n) is not None
 
 
 def _descend(forms: list[tuple[int, ...]], values: list[int], n: list[int]) -> bool:
@@ -270,8 +251,9 @@ def shrink(system: SignedSystem, n) -> tuple[int, ...]:
     with every round but the last, the rounds end.
     """
     n = list(n)
-    if len(n) != system.d:
-        raise ValueError(f"expected a vector of length {system.d}, got {len(n)}")
-    while _descend(*_argmax_branches(system, n), n):
-        pass
-    return tuple(n)
+    while True:
+        branches = _argmax_branches(system, n)
+        if branches is None:
+            raise ValueError(f"{tuple(n)} does not certify the system")
+        if not _descend(*branches, n):
+            return tuple(n)

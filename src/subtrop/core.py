@@ -17,10 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
-"""Exact arbitrary-precision rational scalar used throughout the package."""
-
-
 class SubtropError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -222,9 +218,6 @@ class SignedSystem:
     @property
     def is_parametric(self) -> bool:
         return isinstance(self.c, ParametricCoefficients)
-
-    def sign(self, i: int, j: int) -> int:
-        return self.s.entries[i][j]
 
     def coefficient_name(self, i: int, j: int) -> str:
         """Name of coefficient (i, j); concrete systems get positional names c_<i+1>_<j+1>."""

@@ -12,30 +12,28 @@ rebuilt.  Bland's rule (smallest index first) picks every pivot, so each
 check terminates.  An infeasible check names the bounds of one violated
 tableau row, whose conjunction is infeasible by Farkas' lemma.
 
-One search loop, :func:`_search`, chooses one alternative per level, depth
-first with conflict-directed backjumping.  An alternative is a tuple of
-literals, all asserted as bounds at its level.  Every conflict records the
-lower levels it involves; when a level runs out of alternatives, the
-search jumps back to the highest level recorded for it, and that level
-inherits the rest.  The skipped subtrees hold no feasible full choice, so
-the search finds the same first choice as chronological depth-first search
-in stored level and alternative order.
+The one entry point, :func:`solve_dnf`, searches rows, as
+:func:`~subtrop.condition.build_dnf` gives them: a level is a row with
+negative monomials, and an alternative is a branch of the row: for one
+positive monomial j, the tuple of forms ``e_j - e_k`` over the negative k,
+all asserted as bounds at the row's level.  No solution of the CNF is lost: at
+any n satisfying it, the positive monomial that maximises ``e_j . n``
+dominates every negative one (the argmax argument of
+:mod:`subtrop.condition`).  A row of ``|P|`` positive and ``|N|`` negative
+monomials thus offers ``|P|`` choices instead of the CNF's ``|P|^|N|``.
 
-The one entry point, :func:`solve_dnf`, searches rows: a level is a row
-with negative monomials, and an alternative is one of the row's positive
-monomials j, asserting ``(e_j - e_k) . n >= 1`` for every negative k.  No
-solution of the CNF is lost: at any n satisfying it, the positive monomial
-that maximises ``e_j . n`` dominates every negative one (the argmax
-argument of :mod:`subtrop.condition`).  A row of ``|P|`` positive and
-``|N|`` negative monomials thus offers ``|P|`` choices instead of the
-CNF's ``|P|^|N|``.
+The search runs depth first with conflict-directed backjumping.  Every
+conflict records the lower levels it involves; when a level runs out of
+alternatives, the search jumps back to the highest level recorded for it,
+and that level inherits the rest.  The skipped subtrees hold no feasible
+full choice, so the search finds the same first choice as chronological
+depth-first search in (row, positive monomial) order.
 
-The model is the simplex assignment of ``n`` at the first feasible choice,
-the first branch selection in (row, positive monomial) order.  Every
-nonbasic variable sits at 0 or at the value of a bound asserted during
-the search; basic variables follow from the tableau.  Before it is
-returned, the model is checked by direct substitution against every
-literal of the choice.
+The model is the simplex assignment of ``n`` there, a tuple of
+:class:`~fractions.Fraction`.  Every nonbasic variable sits at 0 or at the
+value of a bound asserted during the search; basic variables follow from
+the tableau.  Before it is returned, the model is checked by direct
+substitution against every form of the chosen branches.
 
 Feasibility over the rationals and over the reals coincide for these
 conditions, so a rational "no" is a real "no".  Integer solutions come
@@ -47,25 +45,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .condition import DnfBranch
-from .core import ExponentSolution, SubtropError
+from .core import SubtropError
 
 
 class SolverDefect(SubtropError):
     """Internal soundness check failed; indicates a bug, never a valid outcome."""
-
-
-@dataclass(frozen=True)
-class RationalModel:
-    """Exact rational assignment satisfying the condition it was solved from."""
-
-    n: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", tuple(Fraction(x) for x in self.n))
 
 
 LOWER, UPPER = 0, 1
@@ -274,41 +260,40 @@ class _Simplex:
                 }
             self._pivot(basic, min(free, key=nonbasic.__getitem__), self.bounds[side][basic])
 
-    def model(self) -> RationalModel:
-        """The current assignment of ``n``."""
-        return RationalModel(tuple(self.value[: self.num_vars]))
 
+def solve_dnf(
+    num_vars: int, rows: Sequence[Sequence[Sequence[tuple[int, ...]]]]
+) -> tuple[Fraction, ...] | None:
+    """Model of the first feasible choice of one branch per row, or None.
 
-def _search(
-    num_vars: int, levels: Sequence[Sequence[Sequence[tuple[int, ...]]]]
-) -> RationalModel | None:
-    """Model of the first feasible choice of one alternative per level, or None.
-
-    ``levels[i]`` lists the alternatives of level i, and an alternative is a
-    tuple of rows ``coeffs``, each meaning ``coeffs . n >= 1``.  Choosing an
-    alternative asserts all of its rows as bounds at level i, then the
-    simplex checks once.  A conflict adds the lower levels it involves to
-    the level's conflict set.  A level whose alternatives are exhausted
-    jumps back to the highest level in its set, which inherits the rest of
-    the set; an empty set means no choice is feasible.  Only subtrees
-    without a feasible full choice are skipped, so the choice found is the
-    first feasible one in stored order, as chronological search would find
-    it.  The model is the simplex assignment there: each nonbasic variable
-    sits at 0 or at a bound asserted during the search.
+    ``rows[i]`` lists the branches of row i and a branch is a tuple of
+    forms ``coeffs``, each meaning ``coeffs . n >= 1``; from
+    :func:`~subtrop.condition.build_dnf`, branch j of a row holds
+    ``e_j - e_k`` for every negative k, so the first feasible choice is the
+    first in (row, positive monomial) order.  Choosing a branch
+    asserts all of its forms as bounds at level i, then the simplex checks
+    once.  A conflict adds the lower levels it involves to the level's
+    conflict set.  A level whose branches are exhausted jumps back to the
+    highest level in its set, which inherits the rest of the set; an empty
+    set means no choice is feasible.  Only subtrees without a feasible full
+    choice are skipped, so the choice found is the first feasible one in
+    stored order, as chronological search would find it.  The model is the
+    simplex assignment of ``n`` there: each nonbasic variable sits at 0 or
+    at a bound asserted during the search.
     """
-    if any(not alternatives for alternatives in levels):
+    if any(not branches for branches in rows):
         return None
     engine = _Simplex(num_vars)
-    depth = len(levels)
+    depth = len(rows)
     choice = [0] * (depth + 1)
-    conflicts: dict[int, set[int]] = {}  # level -> lower levels its alternatives conflict with
+    conflicts: dict[int, set[int]] = {}  # level -> lower levels its branches conflict with
     level = 0
     while level < depth:
-        alternatives = levels[level]
-        if choice[level] < len(alternatives):
-            engine.backtrack(level)  # retracts the level's previous alternative, if any
+        branches = rows[level]
+        if choice[level] < len(branches):
+            engine.backtrack(level)  # retracts the level's previous branch, if any
             culprits = None
-            for coeffs in alternatives[choice[level]]:
+            for coeffs in branches[choice[level]]:
                 culprits = engine.assert_literal(coeffs, level)
                 if culprits is not None:
                     break
@@ -328,35 +313,19 @@ def _search(
         culprits.discard(level)
         conflicts.setdefault(level, set()).update(culprits)
         choice[level] += 1
-    model = engine.model()
-    for alternatives, pick in zip(levels, choice):
-        for coeffs in alternatives[pick]:
-            if sum(a * x for a, x in zip(coeffs, model.n)) < 1:
-                raise SolverDefect(f"model {model.n} fails row {coeffs}")
+    model = tuple(engine.value[:num_vars])
+    for branches, pick in zip(rows, choice):
+        for coeffs in branches[pick]:
+            if sum(a * x for a, x in zip(coeffs, model)) < 1:
+                raise SolverDefect(f"model {model} fails {coeffs} . n >= 1")
     return model
 
 
-def solve_dnf(num_vars: int, rows: Sequence[Sequence[DnfBranch]]) -> RationalModel | None:
-    """First model of one branch per row, as :func:`build_dnf` gives them, or None.
-
-    Each row is one level of :func:`_search` and each of its branches one
-    alternative, tried in stored order: choosing branch j asserts every
-    ``(e_j - e_k) . n >= 1`` of the row at once.  The model satisfies the
-    first feasible selection of one branch per row in (row, positive
-    monomial) order.  A row of ``|P|`` branches is one level with ``|P|``
-    alternatives, where the CNF has one level of ``|P|`` literals for each
-    negative monomial of the row.
-    """
-    levels = [[tuple(lit.coeffs for lit in branch.constraints) for branch in row] for row in rows]
-    return _search(num_vars, levels)
-
-
-def scale_to_integer(model: RationalModel) -> ExponentSolution:
+def scale_to_integer(values: Sequence[Fraction]) -> tuple[int, ...]:
     """Clear denominators: multiply by the least common multiple of all of them.
 
     Every row value scales by the same positive integer, so
     ``coeffs . n >= 1`` becomes ``coeffs . (delta n) >= delta >= 1``.
     """
-    delta = math.lcm(*(x.denominator for x in model.n)) if model.n else 1
-    return ExponentSolution(tuple(int(x * delta) for x in model.n))
-
+    delta = math.lcm(*(x.denominator for x in values)) if values else 1
+    return tuple(int(x * delta) for x in values)

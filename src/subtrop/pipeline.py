@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .condition import build_dnf, shrink
 from .core import ExponentSolution, SignedSystem, zero_sign_rows
-from .lra import RationalModel, SolverDefect, scale_to_integer, solve_dnf
+from .lra import SolverDefect, scale_to_integer, solve_dnf
 from .parser import ParseError
 
 # p and q of a value: ASCII digits only, where int() would also take other
@@ -28,7 +28,6 @@ class Decision:
 
     status: str  # "sat" | "unsat"
     n: ExponentSolution | None
-    model: RationalModel | None
     zero_row: int | None
 
 
@@ -43,20 +42,19 @@ def decide_system(system: SignedSystem) -> Decision:
     (:func:`~subtrop.lra.scale_to_integer`), and the integer vector is moved
     toward 0 (:func:`~subtrop.condition.shrink`), which first checks that
     it certifies the system; one that does not raises
-    :class:`~subtrop.lra.SolverDefect`.  ``model`` keeps the search's
-    rational assignment.
+    :class:`~subtrop.lra.SolverDefect`.
     """
     zeros = zero_sign_rows(system)
     if zeros:
-        return Decision("unsat", None, None, zeros[0])
+        return Decision("unsat", None, zeros[0])
     model = solve_dnf(system.d, build_dnf(system))
     if model is None:
-        return Decision("unsat", None, None, None)
+        return Decision("unsat", None, None)
     try:
-        n = shrink(system, scale_to_integer(model).n)
+        n = shrink(system, scale_to_integer(model))
     except ValueError:
-        raise SolverDefect(f"row search returned a model {model.n} that fails the CNF") from None
-    return Decision("sat", ExponentSolution(n), model, None)
+        raise SolverDefect(f"row search returned a model {model} that fails the CNF") from None
+    return Decision("sat", ExponentSolution(n), None)
 
 
 def parse_coefficient_bindings(text: str) -> dict[str, Fraction]:

@@ -222,13 +222,21 @@ def evaluate_system_at(system: SignedSystem, point) -> tuple[Fraction, ...]:
 
 
 def _check_size_guard(system: SignedSystem, n: ExponentSolution, r: Fraction, max_bits: int):
+    """Refuse a point ``r^n`` whose exact evaluation builds numbers above ``max_bits`` bits.
+
+    :func:`evaluate_system_at` puts every monomial over the common
+    denominator ``prod_i q_i^(top_i)``, ``top`` the componentwise largest
+    exponent, so each integer it builds has about ``sum_i top_i * bits_i``
+    bits, where ``bits_i`` bounds coordinate i.  That sum also bounds every
+    single monomial.
+    """
     bits_r = max(r.numerator.bit_length(), r.denominator.bit_length())
     coord_bits = [bits_r * max(1, abs(ni)) for ni in n.n]
     if any(b > max_bits for b in coord_bits):
         raise SizeLimitExceeded(f"a coordinate of r^n would exceed {max_bits} bits")
-    for exps in system.e.entries:
-        if sum(e * b for e, b in zip(exps, coord_bits)) > max_bits:
-            raise SizeLimitExceeded(f"a monomial value would exceed {max_bits} bits")
+    top = [max(column) for column in zip(*system.e.entries)]
+    if sum(m * b for m, b in zip(top, coord_bits)) > max_bits:
+        raise SizeLimitExceeded(f"evaluating f at r^n would exceed {max_bits} bits")
 
 
 def verify_witness(

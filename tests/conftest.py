@@ -2,8 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from subtrop import LinearCondition, LinearLiteral, parse_system
-from subtrop.condition import DnfBranch
+from subtrop import LinearCondition, parse_system
 from subtrop.lra import solve_dnf
 
 DATA = Path(__file__).parent / "data"
@@ -23,12 +22,11 @@ def data_dir() -> Path:
 
 
 def solve_condition(condition: LinearCondition):
-    """``solve_dnf`` on the CNF itself: a row per clause, a one-literal branch per literal."""
-    rows = [[DnfBranch(lit.pos, (lit,)) for lit in c.literals] for c in condition.clauses]
+    """``solve_dnf`` on the CNF itself: a row per clause, a one-form branch per literal."""
+    rows = [[(lit.coeffs,) for lit in c.literals] for c in condition.clauses]
     return solve_dnf(condition.num_vars, rows)
 
 
 def solve_rows(num_vars: int, rows):
     """``solve_dnf`` on one row with one branch that asserts every ``coeffs . n >= 1``."""
-    literals = tuple(LinearLiteral(tuple(coeffs), 0, 0, 0) for coeffs in rows)
-    return solve_dnf(num_vars, ((DnfBranch(0, literals),),))
+    return solve_dnf(num_vars, ((tuple(map(tuple, rows)),),))

@@ -186,11 +186,11 @@ def test_criterion_7_scaling_invariance(sat_instances):
     rng = random.Random(707)
     for system, decision in sat_instances:
         condition = build_cnf(system)
-        n = scale_to_integer(decision.model)
-        assert condition.satisfied_by(n.n)
+        n = scale_to_integer(solve_dnf(system.d, build_dnf(system)))
+        assert condition.satisfied_by(n)
         for _ in range(5):
             delta = rng.randint(1, 100)
-            assert condition.satisfied_by(tuple(delta * x for x in n.n))
+            assert condition.satisfied_by(tuple(delta * x for x in n))
     clock.check()
     report(7, "integer scaling: n and 5 random positive multiples certify every SAT instance")
 

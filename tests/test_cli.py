@@ -8,7 +8,8 @@ import pytest
 
 from subtrop import ParseError, build_cnf, parse_system, print_system
 from subtrop.cli import main
-from subtrop.lra import scale_to_integer
+from subtrop.condition import build_dnf
+from subtrop.lra import scale_to_integer, solve_dnf
 from subtrop.pipeline import decide_system, parse_coefficient_bindings
 
 from conftest import DATA, load
@@ -69,8 +70,9 @@ class TestDecide:
         assert build_cnf(load("example2.spp")).satisfied_by(n)
         # the solver's vector for this input is not minimal, so decide shrinks it
         text = "vars x y\npoly f1 = a*y^3 + b*x - c*x^2*y^3\npoly f2 = -d*y^3 + e*x*y^3\n"
-        decision = decide_system(parse_system(text))
-        assert scale_to_integer(decision.model).n == (3, -2)
+        system = parse_system(text)
+        decision = decide_system(system)
+        assert scale_to_integer(solve_dnf(system.d, build_dnf(system))) == (3, -2)
         assert decision.n.n == (1, -1)
         path = tmp_path / "loose.spp"
         path.write_text(text)
@@ -497,7 +499,7 @@ class TestDefectExitCodes:
         from subtrop.pipeline import Decision
 
         def bogus(system):
-            return Decision("sat", ExponentSolution((0, 0)), None, None)
+            return Decision("sat", ExponentSolution((0, 0)), None)
 
         def explode(cond):
             raise AssertionError("the oracle must not run on a SAT answer")
@@ -590,13 +592,13 @@ class TestDecideSystem:
         assert decision.status == "sat"
         condition = build_cnf(system)
         assert condition.satisfied_by(decision.n.n)
-        assert condition.satisfied_by(decision.model.n)
+        assert condition.satisfied_by(solve_dnf(system.d, build_dnf(system)))
 
     def test_model_failing_the_cnf_is_a_solver_defect(self, monkeypatch):
         import subtrop.pipeline as pipeline
         from subtrop import SolverDefect
-        from subtrop.lra import RationalModel
 
-        monkeypatch.setattr(pipeline, "solve_dnf", lambda num_vars, rows: RationalModel((0, 0)))
+        zero = (Fraction(0), Fraction(0))
+        monkeypatch.setattr(pipeline, "solve_dnf", lambda num_vars, rows: zero)
         with pytest.raises(SolverDefect):
             decide_system(load("example2.spp"))

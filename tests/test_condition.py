@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from subtrop import LinearLiteral, build_cnf, instantiate, parse_system
-from subtrop.condition import DnfBranch, build_dnf, certifies
+from subtrop import build_cnf, instantiate, parse_system
+from subtrop.condition import build_dnf, certifies
 from subtrop.core import row_supports
 
 from conftest import load
@@ -84,16 +84,14 @@ class TestBuildDnfSingle:
     """``build_dnf`` on one-row systems."""
 
     def test_intro_f_two_branches(self):
+        # positive monomials 0 and 2, negative monomial 1
         (branches,) = build_dnf(load("intro_f.spp"))
-        assert [b.pivot for b in branches] == [0, 2]
-        assert [c.coeffs for c in branches[0].constraints] == [(1,)]
-        assert [c.coeffs for c in branches[1].constraints] == [(-1,)]
+        assert branches == (((1,),), ((-1,),))
 
     def test_intro_g_single_infeasible_branch(self):
         (branches,) = build_dnf(load("intro_g.spp"))
         assert len(branches) == 1
-        assert branches[0].pivot == 1
-        assert sorted(c.coeffs for c in branches[0].constraints) == [(-1,), (1,)]
+        assert sorted(branches[0]) == [(-1,), (1,)]
 
     def test_positive_monomial_without_negatives(self):
         # a row without negative monomials needs no choice, so it is left out
@@ -103,9 +101,11 @@ class TestBuildDnfSingle:
 class TestBuildDnf:
     def test_example2_one_row_of_branches_per_row(self):
         rows = build_dnf(load("example2.spp"))
-        assert [[b.pivot for b in row] for row in rows] == [[1, 3], [0, 1, 2]]
-        assert [(l.row, l.pos, l.neg) for l in rows[0][0].constraints] == [(0, 1, 0), (0, 1, 2)]
-        assert rows[0][0].constraints[0].coeffs == (-3, 1)
+        assert [len(row) for row in rows] == [2, 3]
+        exps = load("example2.spp").e.entries
+        # row 0: positive monomial 1 over negative monomials 0 and 2
+        assert rows[0][0] == tuple(tuple(a - b for a, b in zip(exps[1], exps[k])) for k in (0, 2))
+        assert rows[0][0][0] == (-3, 1)
 
     def test_same_literals_as_the_cnf(self):
         rng = random.Random(13)
@@ -113,26 +113,29 @@ class TestBuildDnf:
             system = random_signed_system(rng, parametric=True, ensure_positive=False)
             cond = build_cnf(system)
             rows = build_dnf(system)
-            from_cnf = {lit for clause in cond.clauses for lit in clause.literals}
-            from_dnf = {lit for row in rows for branch in row for lit in branch.constraints}
-            assert from_cnf == from_dnf
-            assert len(rows) == len({clause.row for clause in cond.clauses})
+            # branch j of row i holds the literals of pos j in row i's clauses, in neg order
+            from_cnf = []
+            for i in sorted({clause.row for clause in cond.clauses}):
+                clauses = [clause for clause in cond.clauses if clause.row == i]
+                from_cnf.append(tuple(
+                    tuple(lit.coeffs for clause in clauses for lit in clause.literals if lit.pos == j)
+                    for j in (lit.pos for lit in clauses[0].literals)
+                ))
+            assert rows == tuple(from_cnf)
 
     def test_rows_without_negatives_are_left_out(self):
         system = parse_system("vars x\npoly f = x + 1\npoly g = x - 2\n")
         rows = build_dnf(system)
         assert len(rows) == 1
-        assert [(l.row, l.pos, l.neg) for l in rows[0][0].constraints] == [(1, 0, 1)]
+        # row 1, x - 2: positive monomial 0 (x) over negative monomial 1 (the constant)
+        assert rows == ((((1,),),),)
 
     def test_negative_only_row_has_no_branch(self):
         assert build_dnf(parse_system("vars x\npoly f = -2*x\n")) == ((),)
 
     def test_single_row_case_matches(self):
         # intro_f is c2*x^2 - c1*x + c0: positive monomials 0 and 2, negative 1
-        assert build_dnf(load("intro_f.spp")) == ((
-            DnfBranch(0, (LinearLiteral((1,), 0, 0, 1),)),
-            DnfBranch(2, (LinearLiteral((-1,), 0, 2, 1),)),
-        ),)
+        assert build_dnf(load("intro_f.spp")) == ((((1,),), ((-1,),)),)
 
 
 class TestCertifies:

@@ -10,7 +10,6 @@ from subtrop.core import (
     ConcreteCoefficients,
     ExponentMatrix,
     ParametricCoefficients,
-    Rational,
     SignMatrix,
     row_supports,
     zero_sign_rows,
@@ -23,11 +22,8 @@ nonzero_fractions = st.fractions().filter(lambda x: x != 0)
 
 
 class TestRational:
-    def test_is_exact_fraction(self):
-        assert Rational is Fraction
-
     def test_canonical_form(self):
-        x = Rational(6, -4)
+        x = Fraction(6, -4)
         assert x.numerator == -3
         assert x.denominator == 2
 

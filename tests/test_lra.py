@@ -16,7 +16,7 @@ from subtrop import (
     parse_system,
 )
 from subtrop.condition import build_dnf, certifies, shrink
-from subtrop.lra import RationalModel, scale_to_integer, solve_dnf
+from subtrop.lra import scale_to_integer, solve_dnf
 from subtrop.oracle import exhaustive_decide
 
 from conftest import load, solve_condition, solve_rows
@@ -29,22 +29,22 @@ class TestSolveConjunction:
     def test_single_lower_bound(self):
         # n_0 >= 1 bounds the variable directly; the simplex moves it onto the bound
         model = solve_rows(1, [(1,)])
-        assert model.n == (Fraction(1),)
+        assert model == (Fraction(1),)
 
     def test_contradictory_bounds(self):
         assert solve_rows(1, [(-1,), (1,)]) is None
 
     def test_empty_row_list_gives_zero_vector(self):
         model = solve_rows(3, [])
-        assert model.n == (Fraction(0),) * 3
+        assert model == (Fraction(0),) * 3
 
     def test_two_sided_interval_takes_midpoint(self):
         # x >= 1 bounds x directly; -x + y >= 1 is an upper bound -1 on the slack
         # x - y.  Asserting x >= 1 moves x to 1, then one pivot brings the slack
         # to its bound by raising y: both nonbasic variables sit at bounds.
         model = solve_rows(2, [(1, 0), (-1, 1)])
-        assert model.n == (Fraction(1), Fraction(2))
-        assert model.n[1] - model.n[0] >= 1
+        assert model == (Fraction(1), Fraction(2))
+        assert model[1] - model[0] >= 1
 
     def test_models_satisfy_all_rows(self):
         rng = random.Random(3)
@@ -56,7 +56,7 @@ class TestSolveConjunction:
             model = solve_rows(d, rows)
             if model is not None:
                 for row in rows:
-                    assert sum(a * x for a, x in zip(row, model.n)) >= 1
+                    assert sum(a * x for a, x in zip(row, model)) >= 1
 
 
 class TestSolveCnf:
@@ -66,7 +66,7 @@ class TestSolveCnf:
         cond = build_cnf(load("example2.spp"))
         model = solve_condition(cond)
         assert model is not None
-        assert cond.satisfied_by(model.n)
+        assert cond.satisfied_by(model)
 
     def test_example3_unsat(self):
         assert solve_condition(build_cnf(load("example3.spp"))) is None
@@ -77,7 +77,7 @@ class TestSolveCnf:
 
     def test_empty_condition_gives_zero_vector(self):
         model = solve_condition(LinearCondition(2, ()))
-        assert model.n == (Fraction(0), Fraction(0))
+        assert model == (Fraction(0), Fraction(0))
 
     def test_deterministic(self):
         cond = build_cnf(load("example2.spp"))
@@ -146,7 +146,7 @@ class TestSearchAgainstOracle:
             model = solve_condition(cond)
             assert (model is not None) == exhaustive_decide(cond), cond
             if model is not None:
-                assert cond.satisfied_by(model.n)
+                assert cond.satisfied_by(model)
 
     def test_model_satisfies_first_feasible_selection(self):
         # backjumping skips only subtrees without a feasible full selection,
@@ -158,7 +158,7 @@ class TestSearchAgainstOracle:
             model = solve_condition(cond)
             assert (model is None) == (first is None)
             if model is not None:
-                assert all(lit.satisfied_by(model.n) for lit in first)
+                assert all(lit.satisfied_by(model) for lit in first)
 
     def test_scaled_and_opposite_forms_share_one_slack(self):
         # (2,-2) and (1,-1) bound x - y below by 1/2 and 1; (-1,1) bounds it above
@@ -168,7 +168,7 @@ class TestSearchAgainstOracle:
             Clause(0, 1, (LinearLiteral((1, -1), 0, 1, 0),)),
         ))
         model = solve_condition(shared)
-        assert model.n[0] - model.n[1] == 1
+        assert model[0] - model[1] == 1
         clash = LinearCondition(d, shared.clauses + (
             Clause(0, 2, (LinearLiteral((-1, 1), 0, 1, 0),)),
         ))
@@ -188,19 +188,19 @@ class TestSearchAgainstOracle:
         ))
         model = solve_condition(cond)
         assert model is not None
-        assert cond.clauses[1].literals[1].satisfied_by(model.n)
+        assert cond.clauses[1].literals[1].satisfied_by(model)
 
     def test_zero_and_single_variable_literals(self):
         zero = LinearLiteral((0, 0), 0, 1, 0)
         single = LinearLiteral((0, -3), 0, 2, 0)
         cond = LinearCondition(2, (Clause(0, 0, (zero, single)),))
-        assert solve_condition(cond).n == (0, Fraction(-1, 3))
+        assert solve_condition(cond) == (0, Fraction(-1, 3))
         assert solve_condition(LinearCondition(2, (Clause(0, 0, (zero,)),))) is None
 
 
 def branch_rows(pick):
     """Every constraint of one branch per row, as the rows of one conjunction."""
-    return [lit.coeffs for branch in pick for lit in branch.constraints]
+    return [coeffs for branch in pick for coeffs in branch]
 
 
 class TestRowSearch:
@@ -221,7 +221,7 @@ class TestRowSearch:
                 oracle_runs += 1
                 assert (model is not None) == exhaustive_decide(cond), system
             if model is not None:
-                assert cond.satisfied_by(model.n)
+                assert cond.satisfied_by(model)
         assert oracle_runs > 250
 
     def test_model_satisfies_first_feasible_branch_selection(self):
@@ -245,7 +245,7 @@ class TestRowSearch:
             if model is not None:
                 checked += 1
                 assert all(
-                    lit.satisfied_by(model.n) for branch in first for lit in branch.constraints
+                    sum(a * x for a, x in zip(coeffs, model)) >= 1 for coeffs in branch_rows(first)
                 )
         assert checked > 30
 
@@ -253,7 +253,7 @@ class TestRowSearch:
         assert solve_dnf(1, ((),)) is None
 
     def test_no_rows_gives_zero_vector(self):
-        assert solve_dnf(2, ()).n == (0, 0)
+        assert solve_dnf(2, ()) == (0, 0)
 
     def test_hard_unsat_template(self):
         # 2.2e14 literal selections but 1120 branch selections; every one is infeasible
@@ -269,27 +269,24 @@ class TestRowSearch:
 
 class TestScaleToInteger:
     def test_clears_denominators(self):
-        model = RationalModel((Fraction(3, 2), Fraction(-5, 4)))
-        assert scale_to_integer(model).n == (6, -5)
+        assert scale_to_integer((Fraction(3, 2), Fraction(-5, 4))) == (6, -5)
 
     def test_integral_model_unchanged(self):
-        model = RationalModel((Fraction(2), Fraction(-7)))
-        assert scale_to_integer(model).n == (2, -7)
+        assert scale_to_integer((Fraction(2), Fraction(-7))) == (2, -7)
 
     def test_third_satisfying_row_scales_to_one(self):
-        model = RationalModel((Fraction(1, 3),))
-        assert sum(a * x for a, x in zip((3,), model.n)) >= 1
+        model = (Fraction(1, 3),)
+        assert sum(a * x for a, x in zip((3,), model)) >= 1
         scaled = scale_to_integer(model)
-        assert scaled.n == (1,)
-        assert 3 * scaled.n[0] >= 1
+        assert scaled == (1,)
+        assert 3 * scaled[0] >= 1
         assert solve_rows(1, [(3,)]) is not None
 
     @given(st.lists(st.fractions(min_value=-100, max_value=100), min_size=1, max_size=4))
     def test_result_is_a_positive_integer_multiple(self, values):
-        model = RationalModel(tuple(values))
-        scaled = scale_to_integer(model)
+        scaled = scale_to_integer(tuple(values))
         deltas = {
-            Fraction(s, m) for s, m in zip(scaled.n, model.n, strict=True) if m != 0
+            Fraction(s, m) for s, m in zip(scaled, values, strict=True) if m != 0
         }
         assert len(deltas) <= 1
         delta = deltas.pop() if deltas else Fraction(1)
@@ -303,10 +300,10 @@ class TestScaleToInteger:
             if model is None:
                 continue
             n = scale_to_integer(model)
-            assert cond.satisfied_by(n.n)
+            assert cond.satisfied_by(n)
             for _ in range(3):
                 delta = rng.randint(1, 100)
-                assert cond.satisfied_by(tuple(delta * x for x in n.n))
+                assert cond.satisfied_by(tuple(delta * x for x in n))
 
 
 def argmax_branch_polyhedron(system, n):
@@ -329,7 +326,7 @@ class TestShrinkModel:
         # the simplex model n = 1 is already minimal, so shrinking keeps it
         system = load("intro_f.spp")
         decision = decide_system(system)
-        assert scale_to_integer(decision.model).n == (1,)
+        assert scale_to_integer(solve_dnf(system.d, build_dnf(system))) == (1,)
         assert decision.n.n == (1,)
         assert shrink(system, (1,)) == (1,)
 
@@ -346,7 +343,7 @@ class TestShrinkModel:
                 continue
             sat += 1
             n = decision.n.n
-            scaled = scale_to_integer(decision.model).n
+            scaled = scale_to_integer(solve_dnf(system.d, build_dnf(system)))
             assert certifies(system, n)
             assert all(abs(x) <= abs(y) for x, y in zip(n, scaled, strict=True))
             moved += n != scaled

@@ -8,6 +8,7 @@ from subtrop import (
     NonIntegerCoefficient,
     NonPositivePoint,
     PreconditionViolated,
+    SizeLimitExceeded,
     UnboundCoefficient,
     UncertifiedExponent,
     decide_system,
@@ -278,3 +279,14 @@ class TestVerifyWitness:
     def test_parametric_system_is_rejected(self):
         with pytest.raises(PreconditionViolated):
             verify_witness(load("intro_f.spp"), ExponentSolution((1,)), Fraction(3))
+
+    def test_size_guard_counts_the_common_denominator(self):
+        # every monomial is put over 3^(10 * 40 * 4): each coordinate has 120 bits, one
+        # monomial 1200, but the integers built have about 4 * 10 * 120 = 4800 bits
+        system = parse_system("vars x y z w\npoly f = x^10 + y^10 + z^10 + w^10 - 1/3\n")
+        n, r = ExponentSolution((40, 40, 40, 40)), Fraction(7, 3)
+        with pytest.raises(SizeLimitExceeded, match="1300 bits"):
+            verify_witness(system, n, r, max_bits=1300)
+        with pytest.raises(SizeLimitExceeded):
+            verify_witness(system, n, r, max_bits=4799)
+        assert verify_witness(system, n, r, max_bits=4800).ok
