@@ -31,7 +31,7 @@ from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
-from .condition import build_cnf, certifies
+from .condition import build_cnf, certifies, clause_forms
 from .core import ExponentSolution, SignedSystem
 from .lra import SolverDefect
 from .oracle import TooManySelections, exhaustive_decide
@@ -201,26 +201,31 @@ def cmd_verify(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    """Print the CNF from :func:`~subtrop.condition.clause_forms`, one clause at a time.
+
+    The text equals ``build_cnf(system).to_debug_text()`` and the JSON equals
+    ``json.dumps`` of ``{"num_vars", "clauses"}``; both are built from one
+    ``%``-format per literal, with ``d`` integer fields, so no literal becomes
+    an object.
+    """
     system = _load_system(args.input)
-    condition = build_cnf(system)
+    d = system.d
     if args.format == "json":
-        # One clause at a time, so the literal dicts of only one clause are alive; the
-        # bytes equal json.dumps of the whole {"num_vars", "clauses"} object.
+        literal = '{"pos": %d, "coeffs": [' + ", ".join(["%d"] * d) + "]}"
         clauses = ", ".join(
-            json.dumps(
-                {
-                    "row": clause.row,
-                    "neg": clause.neg,
-                    "literals": [{"pos": lit.pos, "coeffs": lit.coeffs} for lit in clause.literals],
-                }
-            )
-            for clause in condition.clauses
+            f'{{"row": {i}, "neg": {k}, "literals": '
+            f'[{", ".join([literal % (j, *coeffs) for j, coeffs in literals])}]}}'
+            for i, k, literals in clause_forms(system)
         )
-        print(f'{{"num_vars": {condition.num_vars}, "clauses": [{clauses}]}}')
+        print(f'{{"num_vars": {d}, "clauses": [{clauses}]}}')
     else:
-        text = condition.to_debug_text()
-        if text:
-            print(text)
+        literal = " [%d: " + " ".join(["%d"] * d) + "]"
+        lines = [
+            f"clause {i} {k}:{''.join([literal % (j, *coeffs) for j, coeffs in literals])}"
+            for i, k, literals in clause_forms(system)
+        ]
+        if lines:
+            print("\n".join(lines))
     return 0
 
 

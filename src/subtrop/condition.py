@@ -15,15 +15,16 @@ positive monomial j* that maximises ``e_j . n`` satisfies its branch,
 because ``e_j* . n >= e_j . n >= e_k . n + 1`` for the j that dominates k.
 A row thus needs one choice among its positive monomials instead of one
 per negative monomial.  The search runs on this form (:func:`build_dnf`),
-given as plain integer forms ``e_j - e_k``; only the CNF's literals carry
+given as plain integer forms ``e_j - e_k``; only the CNF's clauses carry
 their (row, positive, negative) provenance, for ``explain``.
 
 The same argmax argument checks a given vector without building either
 form: n satisfies the CNF exactly when, in every row with negative
 monomials, the largest ``e_j . n`` over positive j is at least 1 more than
-the largest ``e_k . n`` over negative k (:func:`certifies`).  The CNF
-(:func:`build_cnf`) is built only for ``explain`` and for the brute-force
-UNSAT cross-check of ``decide --check``.
+the largest ``e_k . n`` over negative k (:func:`certifies`).  ``explain``
+prints the CNF's clauses straight from :func:`clause_forms`, as plain
+ints; the CNF as objects (:func:`build_cnf`) is built only for the
+brute-force UNSAT cross-check of ``decide --check``.
 
 The argmax argument also bounds where a vector can move: at a certified n,
 the branches of each row's highest positive monomial define a convex
@@ -33,6 +34,7 @@ system.  :func:`shrink` walks n toward 0 inside that polyhedron.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, sub
@@ -101,25 +103,39 @@ class LinearCondition:
         return "\n".join(lines)
 
 
+def clause_forms(
+    system: SignedSystem,
+) -> Iterator[tuple[int, int, tuple[tuple[int, tuple[int, ...]], ...]]]:
+    """The clauses of :func:`build_cnf` as plain ints: ``(row, neg, ((pos, coeffs), ...))``.
+
+    Clauses come in increasing (row, neg), literals in increasing pos, and
+    ``coeffs`` is the tuple ``e[pos] - e[neg]``.  Rows without negative
+    monomials yield nothing; a row with negative monomials but no positive
+    ones yields clauses with no literal.  Yielding one clause at a time keeps
+    ``explain`` from holding the whole condition as objects.
+    """
+    exponents = system.e.entries
+    for i in range(system.u):
+        positive, negative = map(sorted, row_supports(system, i))
+        for k in negative:
+            ek = exponents[k]
+            yield i, k, tuple((j, tuple(map(sub, exponents[j], ek))) for j in positive)
+
+
 def build_cnf(system: SignedSystem) -> LinearCondition:
     """CNF over n: for every row i and negative monomial k, some positive j dominates k.
 
     Rows without negative monomials contribute no clauses; a row with
     negative monomials but no positive ones contributes an empty
     (unsatisfiable) clause.  The result depends only on the sign and
-    exponent matrices, never on coefficient values.
+    exponent matrices, never on coefficient values.  The clauses are those
+    of :func:`clause_forms`.
     """
-    exponents = system.e.entries
-    clauses = []
-    for i in range(system.u):
-        positive, negative = map(sorted, row_supports(system, i))
-        for k in negative:
-            ek = exponents[k]
-            literals = tuple(
-                LinearLiteral(tuple(map(sub, exponents[j], ek)), i, j, k) for j in positive
-            )
-            clauses.append(Clause(i, k, literals))
-    return LinearCondition(system.d, tuple(clauses))
+    clauses = tuple(
+        Clause(i, k, tuple(LinearLiteral(coeffs, i, j, k) for j, coeffs in literals))
+        for i, k, literals in clause_forms(system)
+    )
+    return LinearCondition(system.d, clauses)
 
 
 def build_dnf(system: SignedSystem) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:

@@ -27,9 +27,7 @@ one parametric polynomial, repeating a monomial is an error.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .core import (
     ConcreteCoefficients,
@@ -50,139 +48,112 @@ class ParseError(SubtropError):
         self.col = col
 
 
-class _Token(NamedTuple):
-    kind: str  # 'ident', 'number', one of '*^+-=/', or 'end'
-    text: str
-    line: int
-    col: int
-
-
-_TOKEN_RE = re.compile(r"(?P<ident>[A-Za-z_]\w*)|(?P<number>[0-9]+)|(?P<op>[*^+\-=/])|(?P<bad>\S)")
+# One token per match; its first character tells its kind: an ASCII letter or '_'
+# starts an identifier, a digit a number, one of '*^+-=/' is an operator, and any
+# other character is unexpected.
+_TOKEN_RE = re.compile(r"[A-Za-z_]\w*|[0-9]+|[*^+\-=/]|\S")
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_DIGITS = frozenset("0123456789")
+_TOKEN_START = _IDENT_START | _DIGITS | frozenset("*^+-=/")
+# Finds nothing in a line that has no unexpected token.  A line where it finds a
+# character may still have none, as identifiers take any word character after
+# the first, so that line's tokens are checked one by one.
+_MAYBE_UNEXPECTED = re.compile(r"[^\sA-Za-z0-9_*^+\-=/]")
+# Ends every line's token list; no match of _TOKEN_RE is a newline.
+_END = "\n"
 _ONE = Fraction(1)
 
 
-def _tokenize(line: str, lineno: int) -> list[_Token]:
-    """Tokens of one line, each classified by the ``_TOKEN_RE`` alternative that matched."""
-    tokens = []
-    for match in _TOKEN_RE.finditer(line):
-        kind = match.lastgroup
-        text = match.group()
-        col = match.start() + 1
-        if kind == "op":
-            kind = text
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {text!r}", lineno, col)
-        tokens.append(_Token(kind, text, lineno, col))
-    tokens.append(_Token("end", "", lineno, len(line) + 1))
-    return tokens
+def _error(message: str, lineno: int, line: str, index: int) -> ParseError:
+    """The error at token ``index`` of ``line``, or at the end of the line past its tokens.
+
+    Columns are found only here, by scanning the line again.
+    """
+    starts = [match.start() for match in _TOKEN_RE.finditer(line)]
+    col = starts[index] + 1 if index < len(starts) else len(line) + 1
+    return ParseError(message, lineno, col)
 
 
-class _Cursor:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.index = 0
+def _parse_terms(
+    lineno: int, line: str, tokens: list[str], var_index: dict[str, int]
+) -> list[tuple]:
+    """The terms of one ``poly`` line as ``(sign, value, name, exponents, index)`` tuples.
 
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.index]
-        if token.kind != "end":
-            self.index += 1
-        return token
-
-    def expect(self, kind: str, what: str) -> _Token:
-        token = self.peek()
-        if token.kind != kind:
-            raise ParseError(f"expected {what}", token.line, token.col)
-        return self.advance()
-
-
-@dataclass
-class _RawTerm:
-    sign: int
-    coeff_value: Fraction | None  # numeric coefficient, if any
-    coeff_name: str | None  # named coefficient, if any
-    exponents: tuple[int, ...]
-    line: int
-    col: int
-
-
-def _parse_coefficient(cursor: _Cursor) -> Fraction:
-    token = cursor.expect("number", "a number")
-    numerator = int(token.text)
-    denominator = 1
-    if cursor.peek().kind == "/":
-        cursor.advance()
-        den_token = cursor.expect("number", "a denominator")
-        denominator = int(den_token.text)
-        if denominator == 0:
-            raise ParseError("zero denominator", den_token.line, den_token.col)
-    if numerator == 0:
-        raise ParseError("coefficient must be positive", token.line, token.col)
-    return Fraction(numerator, denominator)
-
-
-def _parse_factors(cursor: _Cursor, var_index: dict[str, int], exponents: list[int]):
-    while True:
-        token = cursor.expect("ident", "a variable name")
-        if token.text not in var_index:
-            raise ParseError(f"unknown variable {token.text!r}", token.line, token.col)
-        exponent = 1
-        if cursor.peek().kind == "^":
-            cursor.advance()
-            nxt = cursor.peek()
-            if nxt.kind == "-":
-                raise ParseError("negative exponents are not allowed", nxt.line, nxt.col)
-            exponent = int(cursor.expect("number", "an exponent").text)
-        exponents[var_index[token.text]] += exponent
-        if cursor.peek().kind == "*":
-            cursor.advance()
-        else:
-            return
-
-
-def _parse_term(cursor: _Cursor, sign: int, var_index: dict[str, int]) -> _RawTerm:
-    start = cursor.peek()
-    exponents = [0] * len(var_index)
-    coeff_value: Fraction | None = None
-    coeff_name: str | None = None
-    if start.kind == "number":
-        coeff_value = _parse_coefficient(cursor)
-        if cursor.peek().kind == "*":
-            cursor.advance()
-            _parse_factors(cursor, var_index, exponents)
-    elif start.kind == "ident":
-        if start.text in var_index:
-            _parse_factors(cursor, var_index, exponents)
-        else:
-            coeff_name = cursor.advance().text
-            if cursor.peek().kind == "*":
-                cursor.advance()
-                _parse_factors(cursor, var_index, exponents)
-    else:
-        raise ParseError("expected a term", start.line, start.col)
-    return _RawTerm(sign, coeff_value, coeff_name, tuple(exponents), start.line, start.col)
-
-
-def _parse_poly_line(cursor: _Cursor, var_index: dict[str, int]) -> list[_RawTerm]:
-    cursor.expect("ident", "a polynomial name")
-    cursor.expect("=", "'='")
+    ``value`` is the numeric coefficient and ``name`` the named one, None when
+    absent, and ``index`` is the position of the term's first token.
+    ``tokens`` ends with ``_END``.
+    """
+    if tokens[0] != "poly":
+        raise _error("expected 'poly'", lineno, line, 0)
+    if tokens[1][0] not in _IDENT_START:
+        raise _error("expected a polynomial name", lineno, line, 1)
+    if tokens[2] != "=":
+        raise _error("expected '='", lineno, line, 2)
+    d = len(var_index)
     terms = []
     sign = 1
-    first = cursor.peek()
-    if first.kind in ("+", "-"):
-        cursor.advance()
-        sign = -1 if first.kind == "-" else 1
+    i = 3
+    if tokens[i] in ("+", "-"):
+        sign = -1 if tokens[i] == "-" else 1
+        i += 1
     while True:
-        terms.append(_parse_term(cursor, sign, var_index))
-        token = cursor.peek()
-        if token.kind == "end":
+        start = i
+        token = tokens[i]
+        value = name = None
+        factors = True
+        if token[0] in _DIGITS:
+            numerator = int(token)
+            denominator = 1
+            i += 1
+            if tokens[i] == "/":
+                i += 1
+                if tokens[i][0] not in _DIGITS:
+                    raise _error("expected a denominator", lineno, line, i)
+                denominator = int(tokens[i])
+                if denominator == 0:
+                    raise _error("zero denominator", lineno, line, i)
+                i += 1
+            if numerator == 0:
+                raise _error("coefficient must be positive", lineno, line, start)
+            value = Fraction(numerator, denominator)
+            factors = tokens[i] == "*"
+            i += factors
+        elif token[0] in _IDENT_START:
+            if token not in var_index:
+                name = token
+                i += 1
+                factors = tokens[i] == "*"
+                i += factors
+        else:
+            raise _error("expected a term", lineno, line, start)
+        exponents = [0] * d
+        while factors:
+            token = tokens[i]
+            if token[0] not in _IDENT_START:
+                raise _error("expected a variable name", lineno, line, i)
+            if token not in var_index:
+                raise _error(f"unknown variable {token!r}", lineno, line, i)
+            exponent = 1
+            i += 1
+            if tokens[i] == "^":
+                i += 1
+                if tokens[i] == "-":
+                    raise _error("negative exponents are not allowed", lineno, line, i)
+                if tokens[i][0] not in _DIGITS:
+                    raise _error("expected an exponent", lineno, line, i)
+                exponent = int(tokens[i])
+                i += 1
+            exponents[var_index[token]] += exponent
+            factors = tokens[i] == "*"
+            i += factors
+        terms.append((sign, value, name, tuple(exponents), start))
+        token = tokens[i]
+        if token == _END:
             return terms
-        if token.kind not in ("+", "-"):
-            raise ParseError("expected '+', '-' or end of line", token.line, token.col)
-        cursor.advance()
-        sign = -1 if token.kind == "-" else 1
+        if token not in ("+", "-"):
+            raise _error("expected '+', '-' or end of line", lineno, line, i)
+        sign = -1 if token == "-" else 1
+        i += 1
 
 
 def _scatter(entries: dict[int, object], fill, v: int) -> tuple:
@@ -194,94 +165,83 @@ def _scatter(entries: dict[int, object], fill, v: int) -> tuple:
 
 
 def parse_system(source: str) -> SignedSystem:
-    """Parse ``.spp`` text into a :class:`SignedSystem`."""
-    token_lines = []
+    """Parse ``.spp`` text into a :class:`SignedSystem`.
+
+    Each line is split into tokens by one regex call and walked by index.
+    When a file has several errors, the first unexpected character of any
+    line wins, then a header error, then the first syntax error line by
+    line, then coefficient-mode, name and monomial errors term by term.
+    """
+    lines = []
     for lineno, raw in enumerate(source.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0]
-        tokens = _tokenize(stripped, lineno)
-        if tokens[0].kind != "end":
-            token_lines.append(tokens)
-    if not token_lines:
+        line = raw.split("#", 1)[0]
+        tokens = _TOKEN_RE.findall(line)
+        if not tokens:
+            continue
+        if _MAYBE_UNEXPECTED.search(line):
+            for index, token in enumerate(tokens):
+                if token[0] not in _TOKEN_START:
+                    raise _error(f"unexpected character {token!r}", lineno, line, index)
+        tokens.append(_END)
+        lines.append((lineno, line, tokens))
+    if not lines:
         raise ParseError("missing 'vars' header", 1, 1)
 
-    header = _Cursor(token_lines[0])
-    keyword = header.expect("ident", "'vars'")
-    if keyword.text != "vars":
-        raise ParseError("expected 'vars'", keyword.line, keyword.col)
-    var_names: list[str] = []
-    while header.peek().kind != "end":
-        token = header.expect("ident", "a variable name")
-        if token.text in var_names:
-            raise ParseError(f"duplicate variable {token.text!r}", token.line, token.col)
-        var_names.append(token.text)
-    if not var_names:
-        raise ParseError("at least one variable is required", keyword.line, keyword.col)
-    var_index = {name: index for index, name in enumerate(var_names)}
+    lineno, line, tokens = lines[0]
+    if tokens[0] != "vars":
+        raise _error("expected 'vars'", lineno, line, 0)
+    var_index: dict[str, int] = {}
+    for index, token in enumerate(tokens[1:-1], start=1):
+        if token[0] not in _IDENT_START:
+            raise _error("expected a variable name", lineno, line, index)
+        if token in var_index:
+            raise _error(f"duplicate variable {token!r}", lineno, line, index)
+        var_index[token] = len(var_index)
+    if not var_index:
+        raise _error("at least one variable is required", lineno, line, 0)
 
-    polys: list[list[_RawTerm]] = []
-    for tokens in token_lines[1:]:
-        cursor = _Cursor(tokens)
-        keyword = cursor.expect("ident", "'poly'")
-        if keyword.text != "poly":
-            raise ParseError("expected 'poly'", keyword.line, keyword.col)
-        polys.append(_parse_poly_line(cursor, var_index))
+    polys = [
+        (lineno, line, _parse_terms(lineno, line, tokens, var_index))
+        for lineno, line, tokens in lines[1:]
+    ]
 
-    parametric = None
-    for terms in polys:
-        for term in terms:
-            if term.coeff_name is not None:
-                parametric = True
-            elif term.coeff_value is not None:
-                parametric = False
-            else:
-                continue
-            break
-        if parametric is not None:
-            break
-    if parametric is None:
-        parametric = False
+    parametric = next(
+        (name is not None for _, _, terms in polys for _, value, name, _, _ in terms
+         if name is not None or value is not None),
+        False,
+    )
 
     mono_index: dict[tuple[int, ...], int] = {}
-
-    def column_of(exponents: tuple[int, ...]) -> int:
-        if exponents not in mono_index:
-            mono_index[exponents] = len(mono_index)
-        return mono_index[exponents]
-
     if parametric:
         seen_names: set[str] = set()
         sign_rows: list[dict[int, int]] = []
         name_rows: list[dict[int, str]] = []
-        for terms in polys:
+        for lineno, line, terms in polys:
             signs: dict[int, int] = {}
             names: dict[int, str] = {}
-            for term in terms:
-                if term.coeff_value is not None:
-                    raise ParseError(
+            for sign, value, name, exponents, index in terms:
+                if value is not None:
+                    raise _error(
                         "cannot mix numeric and named coefficients in one file",
-                        term.line,
-                        term.col,
+                        lineno, line, index,
                     )
-                if term.coeff_name is None:
-                    raise ParseError(
+                if name is None:
+                    raise _error(
                         "every term of a parametric system needs a named coefficient",
-                        term.line,
-                        term.col,
+                        lineno, line, index,
                     )
-                if term.coeff_name in seen_names:
-                    raise ParseError(
-                        f"duplicate parametric coefficient name {term.coeff_name!r}",
-                        term.line,
-                        term.col,
+                if name in seen_names:
+                    raise _error(
+                        f"duplicate parametric coefficient name {name!r}", lineno, line, index
                     )
-                seen_names.add(term.coeff_name)
-                col = column_of(term.exponents)
+                seen_names.add(name)
+                col = mono_index.setdefault(exponents, len(mono_index))
                 if col in signs:
-                    raise ParseError(
-                        "duplicate monomial in a parametric polynomial", term.line, term.col
+                    raise _error(
+                        "duplicate monomial in a parametric polynomial", lineno, line, index
                     )
-                signs[col] = term.sign
-                names[col] = term.coeff_name
+                signs[col] = sign
+                names[col] = name
             sign_rows.append(signs)
             name_rows.append(names)
         v = len(mono_index)
@@ -289,18 +249,16 @@ def parse_system(source: str) -> SignedSystem:
         spec = ParametricCoefficients(tuple(_scatter(names, None, v) for names in name_rows))
     else:
         sum_rows: list[dict[int, Fraction]] = []
-        for terms in polys:
+        for lineno, line, terms in polys:
             sums: dict[int, Fraction] = {}
-            for term in terms:
-                if term.coeff_name is not None:
-                    raise ParseError(
+            for sign, value, name, exponents, index in terms:
+                if name is not None:
+                    raise _error(
                         "cannot mix numeric and named coefficients in one file",
-                        term.line,
-                        term.col,
+                        lineno, line, index,
                     )
-                value = term.coeff_value if term.coeff_value is not None else _ONE
-                col = column_of(term.exponents)
-                sums[col] = sums.get(col, Fraction(0)) + term.sign * value
+                col = mono_index.setdefault(exponents, len(mono_index))
+                sums[col] = sums.get(col, 0) + sign * (_ONE if value is None else value)
             sum_rows.append(sums)
         v = len(mono_index)
         s_entries = []
@@ -320,12 +278,11 @@ def parse_system(source: str) -> SignedSystem:
         s_entries = tuple(s_entries)
         spec = ConcreteCoefficients(tuple(c_values))
 
-    monomials = tuple(sorted(mono_index, key=mono_index.get))
     return SignedSystem(
         SignMatrix(s_entries, cols=len(mono_index)),
-        ExponentMatrix(monomials, cols=len(var_names)),
+        ExponentMatrix(tuple(mono_index), cols=len(var_index)),
         spec,
-        tuple(var_names),
+        tuple(var_index),
     )
 
 

@@ -450,9 +450,17 @@ def explain_inputs(tmp_path):
         path = tmp_path / f"random_{seed}.spp"
         path.write_text(print_system(system), encoding="utf-8")
         paths.append(path)
-    no_clause = tmp_path / "no_clause.spp"
-    no_clause.write_text("vars x y\npoly f = a*x + b*y\npoly g = c*x*y\n", encoding="utf-8")
-    paths.append(no_clause)
+    extra = {
+        "no_clause": "vars x y\npoly f = a*x + b*y\npoly g = c*x*y\n",
+        # row 1 has negative monomials and no positive one: two empty clauses
+        "empty_clause": "vars x y\npoly f = a*x - b*y\npoly g = -c*x - d*x*y\n",
+        # a constant monomial on both sides of the dominance forms
+        "constant": "vars x y\npoly f = 2 - x*y + 3*x^2\npoly g = y - 1/2\n",
+    }
+    for name, text in extra.items():
+        path = tmp_path / f"{name}.spp"
+        path.write_text(text, encoding="utf-8")
+        paths.append(path)
     return paths
 
 
@@ -460,10 +468,13 @@ class TestExplainBytes:
     """``explain`` output is pinned byte for byte, not only as parsed JSON."""
 
     def test_inputs_cover_rows_clauses_and_none(self, tmp_path):
-        conditions = [build_cnf(parse_system(p.read_text())) for p in explain_inputs(tmp_path)]
+        systems = [parse_system(p.read_text()) for p in explain_inputs(tmp_path)]
+        conditions = [build_cnf(system) for system in systems]
         assert max(len(c.clauses) for c in conditions) >= 18
         assert max(len({cl.row for cl in c.clauses}) for c in conditions) >= 4
         assert any(not c.clauses for c in conditions)
+        assert any(not cl.literals for c in conditions for cl in c.clauses)
+        assert any(not any(exps) for system in systems for exps in system.e.entries)
 
     def test_json_bytes_equal_whole_object_dump(self, capsys, tmp_path):
         for path in explain_inputs(tmp_path):
@@ -479,6 +490,39 @@ class TestExplainBytes:
             assert (code, err) == (0, ""), path.name
             expected = condition.to_debug_text() + "\n" if condition.clauses else ""
             assert out == expected, path.name
+
+
+    def test_empty_clause_bytes(self, capsys, tmp_path):
+        path = tmp_path / "empty.spp"
+        path.write_text("vars x\npoly f = -a*x\n", encoding="utf-8")
+        assert run(capsys, "explain", path) == (0, "clause 0 0:\n", "")
+        assert run(capsys, "explain", path, "--format", "json") == (
+            0,
+            '{"num_vars": 1, "clauses": [{"row": 0, "neg": 0, "literals": []}]}\n',
+            "",
+        )
+
+    def test_explain_builds_no_cnf_objects(self, capsys, tmp_path, monkeypatch):
+        import subtrop.cli as cli
+        import subtrop.condition as condition
+
+        paths = explain_inputs(tmp_path)
+        expected = {
+            (path, fmt): run(capsys, "explain", path, "--format", fmt)
+            for path in paths
+            for fmt in ("text", "json")
+        }
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("explain built a CNF object")
+
+        monkeypatch.setattr(cli, "build_cnf", refuse)
+        monkeypatch.setattr(condition, "build_cnf", refuse)
+        monkeypatch.setattr(condition, "LinearLiteral", refuse)
+        monkeypatch.setattr(condition, "Clause", refuse)
+        for (path, fmt), before in expected.items():
+            assert before[0] == 0, path.name
+            assert run(capsys, "explain", path, "--format", fmt) == before, path.name
 
 
 class TestDefectExitCodes:

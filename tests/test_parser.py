@@ -172,6 +172,60 @@ class TestParseErrorPositions:
         assert (err.value.line, err.value.col) == (line, col)
         assert str(err.value).startswith(f"line {line}, column {col}: ")
 
+    @pytest.mark.parametrize(
+        "text, message, line, col",
+        [
+            # the header
+            ("   \n# only a comment\n", "missing 'vars' header", 1, 1),
+            ("poly f = x\n", "expected 'vars'", 1, 1),
+            ("\n 2 x\n", "expected 'vars'", 2, 2),
+            ("vars x 2\n", "expected a variable name", 1, 8),
+            ("vars x y x\n", "duplicate variable 'x'", 1, 10),
+            ("vars # none\npoly f = 1\n", "at least one variable is required", 1, 1),
+            # polynomial lines
+            ("vars x\nf = x\n", "expected 'poly'", 2, 1),
+            ("vars x\n= x\n", "expected 'poly'", 2, 1),
+            ("vars x\npoly = x\n", "expected a polynomial name", 2, 6),
+            ("vars x\npoly f = x +\n", "expected a term", 2, 13),
+            ("vars x\npoly f = x x\n", "expected '+', '-' or end of line", 2, 12),
+            ("vars x\npoly f = 2 3\n", "expected '+', '-' or end of line", 2, 12),
+            # coefficients
+            ("vars x\npoly f = 3/\n", "expected a denominator", 2, 12),
+            ("vars x\npoly f = x + 0/3*x^2\n", "coefficient must be positive", 2, 14),
+            ("vars x\npoly f = 0\n", "coefficient must be positive", 2, 10),
+            # factors
+            ("vars x\npoly f = x*2\n", "expected a variable name", 2, 12),
+            ("vars x\npoly f = 2*\n", "expected a variable name", 2, 12),
+            ("vars x\npoly f = x*b\n", "unknown variable 'b'", 2, 12),
+            ("vars x\npoly f = x^y\n", "expected an exponent", 2, 12),
+            ("vars x\npoly f = x^\n", "expected an exponent", 2, 12),
+            # coefficient modes, names and monomials
+            ("vars x\npoly f = a*x\npoly g = 2*x\n",
+             "cannot mix numeric and named coefficients in one file", 3, 10),
+            ("vars x\npoly f = a*x + x^2\n",
+             "every term of a parametric system needs a named coefficient", 2, 16),
+            ("vars x\npoly f = a*x\npoly g = b + a*x^2\n",
+             "duplicate parametric coefficient name 'a'", 3, 14),
+            ("vars x\npoly f = a*x + b*x\n", "duplicate monomial in a parametric polynomial", 2, 16),
+            # which error wins: characters in every line, then the header, then
+            # syntax line by line, then modes, names and monomials term by term
+            ("vars x\npoly f = x + + x\npoly g = x $\n", "unexpected character '$'", 3, 12),
+            ("vars x x\npoly f = x $\n", "unexpected character '$'", 2, 12),
+            ("vars x x\npoly f = x +\n", "duplicate variable 'x'", 1, 8),
+            ("vars x\npoly f = 2*x + a*x^2\npoly g = x x\n",
+             "expected '+', '-' or end of line", 3, 12),
+            ("vars x\npoly f = a*x + b*x\npoly g = 2*x^3\n",
+             "duplicate monomial in a parametric polynomial", 2, 16),
+            ("vars x\npoly f = a*x + c*x^2 + x^3\npoly g = a*x\n",
+             "every term of a parametric system needs a named coefficient", 2, 24),
+        ],
+    )
+    def test_message(self, text, message, line, col):
+        with pytest.raises(ParseError) as err:
+            parse_system(text)
+        assert str(err.value) == f"line {line}, column {col}: {message}"
+        assert (err.value.line, err.value.col) == (line, col)
+
 
 class TestPrintRoundTrip:
     @pytest.mark.parametrize(
