@@ -9,13 +9,12 @@ of the coefficients and whose integer exponent vector n is found by exact
 linear reasoning.  All arithmetic is exact.
 
 The namespace holds the pipeline API: parsing, deciding, the witness and
-its verification, the CNF, and the types and exceptions these use.  The
-matrix, search, scaling and oracle helpers are imported from their own
-modules.
+its verification, and the types and exceptions these use.  An exponent
+vector is a plain ``tuple[int, ...]``.  The matrix, CNF, search, scaling
+and oracle helpers are imported from their own modules.
 """
 
-from .condition import Clause, LinearCondition, LinearLiteral, build_cnf
-from .core import ExponentSolution, SignedSystem, SubtropError
+from .core import SignedSystem, SubtropError
 from .lra import SolverDefect
 from .parser import ParseError, parse_system, print_system
 from .pipeline import Decision, decide_system
@@ -39,11 +38,7 @@ from .witness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Clause",
     "Decision",
-    "ExponentSolution",
-    "LinearCondition",
-    "LinearLiteral",
     "NonIntegerCoefficient",
     "NonPositivePoint",
     "ParseError",
@@ -57,7 +52,6 @@ __all__ = [
     "UncertifiedExponent",
     "VerificationReport",
     "WitnessFailure",
-    "build_cnf",
     "decide_system",
     "evaluate_t",
     "instantiate",

@@ -32,7 +32,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from .condition import build_cnf, certifies, clause_forms
-from .core import ExponentSolution, SignedSystem
+from .core import SignedSystem
 from .lra import SolverDefect
 from .oracle import TooManySelections, exhaustive_decide
 from .parser import ParseError, parse_system
@@ -45,7 +45,6 @@ from .witness import (
     UnboundCoefficient,
     VerificationReport,
     WitnessFailure,
-    evaluate_t,
     instantiate,
     symbolic_t,
     uniform_bound,
@@ -66,13 +65,13 @@ def _print_decision(decision: Decision, fmt: str):
         if decision.zero_row is not None:
             obj = {"status": "unsat", "reason": "zero-row", "row": decision.zero_row}
         elif decision.status == "sat":
-            obj = {"status": "sat", "n": list(decision.n.n)}
+            obj = {"status": "sat", "n": list(decision.n)}
         else:
             obj = {"status": "unsat"}
         print(json.dumps(obj))
     elif decision.status == "sat":
         print("SAT")
-        print(f"n = {_format_vector(decision.n.n)}")
+        print(f"n = {_format_vector(decision.n)}")
     else:
         print("UNSAT")
         if decision.zero_row is not None:
@@ -91,7 +90,9 @@ def _run_checks(system: SignedSystem, decision: Decision, seed: int) -> int:
     must certify the system (:func:`~subtrop.condition.certifies`), which
     proves that some selection is feasible, so the exhaustive enumeration
     would agree.  For a parametric template the witness is then verified
-    exactly at 3 coefficient samples drawn from ``seed``; a failure raises
+    exactly, at ``r = t``, at 3 coefficient samples drawn from ``seed``: one
+    :func:`~subtrop.witness.verify_witness` call per sample, which builds the
+    witness and evaluates ``t`` once; a failure raises
     :class:`~subtrop.witness.WitnessFailure`.  An UNSAT answer has no
     certificate: the CNF is built and re-decided by the exhaustive oracle,
     which shares no code with the search.
@@ -101,15 +102,13 @@ def _run_checks(system: SignedSystem, decision: Decision, seed: int) -> int:
             print("check failed: exhaustive selection search disagrees", file=sys.stderr)
             return 3
         return 0
-    if not certifies(system, decision.n.n):
+    if not certifies(system, decision.n):
         print("check failed: the vector does not satisfy the linear condition", file=sys.stderr)
         return 3
     if system.is_parametric:
         rng = random.Random(seed)
         for _ in range(3):
-            concrete = instantiate(system, _sample_bindings(system, rng))
-            t_value = evaluate_t(symbolic_t(concrete, decision.n), concrete.c)
-            verify_witness(concrete, decision.n, t_value)
+            verify_witness(instantiate(system, _sample_bindings(system, rng)), decision.n)
     return 0
 
 
@@ -139,7 +138,7 @@ def cmd_witness(args) -> int:
     return 0
 
 
-def _print_report(report: VerificationReport, n: ExponentSolution, fmt: str):
+def _print_report(report: VerificationReport, n: tuple[int, ...], fmt: str):
     """Print the exact values, however many digits they have.
 
     CPython (3.10.7 and later) refuses to convert an int of more than 4300
@@ -156,13 +155,13 @@ def _print_report(report: VerificationReport, n: ExponentSolution, fmt: str):
         sys.set_int_max_str_digits(limit)
 
 
-def _print_exact_report(report: VerificationReport, n: ExponentSolution, fmt: str):
+def _print_exact_report(report: VerificationReport, n: tuple[int, ...], fmt: str):
     if fmt == "json":
         obj = {
             "status": "ok",
             "t": str(report.t_value),
             "r": str(report.r_value),
-            "n": list(n.n),
+            "n": list(n),
             "point": [str(x) for x in report.point],
             "values": [str(x) for x in report.values],
         }
@@ -170,7 +169,7 @@ def _print_exact_report(report: VerificationReport, n: ExponentSolution, fmt: st
     else:
         print(f"t = {report.t_value}")
         print(f"r = {report.r_value}")
-        print(f"n = {_format_vector(n.n)}")
+        print(f"n = {_format_vector(n)}")
         print(f"point = {_format_vector(report.point)}")
         for i, value in enumerate(report.values):
             print(f"f{i + 1} = {value}")
@@ -191,10 +190,7 @@ def cmd_verify(args) -> int:
     if decision.status == "unsat":
         _print_decision(decision, args.format)
         return 1
-    if args.use_uniform_bound:
-        r = uniform_bound(system)
-    else:
-        r = evaluate_t(symbolic_t(system, decision.n), system.c)
+    r = uniform_bound(system) if args.use_uniform_bound else None
     report = verify_witness(system, decision.n, r, max_bits=args.max_bits)
     _print_report(report, decision.n, args.format)
     return 0
@@ -367,10 +363,8 @@ def main(argv=None) -> int:
     handler, args = parsed
     try:
         return handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (
+        ParseError,
         UnboundCoefficient,
         NonIntegerCoefficient,
         NonPositivePoint,

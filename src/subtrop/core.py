@@ -6,7 +6,8 @@ monomial, a coefficient matrix of the same shape, and an exponent matrix
 whose row j is the exponent vector of monomial j over the d variables.
 Coefficients are either pairwise-distinct indeterminate names (the system
 is a template quantified over all positive coefficient values) or concrete
-positive rationals.
+positive rationals.  An exponent vector ``n`` is a plain ``tuple[int, ...]``
+with no type of its own; :func:`subtrop.witness.symbolic_t` checks its entries.
 
 All numeric work uses :class:`fractions.Fraction`; nothing in this package
 touches floating point.
@@ -227,19 +228,6 @@ class SignedSystem:
                 raise ValueError(f"no coefficient exists at zero-sign position ({i}, {j})")
             return name
         return f"c_{i + 1}_{j + 1}"
-
-
-@dataclass(frozen=True)
-class ExponentSolution:
-    """Integer exponent vector certifying the linear dominance condition of a system."""
-
-    n: tuple[int, ...]
-
-    def __post_init__(self):
-        values = tuple(self.n)
-        for x in values:
-            _require_int(x, "exponent solution entry")
-        object.__setattr__(self, "n", values)
 
 
 def row_supports(system: SignedSystem, i: int) -> tuple[frozenset[int], frozenset[int]]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .condition import build_dnf, shrink
-from .core import ExponentSolution, SignedSystem, zero_sign_rows
+from .core import SignedSystem, zero_sign_rows
 from .lra import SolverDefect, scale_to_integer, solve_dnf
 from .parser import ParseError
 
@@ -27,7 +27,7 @@ class Decision:
     """Result of the full decision pipeline on one system."""
 
     status: str  # "sat" | "unsat"
-    n: ExponentSolution | None
+    n: tuple[int, ...] | None
     zero_row: int | None
 
 
@@ -54,7 +54,7 @@ def decide_system(system: SignedSystem) -> Decision:
         n = shrink(system, scale_to_integer(model))
     except ValueError:
         raise SolverDefect(f"row search returned a model {model} that fails the CNF") from None
-    return Decision("sat", ExponentSolution(n), None)
+    return Decision("sat", n, None)
 
 
 def parse_coefficient_bindings(text: str) -> dict[str, Fraction]:

@@ -8,6 +8,12 @@ same-row sign pairs.  Any base ``r >= t`` works as well.  This module
 builds that witness symbolically, evaluates it on concrete coefficients,
 computes the cruder all-integer-coefficient bound ``1 + v * sum of
 negative coefficients``, and checks ``f(r^n) > 0`` by exact evaluation.
+
+An exponent vector n is a plain sequence of ints.  :func:`symbolic_t` is
+the gate every vector passes: it rejects entries that are not ints (a
+``bool`` or a ``Fraction`` among them) and vectors that fail the
+dominance condition.  :func:`verify_witness` builds the witness and
+evaluates ``t`` once, and checks at ``r = t`` unless it is given an ``r >= t``.
 """
 
 from __future__ import annotations
@@ -20,9 +26,9 @@ from typing import Mapping
 from .condition import certifies
 from .core import (
     ConcreteCoefficients,
-    ExponentSolution,
     SignedSystem,
     SubtropError,
+    _require_int,
     row_supports,
     zero_sign_rows,
 )
@@ -72,34 +78,28 @@ class SymbolicWitness:
     """The witness ``x = t^n`` with ``t = 1 + sum of ratio terms``."""
 
     terms: tuple[RatioTerm, ...]
-    n: ExponentSolution
-    var_names: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        object.__setattr__(self, "var_names", tuple(self.var_names))
+    n: tuple[int, ...]
 
     def to_json_dict(self) -> dict:
         return {
             "t": {"one": 1, "terms": [[t.numerator, t.denominator] for t in self.terms]},
-            "n": list(self.n.n),
+            "n": list(self.n),
         }
 
     def to_display_text(self) -> str:
         parts = ["1"] + [f"{t.numerator}/{t.denominator}" for t in self.terms]
-        z = ", ".join(f"t^{ni}" for ni in self.n.n)
+        z = ", ".join(f"t^{ni}" for ni in self.n)
         return f"t = {' + '.join(parts)}; z = ({z})"
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one exact check of ``f(r^n) > 0``."""
+    """Outcome of one exact check of ``f(r^n) > 0``; every entry of ``values`` is > 0."""
 
     t_value: Fraction
     r_value: Fraction
     point: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
-    ok: bool
 
 
 def ratio_terms(system: SignedSystem) -> tuple[RatioTerm, ...]:
@@ -119,13 +119,21 @@ def ratio_terms(system: SignedSystem) -> tuple[RatioTerm, ...]:
     return tuple(out)
 
 
-def symbolic_t(system: SignedSystem, n: ExponentSolution) -> SymbolicWitness:
-    """Witness for a certified exponent vector; rejects vectors that fail a clause."""
-    if len(n.n) != system.d:
-        raise UncertifiedExponent(f"expected {system.d} entries, got {len(n.n)}")
-    if not certifies(system, n.n):
-        raise UncertifiedExponent(f"{n.n} does not satisfy the dominance condition")
-    return SymbolicWitness(ratio_terms(system), n, system.var_names)
+def symbolic_t(system: SignedSystem, n) -> SymbolicWitness:
+    """Witness for a certified exponent vector; rejects vectors that fail a clause.
+
+    ``n`` is any sequence of ints.  A ``bool`` or ``Fraction`` entry raises
+    :class:`TypeError` before the dominance check, which would accept a
+    ``Fraction`` and leave ``r**n_i`` a float.
+    """
+    n = tuple(n)
+    for x in n:
+        _require_int(x, "exponent vector entry")
+    if len(n) != system.d:
+        raise UncertifiedExponent(f"expected {system.d} entries, got {len(n)}")
+    if not certifies(system, n):
+        raise UncertifiedExponent(f"{n} does not satisfy the dominance condition")
+    return SymbolicWitness(ratio_terms(system), n)
 
 
 def evaluate_t(witness: SymbolicWitness, coefficients: ConcreteCoefficients) -> Fraction:
@@ -221,7 +229,7 @@ def evaluate_system_at(system: SignedSystem, point) -> tuple[Fraction, ...]:
     return tuple(values)
 
 
-def _check_size_guard(system: SignedSystem, n: ExponentSolution, r: Fraction, max_bits: int):
+def _check_size_guard(system: SignedSystem, n: tuple[int, ...], r: Fraction, max_bits: int):
     """Refuse a point ``r^n`` whose exact evaluation builds numbers above ``max_bits`` bits.
 
     :func:`evaluate_system_at` puts every monomial over the common
@@ -231,7 +239,7 @@ def _check_size_guard(system: SignedSystem, n: ExponentSolution, r: Fraction, ma
     single monomial.
     """
     bits_r = max(r.numerator.bit_length(), r.denominator.bit_length())
-    coord_bits = [bits_r * max(1, abs(ni)) for ni in n.n]
+    coord_bits = [bits_r * max(1, abs(ni)) for ni in n]
     if any(b > max_bits for b in coord_bits):
         raise SizeLimitExceeded(f"a coordinate of r^n would exceed {max_bits} bits")
     top = [max(column) for column in zip(*system.e.entries)]
@@ -241,13 +249,14 @@ def _check_size_guard(system: SignedSystem, n: ExponentSolution, r: Fraction, ma
 
 def verify_witness(
     system: SignedSystem,
-    n: ExponentSolution,
-    r,
+    n,
+    r=None,
     *,
     max_bits: int | None = None,
 ) -> VerificationReport:
     """Check ``f(r^n) > 0`` exactly for a concrete system, certified n, and r >= t.
 
+    ``r`` defaults to ``t`` itself, which is evaluated once either way.
     Under those preconditions success is guaranteed, so a negative outcome
     is raised as :class:`WitnessFailure` rather than returned.  Identically
     zero rows are rejected up front: no point can make them positive.
@@ -259,17 +268,20 @@ def verify_witness(
         raise PreconditionViolated(f"row {zeros[0]} is identically zero; f > 0 cannot hold")
     if isinstance(r, float):
         raise TypeError(f"r must be an exact rational, got float {r!r}")
-    r = Fraction(r)
+    if r is not None:
+        r = Fraction(r)
     witness = symbolic_t(system, n)
+    n = witness.n
     t_value = evaluate_t(witness, system.c)
-    if r < t_value:
+    if r is None:
+        r = t_value
+    elif r < t_value:
         raise PreconditionViolated(f"r = {r} is below t = {t_value}")
     if max_bits is not None:
         _check_size_guard(system, n, r, max_bits)
-    point = tuple(r**ni for ni in n.n)
+    point = tuple(r**ni for ni in n)
     values = evaluate_system_at(system, point)
-    ok = all(value > 0 for value in values)
-    if not ok:
-        bad = next(i for i, value in enumerate(values) if value <= 0)
-        raise WitnessFailure(f"row {bad} evaluates to {values[bad]} at r = {r}, n = {n.n}")
-    return VerificationReport(t_value, r, point, values, True)
+    bad = next((i for i, value in enumerate(values) if value <= 0), None)
+    if bad is not None:
+        raise WitnessFailure(f"row {bad} evaluates to {values[bad]} at r = {r}, n = {n}")
+    return VerificationReport(t_value, r, point, values)

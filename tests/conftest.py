@@ -2,7 +2,8 @@ from pathlib import Path
 
 import pytest
 
-from subtrop import LinearCondition, parse_system
+from subtrop import parse_system
+from subtrop.condition import LinearCondition
 from subtrop.lra import solve_dnf
 
 DATA = Path(__file__).parent / "data"

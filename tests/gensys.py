@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from subtrop import Clause, LinearCondition, LinearLiteral, SignedSystem
+from subtrop import SignedSystem
+from subtrop.condition import Clause, LinearCondition, LinearLiteral
 from subtrop.core import (
     ConcreteCoefficients,
     ExponentMatrix,

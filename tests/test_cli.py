@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from subtrop import ParseError, build_cnf, parse_system, print_system
+from subtrop import ParseError, parse_system, print_system
 from subtrop.cli import main
-from subtrop.condition import build_dnf
+from subtrop.condition import build_cnf, build_dnf
 from subtrop.lra import scale_to_integer, solve_dnf
 from subtrop.pipeline import decide_system, parse_coefficient_bindings
 
@@ -73,7 +73,7 @@ class TestDecide:
         system = parse_system(text)
         decision = decide_system(system)
         assert scale_to_integer(solve_dnf(system.d, build_dnf(system))) == (3, -2)
-        assert decision.n.n == (1, -1)
+        assert decision.n == (1, -1)
         path = tmp_path / "loose.spp"
         path.write_text(text)
         code, out, _ = run(capsys, "decide", path, "--format", "json")
@@ -382,6 +382,40 @@ class TestVerify:
         assert len(payload["point"][0]) > 4300
 
 
+class TestWitnessCalls:
+    """Each verified point builds one symbolic witness and evaluates t once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import subtrop.cli as cli
+        import subtrop.witness as witness
+
+        counts = {"symbolic_t": 0, "evaluate_t": 0}
+        for name in counts:
+            original = getattr(witness, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            for module in (cli, witness):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        return counts
+
+    def test_check_builds_one_witness_per_sample(self, capsys, calls):
+        code, _, err = run(capsys, "decide", DATA / "example2.spp", "--check")
+        assert code == 0, err
+        assert calls == {"symbolic_t": 3, "evaluate_t": 3}
+
+    def test_verify_builds_one_witness(self, capsys, calls):
+        code, _, err = run(
+            capsys, "verify", DATA / "example2.spp", "--coeffs", DATA / "example2_ones.coeffs"
+        )
+        assert code == 0, err
+        assert calls == {"symbolic_t": 1, "evaluate_t": 1}
+
+
 class TestLongRows:
     """One variable, one single-literal clause per negative term."""
 
@@ -539,11 +573,10 @@ class TestDefectExitCodes:
     def test_sat_vector_failing_its_condition_exits_3(self, capsys, monkeypatch):
         # a SAT answer is checked against its certificate, not by enumeration
         import subtrop.cli as cli
-        from subtrop import ExponentSolution
         from subtrop.pipeline import Decision
 
         def bogus(system):
-            return Decision("sat", ExponentSolution((0, 0)), None)
+            return Decision("sat", (0, 0), None)
 
         def explode(cond):
             raise AssertionError("the oracle must not run on a SAT answer")
@@ -635,7 +668,7 @@ class TestDecideSystem:
         decision = decide_system(system)
         assert decision.status == "sat"
         condition = build_cnf(system)
-        assert condition.satisfied_by(decision.n.n)
+        assert condition.satisfied_by(decision.n)
         assert condition.satisfied_by(solve_dnf(system.d, build_dnf(system)))
 
     def test_model_failing_the_cnf_is_a_solver_defect(self, monkeypatch):

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from subtrop import build_cnf, instantiate, parse_system
-from subtrop.condition import build_dnf, certifies
+from subtrop import instantiate, parse_system
+from subtrop.condition import build_cnf, build_dnf, certifies
 from subtrop.core import row_supports
 
 from conftest import load

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from subtrop import ExponentSolution, SignedSystem
+from subtrop import SignedSystem
 from subtrop.core import (
     ConcreteCoefficients,
     ExponentMatrix,
@@ -149,11 +149,6 @@ class TestMatrices:
             assert str(err.value) == (
                 f"coefficient name at {where} must be present iff the sign is nonzero"
             )
-
-    def test_exponent_solution_requires_ints(self):
-        with pytest.raises(TypeError):
-            ExponentSolution((Fraction(1, 2),))
-        assert ExponentSolution([1, -2]).n == (1, -2)
 
 
 class TestRowSupports:

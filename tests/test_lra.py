@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from subtrop import (
+from subtrop import decide_system, parse_system
+from subtrop.condition import (
     Clause,
     LinearCondition,
     LinearLiteral,
     build_cnf,
-    decide_system,
-    parse_system,
+    build_dnf,
+    certifies,
+    shrink,
 )
-from subtrop.condition import build_dnf, certifies, shrink
 from subtrop.lra import scale_to_integer, solve_dnf
 from subtrop.oracle import exhaustive_decide
 
@@ -327,7 +328,7 @@ class TestShrinkModel:
         system = load("intro_f.spp")
         decision = decide_system(system)
         assert scale_to_integer(solve_dnf(system.d, build_dnf(system))) == (1,)
-        assert decision.n.n == (1,)
+        assert decision.n == (1,)
         assert shrink(system, (1,)) == (1,)
 
     def test_shrunk_vector_still_certifies(self):
@@ -342,7 +343,7 @@ class TestShrinkModel:
             if decision.status == "unsat":
                 continue
             sat += 1
-            n = decision.n.n
+            n = decision.n
             scaled = scale_to_integer(solve_dnf(system.d, build_dnf(system)))
             assert certifies(system, n)
             assert all(abs(x) <= abs(y) for x, y in zip(n, scaled, strict=True))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from subtrop import Clause, LinearCondition, LinearLiteral, build_cnf
+from subtrop.condition import Clause, LinearCondition, LinearLiteral, build_cnf
 from subtrop.oracle import TooManySelections, exhaustive_decide
 
 from conftest import load, solve_condition

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from subtrop import (
-    ExponentSolution,
     NonIntegerCoefficient,
     NonPositivePoint,
     PreconditionViolated,
@@ -37,7 +36,7 @@ def t_of(system) -> Fraction:
 class TestSymbolicT:
     def test_example2_seven_terms_in_order(self):
         system = load("example2.spp")
-        witness = symbolic_t(system, ExponentSolution((-12, -11)))
+        witness = symbolic_t(system, (-12, -11))
         assert [(t.numerator, t.denominator) for t in witness.terms] == [
             ("c11", "c12"),
             ("c11", "c15"),
@@ -53,7 +52,7 @@ class TestSymbolicT:
         )
 
     def test_intro_f_terms(self):
-        witness = symbolic_t(load("intro_f.spp"), ExponentSolution((1,)))
+        witness = symbolic_t(load("intro_f.spp"), (1,))
         assert [(t.numerator, t.denominator) for t in witness.terms] == [
             ("c1", "c2"),
             ("c1", "c0"),
@@ -61,13 +60,13 @@ class TestSymbolicT:
 
     def test_all_positive_system_has_empty_t(self):
         system = parse_system("vars x y\npoly f = a*x + b*y\n")
-        witness = symbolic_t(system, ExponentSolution((0, 0)))
+        witness = symbolic_t(system, (0, 0))
         assert witness.terms == ()
         assert witness.to_display_text() == "t = 1; z = (t^0, t^0)"
 
     def test_concrete_systems_get_positional_names(self):
         system = load("intro_f_ones.spp")
-        witness = symbolic_t(system, ExponentSolution((1,)))
+        witness = symbolic_t(system, (1,))
         assert [(t.numerator, t.denominator) for t in witness.terms] == [
             ("c_1_2", "c_1_1"),
             ("c_1_2", "c_1_3"),
@@ -75,12 +74,23 @@ class TestSymbolicT:
 
     def test_uncertified_vector_is_rejected(self):
         with pytest.raises(UncertifiedExponent):
-            symbolic_t(load("intro_f.spp"), ExponentSolution((0,)))
+            symbolic_t(load("intro_f.spp"), (0,))
         with pytest.raises(UncertifiedExponent):
-            symbolic_t(load("intro_f.spp"), ExponentSolution((1, 1)))
+            symbolic_t(load("intro_f.spp"), (1, 1))
+
+    def test_entries_must_be_ints(self):
+        system = load("intro_f.spp")
+        concrete = instantiate(system, INTRO_BINDINGS)
+        for n in ((Fraction(1),), (True,)):
+            with pytest.raises(TypeError, match="must be an int"):
+                symbolic_t(system, n)
+            with pytest.raises(TypeError, match="must be an int"):
+                verify_witness(concrete, n)
+        assert symbolic_t(system, [1]).n == (1,)
+        assert verify_witness(concrete, [1]).values == (Fraction(7),)
 
     def test_json_shape(self):
-        witness = symbolic_t(load("intro_f.spp"), ExponentSolution((1,)))
+        witness = symbolic_t(load("intro_f.spp"), (1,))
         assert witness.to_json_dict() == {
             "t": {"one": 1, "terms": [["c1", "c2"], ["c1", "c0"]]},
             "n": [1],
@@ -90,19 +100,19 @@ class TestSymbolicT:
 class TestEvaluateT:
     def test_unit_coefficients(self):
         system = instantiate(load("intro_f.spp"), INTRO_BINDINGS)
-        witness = symbolic_t(system, ExponentSolution((1,)))
+        witness = symbolic_t(system, (1,))
         assert evaluate_t(witness, system.c) == 3
 
     def test_mixed_coefficients(self):
         system = instantiate(
             load("intro_f.spp"), {"c2": Fraction(2), "c1": Fraction(1), "c0": Fraction(4)}
         )
-        witness = symbolic_t(system, ExponentSolution((1,)))
+        witness = symbolic_t(system, (1,))
         assert evaluate_t(witness, system.c) == Fraction(7, 4)
 
     def test_no_terms_is_one(self):
         system = parse_system("vars x\npoly f = 2*x\n")
-        witness = symbolic_t(system, ExponentSolution((0,)))
+        witness = symbolic_t(system, (0,))
         assert evaluate_t(witness, system.c) == 1
 
     def test_t_above_one_iff_some_sign_pair_exists(self):
@@ -116,7 +126,7 @@ class TestEvaluateT:
 
     def test_unbound_position(self):
         system = instantiate(load("intro_f.spp"), INTRO_BINDINGS)
-        witness = symbolic_t(system, ExponentSolution((1,)))
+        witness = symbolic_t(system, (1,))
         small = parse_system("vars x\npoly f = 2*x\n")
         with pytest.raises(UnboundCoefficient):
             evaluate_t(witness, small.c)
@@ -241,52 +251,62 @@ class TestEvaluateSystemAt:
 class TestVerifyWitness:
     def test_intro_f_at_t(self):
         system = instantiate(load("intro_f.spp"), INTRO_BINDINGS)
-        report = verify_witness(system, ExponentSolution((1,)), Fraction(3))
+        report = verify_witness(system, (1,), Fraction(3))
         assert report.t_value == 3
         assert report.r_value == 3
         assert report.point == (Fraction(3),)
         assert report.values == (Fraction(7),)
-        assert report.ok
+
+    def test_r_defaults_to_t(self):
+        system = load("example2.spp")
+        rng = random.Random(26)
+        n = (-12, -11)
+        for _ in range(5):
+            concrete = instantiate(system, random_bindings(rng, system))
+            t = evaluate_t(symbolic_t(concrete, n), concrete.c)
+            report = verify_witness(concrete, n)
+            assert report == verify_witness(concrete, n, t)
+            assert report.r_value == report.t_value == t
 
     def test_intro_f_at_larger_r(self):
         system = instantiate(load("intro_f.spp"), INTRO_BINDINGS)
-        report = verify_witness(system, ExponentSolution((1,)), Fraction(100))
+        report = verify_witness(system, (1,), Fraction(100))
         assert report.values == (Fraction(9901),)
 
     def test_example2_random_instantiations_with_paper_vector(self):
         system = load("example2.spp")
         rng = random.Random(25)
-        n = ExponentSolution((-12, -11))
+        n = (-12, -11)
         for _ in range(20):
             concrete = instantiate(system, random_bindings(rng, system))
             t = evaluate_t(symbolic_t(concrete, n), concrete.c)
-            assert verify_witness(concrete, n, t).ok
+            assert all(value > 0 for value in verify_witness(concrete, n, t).values)
 
     def test_r_below_t_is_rejected(self):
         system = instantiate(load("intro_f.spp"), INTRO_BINDINGS)
         with pytest.raises(PreconditionViolated, match="below t"):
-            verify_witness(system, ExponentSolution((1,)), Fraction(2))
+            verify_witness(system, (1,), Fraction(2))
 
     def test_uncertified_vector_is_a_precondition_error(self):
         system = instantiate(load("intro_f.spp"), INTRO_BINDINGS)
         with pytest.raises(PreconditionViolated):
-            verify_witness(system, ExponentSolution((0,)), Fraction(100))
+            verify_witness(system, (0,), Fraction(100))
 
     def test_zero_row_is_a_precondition_error(self):
         with pytest.raises(PreconditionViolated, match="identically zero"):
-            verify_witness(load("zero_row.spp"), ExponentSolution((0,)), Fraction(1))
+            verify_witness(load("zero_row.spp"), (0,), Fraction(1))
 
     def test_parametric_system_is_rejected(self):
         with pytest.raises(PreconditionViolated):
-            verify_witness(load("intro_f.spp"), ExponentSolution((1,)), Fraction(3))
+            verify_witness(load("intro_f.spp"), (1,), Fraction(3))
 
     def test_size_guard_counts_the_common_denominator(self):
         # every monomial is put over 3^(10 * 40 * 4): each coordinate has 120 bits, one
         # monomial 1200, but the integers built have about 4 * 10 * 120 = 4800 bits
         system = parse_system("vars x y z w\npoly f = x^10 + y^10 + z^10 + w^10 - 1/3\n")
-        n, r = ExponentSolution((40, 40, 40, 40)), Fraction(7, 3)
+        n, r = (40, 40, 40, 40), Fraction(7, 3)
         with pytest.raises(SizeLimitExceeded, match="1300 bits"):
             verify_witness(system, n, r, max_bits=1300)
         with pytest.raises(SizeLimitExceeded):
             verify_witness(system, n, r, max_bits=4799)
-        assert verify_witness(system, n, r, max_bits=4800).ok
+        assert all(value > 0 for value in verify_witness(system, n, r, max_bits=4800).values)
