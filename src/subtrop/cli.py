@@ -28,10 +28,12 @@ import random
 import re
 import sys
 from fractions import Fraction
+from itertools import cycle
+from operator import sub
 from pathlib import Path
 from types import SimpleNamespace
 
-from .condition import build_cnf, certifies, clause_forms
+from .condition import build_cnf, certifies, dominance_rows
 from .core import SignedSystem
 from .lra import SolverDefect
 from .oracle import TooManySelections, exhaustive_decide
@@ -197,31 +199,40 @@ def cmd_verify(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    """Print the CNF from :func:`~subtrop.condition.clause_forms`, one clause at a time.
+    """Print the CNF of :func:`~subtrop.condition.build_cnf` row by row, without building it.
 
     The text equals ``build_cnf(system).to_debug_text()`` and the JSON equals
-    ``json.dumps`` of ``{"num_vars", "clauses"}``; both are built from one
-    ``%``-format per literal, with ``d`` integer fields, so no literal becomes
-    an object.
+    ``json.dumps`` of ``{"num_vars", "clauses"}``.  The rows come from
+    :func:`~subtrop.condition.dominance_rows`.  Each row makes one ``%``
+    template for its clauses, with the row's positive indices written in and
+    ``d`` integer fields per literal, and flattens its positive exponent
+    vectors into one list.  A clause is then one ``%`` over ``k`` and that
+    list minus ``e_k``, computed in C, so no literal becomes an object or a
+    format call of its own.  Each row's clauses are written as soon as they
+    are made, so the whole output is never held at once.
     """
     system = _load_system(args.input)
-    d = system.d
-    if args.format == "json":
-        literal = '{"pos": %d, "coeffs": [' + ", ".join(["%d"] * d) + "]}"
-        clauses = ", ".join(
-            f'{{"row": {i}, "neg": {k}, "literals": '
-            f'[{", ".join([literal % (j, *coeffs) for j, coeffs in literals])}]}}'
-            for i, k, literals in clause_forms(system)
-        )
-        print(f'{{"num_vars": {d}, "clauses": [{clauses}]}}')
+    d, exponents = system.d, system.e.entries
+    write = sys.stdout.write  # looked up per call, so that redirect_stdout applies
+    as_json = args.format == "json"
+    if as_json:
+        write(f'{{"num_vars": {d}, "clauses": [')
+        fields, between = ", ".join(["%d"] * d), ", "
     else:
-        literal = " [%d: " + " ".join(["%d"] * d) + "]"
-        lines = [
-            f"clause {i} {k}:{''.join([literal % (j, *coeffs) for j, coeffs in literals])}"
-            for i, k, literals in clause_forms(system)
-        ]
-        if lines:
-            print("\n".join(lines))
+        fields, between = " ".join(["%d"] * d), ""
+    sep = ""
+    for i, positive, negative in dominance_rows(system):
+        if as_json:
+            literals = ", ".join([f'{{"pos": {j}, "coeffs": [{fields}]}}' for j in positive])
+            clause = f'{{"row": {i}, "neg": %d, "literals": [{literals}]}}'
+        else:
+            clause = f"clause {i} %d:" + "".join([f" [{j}: {fields}]" for j in positive]) + "\n"
+        flat = [x for j in positive for x in exponents[j]]
+        clauses = [clause % (k, *map(sub, flat, cycle(exponents[k]))) for k in negative]
+        write(sep + between.join(clauses))
+        sep = between
+    if as_json:
+        write("]}\n")
     return 0
 
 
@@ -241,6 +252,9 @@ _COMMANDS = {
 }
 # Values of the valued options that are not given; the others default to None.
 _DEFAULTS = {"format": "text", "seed": 0}
+# The least value of the int options that have one: a size limit below 1 bit
+# would refuse every point.
+_LEAST = {"--max-bits": 1}
 # An int option's value, in ASCII digits only, as in .spp files and values files;
 # int() would also take other decimal digits, spaces and underscores.
 _INTEGER = re.compile("-?[0-9]+")
@@ -274,7 +288,7 @@ options:
   --coeffs FILE         coefficient values file for parametric input (verify)
   --use-uniform-bound   use 1 + v * (sum of negative integer coefficients)
                         instead of t (verify)
-  --max-bits N          abort if evaluation exceeds this size (verify)
+  --max-bits N          abort if evaluation exceeds N bits, N >= 1 (verify)
 
 An option's value follows it as the next argument or after '=' (--seed=3).
 Options are spelled in full, and '--' ends them.
@@ -345,6 +359,8 @@ def _parse_args(argv: list[str]):
             if not _INTEGER.fullmatch(value):
                 raise _UsageError(f"option {flag}: invalid integer {value!r}")
             value = int(value)
+            if value < _LEAST.get(flag, value):
+                raise _UsageError(f"option {flag}: must be at least {_LEAST[flag]}, got {value}")
         values[_dest(flag)] = value
     if len(inputs) != 1:
         raise _UsageError(f"{argv[0]} needs one INPUT, got {len(inputs)}")

@@ -21,10 +21,13 @@ their (row, positive, negative) provenance, for ``explain``.
 The same argmax argument checks a given vector without building either
 form: n satisfies the CNF exactly when, in every row with negative
 monomials, the largest ``e_j . n`` over positive j is at least 1 more than
-the largest ``e_k . n`` over negative k (:func:`certifies`).  ``explain``
-prints the CNF's clauses straight from :func:`clause_forms`, as plain
-ints; the CNF as objects (:func:`build_cnf`) is built only for the
-brute-force UNSAT cross-check of ``decide --check``.
+the largest ``e_k . n`` over negative k (:func:`certifies`).
+
+All of these walk the rows through :func:`dominance_rows`, the one
+definition of the order of clauses, literals and branches.  ``explain``
+prints the CNF's clauses from that walk, formatting each clause from the
+exponent rows in one step; the CNF as objects (:func:`build_cnf`) is built
+only for the brute-force UNSAT cross-check of ``decide --check``.
 
 The argmax argument also bounds where a vector can move: at a certified n,
 the branches of each row's highest positive monomial define a convex
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, sub
 
-from .core import SignedSystem, row_supports
+from .core import SignedSystem
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,23 +106,20 @@ class LinearCondition:
         return "\n".join(lines)
 
 
-def clause_forms(
-    system: SignedSystem,
-) -> Iterator[tuple[int, int, tuple[tuple[int, tuple[int, ...]], ...]]]:
-    """The clauses of :func:`build_cnf` as plain ints: ``(row, neg, ((pos, coeffs), ...))``.
+def dominance_rows(system: SignedSystem) -> Iterator[tuple[int, list[int], list[int]]]:
+    """``(i, positive, negative)`` for each row i with negative monomials, in index order.
 
-    Clauses come in increasing (row, neg), literals in increasing pos, and
-    ``coeffs`` is the tuple ``e[pos] - e[neg]``.  Rows without negative
-    monomials yield nothing; a row with negative monomials but no positive
-    ones yields clauses with no literal.  Yielding one clause at a time keeps
-    ``explain`` from holding the whole condition as objects.
+    ``positive`` and ``negative`` are the row's monomial indices with
+    positive and with negative sign, each in increasing order; ``positive``
+    may be empty.  This walk fixes the order everywhere: clauses in
+    increasing (row, neg) and literals in increasing pos for
+    :func:`build_cnf` and ``explain``, branches in increasing pos and forms
+    in increasing neg for :func:`build_dnf`.
     """
-    exponents = system.e.entries
-    for i in range(system.u):
-        positive, negative = map(sorted, row_supports(system, i))
-        for k in negative:
-            ek = exponents[k]
-            yield i, k, tuple((j, tuple(map(sub, exponents[j], ek))) for j in positive)
+    for i, row in enumerate(system.s.entries):
+        negative = [k for k, sign in enumerate(row) if sign < 0]
+        if negative:
+            yield i, [j for j, sign in enumerate(row) if sign > 0], negative
 
 
 def build_cnf(system: SignedSystem) -> LinearCondition:
@@ -128,12 +128,16 @@ def build_cnf(system: SignedSystem) -> LinearCondition:
     Rows without negative monomials contribute no clauses; a row with
     negative monomials but no positive ones contributes an empty
     (unsatisfiable) clause.  The result depends only on the sign and
-    exponent matrices, never on coefficient values.  The clauses are those
-    of :func:`clause_forms`.
+    exponent matrices, never on coefficient values.  Clauses and literals
+    come in the order of :func:`dominance_rows`.
     """
+    exponents = system.e.entries
     clauses = tuple(
-        Clause(i, k, tuple(LinearLiteral(coeffs, i, j, k) for j, coeffs in literals))
-        for i, k, literals in clause_forms(system)
+        Clause(i, k, tuple(
+            LinearLiteral(tuple(map(sub, exponents[j], exponents[k])), i, j, k) for j in positive
+        ))
+        for i, positive, negative in dominance_rows(system)
+        for k in negative
     )
     return LinearCondition(system.d, clauses)
 
@@ -147,18 +151,16 @@ def build_dnf(system: SignedSystem) -> tuple[tuple[tuple[tuple[int, ...], ...], 
     branch per row satisfies all of its forms iff :func:`build_cnf` of the
     same system is satisfiable.  A row with negative monomials but no
     positive ones gives no branch at all, so no choice exists; rows without
-    negative monomials are left out.
+    negative monomials are left out (:func:`dominance_rows`).
     """
     exponents = system.e.entries
-    rows = []
-    for i in range(system.u):
-        positive, negative = map(sorted, row_supports(system, i))
-        if negative:
-            rows.append(tuple(
-                tuple(tuple(map(sub, exponents[j], exponents[k])) for k in negative)
-                for j in positive
-            ))
-    return tuple(rows)
+    return tuple(
+        tuple(
+            tuple(tuple(map(sub, exponents[j], exponents[k])) for k in negative)
+            for j in positive
+        )
+        for _, positive, negative in dominance_rows(system)
+    )
 
 
 def _argmax_branches(system: SignedSystem, n) -> tuple[list[tuple[int, ...]], list] | None:
@@ -176,15 +178,12 @@ def _argmax_branches(system: SignedSystem, n) -> tuple[list[tuple[int, ...]], li
     heights = [sum(map(mul, exps, n)) for exps in exponents]
     forms: list[tuple[int, ...]] = []
     values: list = []
-    for row in system.s.entries:
-        negative = [k for k, sign in enumerate(row) if sign < 0]
-        if negative:
-            positive = [j for j, sign in enumerate(row) if sign > 0]
-            top = max(positive, key=heights.__getitem__, default=None)
-            if top is None or heights[top] < max(heights[k] for k in negative) + 1:
-                return None
-            forms += [tuple(map(sub, exponents[top], exponents[k])) for k in negative]
-            values += [heights[top] - heights[k] for k in negative]
+    for _, positive, negative in dominance_rows(system):
+        top = max(positive, key=heights.__getitem__, default=None)
+        if top is None or heights[top] < max(heights[k] for k in negative) + 1:
+            return None
+        forms += [tuple(map(sub, exponents[top], exponents[k])) for k in negative]
+        values += [heights[top] - heights[k] for k in negative]
     return forms, values
 
 

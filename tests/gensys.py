@@ -59,26 +59,35 @@ def random_signed_system(
     exps = random_exponent_rows(rng, v, d, max_exp)
     v = len(exps)  # fewer than asked for when the box [0, max_exp]^d is small
     signs = random_sign_rows(rng, u, v, ensure_positive=ensure_positive)
-    var_names = tuple(f"x{i + 1}" for i in range(d))
     if parametric:
-        names = tuple(
-            tuple(f"k{i + 1}_{j + 1}" if signs[i][j] != 0 else None for j in range(v))
+        return template_system(signs, exps)
+    spec = ConcreteCoefficients(
+        tuple(
+            tuple(
+                random_positive_value(rng, integer=integer_coeffs)
+                if signs[i][j] != 0
+                else Fraction(1)
+                for j in range(v)
+            )
             for i in range(u)
         )
-        spec = ParametricCoefficients(names)
-    else:
-        spec = ConcreteCoefficients(
-            tuple(
-                tuple(
-                    random_positive_value(rng, integer=integer_coeffs)
-                    if signs[i][j] != 0
-                    else Fraction(1)
-                    for j in range(v)
-                )
-                for i in range(u)
-            )
-        )
+    )
+    var_names = tuple(f"x{i + 1}" for i in range(d))
     return SignedSystem(SignMatrix(signs, cols=v), ExponentMatrix(exps, cols=d), spec, var_names)
+
+
+def template_system(signs, exps) -> SignedSystem:
+    """The template with coefficient ``k<i>_<j>`` on every signed entry (1-based)."""
+    u, v, d = len(signs), len(exps), len(exps[0])
+    names = tuple(
+        tuple(f"k{i + 1}_{j + 1}" if signs[i][j] != 0 else None for j in range(v))
+        for i in range(u)
+    )
+    var_names = tuple(f"x{i + 1}" for i in range(d))
+    return SignedSystem(
+        SignMatrix(signs, cols=v), ExponentMatrix(exps, cols=d),
+        ParametricCoefficients(names), var_names,
+    )
 
 
 def random_positive_value(rng: random.Random, *, integer: bool = False) -> Fraction:

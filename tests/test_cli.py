@@ -13,7 +13,13 @@ from subtrop.lra import scale_to_integer, solve_dnf
 from subtrop.pipeline import decide_system, parse_coefficient_bindings
 
 from conftest import DATA, load
-from gensys import long_row_text, random_signed_system
+from gensys import (
+    long_row_text,
+    random_exponent_rows,
+    random_sign_rows,
+    random_signed_system,
+    template_system,
+)
 
 
 def run(capsys, *argv):
@@ -176,6 +182,10 @@ GRAMMAR = [
      "subtrop: error: option --seed: invalid integer"),
     (["verify", EXAMPLE2, "--max-bits", " 7"], 2,
      "subtrop: error: option --max-bits: invalid integer"),
+    (["verify", EXAMPLE2, "--max-bits", "0"], 2,
+     "subtrop: error: option --max-bits: must be at least 1, got 0"),
+    (["verify", EXAMPLE2, "--max-bits=-5"], 2,
+     "subtrop: error: option --max-bits: must be at least 1, got -5"),
     (["decide", EXAMPLE2, "--shrink"], 2, "subtrop: error: unknown option '--shrink'"),
     (["witness", EXAMPLE2, "--shrink"], 2, "subtrop: error: unknown option '--shrink'"),
     (["verify", EXAMPLE2, "--shrink"], 2, "subtrop: error: unknown option '--shrink'"),
@@ -498,6 +508,52 @@ def explain_inputs(tmp_path):
     return paths
 
 
+def wide_explain_systems():
+    """Seeded templates with d = 1..8 and wide rows, which ``explain_inputs`` lacks.
+
+    Each has 40 monomials, the first of them constant, and rows of every
+    kind: one with 24 positive and 12 negative monomials, the constant
+    negative among them, one with no positive monomial, one with no
+    negative monomial, and 3 random rows.
+    """
+    v = 40
+    for d in range(1, 9):
+        rng = random.Random(f"explain-wide:{d}")
+        exps = [e for e in random_exponent_rows(rng, v + 1, d, 40) if any(e)][: v - 1]
+        wide = [1] * 24 + [-1] * 11 + [0] * (v - 36)
+        rng.shuffle(wide)
+        wide = [-1, *wide]
+        no_positive = [rng.choice((-1, 0)) for _ in range(v - 1)] + [-1]
+        no_negative = [rng.choice((0, 1)) for _ in range(v - 1)] + [1]
+        randoms = random_sign_rows(rng, 3, v, ensure_positive=False)
+        signs = (wide, no_positive, no_negative, *randoms)
+        yield template_system(signs, ((0,) * d, *exps))
+
+
+def explain_pipe_file(tmp_path) -> Path:
+    """A seeded 20 x 100 template whose ``explain`` output is far larger than a pipe holds."""
+    rng = random.Random("explain-pipe")
+    exps = random_exponent_rows(rng, 100, 6, 9)
+    path = tmp_path / "pipe.spp"
+    signs = random_sign_rows(rng, 20, 100, ensure_positive=True)
+    path.write_text(print_system(template_system(signs, exps)))
+    return path
+
+
+def explain_process(path, fmt):
+    """``python -m subtrop.cli explain`` with its stdout and stderr on pipes."""
+    import os
+    import subprocess
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "subtrop.cli", "explain", str(path), "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+
+
 class TestExplainBytes:
     """``explain`` output is pinned byte for byte, not only as parsed JSON."""
 
@@ -536,6 +592,26 @@ class TestExplainBytes:
             "",
         )
 
+    def test_wide_rows_and_every_d(self, capsys, tmp_path):
+        path = tmp_path / "wide.spp"
+        seen_d = set()
+        for system in wide_explain_systems():
+            path.write_text(print_system(system), encoding="utf-8")
+            parsed = parse_system(path.read_text())
+            signs = parsed.s.entries
+            assert max(row.count(1) for row in signs) >= 20
+            assert any(-1 in row and 1 not in row for row in signs)
+            assert any(1 in row and -1 not in row for row in signs)
+            assert not any(parsed.e.entries[0])  # the wide row's first monomial
+            seen_d.add(parsed.d)
+            condition = build_cnf(parsed)
+            text = condition.to_debug_text() + "\n"
+            assert run(capsys, "explain", path) == (0, text, ""), parsed.d
+            assert run(capsys, "explain", path, "--format", "json") == (
+                0, reference_explain_json(condition), ""
+            ), parsed.d
+        assert seen_d == set(range(1, 9))
+
     def test_explain_builds_no_cnf_objects(self, capsys, tmp_path, monkeypatch):
         import subtrop.cli as cli
         import subtrop.condition as condition
@@ -557,6 +633,32 @@ class TestExplainBytes:
         for (path, fmt), before in expected.items():
             assert before[0] == 0, path.name
             assert run(capsys, "explain", path, "--format", fmt) == before, path.name
+
+
+class TestExplainPipe:
+    """``explain`` writes row by row to a real stdout, as in a shell pipeline."""
+
+    def test_pipe_bytes_equal_capsys_bytes(self, capsys, tmp_path):
+        path = explain_pipe_file(tmp_path)
+        for fmt in ("text", "json"):
+            proc = explain_process(path, fmt)
+            out, err = proc.communicate(timeout=120)
+            code, expected, expected_err = run(capsys, "explain", path, "--format", fmt)
+            assert (proc.returncode, err) == (code, expected_err.encode()) == (0, b"")
+            assert out == expected.encode(), fmt
+            # the closed-reader test below needs more output than a pipe buffers
+            assert len(out) > 256 * 1024
+
+    def test_closed_reader_exits_2_without_traceback(self, tmp_path):
+        path = explain_pipe_file(tmp_path)
+        for fmt in ("text", "json"):
+            proc = explain_process(path, fmt)
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.stderr.close()
+            assert proc.wait(timeout=120) == 2
+            assert err == b"error: [Errno 32] Broken pipe\n", fmt
 
 
 class TestDefectExitCodes:
