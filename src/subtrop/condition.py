@@ -40,6 +40,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from operator import mul, sub
 
 from .core import SignedSystem
@@ -116,10 +117,13 @@ def dominance_rows(system: SignedSystem) -> Iterator[tuple[int, list[int], list[
     :func:`build_cnf` and ``explain``, branches in increasing pos and forms
     in increasing neg for :func:`build_dnf`.
     """
+    columns = range(system.s.cols)
     for i, row in enumerate(system.s.entries):
-        negative = [k for k, sign in enumerate(row) if sign < 0]
+        # one C-level scan finds the nonzero signs; only those are read in Python
+        support = list(compress(columns, row))
+        negative = [k for k in support if row[k] < 0]
         if negative:
-            yield i, [j for j, sign in enumerate(row) if sign > 0], negative
+            yield i, [j for j in support if row[j] > 0], negative
 
 
 def build_cnf(system: SignedSystem) -> LinearCondition:

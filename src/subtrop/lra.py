@@ -1,16 +1,34 @@
 """Exact rational satisfiability for the linear dominance condition.
 
-One incremental general simplex over :class:`fractions.Fraction`, in the
-style of Dutertre & de Moura (CAV 2006), decides every conjunction of
-``coeffs . n >= 1`` literals.  Each distinct primitive linear form gets one
-slack variable (``coeffs / gcd``, signed so that a form and its negation
-share it), and a literal becomes a rational lower or upper bound on that
-slack; a literal with a single nonzero coefficient bounds its variable
-directly.  Bounds are asserted and retracted; the assignment is never
-rebuilt, and only the rows of slacks without bounds are dropped and
-rebuilt.  Bland's rule (smallest index first) picks every pivot, so each
-check terminates.  An infeasible check names the bounds of one violated
-tableau row, whose conjunction is infeasible by Farkas' lemma.
+One incremental general simplex in the style of Dutertre & de Moura (CAV
+2006) decides every conjunction of ``coeffs . n >= 1`` literals, in integer
+arithmetic only.  Each distinct primitive linear form gets one slack
+variable (``coeffs / gcd``, signed so that a form and its negation share
+it), and a literal becomes a lower or upper bound on that slack; a literal
+with a single nonzero coefficient bounds its variable directly.  Bounds are
+asserted and retracted on one tableau.  The row of a basic slack that loses
+its last bound is dropped, and built again from the slack's form when a
+bound is next asserted on it.  Bland's rule (smallest index first) picks
+every pivot, so each check terminates.  An infeasible check names the
+bounds of one violated tableau row, whose conjunction is infeasible by
+Farkas' lemma.
+
+Two facts keep :class:`~fractions.Fraction` out of the search:
+
+* Every bound is a unit fraction of known sign.  A literal with
+  ``coeffs = g * form`` bounds ``form . n`` by ``1/g``: from below by
+  ``1/g > 0`` when ``g > 0``, from above by ``-1/|g| < 0`` when ``g < 0``.
+  A bound is stored as the pair ``(+1 or -1, |g|)``; of two bounds of one
+  sign the one with the smaller ``|g|`` is tighter, and a lower and an upper
+  bound on one variable clash at once, since ``1/g > 0 > -1/h``.
+* Every nonbasic value is 0 or a bound.  A nonbasic variable starts at 0
+  and only ever moves onto a bound: when a bound it violates is asserted,
+  or when it leaves the basis at the bound its row violated.  So each
+  nonbasic value is such a pair, and each basic value is its integer row
+  applied to them, ``sum(nums[p] * s_p / g_p) / den``.  A check computes the
+  basic values it reads over one common denominator, as integers, instead
+  of carrying them from step to step; moving a nonbasic variable is one
+  assignment and a pivot updates the rows alone.
 
 The one entry point, :func:`solve_dnf`, searches rows, as
 :func:`~subtrop.condition.build_dnf` gives them: a level is a row with
@@ -30,10 +48,11 @@ full choice, so the search finds the same first choice as chronological
 depth-first search in (row, positive monomial) order.
 
 The model is the simplex assignment of ``n`` there, a tuple of
-:class:`~fractions.Fraction`.  Every nonbasic variable sits at 0 or at the
-value of a bound asserted during the search; basic variables follow from
-the tableau.  Before it is returned, the model is checked by direct
-substitution against every form of the chosen branches.
+:class:`~fractions.Fraction`, the only ones the module builds.  Every
+nonbasic variable sits at 0 or at the value of a bound asserted during the
+search; basic variables follow from the tableau.  Before it is returned,
+the model is checked by direct substitution against every form of the
+chosen branches, in integers over its common denominator.
 
 Feasibility over the rationals and over the reals coincide for these
 conditions, so a rational "no" is a real "no".  Integer solutions come
@@ -46,6 +65,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
+from operator import mul
 
 from .core import SubtropError
 
@@ -54,7 +74,9 @@ class SolverDefect(SubtropError):
     """Internal soundness check failed; indicates a bug, never a valid outcome."""
 
 
-LOWER, UPPER = 0, 1
+# A value or bound ``(s, g)`` is the number ``s/g``, with ``g > 0`` and ``s`` in
+# {-1, 0, 1}; every nonbasic value and every bound has this form.
+ZERO = (0, 1)
 
 
 def _reduced(den: int, nums: list[int]) -> tuple[int, list[int]]:
@@ -63,8 +85,17 @@ def _reduced(den: int, nums: list[int]) -> tuple[int, list[int]]:
     return (den, nums) if g == 1 else (den // g, [c // g for c in nums])
 
 
+def _within(point: tuple[int, int], bound: tuple[int, int]) -> bool:
+    """Whether ``point`` satisfies ``bound``: lower if its sign is +1, upper if -1.
+
+    ``s/g >= 1/b`` and ``s/g <= -1/b`` both hold exactly when ``s`` is the
+    bound's sign and ``g <= b``.
+    """
+    return point[0] == bound[0] and point[1] <= bound[1]
+
+
 class _Simplex:
-    """Tableau, assignment and leveled bounds of the incremental simplex.
+    """Tableau, nonbasic assignment and leveled bounds of the incremental simplex.
 
     Variables ``0 .. num_vars-1`` are the entries of ``n``; slacks follow in
     creation order.  There are always ``num_vars`` nonbasic variables;
@@ -74,38 +105,45 @@ class _Simplex:
     ``nums`` and ``den > 0``, so pivots run on integers.  A basic slack
     without bounds can never be violated, so it keeps no row; the row is
     rebuilt from the slack's form when a bound is next asserted on it.
-    ``bounds[LOWER]`` and ``bounds[UPPER]`` hold each variable's bounds,
-    ``levels`` the decision levels that asserted them, and the trail what
-    each assertion replaced, so :meth:`backtrack` restores older bounds
-    exactly.
+
+    Lower bounds are positive and upper bounds negative (see the module
+    docstring), so a variable holding both is infeasible, and each variable
+    holds at most one bound: ``bound[var]``, the pair ``(1, g)`` for
+    ``1/g`` or ``(-1, g)`` for ``-1/g``, or None, asserted at decision level
+    ``level[var]``.  The trail keeps what each assertion replaced, so
+    :meth:`backtrack` restores older bounds exactly.
+
+    ``value[var]`` of a nonbasic variable is ``(0, 1)`` or a bound once
+    asserted on ``var``.  A basic variable's value is its row applied to
+    those values; :meth:`check` computes it when it reads it and never
+    reads the stale entry ``value`` holds for it.
     """
 
     def __init__(self, num_vars: int):
         self.num_vars = num_vars
-        self.value: list[Fraction] = [Fraction(0)] * num_vars
-        self.bounds: tuple[list[Fraction | None], ...] = ([None] * num_vars, [None] * num_vars)
-        self.levels: tuple[list[int], ...] = ([0] * num_vars, [0] * num_vars)
+        self.value: list[tuple[int, int]] = [ZERO] * num_vars
+        self.bound: list[tuple[int, int] | None] = [None] * num_vars
+        self.level: list[int] = [0] * num_vars
         self.nonbasic = list(range(num_vars))
         self.column = {j: j for j in range(num_vars)}
         self.rows: dict[int, tuple[int, list[int]]] = {}
-        self.trail: list[tuple[int, int, Fraction | None, int, int]] = []
+        self.trail: list[tuple[int, tuple[int, int] | None, int, int]] = []
         self._forms: list[tuple[int, ...]] = []
         self._slacks: dict[tuple[int, ...], int] = {}
-        self._literals: dict[tuple[int, ...], tuple[int, int, Fraction] | None] = {}
+        self._literals: dict[tuple[int, ...], tuple[int, tuple[int, int]] | None] = {}
 
     def _new_slack(self, form: tuple[int, ...]) -> int:
         """A new slack for ``form . n``, basic and without bounds, so without a row."""
         var = len(self.value)
         self._forms.append(form)
-        self.value.append(Fraction(0))
-        for side in (LOWER, UPPER):
-            self.bounds[side].append(None)
-            self.levels[side].append(0)
+        self.value.append(ZERO)  # read only once the slack is nonbasic
+        self.bound.append(None)
+        self.level.append(0)
         self._slacks[form] = var
         return var
 
     def _activate(self, var: int):
-        """Give slack ``var`` its row and value over the current nonbasic variables."""
+        """Give slack ``var`` its row over the current nonbasic variables."""
         form = self._forms[var - self.num_vars]
         den = math.lcm(*(self.rows[j][0] for j, a in enumerate(form) if a and j in self.rows))
         nums = [0] * self.num_vars
@@ -117,15 +155,15 @@ class _Simplex:
             elif a:
                 nums[self.column[j]] += a * den
         self.rows[var] = _reduced(den, nums)
-        self.value[var] = sum(a * x for a, x in zip(form, self.value))
 
-    def _literal(self, coeffs: tuple[int, ...]) -> tuple[int, int, Fraction] | None:
-        """``coeffs . n >= 1`` as (variable, LOWER or UPPER, bound); None if all zero.
+    def _literal(self, coeffs: tuple[int, ...]) -> tuple[int, tuple[int, int]] | None:
+        """``coeffs . n >= 1`` as (variable, bound); None if all zero.
 
         With ``coeffs = g * form``, ``form`` primitive and its first nonzero
-        entry positive, the literal bounds ``form . n`` by ``1/g`` from
-        below when ``g > 0`` and from above when ``g < 0``.  A form with one
-        nonzero entry is a variable of ``n`` itself.
+        entry positive, the literal bounds ``form . n`` by ``1/g``: from
+        below, ``(1, g)``, when ``g > 0`` and from above, ``(-1, -g)``, when
+        ``g < 0``.  A form with one nonzero entry is a variable of ``n``
+        itself.
         """
         if coeffs in self._literals:
             return self._literals[coeffs]
@@ -140,72 +178,55 @@ class _Simplex:
                 var = self._slacks.get(form)
                 if var is None:
                     var = self._new_slack(form)
-            found = (var, LOWER if g > 0 else UPPER, Fraction(1, g))
+            found = (var, (1, g) if g > 0 else (-1, -g))
         self._literals[coeffs] = found
         return found
 
     def assert_literal(self, coeffs: tuple[int, ...], level: int) -> set[int] | None:
         """Assert ``coeffs . n >= 1`` at ``level``; the conflicting levels, or None.
 
-        Only a clash with the variable's opposite bound is found here;
+        Only a clash with a bound of the opposite sign is found here;
         :meth:`check` finds the rest.
         """
         literal = self._literal(coeffs)
         if literal is None:
             return {level}
-        var, side, bound = literal
+        var, bound = literal
         if var not in self.rows and var not in self.column:
             self._activate(var)
-        sign = 1 if side == LOWER else -1
-        old = self.bounds[side][var]
-        if old is not None and sign * old >= sign * bound:
-            return None
-        opposite = self.bounds[1 - side][var]
-        if opposite is not None and sign * opposite < sign * bound:
-            return {self.levels[1 - side][var], level}
-        self.trail.append((var, side, old, self.levels[side][var], level))
-        self.bounds[side][var] = bound
-        self.levels[side][var] = level
-        if var in self.column and sign * self.value[var] < sign * bound:
-            self._update(var, bound)
+        old = self.bound[var]
+        if old is not None:
+            if _within(old, bound):
+                return None
+            if old[0] != bound[0]:
+                return {self.level[var], level}
+        self.trail.append((var, old, self.level[var], level))
+        self.bound[var] = bound
+        self.level[var] = level
+        if var in self.column and not _within(self.value[var], bound):
+            self.value[var] = bound
         return None
 
     def backtrack(self, level: int):
-        """Retract every bound asserted at ``level`` or above; the assignment stays."""
+        """Retract every bound asserted at ``level`` or above; every value stays."""
         trail = self.trail
-        while trail and trail[-1][4] >= level:
-            var, side, old, old_level, _ = trail.pop()
-            self.bounds[side][var] = old
-            self.levels[side][var] = old_level
+        while trail and trail[-1][3] >= level:
+            var, old, old_level, _ = trail.pop()
+            self.bound[var] = old
+            self.level[var] = old_level
             self._drop_if_free(var)
 
     def _drop_if_free(self, var: int):
         """Forget the row of a basic slack without bounds; it can never be violated."""
-        free = self.bounds[LOWER][var] is None and self.bounds[UPPER][var] is None
-        if free and var >= self.num_vars:
+        if self.bound[var] is None and var >= self.num_vars:
             self.rows.pop(var, None)
 
-    def _update(self, var: int, target: Fraction):
-        """Move nonbasic ``var`` to ``target`` and carry the change into every row."""
-        value = self.value
-        delta = target - value[var]
-        num, den = delta.numerator, delta.denominator
-        p = self.column[var]
-        for basic, (row_den, row) in self.rows.items():
-            if row[p]:
-                value[basic] += Fraction(row[p] * num, row_den * den)
-        value[var] = target
-
-    def _pivot(self, basic: int, p: int, target: Fraction):
-        """Set ``basic`` to ``target`` by moving the nonbasic of column ``p``; swap them."""
-        value, rows = self.value, self.rows
+    def _pivot(self, basic: int, p: int, target: tuple[int, int]):
+        """Swap ``basic`` with the nonbasic of column ``p``; ``basic`` leaves at ``target``."""
+        rows = self.rows
         entering = self.nonbasic[p]
         den, row = rows.pop(basic)
         a = row[p]
-        theta = (target - value[basic]) * den / a
-        value[basic] = target
-        value[entering] += theta
-        num, den_theta = theta.numerator, theta.denominator
         # entering = (den * basic - sum of the row's other terms) / a, written with
         # basic in column p and a positive denominator
         sign = 1 if a > 0 else -1
@@ -216,15 +237,21 @@ class _Simplex:
             c = other_row[p]
             if not c:
                 continue
-            value[other] += Fraction(c * num, den_theta * other_den)
             nums = [b * new_den + c * e for b, e in zip(other_row, new_row)]
             nums[p] = c * new_row[p]
             rows[other] = _reduced(other_den * new_den, nums)
         rows[entering] = (new_den, new_row)
+        self.value[basic] = target
         self.nonbasic[p] = basic
         del self.column[entering]
         self.column[basic] = p
         self._drop_if_free(entering)
+
+    def _columns(self) -> tuple[int, list[int]]:
+        """``(common, nums)``: column p's variable has value ``nums[p] / common``."""
+        values = [self.value[var] for var in self.nonbasic]
+        common = math.lcm(*(g for _, g in values))
+        return common, [s * (common // g) for s, g in values]
 
     def check(self) -> set[int] | None:
         """Restore every bound by Bland-rule pivoting; the conflicting levels, or None.
@@ -233,32 +260,43 @@ class _Simplex:
         row: the basic variable's violated bound and, for each nonbasic
         variable of the row, the bound that blocks it.
         """
-        value, (lower, upper), nonbasic = self.value, self.bounds, self.nonbasic
+        value, bounds, nonbasic, rows = self.value, self.bound, self.nonbasic, self.rows
         while True:
-            for basic in sorted(self.rows):
-                x = value[basic]
-                if lower[basic] is not None and x < lower[basic]:
-                    side = LOWER
-                    break
-                if upper[basic] is not None and x > upper[basic]:
-                    side = UPPER
+            common, columns = self._columns()
+            for basic in sorted(rows):
+                bound = bounds[basic]
+                if bound is None:
+                    continue
+                # basic = num / (den * common) violates s/g when s * num * g < den * common
+                den, row = rows[basic]
+                s, g = bound
+                if s * sum(map(mul, row, columns)) * g < den * common:
                     break
             else:
                 return None
-            row = self.rows[basic][1]
-            # the bound that stops each nonbasic variable from moving basic toward its
-            # bound: raising a variable with a positive coefficient raises basic
-            up = side == LOWER
-            blocking = [UPPER if (c > 0) == up else LOWER for c in row]
+            # a nonbasic variable must move by sign(s * c) to move basic toward its
+            # bound; it is blocked when it sits at a bound of the opposite sign
             free = [
-                p for p, c in enumerate(row)
-                if c and value[nonbasic[p]] != self.bounds[blocking[p]][nonbasic[p]]
+                p for p, (c, var) in enumerate(zip(row, nonbasic))
+                if c and not (value[var] == bounds[var] and s * c * value[var][0] < 0)
             ]
             if not free:
-                return {self.levels[side][basic]} | {
-                    self.levels[blocking[p]][nonbasic[p]] for p, c in enumerate(row) if c
+                return {self.level[basic]} | {
+                    self.level[var] for c, var in zip(row, nonbasic) if c
                 }
-            self._pivot(basic, min(free, key=nonbasic.__getitem__), self.bounds[side][basic])
+            self._pivot(basic, min(free, key=nonbasic.__getitem__), bound)
+
+    def model(self) -> tuple[int, list[int]]:
+        """``(common, nums)``: variable j of ``n`` has value ``nums[j] / common``."""
+        common, columns = self._columns()
+        rows, column = self.rows, self.column
+        dens = math.lcm(*(rows[j][0] for j in range(self.num_vars) if j in rows))
+        nums = [
+            columns[column[j]] * dens if j in column
+            else sum(map(mul, rows[j][1], columns)) * (dens // rows[j][0])
+            for j in range(self.num_vars)
+        ]
+        return common * dens, nums
 
 
 def solve_dnf(
@@ -313,10 +351,11 @@ def solve_dnf(
         culprits.discard(level)
         conflicts.setdefault(level, set()).update(culprits)
         choice[level] += 1
-    model = tuple(engine.value[:num_vars])
+    common, nums = engine.model()
+    model = tuple(Fraction(x, common) for x in nums)
     for branches, pick in zip(rows, choice):
         for coeffs in branches[pick]:
-            if sum(a * x for a, x in zip(coeffs, model)) < 1:
+            if sum(map(mul, coeffs, nums)) < common:
                 raise SolverDefect(f"model {model} fails {coeffs} . n >= 1")
     return model
 

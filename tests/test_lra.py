@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from subtrop import decide_system, parse_system
+from subtrop import decide_system, lra, parse_system
 from subtrop.condition import (
     Clause,
     LinearCondition,
@@ -266,6 +267,189 @@ class TestRowSearch:
             solve_rows(system.d, branch_rows(pick)) is None
             for pick in itertools.product(*rows)
         )
+
+
+# solve_dnf's models before scaling, recorded from the simplex that kept its
+# assignment over Fraction; the integer simplex must reach the same bases
+PINNED_MODELS = {
+    "certify_head_42.spp": (Fraction(15, 377), Fraction(64, 377), Fraction(-86, 377)),
+    "example2.spp": (Fraction(-5, 2), Fraction(-2)),
+    "example3.spp": None,
+    "intro_f.spp": (Fraction(1),),
+    "intro_f_ones.spp": (Fraction(1),),
+    "intro_g.spp": None,
+    "search_head_8.spp": None,
+    "sec2.spp": None,
+    "zero_row.spp": (Fraction(0),),
+}
+# the CLI smoke test for the search wall; it takes about a second, so CI runs it
+SLOW_DATA = {"wall_8_20_8_1.spp"}
+
+
+def pin_batch():
+    """300 seeded systems for the model digest, with up to 8 monomials in 4 variables."""
+    rng = random.Random(13)
+    return [
+        random_signed_system(rng, max_rows=4, max_monomials=8, max_vars=4, max_exp=6)
+        for _ in range(300)
+    ]
+
+
+class TestPinnedModels:
+    """The exact models, not just the verdicts, stay those of the Fraction simplex."""
+
+    def test_data_files(self, data_dir):
+        names = {path.name for path in data_dir.glob("*.spp")}
+        assert names == set(PINNED_MODELS) | SLOW_DATA
+        for name, expected in PINNED_MODELS.items():
+            system = load(name)
+            assert solve_dnf(system.d, build_dnf(system)) == expected, name
+
+    def test_seeded_batch_digest(self):
+        models = [solve_dnf(system.d, build_dnf(system)) for system in pin_batch()]
+        assert sum(model is not None for model in models) == 223
+        assert sum(
+            model is not None and any(x.denominator != 1 for x in model) for model in models
+        ) == 108
+        digest = hashlib.sha256(repr(models).encode()).hexdigest()
+        assert digest == "108eac697cbed73ace0960ab8aaead00d7ab9376a8e06ce7649a97439d19116f"
+
+
+class TestBounds:
+    """Each bound is a unit fraction: +1/g from below, -1/g from above."""
+
+    def test_tighter_lower_bound_wins(self):
+        # x >= 1/3, then x >= 1/2: the second is tighter and moves x onto it
+        assert solve_rows(1, [(3,), (2,)]) == (Fraction(1, 2),)
+        assert solve_rows(1, [(2,), (3,)]) == (Fraction(1, 2),)
+
+    def test_tighter_upper_bound_wins(self):
+        # x <= -1/2, then x <= -1/3: the first stays, the second is implied
+        assert solve_rows(1, [(-2,), (-3,)]) == (Fraction(-1, 2),)
+        assert solve_rows(1, [(-3,), (-2,)]) == (Fraction(-1, 2),)
+
+    def test_tighter_bound_on_a_slack_wins(self):
+        # (3, -3) and (2, -2) bound the slack x - y below by 1/3 and 1/2
+        for rows in ([(3, -3), (2, -2)], [(2, -2), (3, -3)]):
+            model = solve_rows(2, rows)
+            assert model[0] - model[1] == Fraction(1, 2)
+        for rows in ([(-2, 2), (-3, 3)], [(-3, 3), (-2, 2)]):
+            model = solve_rows(2, rows)
+            assert model[0] - model[1] == Fraction(-1, 2)
+
+    def test_value_inside_a_new_bound_stays(self):
+        # branch 0 puts x at 1/2 and fails at level 1; retracting it leaves x at 1/2,
+        # which satisfies branch 1's x >= 1/3, so x is not moved onto 1/3
+        rows = ((((2, 0), (0, 1)), ((3, 0),)), (((0, -1),),))
+        assert solve_dnf(2, rows) == (Fraction(1, 2), Fraction(-1))
+
+    def test_opposite_bounds_clash_at_assert_time(self, monkeypatch):
+        # level 0 bounds the slack x - y below, level 1 bounds z, and level 2 bounds
+        # x - y above: the clash names levels 0 and 2 only, so the search jumps from
+        # level 2 straight to level 0 and never tries level 1's second branch
+        calls = []
+        assert_literal = lra._Simplex.assert_literal
+        check = lra._Simplex.check
+
+        def recording_assert(self, coeffs, level):
+            result = assert_literal(self, coeffs, level)
+            calls.append((coeffs, level, result and set(result)))  # the search edits it
+            return result
+
+        def recording_check(self):
+            calls.append("check")
+            return check(self)
+
+        monkeypatch.setattr(lra._Simplex, "assert_literal", recording_assert)
+        monkeypatch.setattr(lra._Simplex, "check", recording_check)
+        rows = (
+            (((1, -1, 0),), ((5, 0, 0),)),
+            (((0, 0, 1),), ((0, 0, 2),)),
+            (((-1, 1, 0),),),
+        )
+        model = solve_dnf(3, rows)
+        assert ((0, 0, 2), 1, None) not in calls
+        assert calls[:6] == [
+            ((1, -1, 0), 0, None), "check",
+            ((0, 0, 1), 1, None), "check",
+            ((-1, 1, 0), 2, {0, 2}),  # no check: the clash needs no pivot
+            ((5, 0, 0), 0, None),
+        ]
+        assert model[0] == Fraction(1, 5) and model[1] - model[0] >= 1 and model[2] == 1
+
+    def test_nonbasic_values_sit_at_zero_or_at_a_bound(self, monkeypatch):
+        # after every assertion and check, each nonbasic value is (0, 1) or a bound
+        # once asserted on that variable, and after a successful check every bounded
+        # variable, its value recomputed over Fraction, satisfies its bound
+        asserted = {}
+        assert_literal = lra._Simplex.assert_literal
+        check = lra._Simplex.check
+        inspected = [0]
+        at_slack_bound = [0]
+
+        def exact_value(engine, var):
+            if var in engine.column:
+                s, g = engine.value[var]
+                return Fraction(s, g)
+            den, row = engine.rows[var]
+            values = [exact_value(engine, nb) for nb in engine.nonbasic]
+            return sum(c * x for c, x in zip(row, values)) / den
+
+        def inspect(engine):
+            seen = asserted.setdefault(id(engine), {})
+            for var in engine.nonbasic:
+                assert engine.value[var] == (0, 1) or engine.value[var] in seen.get(var, ())
+                at_slack_bound[0] += var >= engine.num_vars and engine.value[var] != (0, 1)
+            inspected[0] += 1
+
+        def recording_assert(self, coeffs, level):
+            depth = len(self.trail)
+            result = assert_literal(self, coeffs, level)
+            if len(self.trail) > depth:
+                var = self.trail[-1][0]
+                asserted.setdefault(id(self), {}).setdefault(var, set()).add(self.bound[var])
+            inspect(self)
+            return result
+
+        def recording_check(self):
+            result = check(self)
+            inspect(self)
+            if result is None:
+                for var, bound in enumerate(self.bound):
+                    if bound is not None and (var in self.column or var in self.rows):
+                        s, g = bound
+                        x = exact_value(self, var)
+                        assert x >= Fraction(1, g) if s > 0 else x <= Fraction(-1, g)
+            return result
+
+        monkeypatch.setattr(lra._Simplex, "assert_literal", recording_assert)
+        monkeypatch.setattr(lra._Simplex, "check", recording_check)
+        rng = random.Random(23)
+        for _ in range(150):
+            system = random_signed_system(rng, max_rows=4, max_monomials=8, max_vars=4, max_exp=6)
+            solve_dnf(system.d, build_dnf(system))
+        for _ in range(150):
+            solve_condition(tricky_condition(rng))
+        assert inspected[0] > 1500  # 1875
+        assert at_slack_bound[0] > 1000  # 1676 nonbasic slacks seen away from 0
+
+    def test_fraction_only_for_the_model(self, monkeypatch):
+        # the search does integer arithmetic only: a SAT answer builds one Fraction
+        # per entry of n, an UNSAT answer none
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(lra, "Fraction", counting)
+        system = load("certify_head_42.spp")
+        assert solve_dnf(system.d, build_dnf(system)) == PINNED_MODELS["certify_head_42.spp"]
+        assert len(built) == system.d
+        built.clear()
+        system = load("search_head_8.spp")
+        assert solve_dnf(system.d, build_dnf(system)) is None
+        assert built == []
 
 
 class TestScaleToInteger:
