@@ -30,7 +30,6 @@ import sys
 from fractions import Fraction
 from itertools import cycle
 from operator import sub
-from pathlib import Path
 from types import SimpleNamespace
 
 from .condition import build_cnf, certifies, dominance_rows
@@ -54,8 +53,21 @@ from .witness import (
 )
 
 
+class _InputError(Exception):
+    """An input file that cannot be read as text."""
+
+
+def _read(path: str) -> str:
+    """The text of the UTF-8 file at ``path``; other bytes raise :class:`_InputError`."""
+    with open(path, encoding="utf-8") as file:
+        try:
+            return file.read()
+        except UnicodeDecodeError as exc:
+            raise _InputError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _load_system(path: str) -> SignedSystem:
-    return parse_system(Path(path).read_text(encoding="utf-8"))
+    return parse_system(_read(path))
 
 
 def _format_vector(values) -> str:
@@ -93,8 +105,8 @@ def _run_checks(system: SignedSystem, decision: Decision, seed: int) -> int:
     proves that some selection is feasible, so the exhaustive enumeration
     would agree.  For a parametric template the witness is then verified
     exactly, at ``r = t``, at 3 coefficient samples drawn from ``seed``: one
-    :func:`~subtrop.witness.verify_witness` call per sample, which builds the
-    witness and evaluates ``t`` once; a failure raises
+    :func:`~subtrop.witness.verify_witness` call per sample, which computes
+    ``t`` once, from per-row sums; a failure raises
     :class:`~subtrop.witness.WitnessFailure`.  An UNSAT answer has no
     certificate: the CNF is built and re-decided by the exhaustive oracle,
     which shares no code with the search.
@@ -184,7 +196,7 @@ def cmd_verify(args) -> int:
         if not args.coeffs:
             print("error: parametric input needs --coeffs <file>", file=sys.stderr)
             return 2
-        bindings = parse_coefficient_bindings(Path(args.coeffs).read_text(encoding="utf-8"))
+        bindings = parse_coefficient_bindings(_read(args.coeffs))
         system = instantiate(system, bindings)
     elif args.coeffs:
         print("note: input is concrete, ignoring --coeffs", file=sys.stderr)
@@ -388,6 +400,7 @@ def main(argv=None) -> int:
         SizeLimitExceeded,
         TooManySelections,
         OSError,
+        _InputError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,10 +7,10 @@ whose row j is the exponent vector of monomial j over the d variables.
 Coefficients are either pairwise-distinct indeterminate names (the system
 is a template quantified over all positive coefficient values) or concrete
 positive rationals.  An exponent vector ``n`` is a plain ``tuple[int, ...]``
-with no type of its own; :func:`subtrop.witness.symbolic_t` checks its entries.
+with no type of its own; :mod:`subtrop.witness` checks its entries.
 
-All numeric work uses :class:`fractions.Fraction`; nothing in this package
-touches floating point.
+All numeric work is exact, in ints and :class:`fractions.Fraction`; nothing
+in this package touches floating point.
 """
 
 from __future__ import annotations
@@ -130,6 +130,12 @@ class ParametricCoefficients:
 
 
 def _as_positive_fraction(x, what: str) -> Fraction:
+    # an exact Fraction is kept as it is and an int takes Fraction's int fast path;
+    # every other type (a bool or a Fraction subclass among them) is converted below
+    if type(x) is Fraction or type(x) is int:
+        if x.numerator <= 0:
+            raise ValueError(f"{what} must be strictly positive, got {x}")
+        return x if type(x) is Fraction else Fraction(x)
     if isinstance(x, float):
         raise TypeError(f"{what} must not be a float (exact rationals only): {x!r}")
     value = Fraction(x)
@@ -242,4 +248,4 @@ def row_supports(system: SignedSystem, i: int) -> tuple[frozenset[int], frozense
 
 def zero_sign_rows(system: SignedSystem) -> tuple[int, ...]:
     """Indices of rows whose polynomial is identically zero (every sign entry is 0)."""
-    return tuple(i for i, row in enumerate(system.s.entries) if all(x == 0 for x in row))
+    return tuple(i for i, row in enumerate(system.s.entries) if not any(row))

@@ -5,15 +5,20 @@ the point ``x = t^n`` (coordinate-wise powers) satisfies every inequality
 for every positive choice of coefficients, where ``t`` is 1 plus the sum
 of the ratios negative-coefficient / positive-coefficient over all
 same-row sign pairs.  Any base ``r >= t`` works as well.  This module
-builds that witness symbolically, evaluates it on concrete coefficients,
+builds that witness symbolically (:func:`symbolic_t`, :func:`evaluate_t`),
 computes the cruder all-integer-coefficient bound ``1 + v * sum of
 negative coefficients``, and checks ``f(r^n) > 0`` by exact evaluation.
 
-An exponent vector n is a plain sequence of ints.  :func:`symbolic_t` is
-the gate every vector passes: it rejects entries that are not ints (a
-``bool`` or a ``Fraction`` among them) and vectors that fail the
-dominance condition.  :func:`verify_witness` builds the witness and
-evaluates ``t`` once, and checks at ``r = t`` unless it is given an ``r >= t``.
+An exponent vector n is a plain sequence of ints.  One gate checks it for
+:func:`symbolic_t` and :func:`verify_witness` alike: it rejects entries
+that are not ints (a ``bool`` or a ``Fraction`` among them) and vectors
+that fail the dominance condition.  :func:`verify_witness` builds no
+symbolic witness.  It computes ``t`` from per-row sums, one numerator and
+one denominator in ints (:func:`_t_from_rows`), and checks at ``r = t``
+unless it is given an ``r >= t``.  It keeps ``r^n`` as int pairs
+``(p^n_i, q^n_i)`` and sums each row over one common denominator, the
+same int evaluation that :func:`evaluate_system_at` runs.  Fractions are
+built only for the report, or for the value an error names.
 """
 
 from __future__ import annotations
@@ -23,8 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .condition import certifies
+from .condition import certifies, dominance_rows
 from .core import (
+    _ONE,
     ConcreteCoefficients,
     SignedSystem,
     SubtropError,
@@ -119,12 +125,13 @@ def ratio_terms(system: SignedSystem) -> tuple[RatioTerm, ...]:
     return tuple(out)
 
 
-def symbolic_t(system: SignedSystem, n) -> SymbolicWitness:
-    """Witness for a certified exponent vector; rejects vectors that fail a clause.
+def _certified_exponent(system: SignedSystem, n) -> tuple[int, ...]:
+    """``n`` as a tuple of ints of length ``d`` that certifies ``system``.
 
     ``n`` is any sequence of ints.  A ``bool`` or ``Fraction`` entry raises
     :class:`TypeError` before the dominance check, which would accept a
-    ``Fraction`` and leave ``r**n_i`` a float.
+    ``Fraction`` and leave ``r**n_i`` a float.  A vector of the wrong length
+    or one that fails a clause raises :class:`UncertifiedExponent`.
     """
     n = tuple(n)
     for x in n:
@@ -133,7 +140,12 @@ def symbolic_t(system: SignedSystem, n) -> SymbolicWitness:
         raise UncertifiedExponent(f"expected {system.d} entries, got {len(n)}")
     if not certifies(system, n):
         raise UncertifiedExponent(f"{n} does not satisfy the dominance condition")
-    return SymbolicWitness(ratio_terms(system), n)
+    return n
+
+
+def symbolic_t(system: SignedSystem, n) -> SymbolicWitness:
+    """Witness for a certified exponent vector; rejects vectors that fail a clause."""
+    return SymbolicWitness(ratio_terms(system), _certified_exponent(system, n))
 
 
 def evaluate_t(witness: SymbolicWitness, coefficients: ConcreteCoefficients) -> Fraction:
@@ -162,7 +174,7 @@ def instantiate(system: SignedSystem, bindings: Mapping[str, Fraction | int]) ->
         row = []
         for name in name_row:
             if name is None:
-                row.append(Fraction(1))
+                row.append(_ONE)
                 continue
             if name not in bindings:
                 raise UnboundCoefficient(f"no value bound for coefficient {name!r}")
@@ -194,13 +206,36 @@ def uniform_bound(system: SignedSystem) -> Fraction:
     return Fraction(1) + system.v * total
 
 
+def _row_values(system: SignedSystem, coords) -> list[tuple[int, int]]:
+    """Each row's value at the point ``(p_i / q_i)`` as an int pair ``(total, den)``.
+
+    ``coords`` holds the pairs ``(p_i, q_i)`` of positive ints.  Every
+    monomial is an integer over the common denominator
+    ``prod_i q_i^(max_j e_ji)``.  Each row is summed as integers over that
+    times the least common denominator of its coefficients, so
+    ``f_i = total / den`` with ``den > 0``, not reduced.
+    """
+    exponents = system.e.entries
+    top = [max(column) for column in zip(*exponents)]
+    common = math.prod(q**m for (_, q), m in zip(coords, top))
+    monomials = [
+        math.prod(p**e * q ** (m - e) for (p, q), e, m in zip(coords, exps, top))
+        for exps in exponents
+    ]
+    values = []
+    for sign_row, value_row in zip(system.s.entries, system.c.values):
+        terms = [(s, c, m) for s, c, m in zip(sign_row, value_row, monomials) if s != 0]
+        den = math.lcm(*(c.denominator for _, c, _ in terms))
+        total = sum(s * c.numerator * (den // c.denominator) * m for s, c, m in terms)
+        values.append((total, den * common))
+    return values
+
+
 def evaluate_system_at(system: SignedSystem, point) -> tuple[Fraction, ...]:
     """Exact values (f_1, ..., f_u) at a strictly positive rational point.
 
-    With ``x_i = p_i / q_i``, every monomial is an integer over the common
-    denominator ``prod_i q_i^(max_j e_ji)``.  Each row is summed as integers
-    over that times the least common denominator of its coefficients, and
-    reduced once at the end.
+    The rows are summed in ints by :func:`_row_values` and reduced once at
+    the end.
     """
     if system.is_parametric:
         raise ValueError("cannot evaluate a system with parametric coefficients")
@@ -213,26 +248,49 @@ def evaluate_system_at(system: SignedSystem, point) -> tuple[Fraction, ...]:
         raise ValueError(f"expected {system.d} coordinates, got {len(coords)}")
     if any(x <= 0 for x in coords):
         raise NonPositivePoint(f"point {tuple(coords)} has a coordinate <= 0")
-    exponents = system.e.entries
-    top = [max(column) for column in zip(*exponents)]
-    common = math.prod(x.denominator**m for x, m in zip(coords, top))
-    monomials = [
-        math.prod(x.numerator**e * x.denominator ** (m - e) for x, e, m in zip(coords, exps, top))
-        for exps in exponents
-    ]
-    values = []
-    for sign_row, value_row in zip(system.s.entries, system.c.values):
-        terms = [(s, c, m) for s, c, m in zip(sign_row, value_row, monomials) if s != 0]
-        den = math.lcm(*(c.denominator for _, c, _ in terms))
-        total = sum(s * c.numerator * (den // c.denominator) * m for s, c, m in terms)
-        values.append(Fraction(total, den * common))
-    return tuple(values)
+    values = _row_values(system, [(x.numerator, x.denominator) for x in coords])
+    return tuple(Fraction(total, den) for total, den in values)
+
+
+def _t_from_rows(system: SignedSystem) -> Fraction:
+    """Exact t of a concrete system, in O(sum of |P_i| + |N_i|) steps.
+
+    The value is the t of :func:`symbolic_t` and :func:`evaluate_t`.  Proof:
+    that t is ``1 + sum_i sum_{k in N_i} sum_{j in P_i} c_k / c_j``, one
+    term per same-row sign pair, with ``P_i`` and ``N_i`` the positive and
+    negative monomials of row i.  For each row, distributivity factors the
+    double sum as ``(sum_{k in N_i} c_k) * (sum_{j in P_i} 1 / c_j)``.  A row
+    without negative monomials contributes an empty sum, 0, and those are
+    the rows that :func:`~subtrop.condition.dominance_rows` skips.  So
+    ``t = 1 + sum_i (sum_{k in N_i} c_k) * (sum_{j in P_i} 1 / c_j)``, over
+    the rows it yields, as the same rational.
+
+    With ``c = p / q`` in lowest terms, ``sum_k c_k = a / b`` over
+    ``b = lcm(q_k)`` and ``sum_j 1 / c_j = sum_j q_j / p_j = a' / b'`` over
+    ``b' = lcm(p_j)``, so row i adds ``a a' / (b b')``.  The rows are added
+    over the lcm of their denominators, and one Fraction is built at the end.
+    """
+    values = system.c.values
+    numerators = []
+    denominators = []
+    for i, positive, negative in dominance_rows(system):
+        row = values[i]
+        neg = [row[k] for k in negative]
+        pos = [row[j] for j in positive]
+        neg_den = math.lcm(*(c.denominator for c in neg))
+        neg_sum = sum(c.numerator * (neg_den // c.denominator) for c in neg)
+        pos_den = math.lcm(*(c.numerator for c in pos))
+        pos_sum = sum(c.denominator * (pos_den // c.numerator) for c in pos)
+        numerators.append(neg_sum * pos_sum)
+        denominators.append(neg_den * pos_den)
+    den = math.lcm(*denominators)
+    return Fraction(den + sum(num * (den // d) for num, d in zip(numerators, denominators)), den)
 
 
 def _check_size_guard(system: SignedSystem, n: tuple[int, ...], r: Fraction, max_bits: int):
     """Refuse a point ``r^n`` whose exact evaluation builds numbers above ``max_bits`` bits.
 
-    :func:`evaluate_system_at` puts every monomial over the common
+    :func:`_row_values` puts every monomial over the common
     denominator ``prod_i q_i^(top_i)``, ``top`` the componentwise largest
     exponent, so each integer it builds has about ``sum_i top_i * bits_i``
     bits, where ``bits_i`` bounds coordinate i.  That sum also bounds every
@@ -256,10 +314,12 @@ def verify_witness(
 ) -> VerificationReport:
     """Check ``f(r^n) > 0`` exactly for a concrete system, certified n, and r >= t.
 
-    ``r`` defaults to ``t`` itself, which is evaluated once either way.
-    Under those preconditions success is guaranteed, so a negative outcome
-    is raised as :class:`WitnessFailure` rather than returned.  Identically
-    zero rows are rejected up front: no point can make them positive.
+    ``r`` defaults to ``t`` itself, which is computed once either way, from
+    per-row sums (:func:`_t_from_rows`).  The point ``r^n`` stays as int
+    pairs until the report is built.  Under those preconditions success is
+    guaranteed, so a negative outcome is raised as :class:`WitnessFailure`
+    rather than returned.  Identically zero rows are rejected up front: no
+    point can make them positive.
     """
     if system.is_parametric:
         raise PreconditionViolated("verification needs concrete coefficients")
@@ -270,18 +330,22 @@ def verify_witness(
         raise TypeError(f"r must be an exact rational, got float {r!r}")
     if r is not None:
         r = Fraction(r)
-    witness = symbolic_t(system, n)
-    n = witness.n
-    t_value = evaluate_t(witness, system.c)
+    n = _certified_exponent(system, n)
+    t_value = _t_from_rows(system)
     if r is None:
         r = t_value
     elif r < t_value:
         raise PreconditionViolated(f"r = {r} is below t = {t_value}")
     if max_bits is not None:
         _check_size_guard(system, n, r, max_bits)
-    point = tuple(r**ni for ni in n)
-    values = evaluate_system_at(system, point)
-    bad = next((i for i, value in enumerate(values) if value <= 0), None)
+    # r >= t >= 1, so p and q are positive and each pair is in lowest terms
+    p, q = r.numerator, r.denominator
+    coords = [(p**ni, q**ni) if ni >= 0 else (q**-ni, p**-ni) for ni in n]
+    rows = _row_values(system, coords)
+    bad = next((i for i, (total, _) in enumerate(rows) if total <= 0), None)
     if bad is not None:
-        raise WitnessFailure(f"row {bad} evaluates to {values[bad]} at r = {r}, n = {n}")
+        value = Fraction(*rows[bad])
+        raise WitnessFailure(f"row {bad} evaluates to {value} at r = {r}, n = {n}")
+    point = tuple(Fraction(num, den) for num, den in coords)
+    values = tuple(Fraction(total, den) for total, den in rows)
     return VerificationReport(t_value, r, point, values)

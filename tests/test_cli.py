@@ -117,6 +117,34 @@ class TestDecide:
         assert code == 2
         assert err
 
+    def test_unreadable_files_exit_2(self, capsys, tmp_path, monkeypatch):
+        # paths relative to the working directory, so that each message is pinned whole
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.spp").write_bytes(b"vars x\npoly f = c1*x - c2\xff\n")
+        (tmp_path / "bad.coeffs").write_bytes(b"c1 = 1\nc2 = 2\xfe\n")
+        (tmp_path / "ok.spp").write_text("vars x\npoly f = c1*x - c2\n")
+        (tmp_path / "folder").mkdir()
+        decode = "'utf-8' codec can't decode byte"
+        for argv, err in [
+            (
+                ["decide", "bad.spp"],
+                f"error: bad.spp is not UTF-8 text: {decode} 0xff in position 25: "
+                "invalid start byte\n",
+            ),
+            (
+                ["verify", "ok.spp", "--coeffs", "bad.coeffs"],
+                f"error: bad.coeffs is not UTF-8 text: {decode} 0xfe in position 13: "
+                "invalid start byte\n",
+            ),
+            (["decide", "nope.spp"], "error: [Errno 2] No such file or directory: 'nope.spp'\n"),
+            (["decide", "folder"], "error: [Errno 21] Is a directory: 'folder'\n"),
+            (
+                ["verify", "ok.spp", "--coeffs", "nope.coeffs"],
+                "error: [Errno 2] No such file or directory: 'nope.coeffs'\n",
+            ),
+        ]:
+            assert run(capsys, *argv) == (2, "", err), argv
+
     def test_json_is_byte_stable(self, capsys):
         first = run(capsys, "decide", DATA / "example2.spp", "--format", "json")
         second = run(capsys, "decide", DATA / "example2.spp", "--format", "json")
@@ -393,14 +421,14 @@ class TestVerify:
 
 
 class TestWitnessCalls:
-    """Each verified point builds one symbolic witness and evaluates t once."""
+    """Each verified point computes t once, from the rows, and builds no symbolic witness."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         import subtrop.cli as cli
         import subtrop.witness as witness
 
-        counts = {"symbolic_t": 0, "evaluate_t": 0}
+        counts = {"symbolic_t": 0, "evaluate_t": 0, "_t_from_rows": 0}
         for name in counts:
             original = getattr(witness, name)
 
@@ -416,14 +444,14 @@ class TestWitnessCalls:
     def test_check_builds_one_witness_per_sample(self, capsys, calls):
         code, _, err = run(capsys, "decide", DATA / "example2.spp", "--check")
         assert code == 0, err
-        assert calls == {"symbolic_t": 3, "evaluate_t": 3}
+        assert calls == {"symbolic_t": 0, "evaluate_t": 0, "_t_from_rows": 3}
 
     def test_verify_builds_one_witness(self, capsys, calls):
         code, _, err = run(
             capsys, "verify", DATA / "example2.spp", "--coeffs", DATA / "example2_ones.coeffs"
         )
         assert code == 0, err
-        assert calls == {"symbolic_t": 1, "evaluate_t": 1}
+        assert calls == {"symbolic_t": 0, "evaluate_t": 0, "_t_from_rows": 1}
 
 
 class TestLongRows:

@@ -47,6 +47,18 @@ class TestRational:
 
 
 class TestMatrices:
+    def test_concrete_coefficients_keep_exact_values(self):
+        half = Fraction(1, 2)
+        values = ConcreteCoefficients(((half, 3, True),)).values
+        assert values[0][0] is half
+        assert values == ((half, Fraction(3), Fraction(1)),)
+        assert all(type(x) is Fraction for x in values[0])
+        for bad, shown in [(Fraction(-1, 2), "-1/2"), (0, "0"), (-3, "-3"), (False, "0")]:
+            with pytest.raises(ValueError, match=f"must be strictly positive, got {shown}$"):
+                ConcreteCoefficients(((bad,),))
+        with pytest.raises(TypeError, match="float"):
+            ConcreteCoefficients(((0.5,),))
+
     def test_exponent_matrix_rejects_negative_entries(self):
         with pytest.raises(ValueError, match="negative exponent"):
             ExponentMatrix(((1, -1),))

@@ -10,6 +10,7 @@ from subtrop import (
     SizeLimitExceeded,
     UnboundCoefficient,
     UncertifiedExponent,
+    WitnessFailure,
     decide_system,
     evaluate_t,
     instantiate,
@@ -18,10 +19,16 @@ from subtrop import (
     uniform_bound,
     verify_witness,
 )
+from subtrop.core import ConcreteCoefficients, ExponentMatrix, SignedSystem, SignMatrix
 from subtrop.witness import evaluate_system_at, ratio_terms
 
 from conftest import load
-from gensys import random_bindings, random_signed_system
+from gensys import (
+    random_bindings,
+    random_exponent_rows,
+    random_positive_value,
+    random_signed_system,
+)
 
 INTRO_BINDINGS = {"c2": Fraction(1), "c1": Fraction(1), "c0": Fraction(1)}
 
@@ -140,6 +147,16 @@ class TestInstantiate:
     def test_extra_names_are_ignored(self):
         system = instantiate(load("intro_f.spp"), {**INTRO_BINDINGS, "spare": Fraction(9)})
         assert system.c.values == ((Fraction(1), Fraction(1), Fraction(1)),)
+
+    def test_bound_fractions_are_kept_and_placeholders_shared(self):
+        from subtrop.core import _ONE
+
+        template = load("example2.spp")
+        bindings = random_bindings(random.Random(28), template)
+        system = instantiate(template, bindings)
+        for name_row, value_row in zip(template.c.names, system.c.values):
+            for name, value in zip(name_row, value_row):
+                assert value is (_ONE if name is None else bindings[name])
 
     def test_decision_is_unchanged_by_instantiation(self):
         rng = random.Random(22)
@@ -296,6 +313,16 @@ class TestVerifyWitness:
         with pytest.raises(PreconditionViolated, match="identically zero"):
             verify_witness(load("zero_row.spp"), (0,), Fraction(1))
 
+    def test_failure_names_the_exact_value(self, monkeypatch):
+        import subtrop.witness as witness
+
+        system = parse_system("vars x\npoly f = x^2 - 3*x + 1/2\n")
+        assert verify_witness(system, (1,)).t_value == 10  # 1 + 3/1 + 3/(1/2)
+        # a wrong t of 1 puts the point at x = 1, where f = -3/2
+        monkeypatch.setattr(witness, "_t_from_rows", lambda system: Fraction(1))
+        with pytest.raises(WitnessFailure, match=r"^row 0 evaluates to -3/2 at r = 1, n = \(1,\)$"):
+            verify_witness(system, (1,))
+
     def test_parametric_system_is_rejected(self):
         with pytest.raises(PreconditionViolated):
             verify_witness(load("intro_f.spp"), (1,), Fraction(3))
@@ -310,3 +337,78 @@ class TestVerifyWitness:
         with pytest.raises(SizeLimitExceeded):
             verify_witness(system, n, r, max_bits=4799)
         assert all(value > 0 for value in verify_witness(system, n, r, max_bits=4800).values)
+
+
+def certified_system(rng: random.Random):
+    """A concrete system with rational coefficients and a vector n that certifies it.
+
+    ``d`` runs from 1 to 6 and n has at least one negative entry.  In each
+    row, the highest monomial of a random subset is positive, monomials of
+    the same height are positive too, and the lower ones take either sign;
+    about one row in four has no negative monomial.
+    """
+    d = rng.randint(1, 6)
+    n = [rng.randint(-3, 3) for _ in range(d)]
+    n[rng.randrange(d)] = -rng.randint(1, 3)
+    exps = random_exponent_rows(rng, rng.randint(2, 8), d, 4)
+    heights = [sum(e * x for e, x in zip(row, n)) for row in exps]
+    signs = []
+    for _ in range(rng.randint(1, 4)):
+        support = rng.sample(range(len(exps)), rng.randint(1, len(exps)))
+        top = max(heights[j] for j in support)
+        no_negative = rng.random() < 0.25
+        row = [0] * len(exps)
+        for j in support:
+            row[j] = 1 if heights[j] == top or no_negative else rng.choice((-1, 1))
+        signs.append(tuple(row))
+    values = tuple(
+        tuple(random_positive_value(rng) if x else Fraction(1) for x in row) for row in signs
+    )
+    system = SignedSystem(
+        SignMatrix(tuple(signs), cols=len(exps)),
+        ExponentMatrix(exps, cols=d),
+        ConcreteCoefficients(values),
+        tuple(f"x{i + 1}" for i in range(d)),
+    )
+    return system, tuple(n)
+
+
+class TestIntegerVerification:
+    """``verify_witness`` against the symbolic witness and ``evaluate_system_at``."""
+
+    def test_matches_symbolic_t_and_evaluate_system_at(self):
+        rng = random.Random(14)
+        dims, pairs = set(), 0
+        for index in range(300):
+            system, n = certified_system(rng)
+            t = evaluate_t(symbolic_t(system, n), system.c)
+            r = None if index % 2 == 0 else t + Fraction(rng.randint(0, 5), rng.randint(1, 5))
+            report = verify_witness(system, n, r)
+            assert report.t_value == t == t_of(system)
+            assert report.r_value == (t if r is None else r)
+            assert report.point == tuple(report.r_value**ni for ni in n)
+            assert report.values == evaluate_system_at(system, report.point)
+            assert all(value > 0 for value in report.values)
+            dims.add(system.d)
+            pairs += len(ratio_terms(system))
+        assert dims == set(range(1, 7))
+        assert pairs > 0
+
+    def test_builds_only_the_reports_fractions(self, monkeypatch):
+        import subtrop.witness as witness
+
+        built = []
+
+        class Counted(Fraction):
+            def __new__(cls, *args, **kwargs):
+                built.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        template = load("example2.spp")
+        system = instantiate(template, random_bindings(random.Random(27), template))
+        expected = verify_witness(system, (-12, -11))
+        monkeypatch.setattr(witness, "Fraction", Counted)
+        report = verify_witness(system, (-12, -11))
+        assert report == expected
+        # one for t, one per coordinate of the point and one per row value
+        assert len(built) == 1 + system.d + system.u
