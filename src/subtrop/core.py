@@ -130,16 +130,12 @@ class ParametricCoefficients:
 
 
 def _as_positive_fraction(x, what: str) -> Fraction:
-    # an exact Fraction is kept as it is and an int takes Fraction's int fast path;
-    # every other type (a bool or a Fraction subclass among them) is converted below
-    if type(x) is Fraction or type(x) is int:
-        if x.numerator <= 0:
-            raise ValueError(f"{what} must be strictly positive, got {x}")
-        return x if type(x) is Fraction else Fraction(x)
+    # an exact Fraction is kept as it is; a normalised Fraction has a positive
+    # denominator, so the numerator carries the sign
     if isinstance(x, float):
         raise TypeError(f"{what} must not be a float (exact rationals only): {x!r}")
-    value = Fraction(x)
-    if value <= 0:
+    value = x if type(x) is Fraction else Fraction(x)
+    if value.numerator <= 0:
         raise ValueError(f"{what} must be strictly positive, got {value}")
     return value
 
