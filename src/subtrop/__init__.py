@@ -10,8 +10,8 @@ linear reasoning.  All arithmetic is exact.
 
 The namespace holds the pipeline API: parsing, deciding, the witness and
 its verification, and the types and exceptions these use.  An exponent
-vector is a plain ``tuple[int, ...]``.  The matrix, CNF, search, scaling
-and oracle helpers are imported from their own modules.
+vector is a plain ``tuple[int, ...]``, and so is the search's answer.  The
+matrix, CNF, search and oracle helpers are imported from their own modules.
 """
 
 from .core import SignedSystem, SubtropError

@@ -12,13 +12,16 @@ Any other argument outside the grammar is a usage error: the usage and
 Arguments are read from one table, ``_COMMANDS``, by a short loop: building
 :mod:`argparse` parsers cost more than deciding a small system.
 
-Exit codes: 0 sat/ok, 1 unsat, 2 usage or input error, 3 a failed
-``decide --check`` (a SAT vector that fails its condition, or disagreement
-with a brute-force cross-check), 4 solver defect: a witness failure, a
-failed internal check or any other unexpected exception, so that a crash
-is never read as unsat.  Reports go to stdout, diagnostics to stderr.
-JSON output is byte-stable: the same input and flags always produce the
-same bytes.  The decision pipeline itself is :mod:`subtrop.pipeline`.
+Exit codes: 0 sat/ok, 1 unsat, 2 usage or input error (an ``OSError``, or
+any :class:`~subtrop.core.SubtropError` but the two defects below), 3 a
+failed ``decide --check`` (a SAT vector that fails its condition, or
+disagreement with a brute-force cross-check), 4 solver defect: a witness
+failure (:class:`~subtrop.witness.WitnessFailure`), a failed internal check
+(:class:`~subtrop.lra.SolverDefect`) or any other unexpected exception, so
+that a crash is never read as unsat.  Reports go to stdout, diagnostics to
+stderr.  JSON output is byte-stable: the same input and flags always
+produce the same bytes.  The decision pipeline itself is
+:mod:`subtrop.pipeline`.
 """
 
 from __future__ import annotations
@@ -33,17 +36,12 @@ from operator import sub
 from types import SimpleNamespace
 
 from .condition import build_cnf, certifies, dominance_rows
-from .core import SignedSystem
+from .core import SignedSystem, SubtropError
 from .lra import SolverDefect
-from .oracle import TooManySelections, exhaustive_decide
-from .parser import ParseError, parse_system
+from .oracle import exhaustive_decide
+from .parser import parse_system
 from .pipeline import Decision, decide_system, parse_coefficient_bindings
 from .witness import (
-    NonIntegerCoefficient,
-    NonPositivePoint,
-    PreconditionViolated,
-    SizeLimitExceeded,
-    UnboundCoefficient,
     VerificationReport,
     WitnessFailure,
     instantiate,
@@ -53,7 +51,7 @@ from .witness import (
 )
 
 
-class _InputError(Exception):
+class _InputError(SubtropError):
     """An input file that cannot be read as text."""
 
 
@@ -391,25 +389,15 @@ def main(argv=None) -> int:
     handler, args = parsed
     try:
         return handler(args)
-    except (
-        ParseError,
-        UnboundCoefficient,
-        NonIntegerCoefficient,
-        NonPositivePoint,
-        PreconditionViolated,
-        SizeLimitExceeded,
-        TooManySelections,
-        OSError,
-        _InputError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except WitnessFailure as exc:
         print(f"witness failure (solver defect): {exc}", file=sys.stderr)
         return 4
     except SolverDefect as exc:
         print(f"solver defect: {exc}", file=sys.stderr)
         return 4
+    except (SubtropError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:
         message = str(exc).replace("\n", " ")
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)

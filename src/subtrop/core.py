@@ -232,16 +232,6 @@ class SignedSystem:
         return f"c_{i + 1}_{j + 1}"
 
 
-def row_supports(system: SignedSystem, i: int) -> tuple[frozenset[int], frozenset[int]]:
-    """Monomial indices with positive and with negative sign in row ``i``."""
-    if not 0 <= i < system.u:
-        raise IndexError(f"row index {i} out of range for {system.u} rows")
-    row = system.s.entries[i]
-    positive = frozenset(j for j, sign in enumerate(row) if sign > 0)
-    negative = frozenset(j for j, sign in enumerate(row) if sign < 0)
-    return positive, negative
-
-
 def zero_sign_rows(system: SignedSystem) -> tuple[int, ...]:
     """Indices of rows whose polynomial is identically zero (every sign entry is 0)."""
     return tuple(i for i, row in enumerate(system.s.entries) if not any(row))

@@ -13,7 +13,7 @@ every pivot, so each check terminates.  An infeasible check names the
 bounds of one violated tableau row, whose conjunction is infeasible by
 Farkas' lemma.
 
-Two facts keep :class:`~fractions.Fraction` out of the search:
+Two facts keep :class:`~fractions.Fraction` out of the module:
 
 * Every bound is a unit fraction of known sign.  A literal with
   ``coeffs = g * form`` bounds ``form . n`` by ``1/g``: from below by
@@ -47,12 +47,13 @@ and that level inherits the rest.  The skipped subtrees hold no feasible
 full choice, so the search finds the same first choice as chronological
 depth-first search in (row, positive monomial) order.
 
-The model is the simplex assignment of ``n`` there, a tuple of
-:class:`~fractions.Fraction`, the only ones the module builds.  Every
-nonbasic variable sits at 0 or at the value of a bound asserted during the
-search; basic variables follow from the tableau.  Before it is returned,
-the model is checked by direct substitution against every form of the
-chosen branches, in integers over its common denominator.
+The model is the simplex assignment of ``n`` there: every nonbasic
+variable sits at 0 or at the value of a bound asserted during the search,
+and basic variables follow from the tableau.  It is read as integers over
+one common denominator, ``nums / common``, and checked by direct
+substitution against every form of the chosen branches.  The answer is
+its smallest positive integer multiple, ``nums // g`` with
+``g = gcd(common, *nums)``.
 
 Feasibility over the rationals and over the reals coincide for these
 conditions, so a rational "no" is a real "no".  Integer solutions come
@@ -64,7 +65,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from fractions import Fraction
 from operator import mul
 
 from .core import SubtropError
@@ -301,8 +301,8 @@ class _Simplex:
 
 def solve_dnf(
     num_vars: int, rows: Sequence[Sequence[Sequence[tuple[int, ...]]]]
-) -> tuple[Fraction, ...] | None:
-    """Model of the first feasible choice of one branch per row, or None.
+) -> tuple[int, ...] | None:
+    """Primitive integer vector of the first feasible choice of one branch per row, or None.
 
     ``rows[i]`` lists the branches of row i and a branch is a tuple of
     forms ``coeffs``, each meaning ``coeffs . n >= 1``; from
@@ -317,7 +317,9 @@ def solve_dnf(
     choice are skipped, so the choice found is the first feasible one in
     stored order, as chronological search would find it.  The model is the
     simplex assignment of ``n`` there: each nonbasic variable sits at 0 or
-    at a bound asserted during the search.
+    at a bound asserted during the search.  The vector returned is the
+    model times the least common multiple of its denominators, so it
+    satisfies every chosen ``coeffs . n >= 1`` too.
     """
     if any(not branches for branches in rows):
         return None
@@ -352,19 +354,9 @@ def solve_dnf(
         conflicts.setdefault(level, set()).update(culprits)
         choice[level] += 1
     common, nums = engine.model()
-    model = tuple(Fraction(x, common) for x in nums)
     for branches, pick in zip(rows, choice):
         for coeffs in branches[pick]:
             if sum(map(mul, coeffs, nums)) < common:
-                raise SolverDefect(f"model {model} fails {coeffs} . n >= 1")
-    return model
-
-
-def scale_to_integer(values: Sequence[Fraction]) -> tuple[int, ...]:
-    """Clear denominators: multiply by the least common multiple of all of them.
-
-    Every row value scales by the same positive integer, so
-    ``coeffs . n >= 1`` becomes ``coeffs . (delta n) >= delta >= 1``.
-    """
-    delta = math.lcm(*(x.denominator for x in values)) if values else 1
-    return tuple(int(x * delta) for x in values)
+                raise SolverDefect(f"model {nums} over {common} fails {coeffs} . n >= 1")
+    g = math.gcd(common, *nums)
+    return tuple(x // g for x in nums)

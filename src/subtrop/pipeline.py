@@ -1,4 +1,4 @@
-"""The decision pipeline as a library: reduce, search, scale, and read coefficient files.
+"""The decision pipeline as a library: reduce, search, shrink, and read coefficient files.
 
 :func:`decide_system` is what the ``decide``, ``witness`` and ``verify``
 commands run; :mod:`subtrop.cli` only parses arguments and prints.  It
@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .condition import build_dnf, shrink
 from .core import SignedSystem, zero_sign_rows
-from .lra import SolverDefect, scale_to_integer, solve_dnf
+from .lra import SolverDefect, solve_dnf
 from .parser import ParseError
 
 # p and q of a value: ASCII digits only, where int() would also take other
@@ -37,23 +37,22 @@ def decide_system(system: SignedSystem) -> Decision:
     A row whose polynomial is identically zero can never be positive, so
     such systems are unsatisfiable regardless of the linear condition.
     Otherwise the search picks one dominating positive monomial per row
-    (:func:`~subtrop.lra.solve_dnf` over :func:`~subtrop.condition.build_dnf`).
-    The model's denominators are cleared
-    (:func:`~subtrop.lra.scale_to_integer`), and the integer vector is moved
-    toward 0 (:func:`~subtrop.condition.shrink`), which first checks that
-    it certifies the system; one that does not raises
+    (:func:`~subtrop.lra.solve_dnf` over :func:`~subtrop.condition.build_dnf`),
+    which returns an integer vector.  That vector is moved toward 0
+    (:func:`~subtrop.condition.shrink`), which first checks that it
+    certifies the system; one that does not raises
     :class:`~subtrop.lra.SolverDefect`.
     """
     zeros = zero_sign_rows(system)
     if zeros:
         return Decision("unsat", None, zeros[0])
-    model = solve_dnf(system.d, build_dnf(system))
-    if model is None:
+    n = solve_dnf(system.d, build_dnf(system))
+    if n is None:
         return Decision("unsat", None, None)
     try:
-        n = shrink(system, scale_to_integer(model))
+        n = shrink(system, n)
     except ValueError:
-        raise SolverDefect(f"row search returned a model {model} that fails the CNF") from None
+        raise SolverDefect(f"row search returned a vector {n} that fails the CNF") from None
     return Decision("sat", n, None)
 
 

@@ -35,7 +35,6 @@ from .core import (
     SignedSystem,
     SubtropError,
     _require_int,
-    row_supports,
     zero_sign_rows,
 )
 
@@ -111,18 +110,17 @@ class VerificationReport:
 def ratio_terms(system: SignedSystem) -> tuple[RatioTerm, ...]:
     """All (negative, positive) same-row coefficient ratios, row-major then (neg, pos).
 
+    The rows and their order come from :func:`~subtrop.condition.dominance_rows`.
     Concrete systems use the synthesized positional names ``c_<i+1>_<j+1>``.
     Names are pairwise distinct, so no pair repeats.
     """
-    out: list[RatioTerm] = []
-    for i in range(system.u):
-        positive, negative = row_supports(system, i)
-        for k in sorted(negative):
-            for j in sorted(positive):
-                out.append(
-                    RatioTerm(system.coefficient_name(i, k), system.coefficient_name(i, j), i, j, k)
-                )
-    return tuple(out)
+    name = system.coefficient_name
+    return tuple(
+        RatioTerm(name(i, k), name(i, j), i, j, k)
+        for i, positive, negative in dominance_rows(system)
+        for k in negative
+        for j in positive
+    )
 
 
 def _certified_exponent(system: SignedSystem, n) -> tuple[int, ...]:

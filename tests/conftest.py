@@ -1,8 +1,9 @@
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from subtrop import parse_system
+from subtrop import lra, parse_system
 from subtrop.condition import LinearCondition
 from subtrop.lra import solve_dnf
 
@@ -31,3 +32,27 @@ def solve_condition(condition: LinearCondition):
 def solve_rows(num_vars: int, rows):
     """``solve_dnf`` on one row with one branch that asserts every ``coeffs . n >= 1``."""
     return solve_dnf(num_vars, ((tuple(map(tuple, rows)),),))
+
+
+def exact(solve, *args):
+    """The model behind ``solve(*args)`` as Fractions, or None when it returns None.
+
+    ``solve`` is :func:`~subtrop.lra.solve_dnf` or a helper that calls it
+    once.  The model is recorded from ``_Simplex.model()``, the
+    ``(common, nums)`` pair that ``solve_dnf`` turns into its integer
+    vector.
+    """
+    recorded = []
+    model = lra._Simplex.model
+
+    def recording(engine):
+        common, nums = model(engine)
+        recorded.append(tuple(Fraction(x, common) for x in nums))
+        return common, nums
+
+    lra._Simplex.model = recording
+    try:
+        n = solve(*args)
+    finally:
+        lra._Simplex.model = model
+    return None if n is None else recorded[-1]

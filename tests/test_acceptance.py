@@ -23,7 +23,7 @@ from subtrop import (
     verify_witness,
 )
 from subtrop.condition import build_cnf, build_dnf, certifies
-from subtrop.lra import scale_to_integer, solve_dnf
+from subtrop.lra import solve_dnf
 from subtrop.oracle import exhaustive_decide
 from subtrop.witness import ratio_terms
 
@@ -183,7 +183,7 @@ def test_criterion_7_scaling_invariance(sat_instances):
     rng = random.Random(707)
     for system, decision in sat_instances:
         condition = build_cnf(system)
-        n = scale_to_integer(solve_dnf(system.d, build_dnf(system)))
+        n = solve_dnf(system.d, build_dnf(system))
         assert condition.satisfied_by(n)
         for _ in range(5):
             delta = rng.randint(1, 100)

@@ -9,7 +9,7 @@ import pytest
 from subtrop import ParseError, parse_system, print_system
 from subtrop.cli import main
 from subtrop.condition import build_cnf, build_dnf
-from subtrop.lra import scale_to_integer, solve_dnf
+from subtrop.lra import solve_dnf
 from subtrop.pipeline import decide_system, parse_coefficient_bindings
 
 from conftest import DATA, load
@@ -78,7 +78,7 @@ class TestDecide:
         text = "vars x y\npoly f1 = a*y^3 + b*x - c*x^2*y^3\npoly f2 = -d*y^3 + e*x*y^3\n"
         system = parse_system(text)
         decision = decide_system(system)
-        assert scale_to_integer(solve_dnf(system.d, build_dnf(system))) == (3, -2)
+        assert solve_dnf(system.d, build_dnf(system)) == (3, -2)
         assert decision.n == (1, -1)
         path = tmp_path / "loose.spp"
         path.write_text(text)
@@ -730,6 +730,41 @@ class TestDefectExitCodes:
         assert code == 4
         assert "witness failure" in err
 
+    def test_exit_code_follows_exception_class(self, capsys, monkeypatch):
+        # the two defects exit 4 with their own line; every other SubtropError is an
+        # input error and exits 2 with an "error: " line
+        import subtrop.cli as cli
+        import subtrop.oracle  # noqa: F401  (defines TooManySelections)
+        from subtrop import ParseError, SolverDefect, SubtropError, WitnessFailure
+
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        defects = {
+            WitnessFailure: "witness failure (solver defect): ",
+            SolverDefect: "solver defect: ",
+        }
+        classes = set(subclasses(SubtropError))
+        assert sorted(cls.__name__ for cls in classes - set(defects)) == [
+            "NonIntegerCoefficient", "NonPositivePoint", "ParseError", "PreconditionViolated",
+            "SizeLimitExceeded", "TooManySelections", "UnboundCoefficient", "UncertifiedExponent",
+            "_InputError",
+        ]
+        assert set(defects) <= classes
+        for cls in classes:
+            exc = cls("forced", 1, 1) if cls is ParseError else cls("forced for the test")
+
+            def fail(system, exc=exc):
+                raise exc
+
+            monkeypatch.setattr(cli, "decide_system", fail)
+            code, out, err = run(capsys, "decide", DATA / "example2.spp")
+            assert out == ""
+            expected = (4, defects[cls]) if cls in defects else (2, "error: ")
+            assert (code, err) == (expected[0], f"{expected[1]}{exc}\n"), cls
+
     def test_unexpected_exception_exits_4(self, capsys, monkeypatch):
         import subtrop.pipeline as pipeline
 
@@ -805,7 +840,6 @@ class TestDecideSystem:
         import subtrop.pipeline as pipeline
         from subtrop import SolverDefect
 
-        zero = (Fraction(0), Fraction(0))
-        monkeypatch.setattr(pipeline, "solve_dnf", lambda num_vars, rows: zero)
+        monkeypatch.setattr(pipeline, "solve_dnf", lambda num_vars, rows: (0, 0))
         with pytest.raises(SolverDefect):
             decide_system(load("example2.spp"))

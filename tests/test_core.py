@@ -11,9 +11,9 @@ from subtrop.core import (
     ExponentMatrix,
     ParametricCoefficients,
     SignMatrix,
-    row_supports,
     zero_sign_rows,
 )
+from subtrop.condition import dominance_rows
 
 from conftest import load
 from gensys import random_signed_system
@@ -164,37 +164,36 @@ class TestMatrices:
 
 
 class TestRowSupports:
+    """``dominance_rows`` gives each row's positive and negative monomial indices."""
+
     def test_example2_row_one(self):
         system = load("example2.spp")
-        positive, negative = row_supports(system, 0)
         # monomial columns in first-occurrence order:
         # 0: x1^5, 1: x1^2 x2, 2: x1^2, 3: x2^2, 4: x2^3
-        assert positive == {1, 3}
-        assert negative == {0, 2}
+        assert next(dominance_rows(system)) == (0, [1, 3], [0, 2])
 
     def test_all_zero_row_has_empty_supports(self):
         system = load("zero_row.spp")
-        assert row_supports(system, 0) == (frozenset(), frozenset())
+        assert list(dominance_rows(system)) == []
         assert zero_sign_rows(system) == (0,)
 
     def test_intro_f(self):
         system = load("intro_f.spp")
-        positive, negative = row_supports(system, 0)
-        assert positive == {0, 2}  # x^2 and the constant monomial
-        assert negative == {1}  # x
-
-    def test_out_of_range(self):
-        system = load("intro_f.spp")
-        with pytest.raises(IndexError):
-            row_supports(system, 1)
-        with pytest.raises(IndexError):
-            row_supports(system, -1)
+        # x^2 and the constant monomial are positive, x is negative
+        assert list(dominance_rows(system)) == [(0, [0, 2], [1])]
 
     def test_support_sizes_count_nonzero_signs(self):
+        # every row with a negative sign is given, in index order, with its nonzero
+        # signs split by sign in increasing index order; the other rows are skipped
         rng = random.Random(7)
         for _ in range(50):
             system = random_signed_system(rng, parametric=rng.random() < 0.5)
-            for i in range(system.u):
-                positive, negative = row_supports(system, i)
-                nonzero = sum(1 for x in system.s.entries[i] if x != 0)
-                assert len(positive) + len(negative) == nonzero
+            given_rows = {i: (positive, negative) for i, positive, negative in dominance_rows(system)}
+            assert list(given_rows) == sorted(given_rows)
+            for i, row in enumerate(system.s.entries):
+                if i not in given_rows:
+                    assert min(row) >= 0
+                    continue
+                positive, negative = given_rows[i]
+                assert positive == [j for j, x in enumerate(row) if x > 0]
+                assert negative == [j for j, x in enumerate(row) if x < 0] != []

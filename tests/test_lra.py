@@ -18,10 +18,10 @@ from subtrop.condition import (
     certifies,
     shrink,
 )
-from subtrop.lra import scale_to_integer, solve_dnf
+from subtrop.lra import solve_dnf
 from subtrop.oracle import exhaustive_decide
 
-from conftest import load, solve_condition, solve_rows
+from conftest import exact, load, solve_condition, solve_rows
 from gensys import random_condition, random_signed_system
 
 
@@ -196,7 +196,7 @@ class TestSearchAgainstOracle:
         zero = LinearLiteral((0, 0), 0, 1, 0)
         single = LinearLiteral((0, -3), 0, 2, 0)
         cond = LinearCondition(2, (Clause(0, 0, (zero, single)),))
-        assert solve_condition(cond) == (0, Fraction(-1, 3))
+        assert exact(solve_condition, cond) == (0, Fraction(-1, 3))
         assert solve_condition(LinearCondition(2, (Clause(0, 0, (zero,)),))) is None
 
 
@@ -303,10 +303,10 @@ class TestPinnedModels:
         assert names == set(PINNED_MODELS) | SLOW_DATA
         for name, expected in PINNED_MODELS.items():
             system = load(name)
-            assert solve_dnf(system.d, build_dnf(system)) == expected, name
+            assert exact(solve_dnf, system.d, build_dnf(system)) == expected, name
 
     def test_seeded_batch_digest(self):
-        models = [solve_dnf(system.d, build_dnf(system)) for system in pin_batch()]
+        models = [exact(solve_dnf, system.d, build_dnf(system)) for system in pin_batch()]
         assert sum(model is not None for model in models) == 223
         assert sum(
             model is not None and any(x.denominator != 1 for x in model) for model in models
@@ -320,28 +320,28 @@ class TestBounds:
 
     def test_tighter_lower_bound_wins(self):
         # x >= 1/3, then x >= 1/2: the second is tighter and moves x onto it
-        assert solve_rows(1, [(3,), (2,)]) == (Fraction(1, 2),)
-        assert solve_rows(1, [(2,), (3,)]) == (Fraction(1, 2),)
+        assert exact(solve_rows, 1, [(3,), (2,)]) == (Fraction(1, 2),)
+        assert exact(solve_rows, 1, [(2,), (3,)]) == (Fraction(1, 2),)
 
     def test_tighter_upper_bound_wins(self):
         # x <= -1/2, then x <= -1/3: the first stays, the second is implied
-        assert solve_rows(1, [(-2,), (-3,)]) == (Fraction(-1, 2),)
-        assert solve_rows(1, [(-3,), (-2,)]) == (Fraction(-1, 2),)
+        assert exact(solve_rows, 1, [(-2,), (-3,)]) == (Fraction(-1, 2),)
+        assert exact(solve_rows, 1, [(-3,), (-2,)]) == (Fraction(-1, 2),)
 
     def test_tighter_bound_on_a_slack_wins(self):
         # (3, -3) and (2, -2) bound the slack x - y below by 1/3 and 1/2
         for rows in ([(3, -3), (2, -2)], [(2, -2), (3, -3)]):
-            model = solve_rows(2, rows)
+            model = exact(solve_rows, 2, rows)
             assert model[0] - model[1] == Fraction(1, 2)
         for rows in ([(-2, 2), (-3, 3)], [(-3, 3), (-2, 2)]):
-            model = solve_rows(2, rows)
+            model = exact(solve_rows, 2, rows)
             assert model[0] - model[1] == Fraction(-1, 2)
 
     def test_value_inside_a_new_bound_stays(self):
         # branch 0 puts x at 1/2 and fails at level 1; retracting it leaves x at 1/2,
         # which satisfies branch 1's x >= 1/3, so x is not moved onto 1/3
         rows = ((((2, 0), (0, 1)), ((3, 0),)), (((0, -1),),))
-        assert solve_dnf(2, rows) == (Fraction(1, 2), Fraction(-1))
+        assert exact(solve_dnf, 2, rows) == (Fraction(1, 2), Fraction(-1))
 
     def test_opposite_bounds_clash_at_assert_time(self, monkeypatch):
         # level 0 bounds the slack x - y below, level 1 bounds z, and level 2 bounds
@@ -367,7 +367,7 @@ class TestBounds:
             (((0, 0, 1),), ((0, 0, 2),)),
             (((-1, 1, 0),),),
         )
-        model = solve_dnf(3, rows)
+        model = exact(solve_dnf, 3, rows)
         assert ((0, 0, 2), 1, None) not in calls
         assert calls[:6] == [
             ((1, -1, 0), 0, None), "check",
@@ -433,58 +433,101 @@ class TestBounds:
         assert inspected[0] > 1500  # 1875
         assert at_slack_bound[0] > 1000  # 1676 nonbasic slacks seen away from 0
 
-    def test_fraction_only_for_the_model(self, monkeypatch):
-        # the search does integer arithmetic only: a SAT answer builds one Fraction
-        # per entry of n, an UNSAT answer none
+    def test_search_builds_no_fraction(self, monkeypatch):
+        # the search does integer arithmetic only, up to and including its answer
+        sat, unsat = load("certify_head_42.spp"), load("search_head_8.spp")
         built = []
+        new = Fraction.__new__
 
-        def counting(*args):
+        def counting(cls, *args, **kwargs):
             built.append(args)
-            return Fraction(*args)
+            return new(cls, *args, **kwargs)
 
-        monkeypatch.setattr(lra, "Fraction", counting)
-        system = load("certify_head_42.spp")
-        assert solve_dnf(system.d, build_dnf(system)) == PINNED_MODELS["certify_head_42.spp"]
-        assert len(built) == system.d
-        built.clear()
-        system = load("search_head_8.spp")
-        assert solve_dnf(system.d, build_dnf(system)) is None
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        assert solve_dnf(sat.d, build_dnf(sat)) == (15, 64, -86)
+        assert solve_dnf(unsat.d, build_dnf(unsat)) is None
         assert built == []
+        Fraction(1, 3)
+        assert built == [(1, 3)]  # the counter sees every construction
+
+
+def lcm_scaled(values):
+    """Reference scaling: a Fraction vector times the lcm of its denominators."""
+    delta = math.lcm(*(x.denominator for x in values)) if values else 1
+    return tuple(int(x * delta) for x in values)
+
+
+def sat_models():
+    """(exact model, ``solve_dnf``'s vector) of each SAT data file and seeded-batch system."""
+    pairs = []
+    for system in [load(name) for name in PINNED_MODELS] + pin_batch():
+        rows = build_dnf(system)
+        model = exact(solve_dnf, system.d, rows)
+        if model is not None:
+            pairs.append((model, solve_dnf(system.d, rows)))
+    return pairs
+
+
+def conjunctions():
+    """A number of variables and up to 6 forms ``coeffs . n >= 1`` over them."""
+    return st.integers(1, 3).flatmap(
+        lambda d: st.tuples(st.just(d), st.lists(st.tuples(*[st.integers(-5, 5)] * d), max_size=6))
+    )
+
+
+def assert_smallest_multiple(model, n):
+    """``n`` is ``delta * model`` for the least positive int ``delta`` that makes it integral."""
+    assert all(type(x) is int for x in n)
+    deltas = {Fraction(x, m) for x, m in zip(n, model, strict=True) if m}
+    if not deltas:
+        assert not any(n)
+        return
+    (delta,) = deltas
+    assert delta.denominator == 1 and delta >= 1
+    # n / g = (delta / g) * model is integral for every common factor g of delta and n
+    assert math.gcd(delta.numerator, *n) == 1
 
 
 class TestScaleToInteger:
+    """``solve_dnf`` answers with the smallest positive integer multiple of its model."""
+
     def test_clears_denominators(self):
-        assert scale_to_integer((Fraction(3, 2), Fraction(-5, 4))) == (6, -5)
+        # the models (-5/2, -2) and (15/377, 64/377, -86/377) of PINNED_MODELS
+        example2, head = load("example2.spp"), load("certify_head_42.spp")
+        assert solve_dnf(example2.d, build_dnf(example2)) == (-5, -4)
+        assert solve_dnf(head.d, build_dnf(head)) == (15, 64, -86)
 
     def test_integral_model_unchanged(self):
-        assert scale_to_integer((Fraction(2), Fraction(-7))) == (2, -7)
+        assert exact(solve_rows, 2, [(1, 0), (-1, 1)]) == (1, 2)
+        assert solve_rows(2, [(1, 0), (-1, 1)]) == (1, 2)
+        assert exact(solve_rows, 3, []) == (0, 0, 0)
+        assert solve_rows(3, []) == (0, 0, 0)
 
     def test_third_satisfying_row_scales_to_one(self):
-        model = (Fraction(1, 3),)
-        assert sum(a * x for a, x in zip((3,), model)) >= 1
-        scaled = scale_to_integer(model)
-        assert scaled == (1,)
-        assert 3 * scaled[0] >= 1
-        assert solve_rows(1, [(3,)]) is not None
+        assert exact(solve_rows, 1, [(3,)]) == (Fraction(1, 3),)
+        assert solve_rows(1, [(3,)]) == (1,)
 
-    @given(st.lists(st.fractions(min_value=-100, max_value=100), min_size=1, max_size=4))
-    def test_result_is_a_positive_integer_multiple(self, values):
-        scaled = scale_to_integer(tuple(values))
-        deltas = {
-            Fraction(s, m) for s, m in zip(scaled, values, strict=True) if m != 0
-        }
-        assert len(deltas) <= 1
-        delta = deltas.pop() if deltas else Fraction(1)
-        assert delta.denominator == 1 and delta >= 1
+    def test_equals_the_lcm_scaled_model(self):
+        pairs = sat_models()
+        assert len(pairs) == 223 + 5  # the seeded batch and the SAT data files
+        for model, n in pairs:
+            assert n == lcm_scaled(model)
+            assert_smallest_multiple(model, n)
+
+    @given(conjunctions())
+    def test_result_is_a_positive_integer_multiple(self, conjunction):
+        d, rows = conjunction
+        model = exact(solve_rows, d, rows)
+        if model is not None:
+            assert_smallest_multiple(model, solve_rows(d, rows))
 
     def test_scaled_model_still_satisfies_condition(self):
         rng = random.Random(5)
         for _ in range(80):
             cond = random_condition(rng)
-            model = solve_condition(cond)
-            if model is None:
+            n = solve_condition(cond)
+            if n is None:
                 continue
-            n = scale_to_integer(model)
             assert cond.satisfied_by(n)
             for _ in range(3):
                 delta = rng.randint(1, 100)
@@ -511,7 +554,7 @@ class TestShrinkModel:
         # the simplex model n = 1 is already minimal, so shrinking keeps it
         system = load("intro_f.spp")
         decision = decide_system(system)
-        assert scale_to_integer(solve_dnf(system.d, build_dnf(system))) == (1,)
+        assert solve_dnf(system.d, build_dnf(system)) == (1,)
         assert decision.n == (1,)
         assert shrink(system, (1,)) == (1,)
 
@@ -528,7 +571,7 @@ class TestShrinkModel:
                 continue
             sat += 1
             n = decision.n
-            scaled = scale_to_integer(solve_dnf(system.d, build_dnf(system)))
+            scaled = solve_dnf(system.d, build_dnf(system))
             assert certifies(system, n)
             assert all(abs(x) <= abs(y) for x, y in zip(n, scaled, strict=True))
             moved += n != scaled

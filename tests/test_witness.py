@@ -40,6 +40,41 @@ def t_of(system) -> Fraction:
     )
 
 
+def sign_row_terms(system):
+    """Reference for ``ratio_terms``, read from the sign rows and the naming rule."""
+    terms = []
+    for i, row in enumerate(system.s.entries):
+        if system.is_parametric:
+            names = system.c.names[i]
+        else:
+            names = [f"c_{i + 1}_{j + 1}" for j in range(len(row))]
+        positive = [j for j, sign in enumerate(row) if sign > 0]
+        negative = [k for k, sign in enumerate(row) if sign < 0]
+        terms += [(names[k], names[j], i, j, k) for k in negative for j in positive]
+    return terms
+
+
+class TestRatioTerms:
+    def test_matches_sign_row_reference(self):
+        # row-major, then negative k, then positive j; a row without positive or
+        # without negative monomials gives no term
+        rng = random.Random(31)
+        systems = [load("zero_row.spp"), load("example2.spp")] + [
+            random_signed_system(
+                rng, parametric=index % 2 == 0, ensure_positive=rng.random() < 0.5
+            )
+            for index in range(300)
+        ]
+        kinds, terms = set(), 0
+        for system in systems:
+            got = [(t.numerator, t.denominator, t.row, t.pos, t.neg) for t in ratio_terms(system)]
+            assert got == sign_row_terms(system)
+            terms += len(got)
+            kinds |= {(max(row) > 0, min(row) < 0) for row in system.s.entries}
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+        assert terms > 500  # 850
+
+
 class TestSymbolicT:
     def test_example2_seven_terms_in_order(self):
         system = load("example2.spp")
