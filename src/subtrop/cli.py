@@ -2,9 +2,10 @@
 
 Grammar: ``subtrop COMMAND INPUT [OPTIONS]``, options before or after
 INPUT, as listed in ``_USAGE``.  An option's value follows it as the next
-argument or after ``=`` (``--seed 3`` or ``--seed=3``; ``--seed -3`` is a
-negative value).  Options are spelled in full, with no abbreviations, and
-``--`` ends them, so ``-- -x.spp`` names an INPUT that starts with ``-``.
+argument or after ``=`` (``--max-bits 64`` or ``--max-bits=64``;
+``--max-bits -3`` gives the value -3, which ``_LEAST`` then refuses).
+Options are spelled in full, with no abbreviations, and ``--`` ends them,
+so ``-- -x.spp`` names an INPUT that starts with ``-``.
 ``-h`` or ``--help`` prints the usage and a summary to stdout; :func:`main`
 returns 0.
 Any other argument outside the grammar is a usage error: the usage and
@@ -27,10 +28,8 @@ produce the same bytes.  The decision pipeline itself is
 from __future__ import annotations
 
 import json
-import random
 import re
 import sys
-from fractions import Fraction
 from itertools import cycle
 from operator import sub
 from types import SimpleNamespace
@@ -90,24 +89,22 @@ def _print_decision(decision: Decision, fmt: str):
             print(f"identically zero polynomial in row {decision.zero_row}")
 
 
-def _sample_bindings(system: SignedSystem, rng: random.Random) -> dict[str, Fraction]:
-    names = [name for row in system.c.names for name in row if name is not None]
-    return {name: Fraction(rng.randint(1, 10), rng.randint(1, 10)) for name in names}
-
-
-def _run_checks(system: SignedSystem, decision: Decision, seed: int) -> int:
+def _run_checks(system: SignedSystem, decision: Decision) -> int:
     """Cross-check a decision; 0 when every check holds, 3 on a disagreement.
 
-    A SAT answer is checked against its certificate: the integer vector
-    must certify the system (:func:`~subtrop.condition.certifies`), which
-    proves that some selection is feasible, so the exhaustive enumeration
-    would agree.  For a parametric template the witness is then verified
-    exactly, at ``r = t``, at 3 coefficient samples drawn from ``seed``: one
-    :func:`~subtrop.witness.verify_witness` call per sample, which computes
-    ``t`` once, from per-row sums; a failure raises
-    :class:`~subtrop.witness.WitnessFailure`.  An UNSAT answer has no
-    certificate: the CNF is built and re-decided by the exhaustive oracle,
-    which shares no code with the search.
+    A SAT vector ``n`` must certify the system
+    (:func:`~subtrop.condition.certifies`), and that alone proves
+    ``f(r^n) > 0`` for all positive coefficients and all ``r >= t``, so
+    nothing is sampled or evaluated.  In a row with negative monomials
+    ``N``, let ``j*`` be the positive monomial with the largest
+    ``e_j . n = m``; then every ``k`` in ``N`` has ``e_k . n <= m - 1``, and
+    as ``r >= 1``, ``f_i(r^n) >= r^(m - 1) (c_j* r - sum_{k in N} c_k)``.
+    The bracket is positive because
+    ``t = 1 + sum_i (sum_{k in N_i} c_k)(sum_{j in P_i} 1/c_j)`` is at least
+    ``1 + sum_{k in N} c_k / c_j*``.  A row without negative monomials is a
+    sum of positive terms.  ``verify`` checks the witness arithmetic.  An
+    UNSAT answer has no certificate: the CNF is built and re-decided by the
+    exhaustive oracle, which shares no code with the search.
     """
     if decision.status == "unsat":
         if exhaustive_decide(build_cnf(system)):
@@ -117,10 +114,6 @@ def _run_checks(system: SignedSystem, decision: Decision, seed: int) -> int:
     if not certifies(system, decision.n):
         print("check failed: the vector does not satisfy the linear condition", file=sys.stderr)
         return 3
-    if system.is_parametric:
-        rng = random.Random(seed)
-        for _ in range(3):
-            verify_witness(instantiate(system, _sample_bindings(system, rng)), decision.n)
     return 0
 
 
@@ -128,7 +121,7 @@ def cmd_decide(args) -> int:
     system = _load_system(args.input)
     decision = decide_system(system)
     if args.check and decision.zero_row is None:
-        code = _run_checks(system, decision, args.seed)
+        code = _run_checks(system, decision)
         if code:
             return code
     _print_decision(decision, args.format)
@@ -252,6 +245,8 @@ _FORMATS = ("text", "json")
 # str), to the tuple of values it accepts, or to None for a switch, which takes no
 # value and is False unless given.
 _COMMANDS = {
+    # --seed is parsed and validated but has no effect, since --check draws no samples;
+    # callers that pass it keep working.
     "decide": (cmd_decide, {"--format": _FORMATS, "--check": None, "--seed": int}),
     "witness": (cmd_witness, {"--format": _FORMATS}),
     "verify": (
@@ -261,7 +256,7 @@ _COMMANDS = {
     "explain": (cmd_explain, {"--format": _FORMATS}),
 }
 # Values of the valued options that are not given; the others default to None.
-_DEFAULTS = {"format": "text", "seed": 0}
+_DEFAULTS = {"format": "text"}
 # The least value of the int options that have one: a size limit below 1 bit
 # would refuse every point.
 _LEAST = {"--max-bits": 1}
@@ -294,13 +289,13 @@ commands:
 options:
   --format {text,json}  output format (default: text)
   --check               cross-check the answer (decide)
-  --seed N              seed for the --check coefficient samples (default: 0)
+  --seed N              accepted and ignored; --check draws no samples (decide)
   --coeffs FILE         coefficient values file for parametric input (verify)
   --use-uniform-bound   use 1 + v * (sum of negative integer coefficients)
                         instead of t (verify)
   --max-bits N          abort if evaluation exceeds N bits, N >= 1 (verify)
 
-An option's value follows it as the next argument or after '=' (--seed=3).
+An option's value follows it as the next argument or after '=' (--max-bits=64).
 Options are spelled in full, and '--' ends them.
 """
 )

@@ -68,6 +68,15 @@ class TestDecide:
         b = run(capsys, "decide", DATA / "example2.spp", "--check", "--seed", "99")
         assert a == b
 
+    def test_check_seed_is_ignored(self, capsys):
+        for path in sorted(DATA.glob("*.spp")):
+            if path.name == "wall_8_20_8_1.spp":
+                continue  # a 1 s search per call; CI decides it once
+            for fmt in ("text", "json"):
+                plain = run(capsys, "decide", path, "--check", "--format", fmt)
+                seeded = run(capsys, "decide", path, "--check", "--seed", "7", "--format", fmt)
+                assert seeded == plain, path.name
+
     def test_shrink_gives_smaller_vector(self, capsys, tmp_path):
         code, out, _ = run(capsys, "decide", DATA / "example2.spp", "--format", "json")
         assert code == 0
@@ -421,7 +430,7 @@ class TestVerify:
 
 
 class TestWitnessCalls:
-    """Each verified point computes t once, from the rows, and builds no symbolic witness."""
+    """``verify`` computes t once, from the rows, and ``decide --check`` not at all."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -441,10 +450,25 @@ class TestWitnessCalls:
                     monkeypatch.setattr(module, name, counted)
         return counts
 
-    def test_check_builds_one_witness_per_sample(self, capsys, calls):
+    def test_check_computes_no_t(self, capsys, calls):
+        # certifies alone proves f(r^n) > 0 for every coefficient choice
         code, _, err = run(capsys, "decide", DATA / "example2.spp", "--check")
         assert code == 0, err
-        assert calls == {"symbolic_t": 0, "evaluate_t": 0, "_t_from_rows": 3}
+        assert calls == {"symbolic_t": 0, "evaluate_t": 0, "_t_from_rows": 0}
+
+    def test_check_evaluates_nothing_for_large_n(self, capsys, monkeypatch):
+        # max|n| is 52,294 here: an exact evaluation of f(t^n) runs for over 15 s
+        import subtrop.witness as witness
+
+        evaluations = []
+        monkeypatch.setattr(witness, "_row_values", lambda *args: evaluations.append(args))
+        path = DATA / "search_head_3.spp"
+        plain = run(capsys, "decide", path, "--format", "json")
+        checked = run(capsys, "decide", path, "--check", "--format", "json")
+        n = [-11558, -10047, 11455, -52294, -23700, 14366]
+        assert plain == (0, json.dumps({"status": "sat", "n": n}) + "\n", "")
+        assert checked == plain
+        assert evaluations == []
 
     def test_verify_builds_one_witness(self, capsys, calls):
         code, _, err = run(
@@ -726,7 +750,9 @@ class TestDefectExitCodes:
             raise WitnessFailure("forced for the test")
 
         monkeypatch.setattr(cli, "verify_witness", boom)
-        code, _, err = run(capsys, "decide", DATA / "example2.spp", "--check")
+        code, _, err = run(
+            capsys, "verify", DATA / "example2.spp", "--coeffs", DATA / "example2_ones.coeffs"
+        )
         assert code == 4
         assert "witness failure" in err
 

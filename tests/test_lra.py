@@ -278,6 +278,10 @@ PINNED_MODELS = {
     "intro_f.spp": (Fraction(1),),
     "intro_f_ones.spp": (Fraction(1),),
     "intro_g.spp": None,
+    "search_head_3.spp": (
+        Fraction(-4192, 3393), Fraction(-7039, 3393), Fraction(25333, 10179),
+        Fraction(-62351, 10179), Fraction(-26341, 10179), Fraction(24913, 10179),
+    ),
     "search_head_8.spp": None,
     "sec2.spp": None,
     "zero_row.spp": (Fraction(0),),
@@ -509,7 +513,7 @@ class TestScaleToInteger:
 
     def test_equals_the_lcm_scaled_model(self):
         pairs = sat_models()
-        assert len(pairs) == 223 + 5  # the seeded batch and the SAT data files
+        assert len(pairs) == 223 + 6  # the seeded batch and the SAT data files
         for model, n in pairs:
             assert n == lcm_scaled(model)
             assert_smallest_multiple(model, n)
