@@ -28,7 +28,6 @@ produce the same bytes.  The decision pipeline itself is
 from __future__ import annotations
 
 import json
-import re
 import sys
 from itertools import cycle
 from operator import sub
@@ -55,12 +54,19 @@ class _InputError(SubtropError):
 
 
 def _read(path: str) -> str:
-    """The text of the UTF-8 file at ``path``; other bytes raise :class:`_InputError`."""
-    with open(path, encoding="utf-8") as file:
-        try:
-            return file.read()
-        except UnicodeDecodeError as exc:
-            raise _InputError(f"{path} is not UTF-8 text: {exc}") from None
+    """The text of the UTF-8 file at ``path``; other bytes raise :class:`_InputError`.
+
+    The bytes are decoded whole, with no newline translation: the parsers
+    split lines with ``str.splitlines``, which ends a line at ``\\r\\n``,
+    ``\\r`` or ``\\n`` alike.  Reading in binary mode is cheaper on a first
+    call than building a text wrapper.
+    """
+    with open(path, "rb") as file:
+        data = file.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _load_system(path: str) -> SignedSystem:
@@ -73,13 +79,15 @@ def _format_vector(values) -> str:
 
 def _print_decision(decision: Decision, fmt: str):
     if fmt == "json":
+        # the bytes json.dumps gives for these three shapes, which hold only
+        # fixed keys and ints, written without building the objects
         if decision.zero_row is not None:
-            obj = {"status": "unsat", "reason": "zero-row", "row": decision.zero_row}
+            text = f'{{"status": "unsat", "reason": "zero-row", "row": {decision.zero_row}}}'
         elif decision.status == "sat":
-            obj = {"status": "sat", "n": list(decision.n)}
+            text = f'{{"status": "sat", "n": [{", ".join(map(str, decision.n))}]}}'
         else:
-            obj = {"status": "unsat"}
-        print(json.dumps(obj))
+            text = '{"status": "unsat"}'
+        sys.stdout.write(text + "\n")
     elif decision.status == "sat":
         print("SAT")
         print(f"n = {_format_vector(decision.n)}")
@@ -260,9 +268,6 @@ _DEFAULTS = {"format": "text"}
 # The least value of the int options that have one: a size limit below 1 bit
 # would refuse every point.
 _LEAST = {"--max-bits": 1}
-# An int option's value, in ASCII digits only, as in .spp files and values files;
-# int() would also take other decimal digits, spaces and underscores.
-_INTEGER = re.compile("-?[0-9]+")
 
 _USAGE = """\
 usage: subtrop decide  INPUT [--format {text,json}] [--check] [--seed N]
@@ -310,9 +315,21 @@ def _dest(flag: str) -> str:
     return flag[2:].replace("-", "_")
 
 
+def _is_integer(arg: str) -> bool:
+    """Whether ``arg`` is an optional ``-`` and one or more ASCII digits.
+
+    This is what an int option's value may be, as in .spp files and values
+    files; int() would also take other decimal digits, spaces and
+    underscores.  The only ASCII characters that ``str.isdigit`` accepts
+    are 0-9.
+    """
+    digits = arg[1:] if arg.startswith("-") else arg
+    return digits.isascii() and digits.isdigit()
+
+
 def _is_option(arg: str) -> bool:
     """Whether an argument reads as an option; '-' and negative integers do not."""
-    return arg.startswith("-") and arg != "-" and not _INTEGER.fullmatch(arg)
+    return arg.startswith("-") and arg != "-" and not _is_integer(arg)
 
 
 def _parse_args(argv: list[str]):
@@ -361,7 +378,7 @@ def _parse_args(argv: list[str]):
                     f"option {flag}: invalid choice {value!r} (choose from {', '.join(kind)})"
                 )
         elif kind is int:
-            if not _INTEGER.fullmatch(value):
+            if not _is_integer(value):
                 raise _UsageError(f"option {flag}: invalid integer {value!r}")
             value = int(value)
             if value < _LEAST.get(flag, value):

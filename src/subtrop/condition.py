@@ -38,25 +38,27 @@ system.  :func:`shrink` walks n toward 0 inside that polyhedron.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import mul, sub
 
-from .core import SignedSystem
+from .core import SignedSystem, _Value
 
 
-@dataclass(frozen=True, slots=True)
-class LinearLiteral:
+class LinearLiteral(_Value):
     """One dominance constraint ``coeffs . n >= 1`` with ``coeffs = e[pos] - e[neg]``."""
 
+    __slots__ = ("coeffs", "row", "pos", "neg")
     coeffs: tuple[int, ...]
     row: int
     pos: int
     neg: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+    def __init__(self, coeffs, row: int, pos: int, neg: int):
+        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "neg", neg)
 
     def value_at(self, n) -> Fraction | int:
         if len(n) != len(self.coeffs):
@@ -67,30 +69,33 @@ class LinearLiteral:
         return self.value_at(n) >= 1
 
 
-@dataclass(frozen=True, slots=True)
-class Clause:
+class Clause(_Value):
     """Alternatives for dominating negative monomial ``neg`` of row ``row``."""
 
+    __slots__ = ("row", "neg", "literals")
     row: int
     neg: int
     literals: tuple[LinearLiteral, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "literals", tuple(self.literals))
+    def __init__(self, row: int, neg: int, literals):
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "neg", neg)
+        object.__setattr__(self, "literals", tuple(literals))
 
     def satisfied_by(self, n) -> bool:
         return any(lit.satisfied_by(n) for lit in self.literals)
 
 
-@dataclass(frozen=True, slots=True)
-class LinearCondition:
+class LinearCondition(_Value):
     """CNF of dominance constraints; clauses ordered by (row, neg), literals by pos."""
 
+    __slots__ = ("num_vars", "clauses")
     num_vars: int
     clauses: tuple[Clause, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "clauses", tuple(self.clauses))
+    def __init__(self, num_vars: int, clauses):
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "clauses", tuple(clauses))
 
     def satisfied_by(self, n) -> bool:
         """True when every clause has at least one literal with value >= 1 at ``n``."""
@@ -167,40 +172,40 @@ def build_dnf(system: SignedSystem) -> tuple[tuple[tuple[tuple[int, ...], ...], 
     )
 
 
-def _argmax_branches(system: SignedSystem, n) -> tuple[list[tuple[int, ...]], list] | None:
-    """The forms ``e_j - e_k`` of the branches picked at ``n`` and their values, or None.
-
-    Each monomial's height ``e_j . n`` is computed once.  In each row with
-    negative monomials, j is the highest positive monomial at n, the first
-    in index order on a tie, and k runs over the row's negative monomials.
-    None means that ``n`` does not certify the system: some row has
-    negative monomials and no positive one 1 above the highest of them.
-    """
+def _heights(system: SignedSystem, n) -> list:
+    """Each monomial's height ``e_j . n``, in index order."""
     if len(n) != system.d:
         raise ValueError(f"expected a vector of length {system.d}, got {len(n)}")
-    exponents = system.e.entries
-    heights = [sum(map(mul, exps, n)) for exps in exponents]
-    forms: list[tuple[int, ...]] = []
-    values: list = []
+    return [sum(map(mul, exps, n)) for exps in system.e.entries]
+
+
+def _argmax_rows(system: SignedSystem, heights: list) -> Iterator[tuple[int | None, list[int]]]:
+    """``(top, negative)`` for each row with negative monomials, at the given heights.
+
+    ``top`` is the row's highest positive monomial, the first in index
+    order on a tie, and ``negative`` holds the row's negative monomials.
+    ``top`` is None when no positive monomial stands 1 above the highest
+    negative one, so that the vector behind ``heights`` does not certify
+    the system.  Rows come in the order of :func:`dominance_rows`.
+    """
     for _, positive, negative in dominance_rows(system):
         top = max(positive, key=heights.__getitem__, default=None)
-        if top is None or heights[top] < max(heights[k] for k in negative) + 1:
-            return None
-        forms += [tuple(map(sub, exponents[top], exponents[k])) for k in negative]
-        values += [heights[top] - heights[k] for k in negative]
-    return forms, values
+        if top is not None and heights[top] < max(map(heights.__getitem__, negative)) + 1:
+            top = None
+        yield top, negative
 
 
 def certifies(system: SignedSystem, n) -> bool:
     """True when ``n`` satisfies :func:`build_cnf` of ``system``, in O(u*v*d) steps.
 
-    The check is :func:`_argmax_branches`, without building the CNF.  A row
-    with negative monomials passes when its highest positive monomial
-    stands at least 1 above its highest negative one; a row with negative
-    monomials but no positive ones fails, and a row without negative
-    monomials passes.  Exact for ``int`` and ``Fraction`` entries.
+    The check is :func:`_argmax_rows`, without building the CNF or any
+    branch form.  A row with negative monomials passes when its highest
+    positive monomial stands at least 1 above its highest negative one; a
+    row with negative monomials but no positive ones fails, and a row
+    without negative monomials passes.  Exact for ``int`` and ``Fraction``
+    entries.
     """
-    return _argmax_branches(system, n) is not None
+    return all(top is not None for top, _ in _argmax_rows(system, _heights(system, n)))
 
 
 def _descend(forms: list[tuple[int, ...]], values: list[int], n: list[int]) -> bool:
@@ -269,10 +274,16 @@ def shrink(system: SignedSystem, n) -> tuple[int, ...]:
     in such a polyhedron, so it certifies, and since ``sum(|n_i|)`` falls
     with every round but the last, the rounds end.
     """
+    exponents = system.e.entries
     n = list(n)
     while True:
-        branches = _argmax_branches(system, n)
-        if branches is None:
-            raise ValueError(f"{tuple(n)} does not certify the system")
-        if not _descend(*branches, n):
+        heights = _heights(system, n)
+        forms: list[tuple[int, ...]] = []
+        values: list[int] = []
+        for top, negative in _argmax_rows(system, heights):
+            if top is None:
+                raise ValueError(f"{tuple(n)} does not certify the system")
+            forms += [tuple(map(sub, exponents[top], exponents[k])) for k in negative]
+            values += [heights[top] - heights[k] for k in negative]
+        if not _descend(forms, values, n):
             return tuple(n)

@@ -15,11 +15,49 @@ in this package touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
 
 class SubtropError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class _Value:
+    """Base of the package's immutable value types.
+
+    A subclass lists its fields in ``__slots__`` and sets each one once, in
+    ``__init__``, with ``object.__setattr__``.  Equality, hashing, ``repr``
+    and pickling go by the fields in that order, as for a frozen dataclass,
+    and assigning or deleting a field raises :class:`AttributeError`.  The
+    value types are not dataclasses because importing :mod:`dataclasses`
+    and building each class costs more than deciding a small system.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 def _frozen_rows(entries) -> tuple[tuple, ...]:
@@ -32,14 +70,13 @@ def _require_int(x, what: str) -> int:
     return x
 
 
-def _freeze_int_matrix(matrix, what: str) -> tuple[tuple[int, ...], ...]:
-    """Freeze ``matrix.entries`` and fill in ``cols``; every row has ``cols`` ints.
+def _freeze_int_matrix(matrix, entries, cols: int, what: str) -> tuple[tuple[int, ...], ...]:
+    """Set ``matrix.entries`` to ``entries`` frozen, and ``matrix.cols``; rows have ``cols`` ints.
 
     A negative ``cols`` means "take it from the first row", which needs at
     least one row.  Returns the frozen entries.
     """
-    entries = _frozen_rows(matrix.entries)
-    cols = matrix.cols
+    entries = _frozen_rows(entries)
     if cols < 0:
         if not entries:
             raise ValueError(f"cols is required for {what} matrices with no rows")
@@ -55,20 +92,20 @@ def _freeze_int_matrix(matrix, what: str) -> tuple[tuple[int, ...], ...]:
     return entries
 
 
-@dataclass(frozen=True)
-class ExponentMatrix:
+class ExponentMatrix(_Value):
     """v x d matrix of nonnegative integers; row j is the exponent vector of monomial j.
 
     ``cols`` may be omitted when there is at least one row.  No two rows may
     be equal: each monomial appears exactly once.
     """
 
+    __slots__ = ("entries", "cols")
     entries: tuple[tuple[int, ...], ...]
-    cols: int = -1
+    cols: int
 
-    def __post_init__(self):
+    def __init__(self, entries, cols: int = -1):
         seen = set()
-        for row in _freeze_int_matrix(self, "exponent"):
+        for row in _freeze_int_matrix(self, entries, cols, "exponent"):
             for x in row:
                 if x < 0:
                     raise ValueError(f"negative exponent {x} in row {row}")
@@ -87,15 +124,15 @@ class ExponentMatrix:
 _SIGNS = frozenset((-1, 0, 1))
 
 
-@dataclass(frozen=True)
-class SignMatrix:
+class SignMatrix(_Value):
     """u x v matrix over {-1, 0, 1}; entry (i, j) is the sign of monomial j in row i."""
 
+    __slots__ = ("entries", "cols")
     entries: tuple[tuple[int, ...], ...]
-    cols: int = -1
+    cols: int
 
-    def __post_init__(self):
-        for row in _freeze_int_matrix(self, "sign"):
+    def __init__(self, entries, cols: int = -1):
+        for row in _freeze_int_matrix(self, entries, cols, "sign"):
             if not _SIGNS.issuperset(row):
                 bad = next(x for x in row if x not in _SIGNS)
                 raise ValueError(f"sign entries must be -1, 0 or 1, got {bad}")
@@ -105,17 +142,17 @@ class SignMatrix:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class ParametricCoefficients:
+class ParametricCoefficients(_Value):
     """Coefficient matrix of pairwise-distinct indeterminate names.
 
     ``None`` marks positions whose sign is zero (no coefficient exists there).
     """
 
+    __slots__ = ("names",)
     names: tuple[tuple[str | None, ...], ...]
 
-    def __post_init__(self):
-        names = _frozen_rows(self.names)
+    def __init__(self, names):
+        names = _frozen_rows(names)
         object.__setattr__(self, "names", names)
         seen: set[str] = set()
         for row in names:
@@ -140,15 +177,15 @@ def _as_positive_fraction(x, what: str) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class ConcreteCoefficients:
+class ConcreteCoefficients(_Value):
     """Coefficient matrix of positive rationals; 1 is the placeholder at zero-sign positions."""
 
+    __slots__ = ("values",)
     values: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self):
+    def __init__(self, values):
         rows = tuple(
-            tuple(_as_positive_fraction(x, "coefficient") for x in row) for row in self.values
+            tuple(_as_positive_fraction(x, "coefficient") for x in row) for row in values
         )
         object.__setattr__(self, "values", rows)
 
@@ -158,8 +195,7 @@ CoefficientSpec = ParametricCoefficients | ConcreteCoefficients
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class SignedSystem:
+class SignedSystem(_Value):
     """A polynomial system in factored sign/coefficient/exponent form.
 
     Shapes: ``s`` is u x v, ``c`` matches ``s``, ``e`` is v x d with
@@ -168,13 +204,17 @@ class SignedSystem:
     at every zero-sign position.
     """
 
+    __slots__ = ("s", "e", "c", "var_names")
     s: SignMatrix
     e: ExponentMatrix
     c: CoefficientSpec
     var_names: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "var_names", tuple(self.var_names))
+    def __init__(self, s: SignMatrix, e: ExponentMatrix, c: CoefficientSpec, var_names):
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "var_names", tuple(var_names))
         if not self.var_names:
             raise ValueError("a system needs at least one variable")
         if len(set(self.var_names)) != len(self.var_names):

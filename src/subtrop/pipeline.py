@@ -9,11 +9,10 @@ returns the shrunk integer vector.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .condition import build_dnf, shrink
-from .core import SignedSystem, zero_sign_rows
+from .core import SignedSystem, _Value, zero_sign_rows
 from .lra import SolverDefect, solve_dnf
 from .parser import ParseError
 
@@ -22,13 +21,18 @@ from .parser import ParseError
 _DIGITS = re.compile("[0-9]+")
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(_Value):
     """Result of the full decision pipeline on one system."""
 
+    __slots__ = ("status", "n", "zero_row")
     status: str  # "sat" | "unsat"
     n: tuple[int, ...] | None
     zero_row: int | None
+
+    def __init__(self, status: str, n: tuple[int, ...] | None, zero_row: int | None):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "zero_row", zero_row)
 
 
 def decide_system(system: SignedSystem) -> Decision:

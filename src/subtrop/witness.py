@@ -24,7 +24,6 @@ built only for the report, or for the value an error names.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -35,6 +34,7 @@ from .core import (
     SignedSystem,
     SubtropError,
     _require_int,
+    _Value,
     zero_sign_rows,
 )
 
@@ -67,23 +67,34 @@ class SizeLimitExceeded(SubtropError):
     """Exact evaluation would exceed the configured bit-size guard."""
 
 
-@dataclass(frozen=True)
-class RatioTerm:
+class RatioTerm(_Value):
     """One summand ``numerator / denominator`` of t, tagged with its matrix position."""
 
+    __slots__ = ("numerator", "denominator", "row", "pos", "neg")
     numerator: str
     denominator: str
     row: int
     pos: int
     neg: int
 
+    def __init__(self, numerator: str, denominator: str, row: int, pos: int, neg: int):
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "neg", neg)
 
-@dataclass(frozen=True)
-class SymbolicWitness:
+
+class SymbolicWitness(_Value):
     """The witness ``x = t^n`` with ``t = 1 + sum of ratio terms``."""
 
+    __slots__ = ("terms", "n")
     terms: tuple[RatioTerm, ...]
     n: tuple[int, ...]
+
+    def __init__(self, terms: tuple[RatioTerm, ...], n: tuple[int, ...]):
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "n", n)
 
     def to_json_dict(self) -> dict:
         return {
@@ -97,14 +108,26 @@ class SymbolicWitness:
         return f"t = {' + '.join(parts)}; z = ({z})"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Value):
     """Outcome of one exact check of ``f(r^n) > 0``; every entry of ``values`` is > 0."""
 
+    __slots__ = ("t_value", "r_value", "point", "values")
     t_value: Fraction
     r_value: Fraction
     point: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
+
+    def __init__(
+        self,
+        t_value: Fraction,
+        r_value: Fraction,
+        point: tuple[Fraction, ...],
+        values: tuple[Fraction, ...],
+    ):
+        object.__setattr__(self, "t_value", t_value)
+        object.__setattr__(self, "r_value", r_value)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "values", values)
 
 
 def ratio_terms(system: SignedSystem) -> tuple[RatioTerm, ...]:

@@ -44,7 +44,37 @@ class TestDecide:
     def test_zero_row_reports_reason(self, capsys):
         code, out, _ = run(capsys, "decide", DATA / "zero_row.spp", "--format", "json")
         assert code == 1
-        assert json.loads(out) == {"status": "unsat", "reason": "zero-row", "row": 0}
+        assert out == '{"status": "unsat", "reason": "zero-row", "row": 0}\n'
+
+    def test_json_bytes_equal_json_dumps(self, capsys, tmp_path):
+        # the decision JSON is written as a string, not by json.dumps; it must be
+        # json.dumps' bytes for every shape, with and without --check
+        paths = [p for p in sorted(DATA.glob("*.spp")) if p.name != "wall_8_20_8_1.spp"]
+        for seed in range(6):
+            system = random_signed_system(random.Random(seed), parametric=seed % 2 == 0)
+            paths.append(tmp_path / f"random_{seed}.spp")
+            paths[-1].write_text(print_system(system), encoding="utf-8")
+        paths.append(tmp_path / "zero_row_2.spp")
+        paths[-1].write_text("vars x\npoly f = 2*x - 1\npoly g = 3\npoly h = x - x\n")
+        shapes = set()
+        for path in paths:
+            decision = decide_system(parse_system(path.read_text()))
+            if decision.zero_row is not None:
+                obj = {"status": "unsat", "reason": "zero-row", "row": decision.zero_row}
+            elif decision.status == "sat":
+                obj = {"status": "sat", "n": list(decision.n)}
+            else:
+                obj = {"status": "unsat"}
+            shapes.add(tuple(obj))
+            expected = (0 if decision.status == "sat" else 1, json.dumps(obj) + "\n", "")
+            assert run(capsys, "decide", path, "--format", "json") == expected, path.name
+            checked = run(capsys, "decide", path, "--format", "json", "--check")
+            if checked[0] == 2:  # the oracle refuses to re-decide this UNSAT answer
+                assert (decision.status, checked[1]) == ("unsat", ""), path.name
+                assert checked[2].endswith("selections exceed the limit 1000000\n")
+            else:
+                assert checked == expected, path.name
+        assert len(shapes) == 3
 
     def test_zero_row_text_diagnostic(self, capsys):
         code, out, _ = run(capsys, "decide", DATA / "zero_row.spp")
@@ -828,6 +858,55 @@ class TestDefectExitCodes:
         code, out, _ = run(capsys, "decide", DATA / "zero_row.spp", "--check")
         assert code == 1
         assert "identically zero" in out
+
+
+class TestLineEndings:
+    """Input files are decoded with no newline translation: ``\\r\\n`` and ``\\r`` end a line."""
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_same_system_and_bytes(self, capsys, tmp_path, newline):
+        import subtrop.cli as cli
+
+        bad = "vars x\n# a comment\npoly f = a*x^\n"
+        for name, text in [
+            *((p.name, p.read_text()) for p in sorted(DATA.glob("*.spp"))), ("bad.spp", bad)
+        ]:
+            assert "\r" not in text
+            lf, other = tmp_path / f"lf_{name}", tmp_path / f"other_{name}"
+            lf.write_bytes(text.encode())
+            other.write_bytes(text.replace("\n", newline).encode())
+            if name != "bad.spp":
+                assert cli._load_system(str(other)) == cli._load_system(str(lf)), name
+            for argv in (["decide"], ["decide", "--format", "json"],
+                         ["explain"], ["explain", "--format", "json"]):
+                if argv[0] == "decide" and name == "wall_8_20_8_1.spp":
+                    continue  # a 1 s search per call; CI decides it once
+                expected = run(capsys, argv[0], lf, *argv[1:])
+                assert run(capsys, argv[0], other, *argv[1:]) == expected, (name, argv)
+            if name == "bad.spp":
+                assert expected == (2, "", "error: line 3, column 14: expected an exponent\n")
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_same_bindings_and_bytes(self, capsys, tmp_path, newline):
+        import subtrop.cli as cli
+
+        for spp, coeffs in [("example2.spp", "example2_ones.coeffs"),
+                            ("certify_head_42.spp", "certify_head_42.coeffs")]:
+            text = (DATA / coeffs).read_text()
+            assert "\r" not in text and text.count("\n") > 3
+            lf, other = tmp_path / f"lf_{coeffs}", tmp_path / f"other_{coeffs}"
+            lf.write_bytes(text.encode())
+            other.write_bytes(text.replace("\n", newline).encode())
+            bindings = parse_coefficient_bindings(cli._read(str(lf)))
+            assert parse_coefficient_bindings(cli._read(str(other))) == bindings
+            assert len(bindings) >= 3
+            argv = ["verify", DATA / spp, "--format", "json"]
+            assert run(capsys, *argv, "--coeffs", other) == run(capsys, *argv, "--coeffs", lf)
+        # a bad line keeps its number
+        other = tmp_path / "bad.coeffs"
+        other.write_bytes(newline.join(["# values", "a = 1", "b = x", ""]).encode())
+        with pytest.raises(ParseError, match="line 3"):
+            parse_coefficient_bindings(cli._read(str(other)))
 
 
 class TestCoefficientBindings:

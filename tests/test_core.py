@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -6,14 +8,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from subtrop import SignedSystem
+from subtrop import decide_system, symbolic_t, verify_witness
 from subtrop.core import (
     ConcreteCoefficients,
     ExponentMatrix,
     ParametricCoefficients,
     SignMatrix,
+    _Value,
     zero_sign_rows,
 )
-from subtrop.condition import dominance_rows
+from subtrop.condition import build_cnf, dominance_rows
 
 from conftest import load
 from gensys import random_signed_system
@@ -197,3 +201,68 @@ class TestRowSupports:
                 positive, negative = given_rows[i]
                 assert positive == [j for j, x in enumerate(row) if x > 0]
                 assert negative == [j for j, x in enumerate(row) if x < 0] != []
+
+
+def value_instances() -> list:
+    """One freshly built instance of each value type, from example2 and intro_f_ones."""
+    system = load("example2.spp")
+    concrete = load("intro_f_ones.spp")
+    condition = build_cnf(system)
+    decision = decide_system(system)
+    witness = symbolic_t(system, decision.n)
+    return [
+        system, system.s, system.e, system.c, concrete.c,
+        condition, condition.clauses[0], condition.clauses[0].literals[0],
+        decision, witness, witness.terms[0],
+        verify_witness(concrete, decide_system(concrete).n),
+    ]
+
+
+class TestValueTypes:
+    """The value types behave as frozen records: by their fields, and never reassigned."""
+
+    def test_every_value_type_is_covered(self):
+        assert {type(x) for x in value_instances()} == set(_Value.__subclasses__())
+        assert len(_Value.__subclasses__()) == 12
+
+    def test_equal_values_are_equal_and_hash_equal(self):
+        for a, b in zip(value_instances(), value_instances()):
+            assert a is not b
+            assert a == b and not a != b, type(a).__name__
+            assert hash(a) == hash(b), type(a).__name__
+            assert len({a, b}) == 1
+            # unlike a namedtuple, a value is not equal to the tuple of its fields
+            assert a != tuple(getattr(a, name) for name in a.__slots__)
+        assert load("example2.spp") != load("example3.spp")
+        assert SignMatrix(((1, -1),)) != ExponentMatrix(((1, 1),))
+
+    def test_assigning_or_deleting_a_field_raises(self):
+        for value in value_instances():
+            for name in value.__slots__:
+                before = getattr(value, name)
+                with pytest.raises(AttributeError):
+                    setattr(value, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(value, name)
+                assert getattr(value, name) is before
+            with pytest.raises(AttributeError):
+                value.extra = 1
+
+    def test_repr_names_the_fields(self):
+        assert repr(SignMatrix(((1, -1),))) == "SignMatrix(entries=((1, -1),), cols=2)"
+        assert repr(ConcreteCoefficients(((1,),))) == (
+            "ConcreteCoefficients(values=((Fraction(1, 1),),))"
+        )
+        decision = decide_system(load("example2.spp"))
+        assert repr(decision) == "Decision(status='sat', n=(-5, -4), zero_row=None)"
+        for value in value_instances():
+            text = repr(value)
+            assert text.startswith(type(value).__name__ + "(")
+            for name in value.__slots__:
+                assert f"{name}={getattr(value, name)!r}" in text
+
+    def test_copies_and_pickles_are_equal(self):
+        for value in value_instances():
+            assert copy.copy(value) == value
+            assert copy.deepcopy(value) == value
+            assert pickle.loads(pickle.dumps(value)) == value
