@@ -37,7 +37,7 @@ from .condition import build_cnf, certifies, dominance_rows
 from .core import SignedSystem, SubtropError
 from .lra import SolverDefect
 from .oracle import exhaustive_decide
-from .parser import parse_system
+from .parser import _MAX_DIGITS, parse_system
 from .pipeline import Decision, decide_system, parse_coefficient_bindings
 from .witness import (
     VerificationReport,
@@ -151,19 +151,19 @@ def cmd_witness(args) -> int:
     return 0
 
 
-def _print_report(report: VerificationReport, n: tuple[int, ...], fmt: str):
-    """Print the exact values, however many digits they have.
+def _unlimited_digits(write, *args):
+    """Call ``write(*args)``, which prints exact ints however many digits they have.
 
     CPython (3.10.7 and later) refuses to convert an int of more than 4300
     digits to text by default; the limit is lifted here and restored
     afterwards.
     """
     if not hasattr(sys, "set_int_max_str_digits"):
-        return _print_exact_report(report, n, fmt)
+        return write(*args)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        _print_exact_report(report, n, fmt)
+        return write(*args)
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -205,7 +205,7 @@ def cmd_verify(args) -> int:
         return 1
     r = uniform_bound(system) if args.use_uniform_bound else None
     report = verify_witness(system, decision.n, r, max_bits=args.max_bits)
-    _print_report(report, decision.n, args.format)
+    _unlimited_digits(_print_exact_report, report, decision.n, args.format)
     return 0
 
 
@@ -215,36 +215,44 @@ def cmd_explain(args) -> int:
     The text equals ``build_cnf(system).to_debug_text()`` and the JSON equals
     ``json.dumps`` of ``{"num_vars", "clauses"}``.  The rows come from
     :func:`~subtrop.condition.dominance_rows`.  Each row makes one ``%``
-    template for its clauses, with the row's positive indices written in and
-    ``d`` integer fields per literal, and flattens its positive exponent
-    vectors into one list.  A clause is then one ``%`` over ``k`` and that
-    list minus ``e_k``, computed in C, so no literal becomes an object or a
-    format call of its own.  Each row's clauses are written as soon as they
-    are made, so the whole output is never held at once.
+    template for its clauses, as bytes, with the row's positive indices
+    written in and ``d`` integer fields per literal, and flattens its
+    positive exponent vectors into one list.  A clause is then one ``%``
+    over ``k`` and that list minus ``e_k``, computed in C, so no literal
+    becomes an object or a format call of its own; ``bytes %`` formats
+    ints faster than ``str %``.  Each row's clauses are written as soon as
+    they are made, so the whole output is never held at once.  A sum of
+    exponents may pass the digit limit of int-to-text conversion, which is
+    lifted while writing.
     """
-    system = _load_system(args.input)
+    _unlimited_digits(_write_cnf, _load_system(args.input), args.format == "json")
+    return 0
+
+
+def _write_cnf(system: SignedSystem, as_json: bool):
+    """Write the text or JSON of :func:`cmd_explain` for ``system``."""
     d, exponents = system.d, system.e.entries
     write = sys.stdout.write  # looked up per call, so that redirect_stdout applies
-    as_json = args.format == "json"
     if as_json:
         write(f'{{"num_vars": {d}, "clauses": [')
-        fields, between = ", ".join(["%d"] * d), ", "
+        fields, between = b", ".join([b"%d"] * d), b", "
     else:
-        fields, between = " ".join(["%d"] * d), ""
-    sep = ""
+        fields, between = b" ".join([b"%d"] * d), b""
+    sep = b""
     for i, positive, negative in dominance_rows(system):
         if as_json:
-            literals = ", ".join([f'{{"pos": {j}, "coeffs": [{fields}]}}' for j in positive])
-            clause = f'{{"row": {i}, "neg": %d, "literals": [{literals}]}}'
+            literals = b", ".join([b'{"pos": %d, "coeffs": [%b]}' % (j, fields) for j in positive])
+            clause = b'{"row": %d, "neg": %%d, "literals": [%b]}' % (i, literals)
         else:
-            clause = f"clause {i} %d:" + "".join([f" [{j}: {fields}]" for j in positive]) + "\n"
+            clause = b"clause %d %%d:%b\n" % (
+                i, b"".join([b" [%d: %b]" % (j, fields) for j in positive])
+            )
         flat = [x for j in positive for x in exponents[j]]
         clauses = [clause % (k, *map(sub, flat, cycle(exponents[k]))) for k in negative]
-        write(sep + between.join(clauses))
+        write((sep + between.join(clauses)).decode("ascii"))
         sep = between
     if as_json:
         write("]}\n")
-    return 0
 
 
 _FORMATS = ("text", "json")
@@ -380,6 +388,8 @@ def _parse_args(argv: list[str]):
         elif kind is int:
             if not _is_integer(value):
                 raise _UsageError(f"option {flag}: invalid integer {value!r}")
+            if len(value.lstrip("-")) > _MAX_DIGITS:
+                raise _UsageError(f"option {flag}: integer has more than {_MAX_DIGITS} digits")
             value = int(value)
             if value < _LEAST.get(flag, value):
                 raise _UsageError(f"option {flag}: must be at least {_LEAST[flag]}, got {value}")

@@ -16,6 +16,9 @@ in this package touches floating point.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from itertools import chain, compress, repeat
+from operator import is_, is_not, not_
 
 
 class SubtropError(Exception):
@@ -61,7 +64,7 @@ class _Value:
 
 
 def _frozen_rows(entries) -> tuple[tuple, ...]:
-    return tuple(tuple(row) for row in entries)
+    return tuple(map(tuple, entries))
 
 
 def _require_int(x, what: str) -> int:
@@ -70,21 +73,28 @@ def _require_int(x, what: str) -> int:
     return x
 
 
+_INT = frozenset((int,))
+_STR = frozenset((str,))
+
+
 def _freeze_int_matrix(matrix, entries, cols: int, what: str) -> tuple[tuple[int, ...], ...]:
     """Set ``matrix.entries`` to ``entries`` frozen, and ``matrix.cols``; rows have ``cols`` ints.
 
     A negative ``cols`` means "take it from the first row", which needs at
-    least one row.  Returns the frozen entries.
+    least one row.  Returns the frozen entries.  The common case is checked
+    by two C-level scans; only when one fails are the rows walked in Python,
+    to accept ``int`` subclasses or name the first bad row or entry.
     """
     entries = _frozen_rows(entries)
     if cols < 0:
         if not entries:
             raise ValueError(f"cols is required for {what} matrices with no rows")
         cols = len(entries[0])
-    for row in entries:
-        if len(row) != cols:
-            raise ValueError(f"{what} row {row} has {len(row)} entries, expected {cols}")
-        if not all(type(x) is int for x in row):
+    if not (frozenset((cols,)).issuperset(map(len, entries))
+            and _INT.issuperset(map(type, chain.from_iterable(entries)))):
+        for row in entries:
+            if len(row) != cols:
+                raise ValueError(f"{what} row {row} has {len(row)} entries, expected {cols}")
             for x in row:
                 _require_int(x, what)
     object.__setattr__(matrix, "entries", entries)
@@ -104,14 +114,16 @@ class ExponentMatrix(_Value):
     cols: int
 
     def __init__(self, entries, cols: int = -1):
-        seen = set()
-        for row in _freeze_int_matrix(self, entries, cols, "exponent"):
-            for x in row:
-                if x < 0:
-                    raise ValueError(f"negative exponent {x} in row {row}")
-            if row in seen:
-                raise ValueError(f"duplicate monomial row {row}")
-            seen.add(row)
+        entries = _freeze_int_matrix(self, entries, cols, "exponent")
+        if min(chain.from_iterable(entries), default=0) < 0 or len(set(entries)) < len(entries):
+            seen = set()
+            for row in entries:
+                for x in row:
+                    if x < 0:
+                        raise ValueError(f"negative exponent {x} in row {row}")
+                if row in seen:
+                    raise ValueError(f"duplicate monomial row {row}")
+                seen.add(row)
 
     @property
     def rows(self) -> int:
@@ -132,10 +144,10 @@ class SignMatrix(_Value):
     cols: int
 
     def __init__(self, entries, cols: int = -1):
-        for row in _freeze_int_matrix(self, entries, cols, "sign"):
-            if not _SIGNS.issuperset(row):
-                bad = next(x for x in row if x not in _SIGNS)
-                raise ValueError(f"sign entries must be -1, 0 or 1, got {bad}")
+        entries = _freeze_int_matrix(self, entries, cols, "sign")
+        if not _SIGNS.issuperset(chain.from_iterable(entries)):
+            bad = next(x for x in chain.from_iterable(entries) if x not in _SIGNS)
+            raise ValueError(f"sign entries must be -1, 0 or 1, got {bad}")
 
     @property
     def rows(self) -> int:
@@ -154,9 +166,13 @@ class ParametricCoefficients(_Value):
     def __init__(self, names):
         names = _frozen_rows(names)
         object.__setattr__(self, "names", names)
-        seen: set[str] = set()
-        for row in names:
-            for name in row:
+        present = list(filter(partial(is_not, None), chain.from_iterable(names)))
+        # C-level scans: the names but None are of type str, nonempty and unique; the
+        # walk below runs only when one fails, to name the first bad name
+        unique = set(present) if _STR.issuperset(map(type, present)) else ()
+        if len(unique) < len(present) or "" in unique:
+            seen: set[str] = set()
+            for name in chain.from_iterable(names):
                 if name is None:
                     continue
                 if not isinstance(name, str) or not name:
@@ -228,23 +244,30 @@ class SignedSystem(_Value):
                 f"exponent matrix has {self.e.cols} columns for {len(self.var_names)} variables"
             )
         grid = self.c.names if isinstance(self.c, ParametricCoefficients) else self.c.values
-        if len(grid) != self.s.rows or any(len(row) != self.s.cols for row in grid):
+        if len(grid) != self.s.rows or not frozenset((self.s.cols,)).issuperset(map(len, grid)):
             raise ValueError("coefficient matrix shape does not match the sign matrix")
+        # each row's check is one C-level scan; its entries are walked only to name
+        # the first bad one
+        rows = enumerate(zip(self.s.entries, grid))
         if isinstance(self.c, ParametricCoefficients):
-            for i, (sign_row, name_row) in enumerate(zip(self.s.entries, grid)):
-                for j, (sign, name) in enumerate(zip(sign_row, name_row)):
-                    if (name is None) != (sign == 0):
-                        raise ValueError(
-                            f"coefficient name at ({i}, {j}) must be present iff the sign is nonzero"
-                        )
+            for i, (sign_row, name_row) in rows:
+                if list(map(is_, name_row, repeat(None))) != list(map(not_, sign_row)):
+                    for j, (sign, name) in enumerate(zip(sign_row, name_row)):
+                        if (name is None) != (sign == 0):
+                            raise ValueError(
+                                f"coefficient name at ({i}, {j}) must be present iff the sign "
+                                "is nonzero"
+                            )
         else:
-            for i, (sign_row, value_row) in enumerate(zip(self.s.entries, grid)):
-                for j, (sign, value) in enumerate(zip(sign_row, value_row)):
-                    if sign == 0 and value != _ONE:
-                        raise ValueError(
-                            f"zero-sign position ({i}, {j}) must hold the placeholder 1, "
-                            f"got {value}"
-                        )
+            for i, (sign_row, value_row) in rows:
+                placeholders = list(compress(value_row, map(not_, sign_row)))
+                if placeholders.count(_ONE) != len(placeholders):
+                    for j, (sign, value) in enumerate(zip(sign_row, value_row)):
+                        if sign == 0 and value != _ONE:
+                            raise ValueError(
+                                f"zero-sign position ({i}, {j}) must hold the placeholder 1, "
+                                f"got {value}"
+                            )
 
     @property
     def u(self) -> int:

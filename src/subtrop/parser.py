@@ -21,7 +21,8 @@ exponent matrix, ordered by first occurrence in the text, which makes
 repeated runs produce identical matrices.  Within one concrete polynomial,
 terms with equal exponent vectors are summed and the sign is taken from
 the sum; a sum of exactly zero leaves a zero sign entry behind.  Within
-one parametric polynomial, repeating a monomial is an error.
+one parametric polynomial, repeating a monomial is an error.  A number has
+at most 4300 digits (``_MAX_DIGITS``).
 """
 
 from __future__ import annotations
@@ -62,6 +63,10 @@ _MAYBE_UNEXPECTED = re.compile(r"[^\sA-Za-z0-9_*^+\-=/]")
 # Ends every line's token list; no match of _TOKEN_RE is a newline.
 _END = "\n"
 _ONE = Fraction(1)
+# The most digits a number may have.  CPython 3.10.7 and later refuse to convert
+# a longer digit string to int by default; refusing it here gives every version
+# the same ParseError.
+_MAX_DIGITS = 4300
 
 
 def _error(message: str, lineno: int, line: str, index: int) -> ParseError:
@@ -72,6 +77,13 @@ def _error(message: str, lineno: int, line: str, index: int) -> ParseError:
     starts = [match.start() for match in _TOKEN_RE.finditer(line)]
     col = starts[index] + 1 if index < len(starts) else len(line) + 1
     return ParseError(message, lineno, col)
+
+
+def _number(lineno: int, line: str, tokens: list[str], index: int) -> int:
+    """The value of the digit token at ``index``."""
+    if len(tokens[index]) > _MAX_DIGITS:
+        raise _error(f"number has more than {_MAX_DIGITS} digits", lineno, line, index)
+    return int(tokens[index])
 
 
 def _parse_terms(
@@ -102,14 +114,14 @@ def _parse_terms(
         value = name = None
         factors = True
         if token[0] in _DIGITS:
-            numerator = int(token)
+            numerator = _number(lineno, line, tokens, i)
             denominator = 1
             i += 1
             if tokens[i] == "/":
                 i += 1
                 if tokens[i][0] not in _DIGITS:
                     raise _error("expected a denominator", lineno, line, i)
-                denominator = int(tokens[i])
+                denominator = _number(lineno, line, tokens, i)
                 if denominator == 0:
                     raise _error("zero denominator", lineno, line, i)
                 i += 1
@@ -141,7 +153,7 @@ def _parse_terms(
                     raise _error("negative exponents are not allowed", lineno, line, i)
                 if tokens[i][0] not in _DIGITS:
                     raise _error("expected an exponent", lineno, line, i)
-                exponent = int(tokens[i])
+                exponent = _number(lineno, line, tokens, i)
                 i += 1
             exponents[var_index[token]] += exponent
             factors = tokens[i] == "*"
@@ -166,6 +178,108 @@ def _scatter(entries: dict[int, object], fill, v: int) -> tuple:
 
 def parse_system(source: str) -> SignedSystem:
     """Parse ``.spp`` text into a :class:`SignedSystem`.
+
+    A well-formed parametric file is read line by line with string
+    methods (:func:`_read_parametric`).  Any other text, and every text
+    with an error, goes to the token walker (:func:`_walk`), which is the
+    only source of :class:`ParseError`.  Both give equal systems on every
+    text the first one accepts.
+    """
+    system = _read_parametric(source)
+    return _walk(source) if system is None else system
+
+
+def _factor(text: str, var_index: dict[str, int]) -> tuple[int, int] | None:
+    """``(variable index, exponent)`` of a factor ``x`` or ``x^digits``, or None."""
+    name, caret, digits = text.partition("^")
+    k = var_index.get(name)
+    if k is None or (caret and not (digits.isdigit() and len(digits) <= _MAX_DIGITS)):
+        return None
+    return k, int(digits) if caret else 1
+
+
+def _read_parametric(source: str) -> SignedSystem | None:
+    """The system of a well-formed parametric ASCII text, or None for any other text.
+
+    Terms are split at ``+`` and ``-``, and factors at ``*``.  Each factor
+    text (``x1^5``) is read once per call and kept as ``(variable index,
+    exponent)``.  A term is ``[sign] name ['*' factor]*``, with blanks
+    allowed only around a sign.  This accepts only texts that the walker
+    reads as the same tokens with no error, so both give the same system;
+    everything else returns None, including concrete files, files with no
+    polynomial, unusual spacing, a repeated name or monomial, and a number
+    of more than ``_MAX_DIGITS`` digits.  Each line is read to its rows at
+    once, so no line's pieces outlive it.
+    """
+    if not source.isascii():
+        return None  # for ASCII text, str.isidentifier and str.isdigit match the walker's classes
+    lines = iter(source.splitlines())
+    words = next(filter(None, (raw.partition("#")[0].split() for raw in lines)), ["vars"])
+    var_index = dict(zip(words[1:], range(len(words))))
+    if (words[0] != "vars" or not var_index or len(var_index) < len(words) - 1
+            or not all(map(str.isidentifier, var_index))):
+        return None
+    d = len(var_index)
+    factors: dict[str, tuple[int, int]] = {}
+    mono_index: dict[tuple[int, ...], int] = {}
+    sign_rows, name_rows = [], []
+    seen_names: set[str] = set()
+    terms = 0
+    for raw in lines:
+        head, eq, rhs = raw.partition("#")[0].partition("=")
+        words = head.split()
+        if not (eq or words):
+            continue
+        if len(words) != 2 or words[0] != "poly" or not words[1].isidentifier():
+            return None
+        pieces = rhs.replace("-", "+-").split("+")
+        if len(pieces) > 1 and not pieces[0].strip():
+            del pieces[0]  # the blank before a leading sign
+        signs: dict[int, int] = {}
+        names: dict[int, str] = {}
+        for piece in pieces:
+            body = piece.strip()
+            sign = 1
+            if body[:1] == "-":
+                sign, body = -1, body[1:].lstrip()
+            name, *texts = body.split("*")
+            if not name.isidentifier() or name in var_index:
+                return None
+            exponents = [0] * d
+            for text in texts:
+                factor = factors.get(text)
+                if factor is None:
+                    factor = factors[text] = _factor(text, var_index)
+                    if factor is None:
+                        return None
+                exponents[factor[0]] += factor[1]
+            col = mono_index.setdefault(tuple(exponents), len(mono_index))
+            signs[col] = sign
+            names[col] = name
+        if len(names) < len(pieces):
+            return None  # a repeated monomial
+        sign_rows.append(signs)
+        name_rows.append(names)
+        seen_names.update(names.values())
+        terms += len(names)
+    if not name_rows or len(seen_names) < terms:
+        return None
+    return _parametric_system(sign_rows, name_rows, mono_index, var_index)
+
+
+def _parametric_system(sign_rows, name_rows, mono_index, var_index) -> SignedSystem:
+    """The system whose row i has ``sign_rows[i][j]`` and ``name_rows[i][j]`` at column j."""
+    v = len(mono_index)
+    return SignedSystem(
+        SignMatrix(tuple(_scatter(signs, 0, v) for signs in sign_rows), cols=v),
+        ExponentMatrix(tuple(mono_index), cols=len(var_index)),
+        ParametricCoefficients(tuple(_scatter(names, None, v) for names in name_rows)),
+        tuple(var_index),
+    )
+
+
+def _walk(source: str) -> SignedSystem:
+    """Parse ``.spp`` text token by token; raises :class:`ParseError` at the first error.
 
     Each line is split into tokens by one regex call and walked by index.
     When a file has several errors, the first unexpected character of any
@@ -244,44 +358,38 @@ def parse_system(source: str) -> SignedSystem:
                 names[col] = name
             sign_rows.append(signs)
             name_rows.append(names)
-        v = len(mono_index)
-        s_entries = tuple(_scatter(signs, 0, v) for signs in sign_rows)
-        spec = ParametricCoefficients(tuple(_scatter(names, None, v) for names in name_rows))
-    else:
-        sum_rows: list[dict[int, Fraction]] = []
-        for lineno, line, terms in polys:
-            sums: dict[int, Fraction] = {}
-            for sign, value, name, exponents, index in terms:
-                if name is not None:
-                    raise _error(
-                        "cannot mix numeric and named coefficients in one file",
-                        lineno, line, index,
-                    )
-                col = mono_index.setdefault(exponents, len(mono_index))
-                sums[col] = sums.get(col, 0) + sign * (_ONE if value is None else value)
-            sum_rows.append(sums)
-        v = len(mono_index)
-        s_entries = []
-        c_values = []
-        for sums in sum_rows:
-            sign_row = [0] * v
-            value_row = [_ONE] * v
-            for j, total in sums.items():
-                if total > 0:
-                    sign_row[j] = 1
-                    value_row[j] = total
-                elif total < 0:
-                    sign_row[j] = -1
-                    value_row[j] = -total
-            s_entries.append(tuple(sign_row))
-            c_values.append(tuple(value_row))
-        s_entries = tuple(s_entries)
-        spec = ConcreteCoefficients(tuple(c_values))
-
+        return _parametric_system(sign_rows, name_rows, mono_index, var_index)
+    sum_rows: list[dict[int, Fraction]] = []
+    for lineno, line, terms in polys:
+        sums: dict[int, Fraction] = {}
+        for sign, value, name, exponents, index in terms:
+            if name is not None:
+                raise _error(
+                    "cannot mix numeric and named coefficients in one file",
+                    lineno, line, index,
+                )
+            col = mono_index.setdefault(exponents, len(mono_index))
+            sums[col] = sums.get(col, 0) + sign * (_ONE if value is None else value)
+        sum_rows.append(sums)
+    v = len(mono_index)
+    s_entries = []
+    c_values = []
+    for sums in sum_rows:
+        sign_row = [0] * v
+        value_row = [_ONE] * v
+        for j, total in sums.items():
+            if total > 0:
+                sign_row[j] = 1
+                value_row[j] = total
+            elif total < 0:
+                sign_row[j] = -1
+                value_row[j] = -total
+        s_entries.append(tuple(sign_row))
+        c_values.append(tuple(value_row))
     return SignedSystem(
-        SignMatrix(s_entries, cols=len(mono_index)),
+        SignMatrix(tuple(s_entries), cols=v),
         ExponentMatrix(tuple(mono_index), cols=len(var_index)),
-        spec,
+        ConcreteCoefficients(tuple(c_values)),
         tuple(var_index),
     )
 

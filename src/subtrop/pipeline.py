@@ -14,7 +14,7 @@ from fractions import Fraction
 from .condition import build_dnf, shrink
 from .core import SignedSystem, _Value, zero_sign_rows
 from .lra import SolverDefect, solve_dnf
-from .parser import ParseError
+from .parser import _MAX_DIGITS, ParseError
 
 # p and q of a value: ASCII digits only, where int() would also take other
 # decimal digits, signs and underscores.
@@ -63,7 +63,8 @@ def decide_system(system: SignedSystem) -> Decision:
 def parse_coefficient_bindings(text: str) -> dict[str, Fraction]:
     """Parse a values file: one ``name = p`` or ``name = p/q`` per line, ``#`` comments.
 
-    ``p`` and ``q`` are written in ASCII digits.
+    ``p`` and ``q`` are written in ASCII digits, at most 4300 of them
+    (``parser._MAX_DIGITS``).
     """
     bindings: dict[str, Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -80,7 +81,12 @@ def parse_coefficient_bindings(text: str) -> dict[str, Fraction]:
         num, slash, den = (part.strip() for part in value.partition("/"))
         if not slash:
             den = "1"
-        if not (_DIGITS.fullmatch(num) and _DIGITS.fullmatch(den)) or int(den) == 0:
+        digits = _DIGITS.fullmatch(num) and _DIGITS.fullmatch(den)
+        if digits and max(len(num), len(den)) > _MAX_DIGITS:
+            raise ParseError(
+                f"value for {name!r} has a number of more than {_MAX_DIGITS} digits", lineno, 1
+            )
+        if not digits or int(den) == 0:
             raise ParseError(f"invalid value {value!r}", lineno, 1)
         fraction = Fraction(int(num), int(den))
         if fraction <= 0:

@@ -151,6 +151,44 @@ class TestDecide:
                 assert out == ""
                 assert err == f"error: line 2, column {column}: unexpected character '{char}'\n"
 
+    def test_number_of_more_than_4300_digits_exits_2(self, capsys, tmp_path):
+        # int() refuses such a digit string, which once surfaced as exit 4
+        digits = "9" * 5000
+        bad = tmp_path / "bad.spp"
+        bad.write_text(f"vars x\npoly f = x^{digits} - 1\n")
+        for command in ("decide", "witness", "verify", "explain"):
+            code, out, err = run(capsys, command, bad)
+            assert (code, out) == (2, "")
+            assert err == "error: line 2, column 12: number has more than 4300 digits\n"
+        values = tmp_path / "bad.coeffs"
+        values.write_text(f"c11 = 1\nc12 = {digits}\n")
+        code, out, err = run(capsys, "verify", DATA / "example2.spp", "--coeffs", values)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: line 2, column 1: value for 'c12' has a number of more than 4300 digits\n"
+        )
+        for option in ("--seed", "--max-bits"):
+            code, out, err = run(capsys, "decide" if option == "--seed" else "verify",
+                                 EXAMPLE2, f"{option}={digits}")
+            assert (code, out) == (2, "")
+            assert err.endswith(f"subtrop: error: option {option}: integer has more than "
+                                "4300 digits\n")
+
+    def test_explain_prints_exponent_sums_beyond_the_digit_limit(self, capsys, tmp_path):
+        # each exponent has 4300 digits; their sum, and so a coefficient, has 4301
+        nines = "9" * 4300
+        path = tmp_path / "sum.spp"
+        path.write_text(f"vars x\npoly f = x^{nines}*x^{nines} - x\n")
+        coeff = f"1{'9' * 4299}7"  # 2 (10^4300 - 1) - 1
+        code, out, err = run(capsys, "explain", path)
+        assert (code, out, err) == (0, f"clause 0 1: [0: {coeff}]\n", "")
+        code, out, err = run(capsys, "explain", path, "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"num_vars": 1, "clauses": [{"row": 0, "neg": 1, "literals": '
+            f'[{{"pos": 0, "coeffs": [{coeff}]}}]}}]}}\n'
+        )
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "decide", tmp_path / "nope.spp")
         assert code == 2

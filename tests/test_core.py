@@ -149,6 +149,63 @@ class TestMatrices:
             SignMatrix(((1, -1, 0), (0, 2, 3)))
         assert str(err.value) == "sign entries must be -1, 0 or 1, got 2"
 
+    def test_exponent_error_names_the_first_negative_in_row_order(self):
+        # not the smallest: min() would name -5, and the second row's -7
+        with pytest.raises(ValueError) as err:
+            ExponentMatrix(((0, 0, 0), (0, -1, -5), (-7, 0, 0)))
+        assert str(err.value) == "negative exponent -1 in row (0, -1, -5)"
+        # a duplicate before the negative row is named first, and the other way round
+        with pytest.raises(ValueError, match=r"^duplicate monomial row \(1, 0\)$"):
+            ExponentMatrix(((1, 0), (1, 0), (0, -1)))
+        with pytest.raises(ValueError, match=r"^negative exponent -1 in row \(0, -1\)$"):
+            ExponentMatrix(((0, -1), (1, 0), (1, 0)))
+
+    def test_row_errors_come_in_row_order(self):
+        # row 0 holds a float, row 1 has the wrong length: row 0 is named
+        with pytest.raises(TypeError, match="got 1.0$"):
+            SignMatrix(((1, 1.0), (1,)))
+        with pytest.raises(ValueError, match="has 1 entries, expected 2$"):
+            SignMatrix(((1, 0), (1,), (1, 1.0)))
+
+    def test_names_must_be_nonempty_strings(self):
+        for bad in ("", 0, 7, b"a", ["a"]):  # a list is unhashable as well
+            with pytest.raises(TypeError) as err:
+                ParametricCoefficients((("a", None), (bad, "b")))
+            assert str(err.value) == f"coefficient name must be a nonempty string, got {bad!r}"
+
+        class Name(str):
+            pass
+
+        assert ParametricCoefficients(((Name("a"), None, "b"),)).names == (("a", None, "b"),)
+
+        class Opaque:
+            """A name that must be rejected by type, never asked for its truth or equality."""
+
+            __hash__ = object.__hash__
+
+            def __bool__(self):
+                raise AssertionError("truth value asked")
+
+            def __eq__(self, other):
+                raise AssertionError("compared")
+
+        with pytest.raises(TypeError, match="^coefficient name must be a nonempty string, got <"):
+            ParametricCoefficients((("a", None), (Opaque(), "b")))
+
+    def test_name_errors_come_in_row_order(self):
+        with pytest.raises(ValueError, match="^duplicate coefficient name 'a'$"):
+            ParametricCoefficients((("a", "a", ""),))
+        with pytest.raises(TypeError, match="got ''$"):
+            ParametricCoefficients((("a", ""), ("a", None)))
+
+    def test_name_and_sign_errors_come_in_row_order(self):
+        s = SignMatrix(((1, -1, 0), (1, 0, -1)))
+        e = ExponentMatrix(((2,), (1,), (0,)), cols=1)
+        # a name at the zero sign (0, 2) comes before the missing name at (1, 2)
+        names = ParametricCoefficients((("a", "b", "z"), ("c", None, None)))
+        with pytest.raises(ValueError, match=r"^coefficient name at \(0, 2\) must be present"):
+            SignedSystem(s, e, names, ("x",))
+
     def test_coefficient_errors_name_their_position(self):
         s = SignMatrix(((1, -1, 0), (1, 0, -1)))
         e = ExponentMatrix(((2,), (1,), (0,)), cols=1)

@@ -1,9 +1,11 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from subtrop import ParseError, parse_system, print_system
+from subtrop import ParseError, parse_system, parser, print_system
+from subtrop.pipeline import parse_coefficient_bindings
 
 from conftest import load, read_data
 from gensys import random_signed_system
@@ -227,6 +229,50 @@ class TestParseErrorPositions:
         assert (err.value.line, err.value.col) == (line, col)
 
 
+class TestNumberLength:
+    """A number has at most 4300 digits; a longer one is a ParseError that does not echo it."""
+
+    @pytest.mark.parametrize(
+        "template, col",
+        [
+            ("vars x\npoly f = x^{} - 1\n", 12),
+            ("vars x\npoly f = {}*x - 1\n", 10),
+            ("vars x\npoly f = x - 1/{}\n", 16),
+            ("vars x\npoly f = a*x - b*x^{}\n", 20),
+        ],
+        ids=["exponent", "numerator", "denominator", "parametric-exponent"],
+    )
+    def test_longer_number_is_a_parse_error(self, template, col):
+        for digits in ("9" * 4301, "0" * 4300 + "1", "7" * 5000):
+            with pytest.raises(ParseError) as err:
+                parse_system(template.format(digits))
+            assert str(err.value) == f"line 2, column {col}: number has more than 4300 digits"
+        # refused by length, so an interpreter without the int conversion limit agrees
+        if hasattr(sys, "set_int_max_str_digits"):
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+            try:
+                with pytest.raises(ParseError, match="more than 4300 digits"):
+                    parse_system(template.format("9" * 4301))
+            finally:
+                sys.set_int_max_str_digits(limit)
+
+    def test_4300_digits_are_read(self):
+        system = parse_system(f"vars x\npoly f = a*x^{'9' * 4300} - b\n")
+        assert system.e.entries[0] == (10**4300 - 1,)
+        system = parse_system(f"vars x\npoly f = {'9' * 4300}/{'7' * 4300}*x - 1\n")
+        assert system.c.values[0][0] == Fraction(10**4300 - 1, (10**4300 - 1) // 9 * 7)
+
+    def test_values_file(self):
+        for value in ("9" * 4301, "1/" + "3" * 4301, "0" * 4301 + "/2"):
+            with pytest.raises(ParseError) as err:
+                parse_coefficient_bindings(f"a = 1\nb = {value}\n")
+            assert str(err.value) == (
+                "line 2, column 1: value for 'b' has a number of more than 4300 digits"
+            )
+        assert parse_coefficient_bindings(f"b = {'9' * 4300}\n") == {"b": 10**4300 - 1}
+
+
 class TestPrintRoundTrip:
     @pytest.mark.parametrize(
         "name",
@@ -282,3 +328,83 @@ class TestPrintRoundTrip:
             system = parse_system(print_system(raw))
             printed = print_system(system)
             assert parse_system(printed) == system, printed
+
+
+def _frontend_text(rng: random.Random) -> str:
+    """A small parametric text in the benchmark's layout: ``+ c1_1*x1^2*x3 - c1_2*x2``."""
+    d = rng.randint(1, 4)
+    lines = ["vars " + " ".join(f"x{k + 1}" for k in range(d))]
+    for i in range(rng.randint(1, 3)):
+        terms = []
+        monomials = {tuple(rng.randint(0, 3) for _ in range(d)) for _ in range(4)}
+        for j, exponents in enumerate(monomials):
+            factors = [f"x{k + 1}" if e == 1 else f"x{k + 1}^{e}"
+                       for k, e in enumerate(exponents) if e]
+            body = "*".join([f"c{i + 1}_{j + 1}", *factors])
+            terms.append(rng.choice("+-") + " " + body)
+        lines.append(f"poly f{i + 1} = " + " ".join(terms))
+    return "\n".join(lines) + "\n"
+
+
+# What a mutation inserts or puts in place of a character.
+_PIECES = (
+    "poly", "vars", "*", "^", "+", "-", "=", "/", "#", " ", "\t", "\n", "é", "²",
+    "0", "1", "2", "7", "10", "x", "x1", "c", "_", "a1", "9" * 4301,
+)
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    """``text`` after one to three edits: a piece inserted, a character deleted or replaced."""
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(text) + 1)
+        kind = rng.randrange(3)
+        piece = "" if kind == 1 else rng.choice(_PIECES)
+        text = text[:at] + piece + text[at + (kind != 0):]
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.col
+
+
+class TestFastPathAgreesWithWalker:
+    """``parse_system`` reads well-formed parametric text without the token walker.
+
+    On mutated data files and templates, it must return an equal system or
+    raise the same :class:`ParseError` (message, line and column) as the
+    walker alone.
+    """
+
+    def test_mutations(self):
+        rng = random.Random(7351)
+        names = ("example2.spp", "example3.spp", "sec2.spp", "certify_head_42.spp",
+                 "intro_f.spp", "zero_row.spp")
+        sources = [read_data(name) for name in names]
+        sources += [print_system(random_signed_system(rng, parametric=rng.random() < 0.7))
+                    for _ in range(20)]
+        sources += [_frontend_text(rng) for _ in range(20)]
+        edges = [
+            "vars x\npoly f =\n", "vars x\npoly f = # a\n", "vars x\npoly f a*x\n",
+            "vars x\npoly f = +\n", "vars x\npoly f = -\n", "vars x\npoly f = - - a\n",
+            "vars x\npoly f = a +\n", "vars x\npoly f = a - + b\n", "vars x\npoly f = a*\n",
+            "vars x\npoly f = a*x^\n", "vars x\npoly f = a**x\n", "vars x\npoly f = a*x^-1\n",
+            "vars x\npoly f = a*x^1^2\n", "vars x\npoly f = a * x\n", "vars x\npoly = a\n",
+            "vars x\npoly f g = a\n", "vars x\npoly f = a = b\n", "vars x\nvars y\n",
+            "vars\npoly f = a\n", "vars x x\npoly f = a\n", "vars x\n", "# only\n",
+            "vars x\npoly f = x\n", "vars x\npoly f = a*x - b*x\n", "vars x\npoly f = 2*x\n",
+            "vars x\npoly f = a\npoly g = a*x\n", "vars x\n\tpoly\tf\t=\t-a*x\t+b\t\n",
+            "vars x y\npoly f = +a*x^0*y - b*y*x^02 + c*x^3*x^4\n",
+        ]
+        fast = 0
+        for text in edges:
+            assert _outcome(parse_system, text) == _outcome(parser._walk, text), text
+        for case in range(3000):
+            text = _mutate(rng, rng.choice(sources)) if case % 10 else rng.choice(sources)
+            expected = _outcome(parser._walk, text)
+            assert _outcome(parse_system, text) == expected, text
+            fast += parser._read_parametric(text) is not None
+        # the fast path reads a good share of the cases, so it is under test
+        assert fast > 400
