@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import json
 import sys
-from itertools import cycle
-from operator import sub
+from itertools import repeat
+from operator import getitem, sub
 from types import SimpleNamespace
 
 from .condition import build_cnf, certifies, dominance_rows
@@ -214,19 +214,37 @@ def cmd_explain(args) -> int:
 
     The text equals ``build_cnf(system).to_debug_text()`` and the JSON equals
     ``json.dumps`` of ``{"num_vars", "clauses"}``.  The rows come from
-    :func:`~subtrop.condition.dominance_rows`.  Each row makes one ``%``
-    template for its clauses, as bytes, with the row's positive indices
-    written in and ``d`` integer fields per literal, and flattens its
-    positive exponent vectors into one list.  A clause is then one ``%``
-    over ``k`` and that list minus ``e_k``, computed in C, so no literal
-    becomes an object or a format call of its own; ``bytes %`` formats
-    ints faster than ``str %``.  Each row's clauses are written as soon as
-    they are made, so the whole output is never held at once.  A sum of
-    exponents may pass the digit limit of int-to-text conversion, which is
-    lifted while writing.
+    :func:`~subtrop.condition.dominance_rows`.  Each int becomes text once
+    per call, with its separator, in a token table per coordinate.  In a
+    row, the tokens of ``e_j[c] - a`` over the positive ``j`` form a column,
+    made for the first negative ``k`` with ``e_k[c] = a`` and reused by the
+    others.  A clause is then joins in C of each literal's head, one token
+    from each of ``e_k``'s ``d`` columns and its close, so no literal
+    becomes an object or a format call of its own.  Each row's clauses are
+    written as soon as they are made, so the whole output is never held at
+    once.  A sum of exponents may pass the digit limit of int-to-text
+    conversion, which is lifted while writing.
     """
     _unlimited_digits(_write_cnf, _load_system(args.input), args.format == "json")
     return 0
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``make(key)`` the first time it is asked for."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+# a token table past this many entries is cleared after a row, so that exponents
+# with many distinct differences hold memory per row, not per call
+_TOKENS_KEPT = 4096
 
 
 def _write_cnf(system: SignedSystem, as_json: bool):
@@ -235,22 +253,33 @@ def _write_cnf(system: SignedSystem, as_json: bool):
     write = sys.stdout.write  # looked up per call, so that redirect_stdout applies
     if as_json:
         write(f'{{"num_vars": {d}, "clauses": [')
-        fields, between = b", ".join([b"%d"] * d), b", "
+        tokens = [_Memo("%d".__mod__)] + [_Memo(", %d".__mod__)] * (d - 1)
+        head, close, between = ', {{"pos": {}, "coeffs": [', "]}", ", "
+        clause = '{{"row": {}, "neg": %d, "literals": [%s]}}'
     else:
-        fields, between = b" ".join([b"%d"] * d), b""
-    sep = b""
+        tokens = [_Memo(" %d".__mod__)] * d
+        head, close, between, clause = " [{}:", "]", "", "clause {} %d:%s\n"
+    sep = ""
     for i, positive, negative in dominance_rows(system):
-        if as_json:
-            literals = b", ".join([b'{"pos": %d, "coeffs": [%b]}' % (j, fields) for j in positive])
-            clause = b'{"row": %d, "neg": %%d, "literals": [%b]}' % (i, literals)
-        else:
-            clause = b"clause %d %%d:%b\n" % (
-                i, b"".join([b" [%d: %b]" % (j, fields) for j in positive])
-            )
-        flat = [x for j in positive for x in exponents[j]]
-        clauses = [clause % (k, *map(sub, flat, cycle(exponents[k]))) for k in negative]
-        write((sep + between.join(clauses)).decode("ascii"))
+        heads = list(map(head.format, positive))
+        if as_json and heads:
+            heads[0] = heads[0][2:]  # no separator before the first literal
+        template = clause.format(i)
+        values = list(zip(*map(exponents.__getitem__, positive))) or [()] * d
+        columns = [  # per coordinate c and value a, the tokens of e_j[c] - a
+            _Memo(lambda a, v=v, t=t: list(map(t.__getitem__, map(sub, v, repeat(a)))))
+            for v, t in zip(values, tokens)
+        ]
+        clauses = [
+            template % (k, "".join(map("".join, zip(heads, *map(getitem, columns, exponents[k]),
+                                                    repeat(close)))))
+            for k in negative
+        ]
+        write(sep + between.join(clauses))
         sep = between
+        for table in tokens:
+            if len(table) > _TOKENS_KEPT:
+                table.clear()
     if as_json:
         write("]}\n")
 

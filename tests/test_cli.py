@@ -584,6 +584,17 @@ class TestExplain:
             {"row": 0, "neg": 2, "literals": [{"pos": 1, "coeffs": [1]}]},
         ]
 
+    def test_zero_row_prints_no_clause(self, capsys):
+        # explain prints only the linear condition; decide reports the zero row
+        path = DATA / "zero_row.spp"
+        assert run(capsys, "explain", path) == (0, "", "")
+        assert run(capsys, "explain", path, "--format", "json") == (
+            0, '{"num_vars": 1, "clauses": []}\n', ""
+        )
+        assert run(capsys, "decide", path)[:2] == (
+            1, "UNSAT\nidentically zero polynomial in row 0\n"
+        )
+
 
 def reference_explain_json(condition) -> str:
     """``explain --format json`` stdout, encoded as one object with list coefficients."""
@@ -753,6 +764,85 @@ class TestExplainBytes:
         for (path, fmt), before in expected.items():
             assert before[0] == 0, path.name
             assert run(capsys, "explain", path, "--format", fmt) == before, path.name
+
+    def assert_explain_bytes(self, capsys, path):
+        """Both formats of ``explain path`` equal the CNF objects' text and JSON dump."""
+        from subtrop.cli import _unlimited_digits
+
+        condition = build_cnf(parse_system(path.read_text()))
+        text = _unlimited_digits(condition.to_debug_text) + "\n" if condition.clauses else ""
+        assert run(capsys, "explain", path) == (0, text, "")
+        assert run(capsys, "explain", path, "--format", "json") == (
+            0, _unlimited_digits(reference_explain_json, condition), ""
+        )
+
+    def test_frontend_shaped_rows_share_columns(self, capsys, tmp_path):
+        # as perfbench's frontend draws them: 6 variables, exponents 0-10 and rows of
+        # 40-100 terms, so that a row's negative monomials repeat coordinate values
+        rng = random.Random("explain-frontend")
+        exps = random_exponent_rows(rng, 400, 6, 10)
+        signs = []
+        for _ in range(6):
+            row = [0] * len(exps)
+            for j in rng.sample(range(len(exps)), rng.randint(40, 100)):
+                row[j] = rng.choice((-1, 1))
+            row[row.index(-1)] = 1
+            signs.append(row)
+        path = tmp_path / "frontend.spp"
+        path.write_text(print_system(template_system(signs, exps)))
+        system = parse_system(path.read_text())
+        for i, row in enumerate(system.s.entries):
+            negative = [k for k, s in enumerate(row) if s < 0]
+            assert len(row) - row.count(0) >= 40
+            columns = {(c, a) for k in negative for c, a in enumerate(system.e.entries[k])}
+            assert len(negative) * system.d >= 2 * len(columns), i
+        self.assert_explain_bytes(capsys, path)
+
+    def test_repeated_coordinate_beyond_the_digit_limit(self, capsys, tmp_path):
+        # x^N*x^N has 4301 digits in its first coordinate, shared by three negative
+        # monomials and one positive one, so one column holds 4301-digit differences
+        # and another the differences to 2N of the other positive monomials
+        n = "9" * 4300
+        big = f"x^{n}*x^{n}"
+        path = tmp_path / "big.spp"
+        path.write_text(
+            f"vars x y\npoly f = a*x*y + b*{big}*y^5 + c*y^2 - d*{big}*y - e*{big}"
+            f" - g*{big}*y^3 - h*x^3\npoly g = k*{big} - m*{big}*y\n"
+        )
+        self.assert_explain_bytes(capsys, path)
+        limit = sys.get_int_max_str_digits()
+        assert run(capsys, "explain", path)[1].count(f" -{'1' + '9' * 4299}7") == 3
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_one_process_explains_a_then_b_then_a(self, capsys, tmp_path):
+        a, b = tmp_path / "a.spp", tmp_path / "b.spp"
+        a.write_text("vars x y\npoly f = a*x^2*y + b*y^3 - c*x*y - d*x^2\n")
+        b.write_text("vars x y z\npoly f = a*x^7 + b*z - c*x^2*y - d*y^9*z\n")
+        for fmt in ("text", "json"):
+            first = run(capsys, "explain", a, "--format", fmt)
+            other = run(capsys, "explain", b, "--format", fmt)
+            assert run(capsys, "explain", a, "--format", fmt) == first != other
+            assert first[0] == other[0] == 0
+
+    def test_token_tables_are_cleared_past_their_bound(self, capsys, tmp_path, monkeypatch):
+        # row f has 70 x 70 distinct exponent differences, more than a token table
+        # keeps; row g is written after the tables were cleared
+        import subtrop.cli as cli
+
+        positive = " + ".join(f"a{j}*x^{1000 * j}" for j in range(1, 71))
+        negative = "".join(f" - b{k}*x^{k}" for k in range(1, 71))
+        path = tmp_path / "spread.spp"
+        path.write_text(f"vars x\npoly f = {positive}{negative}\npoly g = c*x^70000 - d*x^5\n")
+        cleared = []
+
+        def clear(table):
+            cleared.append(len(table))
+            dict.clear(table)
+
+        monkeypatch.setattr(cli._Memo, "clear", clear)
+        self.assert_explain_bytes(capsys, path)
+        assert cleared == [70 * 70, 70 * 70]
+        assert cli._TOKENS_KEPT < 70 * 70
 
 
 class TestExplainPipe:
