@@ -28,7 +28,6 @@ from .witness import (
     UncertifiedExponent,
     VerificationReport,
     WitnessFailure,
-    evaluate_t,
     instantiate,
     symbolic_t,
     uniform_bound,
@@ -53,7 +52,6 @@ __all__ = [
     "VerificationReport",
     "WitnessFailure",
     "decide_system",
-    "evaluate_t",
     "instantiate",
     "parse_system",
     "print_system",

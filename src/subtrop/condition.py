@@ -38,7 +38,6 @@ system.  :func:`shrink` walks n toward 0 inside that polyhedron.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from fractions import Fraction
 from itertools import compress
 from operator import mul, sub
 
@@ -60,7 +59,7 @@ class LinearLiteral(_Value):
         object.__setattr__(self, "pos", pos)
         object.__setattr__(self, "neg", neg)
 
-    def value_at(self, n) -> Fraction | int:
+    def value_at(self, n):
         if len(n) != len(self.coeffs):
             raise ValueError(f"expected a vector of length {len(self.coeffs)}, got {len(n)}")
         return sum(a * x for a, x in zip(self.coeffs, n))

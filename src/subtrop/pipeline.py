@@ -8,17 +8,12 @@ returns the shrunk integer vector.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 from .condition import build_dnf, shrink
 from .core import SignedSystem, _Value, zero_sign_rows
 from .lra import SolverDefect, solve_dnf
 from .parser import _MAX_DIGITS, ParseError
-
-# p and q of a value: ASCII digits only, where int() would also take other
-# decimal digits, signs and underscores.
-_DIGITS = re.compile("[0-9]+")
 
 
 class Decision(_Value):
@@ -81,7 +76,9 @@ def parse_coefficient_bindings(text: str) -> dict[str, Fraction]:
         num, slash, den = (part.strip() for part in value.partition("/"))
         if not slash:
             den = "1"
-        digits = _DIGITS.fullmatch(num) and _DIGITS.fullmatch(den)
+        # ASCII digits only: int() would also take other decimal digits, signs
+        # and underscores, and str.isdigit alone also takes "²"
+        digits = num.isascii() and num.isdigit() and den.isascii() and den.isdigit()
         if digits and max(len(num), len(den)) > _MAX_DIGITS:
             raise ParseError(
                 f"value for {name!r} has a number of more than {_MAX_DIGITS} digits", lineno, 1

@@ -4,21 +4,24 @@ Once an integer vector n certifies the dominance condition of a system,
 the point ``x = t^n`` (coordinate-wise powers) satisfies every inequality
 for every positive choice of coefficients, where ``t`` is 1 plus the sum
 of the ratios negative-coefficient / positive-coefficient over all
-same-row sign pairs.  Any base ``r >= t`` works as well.  This module
-builds that witness symbolically (:func:`symbolic_t`, :func:`evaluate_t`),
-computes the cruder all-integer-coefficient bound ``1 + v * sum of
-negative coefficients``, and checks ``f(r^n) > 0`` by exact evaluation.
+same-row sign pairs.  Any base ``r >= t`` works as well.  That sum
+factors row by row (proof at :func:`_t_from_rows`), and t is kept in this
+one form only: for each row, the names of its negative and of its
+positive coefficients (:func:`symbolic_t`), or their values summed in
+ints (:func:`_t_from_rows`).  This module also computes the cruder
+all-integer-coefficient bound ``1 + v * sum of negative coefficients``,
+and checks ``f(r^n) > 0`` by exact evaluation.
 
 An exponent vector n is a plain sequence of ints.  One gate checks it for
-:func:`symbolic_t` and :func:`verify_witness` alike: it rejects entries
-that are not ints (a ``bool`` or a ``Fraction`` among them) and vectors
-that fail the dominance condition.  :func:`verify_witness` builds no
-symbolic witness.  It computes ``t`` from per-row sums, one numerator and
-one denominator in ints (:func:`_t_from_rows`), and checks at ``r = t``
-unless it is given an ``r >= t``.  It keeps ``r^n`` as int pairs
-``(p^n_i, q^n_i)`` and sums each row over one common denominator, the
-same int evaluation that :func:`evaluate_system_at` runs.  Fractions are
-built only for the report, or for the value an error names.
+:func:`symbolic_t` and :func:`verify_witness` alike: it rejects systems
+with an identically zero row, entries that are not ints (a ``bool`` or a
+``Fraction`` among them) and vectors that fail the dominance condition.
+:func:`verify_witness` builds no symbolic witness.  It computes ``t`` from
+per-row sums, one numerator and one denominator in ints, and checks at
+``r = t`` unless it is given an ``r >= t``.  It keeps ``r^n`` as int
+pairs ``(p^n_i, q^n_i)`` and sums each row over one common denominator,
+the same int evaluation that :func:`evaluate_system_at` runs.  Fractions
+are built only for the report, or for the value an error names.
 """
 
 from __future__ import annotations
@@ -67,43 +70,34 @@ class SizeLimitExceeded(SubtropError):
     """Exact evaluation would exceed the configured bit-size guard."""
 
 
-class RatioTerm(_Value):
-    """One summand ``numerator / denominator`` of t, tagged with its matrix position."""
-
-    __slots__ = ("numerator", "denominator", "row", "pos", "neg")
-    numerator: str
-    denominator: str
-    row: int
-    pos: int
-    neg: int
-
-    def __init__(self, numerator: str, denominator: str, row: int, pos: int, neg: int):
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "row", row)
-        object.__setattr__(self, "pos", pos)
-        object.__setattr__(self, "neg", neg)
+_NamedRow = tuple[int, tuple[str, ...], tuple[str, ...]]
 
 
 class SymbolicWitness(_Value):
-    """The witness ``x = t^n`` with ``t = 1 + sum of ratio terms``."""
+    """The witness ``x = t^n``, with ``t = 1 + sum over rows of (sum neg) * (sum 1/pos)``.
 
-    __slots__ = ("terms", "n")
-    terms: tuple[RatioTerm, ...]
+    ``rows`` holds ``(i, neg, pos)`` for each row i that
+    :func:`~subtrop.condition.dominance_rows` yields, in its order: the
+    names of the row's negative and of its positive coefficients.
+    """
+
+    __slots__ = ("rows", "n")
+    rows: tuple[_NamedRow, ...]
     n: tuple[int, ...]
 
-    def __init__(self, terms: tuple[RatioTerm, ...], n: tuple[int, ...]):
-        object.__setattr__(self, "terms", terms)
+    def __init__(self, rows: tuple[_NamedRow, ...], n: tuple[int, ...]):
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "n", n)
 
     def to_json_dict(self) -> dict:
-        return {
-            "t": {"one": 1, "terms": [[t.numerator, t.denominator] for t in self.terms]},
-            "n": list(self.n),
-        }
+        rows = [{"row": i, "neg": list(neg), "pos": list(pos)} for i, neg, pos in self.rows]
+        return {"t": {"one": 1, "rows": rows}, "n": list(self.n)}
 
     def to_display_text(self) -> str:
-        parts = ["1"] + [f"{t.numerator}/{t.denominator}" for t in self.terms]
+        parts = ["1"] + [
+            f"({' + '.join(neg)})*({' + '.join('1/' + name for name in pos)})"
+            for _, neg, pos in self.rows
+        ]
         z = ", ".join(f"t^{ni}" for ni in self.n)
         return f"t = {' + '.join(parts)}; z = ({z})"
 
@@ -130,30 +124,31 @@ class VerificationReport(_Value):
         object.__setattr__(self, "values", values)
 
 
-def ratio_terms(system: SignedSystem) -> tuple[RatioTerm, ...]:
-    """All (negative, positive) same-row coefficient ratios, row-major then (neg, pos).
+def _named_rows(system: SignedSystem) -> tuple[_NamedRow, ...]:
+    """``(i, neg, pos)`` for each row that :func:`~subtrop.condition.dominance_rows` yields.
 
-    The rows and their order come from :func:`~subtrop.condition.dominance_rows`.
     Concrete systems use the synthesized positional names ``c_<i+1>_<j+1>``.
-    Names are pairwise distinct, so no pair repeats.
     """
     name = system.coefficient_name
     return tuple(
-        RatioTerm(name(i, k), name(i, j), i, j, k)
+        (i, tuple(name(i, k) for k in negative), tuple(name(i, j) for j in positive))
         for i, positive, negative in dominance_rows(system)
-        for k in negative
-        for j in positive
     )
 
 
 def _certified_exponent(system: SignedSystem, n) -> tuple[int, ...]:
     """``n`` as a tuple of ints of length ``d`` that certifies ``system``.
 
-    ``n`` is any sequence of ints.  A ``bool`` or ``Fraction`` entry raises
-    :class:`TypeError` before the dominance check, which would accept a
-    ``Fraction`` and leave ``r**n_i`` a float.  A vector of the wrong length
-    or one that fails a clause raises :class:`UncertifiedExponent`.
+    A system with an identically zero row raises :class:`PreconditionViolated`
+    whatever ``n`` is: that row adds no clause, yet no point makes it
+    positive.  ``n`` is any sequence of ints.  A ``bool`` or ``Fraction``
+    entry raises :class:`TypeError` before the dominance check, which would
+    accept a ``Fraction`` and leave ``r**n_i`` a float.  A vector of the
+    wrong length or one that fails a clause raises :class:`UncertifiedExponent`.
     """
+    zeros = zero_sign_rows(system)
+    if zeros:
+        raise PreconditionViolated(f"row {zeros[0]} is identically zero; f > 0 cannot hold")
     n = tuple(n)
     for x in n:
         _require_int(x, "exponent vector entry")
@@ -165,21 +160,9 @@ def _certified_exponent(system: SignedSystem, n) -> tuple[int, ...]:
 
 
 def symbolic_t(system: SignedSystem, n) -> SymbolicWitness:
-    """Witness for a certified exponent vector; rejects vectors that fail a clause."""
-    return SymbolicWitness(ratio_terms(system), _certified_exponent(system, n))
-
-
-def evaluate_t(witness: SymbolicWitness, coefficients: ConcreteCoefficients) -> Fraction:
-    """Exact value of t; 1 when there are no terms, strictly above 1 otherwise."""
-    total = Fraction(1)
-    values = coefficients.values
-    for term in witness.terms:
-        if term.row >= len(values) or max(term.pos, term.neg) >= len(values[term.row]):
-            raise UnboundCoefficient(
-                f"no value for coefficient pair ({term.row}, {term.neg})/({term.row}, {term.pos})"
-            )
-        total += values[term.row][term.neg] / values[term.row][term.pos]
-    return total
+    """Witness for a certified exponent vector, behind the same gate as :func:`verify_witness`."""
+    n = _certified_exponent(system, n)
+    return SymbolicWitness(_named_rows(system), n)
 
 
 def instantiate(system: SignedSystem, bindings: Mapping[str, Fraction | int]) -> SignedSystem:
@@ -276,10 +259,11 @@ def evaluate_system_at(system: SignedSystem, point) -> tuple[Fraction, ...]:
 def _t_from_rows(system: SignedSystem) -> Fraction:
     """Exact t of a concrete system, in O(sum of |P_i| + |N_i|) steps.
 
-    The value is the t of :func:`symbolic_t` and :func:`evaluate_t`.  Proof:
-    that t is ``1 + sum_i sum_{k in N_i} sum_{j in P_i} c_k / c_j``, one
-    term per same-row sign pair, with ``P_i`` and ``N_i`` the positive and
-    negative monomials of row i.  For each row, distributivity factors the
+    This is the value of the t that :func:`symbolic_t` names, row by row.
+    Proof that it is the paper's t: the paper states t as
+    ``1 + sum_i sum_{k in N_i} sum_{j in P_i} c_k / c_j``, one term per
+    same-row sign pair, with ``P_i`` and ``N_i`` the positive and negative
+    monomials of row i.  For each row, distributivity factors the
     double sum as ``(sum_{k in N_i} c_k) * (sum_{j in P_i} 1 / c_j)``.  A row
     without negative monomials contributes an empty sum, 0, and those are
     the rows that :func:`~subtrop.condition.dominance_rows` skips.  So
@@ -339,14 +323,10 @@ def verify_witness(
     per-row sums (:func:`_t_from_rows`).  The point ``r^n`` stays as int
     pairs until the report is built.  Under those preconditions success is
     guaranteed, so a negative outcome is raised as :class:`WitnessFailure`
-    rather than returned.  Identically zero rows are rejected up front: no
-    point can make them positive.
+    rather than returned.
     """
     if system.is_parametric:
         raise PreconditionViolated("verification needs concrete coefficients")
-    zeros = zero_sign_rows(system)
-    if zeros:
-        raise PreconditionViolated(f"row {zeros[0]} is identically zero; f > 0 cannot hold")
     if isinstance(r, float):
         raise TypeError(f"r must be an exact rational, got float {r!r}")
     if r is not None:

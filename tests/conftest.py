@@ -23,6 +23,35 @@ def data_dir() -> Path:
     return DATA
 
 
+def sign_row_terms(system):
+    """The paper's pairwise terms of t, read from the sign rows and the naming rule.
+
+    One ``(numerator name, denominator name, row, pos, neg)`` per same-row
+    sign pair, row-major, then negative k, then positive j.
+    """
+    terms = []
+    for i, row in enumerate(system.s.entries):
+        if system.is_parametric:
+            names = system.c.names[i]
+        else:
+            names = [f"c_{i + 1}_{j + 1}" for j in range(len(row))]
+        positive = [j for j, sign in enumerate(row) if sign > 0]
+        negative = [k for k, sign in enumerate(row) if sign < 0]
+        terms += [(names[k], names[j], i, j, k) for k in negative for j in positive]
+    return terms
+
+
+def t_of(system) -> Fraction:
+    """The paper's t of a concrete system, summed pairwise: 1 + sum of c_neg / c_pos."""
+    values = system.c.values
+    return Fraction(1) + sum(values[i][k] / values[i][j] for *_, i, j, k in sign_row_terms(system))
+
+
+def expand(witness_rows):
+    """``(neg name, pos name, row)`` for each pair that the per-row form multiplies out to."""
+    return [(k, j, i) for i, neg, pos in witness_rows for k in neg for j in pos]
+
+
 def solve_condition(condition: LinearCondition):
     """``solve_dnf`` on the CNF itself: a row per clause, a one-form branch per literal."""
     rows = [[(lit.coeffs,) for lit in c.literals] for c in condition.clauses]

@@ -14,7 +14,6 @@ import pytest
 
 from subtrop import (
     decide_system,
-    evaluate_t,
     instantiate,
     parse_system,
     print_system,
@@ -25,9 +24,8 @@ from subtrop import (
 from subtrop.condition import build_cnf, build_dnf, certifies
 from subtrop.lra import solve_dnf
 from subtrop.oracle import exhaustive_decide
-from subtrop.witness import ratio_terms
 
-from conftest import load, read_data, solve_condition
+from conftest import expand, load, read_data, solve_condition, t_of
 from gensys import random_bindings, random_condition, random_signed_system
 
 GOLDEN_FILES = [
@@ -94,7 +92,7 @@ def test_criterion_1_golden_sat_example2():
     assert all(any(lit.value_at(paper_n) >= 1 for lit in cl.literals) for cl in condition.clauses)
 
     witness = symbolic_t(system, paper_n)
-    assert [(t.numerator, t.denominator) for t in witness.terms] == [
+    assert [(k, j) for k, j, _ in expand(witness.rows)] == [
         ("c11", "c12"),
         ("c11", "c15"),
         ("c13", "c12"),
@@ -144,7 +142,7 @@ def test_criterion_4_witness_property(sat_instances):
     for system, decision in sat_instances:
         for _ in range(10):
             concrete = instantiate(system, random_bindings(rng, system))
-            t_value = evaluate_t(symbolic_t(concrete, decision.n), concrete.c)
+            t_value = t_of(concrete)
             for r in (t_value, t_value + 1, 2 * t_value):
                 outcome = verify_witness(concrete, decision.n, r)
                 assert all(value > 0 for value in outcome.values)
@@ -199,11 +197,7 @@ def test_criterion_8_bound_dominance():
     for _ in range(100):
         system = random_signed_system(rng, parametric=False, integer_coeffs=True)
         bound = uniform_bound(system)
-        t_value = Fraction(1) + sum(
-            system.c.values[t.row][t.neg] / system.c.values[t.row][t.pos]
-            for t in ratio_terms(system)
-        )
-        assert bound >= t_value
+        assert bound >= t_of(system)
         decision = decide_system(system)
         if decision.status == "sat":
             sat_seen += 1

@@ -367,16 +367,16 @@ class TestWitness:
         assert code == 0
         payload = json.loads(out)
         assert payload["t"]["one"] == 1
-        assert payload["t"]["terms"] == [
-            ["c11", "c12"], ["c11", "c15"], ["c13", "c12"], ["c13", "c15"],
-            ["c24", "c21"], ["c24", "c22"], ["c24", "c23"],
+        assert payload["t"]["rows"] == [
+            {"row": 0, "neg": ["c11", "c13"], "pos": ["c12", "c15"]},
+            {"row": 1, "neg": ["c24"], "pos": ["c21", "c22", "c23"]},
         ]
         assert build_cnf(load("example2.spp")).satisfied_by(tuple(payload["n"]))
 
     def test_intro_f_display_text(self, capsys):
         code, out, _ = run(capsys, "witness", DATA / "intro_f.spp")
         assert code == 0
-        assert out == "t = 1 + c1/c2 + c1/c0; z = (t^1)\n"
+        assert out == "t = 1 + (c1)*(1/c2 + 1/c0); z = (t^1)\n"
 
     def test_all_positive_witness_is_one(self, capsys, tmp_path):
         path = tmp_path / "pos.spp"
@@ -505,7 +505,7 @@ class TestWitnessCalls:
         import subtrop.cli as cli
         import subtrop.witness as witness
 
-        counts = {"symbolic_t": 0, "evaluate_t": 0, "_t_from_rows": 0}
+        counts = {"symbolic_t": 0, "_t_from_rows": 0}
         for name in counts:
             original = getattr(witness, name)
 
@@ -522,7 +522,7 @@ class TestWitnessCalls:
         # certifies alone proves f(r^n) > 0 for every coefficient choice
         code, _, err = run(capsys, "decide", DATA / "example2.spp", "--check")
         assert code == 0, err
-        assert calls == {"symbolic_t": 0, "evaluate_t": 0, "_t_from_rows": 0}
+        assert calls == {"symbolic_t": 0, "_t_from_rows": 0}
 
     def test_check_evaluates_nothing_for_large_n(self, capsys, monkeypatch):
         # max|n| is 52,294 here: an exact evaluation of f(t^n) runs for over 15 s
@@ -543,7 +543,7 @@ class TestWitnessCalls:
             capsys, "verify", DATA / "example2.spp", "--coeffs", DATA / "example2_ones.coeffs"
         )
         assert code == 0, err
-        assert calls == {"symbolic_t": 0, "evaluate_t": 0, "_t_from_rows": 1}
+        assert calls == {"symbolic_t": 0, "_t_from_rows": 1}
 
 
 class TestLongRows:
@@ -1048,7 +1048,8 @@ class TestCoefficientBindings:
 
     def test_rejects_bad_lines(self):
         for text in ["a 1\n", "a = \n", "a = x\n", "a = 1/0\n", "a = 0\n", "a = 1\na = 2\n",
-                     "a = \u0663\n", "a = \uff13\n", "a = 1_000\n", "a = 1/\u0663\n", "a = +3\n"]:
+                     "a = \u0663\n", "a = \uff13\n", "a = 1_000\n", "a = 1/\u0663\n", "a = +3\n",
+                     "a = \u00b2\n"]:
             with pytest.raises(ParseError):
                 parse_coefficient_bindings(text)
 

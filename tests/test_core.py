@@ -270,7 +270,7 @@ def value_instances() -> list:
     return [
         system, system.s, system.e, system.c, concrete.c,
         condition, condition.clauses[0], condition.clauses[0].literals[0],
-        decision, witness, witness.terms[0],
+        decision, witness,
         verify_witness(concrete, decide_system(concrete).n),
     ]
 
@@ -280,7 +280,7 @@ class TestValueTypes:
 
     def test_every_value_type_is_covered(self):
         assert {type(x) for x in value_instances()} == set(_Value.__subclasses__())
-        assert len(_Value.__subclasses__()) == 12
+        assert len(_Value.__subclasses__()) == 11
 
     def test_equal_values_are_equal_and_hash_equal(self):
         for a, b in zip(value_instances(), value_instances()):

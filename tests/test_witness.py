@@ -12,7 +12,6 @@ from subtrop import (
     UncertifiedExponent,
     WitnessFailure,
     decide_system,
-    evaluate_t,
     instantiate,
     parse_system,
     symbolic_t,
@@ -20,9 +19,9 @@ from subtrop import (
     verify_witness,
 )
 from subtrop.core import ConcreteCoefficients, ExponentMatrix, SignedSystem, SignMatrix
-from subtrop.witness import evaluate_system_at, ratio_terms
+from subtrop.witness import _named_rows, _t_from_rows, evaluate_system_at
 
-from conftest import load
+from conftest import expand, load, sign_row_terms, t_of
 from gensys import (
     random_bindings,
     random_exponent_rows,
@@ -33,31 +32,39 @@ from gensys import (
 INTRO_BINDINGS = {"c2": Fraction(1), "c1": Fraction(1), "c0": Fraction(1)}
 
 
-def t_of(system) -> Fraction:
-    values = system.c.values
-    return Fraction(1) + sum(
-        values[t.row][t.neg] / values[t.row][t.pos] for t in ratio_terms(system)
+def rows_t(witness, value_of) -> Fraction:
+    """t from the witness's per-row names, each looked up in ``value_of``."""
+    return 1 + sum(
+        sum(value_of[k] for k in neg) * sum(1 / value_of[j] for j in pos)
+        for _, neg, pos in witness.rows
     )
 
 
-def sign_row_terms(system):
-    """Reference for ``ratio_terms``, read from the sign rows and the naming rule."""
-    terms = []
-    for i, row in enumerate(system.s.entries):
-        if system.is_parametric:
-            names = system.c.names[i]
-        else:
-            names = [f"c_{i + 1}_{j + 1}" for j in range(len(row))]
-        positive = [j for j, sign in enumerate(row) if sign > 0]
-        negative = [k for k, sign in enumerate(row) if sign < 0]
-        terms += [(names[k], names[j], i, j, k) for k in negative for j in positive]
-    return terms
+def text_rows(text: str) -> list:
+    """``(neg, pos)`` name tuples read back from ``witness`` text, one per row factor."""
+    t = text.partition("; z = ")[0]
+    rows = []
+    for factor in t.removeprefix("t = 1").split(" + (")[1:]:
+        neg, pos = factor.removesuffix(")").split(")*(")
+        rows.append((tuple(neg.split(" + ")), tuple(p.removeprefix("1/") for p in pos.split(" + "))))
+    return rows
+
+
+def positional_values(system) -> dict:
+    """The coefficients of a concrete system, keyed by their positional names."""
+    return {
+        system.coefficient_name(i, j): value
+        for i, (signs, values) in enumerate(zip(system.s.entries, system.c.values))
+        for j, (sign, value) in enumerate(zip(signs, values))
+        if sign
+    }
 
 
 class TestRatioTerms:
     def test_matches_sign_row_reference(self):
-        # row-major, then negative k, then positive j; a row without positive or
-        # without negative monomials gives no term
+        # the witness's rows multiply out to the paper's pairs: row-major, then
+        # negative k, then positive j; a row without positive or without
+        # negative monomials gives no pair
         rng = random.Random(31)
         systems = [load("zero_row.spp"), load("example2.spp")] + [
             random_signed_system(
@@ -67,8 +74,8 @@ class TestRatioTerms:
         ]
         kinds, terms = set(), 0
         for system in systems:
-            got = [(t.numerator, t.denominator, t.row, t.pos, t.neg) for t in ratio_terms(system)]
-            assert got == sign_row_terms(system)
+            got = expand(_named_rows(system))
+            assert got == [(k, j, i) for k, j, i, *_ in sign_row_terms(system)]
             terms += len(got)
             kinds |= {(max(row) > 0, min(row) < 0) for row in system.s.entries}
         assert kinds == {(True, True), (True, False), (False, True), (False, False)}
@@ -79,7 +86,11 @@ class TestSymbolicT:
     def test_example2_seven_terms_in_order(self):
         system = load("example2.spp")
         witness = symbolic_t(system, (-12, -11))
-        assert [(t.numerator, t.denominator) for t in witness.terms] == [
+        assert witness.rows == (
+            (0, ("c11", "c13"), ("c12", "c15")),
+            (1, ("c24",), ("c21", "c22", "c23")),
+        )
+        assert [(k, j) for k, j, _ in expand(witness.rows)] == [
             ("c11", "c12"),
             ("c11", "c15"),
             ("c13", "c12"),
@@ -89,30 +100,50 @@ class TestSymbolicT:
             ("c24", "c23"),
         ]
         assert witness.to_display_text() == (
-            "t = 1 + c11/c12 + c11/c15 + c13/c12 + c13/c15 + c24/c21 + c24/c22 + c24/c23; "
+            "t = 1 + (c11 + c13)*(1/c12 + 1/c15) + (c24)*(1/c21 + 1/c22 + 1/c23); "
             "z = (t^-12, t^-11)"
         )
+        assert witness.to_json_dict() == {
+            "t": {"one": 1, "rows": [
+                {"row": 0, "neg": ["c11", "c13"], "pos": ["c12", "c15"]},
+                {"row": 1, "neg": ["c24"], "pos": ["c21", "c22", "c23"]},
+            ]},
+            "n": [-12, -11],
+        }
 
     def test_intro_f_terms(self):
         witness = symbolic_t(load("intro_f.spp"), (1,))
-        assert [(t.numerator, t.denominator) for t in witness.terms] == [
-            ("c1", "c2"),
-            ("c1", "c0"),
-        ]
+        assert witness.rows == ((0, ("c1",), ("c2", "c0")),)
+        assert witness.to_display_text() == "t = 1 + (c1)*(1/c2 + 1/c0); z = (t^1)"
 
     def test_all_positive_system_has_empty_t(self):
         system = parse_system("vars x y\npoly f = a*x + b*y\n")
         witness = symbolic_t(system, (0, 0))
-        assert witness.terms == ()
+        assert witness.rows == ()
         assert witness.to_display_text() == "t = 1; z = (t^0, t^0)"
+        assert witness.to_json_dict() == {"t": {"one": 1, "rows": []}, "n": [0, 0]}
 
     def test_concrete_systems_get_positional_names(self):
         system = load("intro_f_ones.spp")
         witness = symbolic_t(system, (1,))
-        assert [(t.numerator, t.denominator) for t in witness.terms] == [
-            ("c_1_2", "c_1_1"),
-            ("c_1_2", "c_1_3"),
-        ]
+        assert witness.rows == ((0, ("c_1_2",), ("c_1_1", "c_1_3")),)
+        assert witness.to_display_text() == "t = 1 + (c_1_2)*(1/c_1_1 + 1/c_1_3); z = (t^1)"
+        assert witness.to_json_dict() == {
+            "t": {"one": 1, "rows": [{"row": 0, "neg": ["c_1_2"], "pos": ["c_1_1", "c_1_3"]}]},
+            "n": [1],
+        }
+
+    def test_names_each_coefficient_once(self):
+        # sum of |P_i| + |N_i| names, where the pairwise form has sum of |P_i| |N_i| terms
+        system = load("certify_head_42.spp")
+        witness = symbolic_t(system, decide_system(system).n)
+        assert sum(len(neg) + len(pos) for _, neg, pos in witness.rows) == 11
+        assert len(expand(witness.rows)) == len(sign_row_terms(system)) == 30
+
+    def test_zero_row_is_rejected(self):
+        # the row adds no clause, so every n certifies; the gate still refuses
+        with pytest.raises(PreconditionViolated, match="^row 0 is identically zero"):
+            symbolic_t(load("zero_row.spp"), (0,))
 
     def test_uncertified_vector_is_rejected(self):
         with pytest.raises(UncertifiedExponent):
@@ -134,44 +165,51 @@ class TestSymbolicT:
     def test_json_shape(self):
         witness = symbolic_t(load("intro_f.spp"), (1,))
         assert witness.to_json_dict() == {
-            "t": {"one": 1, "terms": [["c1", "c2"], ["c1", "c0"]]},
+            "t": {"one": 1, "rows": [{"row": 0, "neg": ["c1"], "pos": ["c2", "c0"]}]},
             "n": [1],
         }
+
+    def test_rows_give_the_t_of_the_rows_and_of_the_pairs(self):
+        # every SAT file in tests/data, at random bindings
+        rng = random.Random(27)
+        names = ["certify_head_42.spp", "example2.spp", "intro_f.spp", "search_head_3.spp"]
+        for name in names:
+            system = load(name)
+            witness = symbolic_t(system, decide_system(system).n)
+            assert text_rows(witness.to_display_text()) == [row[1:] for row in witness.rows]
+            for _ in range(5):
+                bindings = random_bindings(rng, system)
+                concrete = instantiate(system, bindings)
+                assert rows_t(witness, bindings) == _t_from_rows(concrete) == t_of(concrete)
+        concrete = load("intro_f_ones.spp")
+        witness = symbolic_t(concrete, decide_system(concrete).n)
+        assert rows_t(witness, positional_values(concrete)) == _t_from_rows(concrete) == 3
 
 
 class TestEvaluateT:
     def test_unit_coefficients(self):
         system = instantiate(load("intro_f.spp"), INTRO_BINDINGS)
-        witness = symbolic_t(system, (1,))
-        assert evaluate_t(witness, system.c) == 3
+        assert verify_witness(system, (1,)).t_value == 3
 
     def test_mixed_coefficients(self):
         system = instantiate(
             load("intro_f.spp"), {"c2": Fraction(2), "c1": Fraction(1), "c0": Fraction(4)}
         )
-        witness = symbolic_t(system, (1,))
-        assert evaluate_t(witness, system.c) == Fraction(7, 4)
+        assert verify_witness(system, (1,)).t_value == Fraction(7, 4)
 
     def test_no_terms_is_one(self):
         system = parse_system("vars x\npoly f = 2*x\n")
-        witness = symbolic_t(system, (0,))
-        assert evaluate_t(witness, system.c) == 1
+        assert verify_witness(system, (0,)).t_value == 1
 
     def test_t_above_one_iff_some_sign_pair_exists(self):
         rng = random.Random(21)
-        for _ in range(40):
-            system = random_signed_system(rng, parametric=False, ensure_positive=False)
-            has_pair = any(
-                min(row) < 0 < max(row) for row in system.s.entries
-            )
-            assert (t_of(system) > 1) == has_pair
-
-    def test_unbound_position(self):
-        system = instantiate(load("intro_f.spp"), INTRO_BINDINGS)
-        witness = symbolic_t(system, (1,))
-        small = parse_system("vars x\npoly f = 2*x\n")
-        with pytest.raises(UnboundCoefficient):
-            evaluate_t(witness, small.c)
+        seen = set()
+        for _ in range(100):
+            system, n = certified_system(rng)
+            has_pair = any(min(row) < 0 < max(row) for row in system.s.entries)
+            assert (verify_witness(system, n).t_value > 1) == has_pair
+            seen.add(has_pair)
+        assert seen == {True, False}
 
 
 class TestInstantiate:
@@ -315,7 +353,7 @@ class TestVerifyWitness:
         n = (-12, -11)
         for _ in range(5):
             concrete = instantiate(system, random_bindings(rng, system))
-            t = evaluate_t(symbolic_t(concrete, n), concrete.c)
+            t = t_of(concrete)
             report = verify_witness(concrete, n)
             assert report == verify_witness(concrete, n, t)
             assert report.r_value == report.t_value == t
@@ -331,7 +369,7 @@ class TestVerifyWitness:
         n = (-12, -11)
         for _ in range(20):
             concrete = instantiate(system, random_bindings(rng, system))
-            t = evaluate_t(symbolic_t(concrete, n), concrete.c)
+            t = t_of(concrete)
             assert all(value > 0 for value in verify_witness(concrete, n, t).values)
 
     def test_r_below_t_is_rejected(self):
@@ -416,16 +454,16 @@ class TestIntegerVerification:
         dims, pairs = set(), 0
         for index in range(300):
             system, n = certified_system(rng)
-            t = evaluate_t(symbolic_t(system, n), system.c)
+            t = t_of(system)
             r = None if index % 2 == 0 else t + Fraction(rng.randint(0, 5), rng.randint(1, 5))
             report = verify_witness(system, n, r)
-            assert report.t_value == t == t_of(system)
+            assert report.t_value == t == rows_t(symbolic_t(system, n), positional_values(system))
             assert report.r_value == (t if r is None else r)
             assert report.point == tuple(report.r_value**ni for ni in n)
             assert report.values == evaluate_system_at(system, report.point)
             assert all(value > 0 for value in report.values)
             dims.add(system.d)
-            pairs += len(ratio_terms(system))
+            pairs += len(sign_row_terms(system))
         assert dims == set(range(1, 7))
         assert pairs > 0
 
