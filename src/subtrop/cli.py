@@ -15,8 +15,8 @@ Arguments are read from one table, ``_COMMANDS``, by a short loop: building
 
 Exit codes: 0 sat/ok, 1 unsat, 2 usage or input error (an ``OSError``, or
 any :class:`~subtrop.core.SubtropError` but the two defects below), 3 a
-failed ``decide --check`` (a SAT vector that fails its condition, or
-disagreement with a brute-force cross-check), 4 solver defect: a witness
+failed ``decide --check`` (a SAT vector that fails its condition, or an
+UNSAT refutation that fails its check), 4 solver defect: a witness
 failure (:class:`~subtrop.witness.WitnessFailure`), a failed internal check
 (:class:`~subtrop.lra.SolverDefect`) or any other unexpected exception, so
 that a crash is never read as unsat.  Reports go to stdout, diagnostics to
@@ -33,12 +33,12 @@ from itertools import repeat
 from operator import getitem, sub
 from types import SimpleNamespace
 
-from .condition import build_cnf, certifies, dominance_rows
+from .condition import certifies, dominance_rows
 from .core import SignedSystem, SubtropError
 from .lra import SolverDefect
-from .oracle import exhaustive_decide
 from .parser import _MAX_DIGITS, parse_system
 from .pipeline import Decision, decide_system, parse_coefficient_bindings
+from .refutation import refutes
 from .witness import (
     VerificationReport,
     WitnessFailure,
@@ -111,12 +111,14 @@ def _run_checks(system: SignedSystem, decision: Decision) -> int:
     ``t = 1 + sum_i (sum_{k in N_i} c_k)(sum_{j in P_i} 1/c_j)`` is at least
     ``1 + sum_{k in N} c_k / c_j*``.  A row without negative monomials is a
     sum of positive terms.  ``verify`` checks the witness arithmetic.  An
-    UNSAT answer has no certificate: the CNF is built and re-decided by the
-    exhaustive oracle, which shares no code with the search.
+    UNSAT answer must carry a refutation that
+    :func:`~subtrop.refutation.refutes` accepts: a tree of Farkas
+    combinations over the search's branch choices, checked in one walk by
+    code that shares nothing with the search.
     """
     if decision.status == "unsat":
-        if exhaustive_decide(build_cnf(system)):
-            print("check failed: exhaustive selection search disagrees", file=sys.stderr)
+        if not refutes(system, decision.refutation):
+            print("check failed: the refutation does not refute the system", file=sys.stderr)
             return 3
         return 0
     if not certifies(system, decision.n):

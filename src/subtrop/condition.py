@@ -27,7 +27,7 @@ All of these walk the rows through :func:`dominance_rows`, the one
 definition of the order of clauses, literals and branches.  ``explain``
 prints the CNF's clauses from that walk, formatting each clause from the
 exponent rows in one step; the CNF as objects (:func:`build_cnf`) is built
-only for the brute-force UNSAT cross-check of ``decide --check``.
+only for the brute-force oracle of the tests and the benchmark.
 
 The argmax argument also bounds where a vector can move: at a certified n,
 the branches of each row's highest positive monomial define a convex

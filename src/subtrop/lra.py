@@ -6,12 +6,16 @@ arithmetic only.  Each distinct primitive linear form gets one slack
 variable (``coeffs / gcd``, signed so that a form and its negation share
 it), and a literal becomes a lower or upper bound on that slack; a literal
 with a single nonzero coefficient bounds its variable directly.  Bounds are
-asserted and retracted on one tableau.  The row of a basic slack that loses
-its last bound is dropped, and built again from the slack's form when a
-bound is next asserted on it.  Bland's rule (smallest index first) picks
-every pivot, so each check terminates.  An infeasible check names the
-bounds of one violated tableau row, whose conjunction is infeasible by
-Farkas' lemma.
+asserted and retracted on one tableau, and each remembers the literal that
+set it.  The row of a basic slack that loses its last bound is dropped, and
+built again from the slack's form when a bound is next asserted on it.
+Bland's rule (smallest index first) picks every pivot, so each check
+terminates.  An infeasible check names the bounds of one violated tableau
+row, whose conjunction is infeasible by Farkas' lemma, and explains it as a
+*leaf*: positive integer multipliers ``y_l`` over the literals
+``a_l . n >= 1`` that set those bounds, with ``sum(y_l * a_l) = 0``.  No
+``n`` meets them all, since it would give
+``0 = sum(y_l * a_l . n) >= sum(y_l) > 0``.
 
 Two facts keep :class:`~fractions.Fraction` out of the module:
 
@@ -47,6 +51,19 @@ and that level inherits the rest.  The skipped subtrees hold no feasible
 full choice, so the search finds the same first choice as chronological
 depth-first search in (row, positive monomial) order.
 
+A "no" comes with the search's own refutation, a tree of those leaves.  A
+level collects one child per branch it tries: the leaf of the branch's
+conflict, or the subtree of a deeper level that jumped back to it.  An
+exhausted level becomes the node ``(level, children)``, which its jump
+hands to the branch it returns to, and the level whose conflicts name no
+lower level is the root.  A leaf only names literals of the levels that
+its conflict set records, so a backjump leaves the skipped levels out of
+the path and each leaf names only branches chosen on its own path.  At
+any ``n`` satisfying the CNF, the argmax argument picks at every node a
+branch that ``n`` satisfies; following those picks ends at a leaf whose
+literals ``n`` all satisfies, which no ``n`` does.  So the tree refutes
+the system, and :mod:`subtrop.refutation` checks it in one walk.
+
 The model is the simplex assignment of ``n`` there: every nonbasic
 variable sits at 0 or at the value of a bound asserted during the search,
 and basic variables follow from the tableau.  It is read as integers over
@@ -77,6 +94,10 @@ class SolverDefect(SubtropError):
 # A value or bound ``(s, g)`` is the number ``s/g``, with ``g > 0`` and ``s`` in
 # {-1, 0, 1}; every nonbasic value and every bound has this form.
 ZERO = (0, 1)
+
+# A conflict is ``(levels, leaf)``: the decision levels of the bounds involved, and a
+# leaf, the tuple of ``(multiplier, coeffs)`` pairs over the literals that set them.
+Conflict = tuple[set[int], tuple[tuple[int, tuple[int, ...]], ...]]
 
 
 def _reduced(den: int, nums: list[int]) -> tuple[int, list[int]]:
@@ -110,8 +131,9 @@ class _Simplex:
     docstring), so a variable holding both is infeasible, and each variable
     holds at most one bound: ``bound[var]``, the pair ``(1, g)`` for
     ``1/g`` or ``(-1, g)`` for ``-1/g``, or None, asserted at decision level
-    ``level[var]``.  The trail keeps what each assertion replaced, so
-    :meth:`backtrack` restores older bounds exactly.
+    ``level[var]`` by the literal ``source[var]``.  The trail keeps what
+    each assertion replaced, so :meth:`backtrack` restores older bounds
+    exactly.
 
     ``value[var]`` of a nonbasic variable is ``(0, 1)`` or a bound once
     asserted on ``var``.  A basic variable's value is its row applied to
@@ -124,10 +146,11 @@ class _Simplex:
         self.value: list[tuple[int, int]] = [ZERO] * num_vars
         self.bound: list[tuple[int, int] | None] = [None] * num_vars
         self.level: list[int] = [0] * num_vars
+        self.source: list[tuple[int, ...] | None] = [None] * num_vars
         self.nonbasic = list(range(num_vars))
         self.column = {j: j for j in range(num_vars)}
         self.rows: dict[int, tuple[int, list[int]]] = {}
-        self.trail: list[tuple[int, tuple[int, int] | None, int, int]] = []
+        self.trail: list[tuple] = []  # (var, old bound, old level, level, old source)
         self._forms: list[tuple[int, ...]] = []
         self._slacks: dict[tuple[int, ...], int] = {}
         self._literals: dict[tuple[int, ...], tuple[int, tuple[int, int]] | None] = {}
@@ -139,6 +162,7 @@ class _Simplex:
         self.value.append(ZERO)  # read only once the slack is nonbasic
         self.bound.append(None)
         self.level.append(0)
+        self.source.append(None)
         self._slacks[form] = var
         return var
 
@@ -182,15 +206,18 @@ class _Simplex:
         self._literals[coeffs] = found
         return found
 
-    def assert_literal(self, coeffs: tuple[int, ...], level: int) -> set[int] | None:
-        """Assert ``coeffs . n >= 1`` at ``level``; the conflicting levels, or None.
+    def assert_literal(self, coeffs: tuple[int, ...], level: int) -> Conflict | None:
+        """Assert ``coeffs . n >= 1`` at ``level``; the conflict, or None.
 
         Only a clash with a bound of the opposite sign is found here;
-        :meth:`check` finds the rest.
+        :meth:`check` finds the rest.  Bounds ``1/g`` and ``-1/h`` on one
+        form come from literals ``g * form`` and ``-h * form``, which sum to
+        0 with the multipliers ``h`` and ``g``.  The all-zero literal is a
+        conflict by itself, with the multiplier 1.
         """
         literal = self._literal(coeffs)
         if literal is None:
-            return {level}
+            return {level}, ((1, coeffs),)
         var, bound = literal
         if var not in self.rows and var not in self.column:
             self._activate(var)
@@ -199,10 +226,11 @@ class _Simplex:
             if _within(old, bound):
                 return None
             if old[0] != bound[0]:
-                return {self.level[var], level}
-        self.trail.append((var, old, self.level[var], level))
+                return {self.level[var], level}, ((bound[1], self.source[var]), (old[1], coeffs))
+        self.trail.append((var, old, self.level[var], level, self.source[var]))
         self.bound[var] = bound
         self.level[var] = level
+        self.source[var] = coeffs
         if var in self.column and not _within(self.value[var], bound):
             self.value[var] = bound
         return None
@@ -211,9 +239,10 @@ class _Simplex:
         """Retract every bound asserted at ``level`` or above; every value stays."""
         trail = self.trail
         while trail and trail[-1][3] >= level:
-            var, old, old_level, _ = trail.pop()
+            var, old, old_level, _, old_source = trail.pop()
             self.bound[var] = old
             self.level[var] = old_level
+            self.source[var] = old_source
             self._drop_if_free(var)
 
     def _drop_if_free(self, var: int):
@@ -253,12 +282,18 @@ class _Simplex:
         common = math.lcm(*(g for _, g in values))
         return common, [s * (common // g) for s, g in values]
 
-    def check(self) -> set[int] | None:
-        """Restore every bound by Bland-rule pivoting; the conflicting levels, or None.
+    def check(self) -> Conflict | None:
+        """Restore every bound by Bland-rule pivoting; the conflict, or None.
 
         On conflict, the levels are those of the bounds in the violated
         row: the basic variable's violated bound and, for each nonbasic
-        variable of the row, the bound that blocks it.
+        variable of the row, the bound that blocks it.  The row says
+        ``den * x_b = sum(c_p * x_p)`` of the variables' forms, and a bound
+        ``(s, g)`` comes from the literal ``s * g * form``.  Signed by the
+        basic bound, the row sums those literals to 0 with the multipliers
+        ``den / g_b`` and ``|c_p| / g_p``, all positive because each
+        ``x_p`` is blocked at the bound of sign ``-sign(s_b * c_p)``; times
+        ``L``, the lcm of the ``g``, they are integers.
         """
         value, bounds, nonbasic, rows = self.value, self.bound, self.nonbasic, self.rows
         while True:
@@ -281,10 +316,18 @@ class _Simplex:
                 if c and not (value[var] == bounds[var] and s * c * value[var][0] < 0)
             ]
             if not free:
-                return {self.level[basic]} | {
-                    self.level[var] for c, var in zip(row, nonbasic) if c
-                }
+                return self._explain(basic, den, row)
             self._pivot(basic, min(free, key=nonbasic.__getitem__), bound)
+
+    def _explain(self, basic: int, den: int, row: list[int]) -> Conflict:
+        """The conflict of ``basic``'s violated row ``(den, row)``, every column blocked."""
+        level, source, bounds = self.level, self.source, self.bound
+        terms = [(c, var) for c, var in zip(row, self.nonbasic) if c]
+        lcm = math.lcm(bounds[basic][1], *(bounds[var][1] for _, var in terms))
+        leaf = ((den * lcm // bounds[basic][1], source[basic]),) + tuple(
+            (abs(c) * lcm // bounds[var][1], source[var]) for c, var in terms
+        )
+        return {level[basic]} | {level[var] for _, var in terms}, leaf
 
     def model(self) -> tuple[int, list[int]]:
         """``(common, nums)``: variable j of ``n`` has value ``nums[j] / common``."""
@@ -301,8 +344,8 @@ class _Simplex:
 
 def solve_dnf(
     num_vars: int, rows: Sequence[Sequence[Sequence[tuple[int, ...]]]]
-) -> tuple[int, ...] | None:
-    """Primitive integer vector of the first feasible choice of one branch per row, or None.
+) -> tuple[tuple[int, ...], None] | tuple[None, tuple]:
+    """``(n, None)`` for the first feasible choice of one branch per row, else ``(None, tree)``.
 
     ``rows[i]`` lists the branches of row i and a branch is a tuple of
     forms ``coeffs``, each meaning ``coeffs . n >= 1``; from
@@ -317,41 +360,53 @@ def solve_dnf(
     choice are skipped, so the choice found is the first feasible one in
     stored order, as chronological search would find it.  The model is the
     simplex assignment of ``n`` there: each nonbasic variable sits at 0 or
-    at a bound asserted during the search.  The vector returned is the
-    model times the least common multiple of its denominators, so it
-    satisfies every chosen ``coeffs . n >= 1`` too.
+    at a bound asserted during the search.  ``n`` is the primitive integer
+    vector, the model times the least common multiple of its denominators,
+    so it satisfies every chosen ``coeffs . n >= 1`` too.
+
+    When no choice is feasible, ``tree`` is the search's refutation (see
+    the module docstring): a node ``(level, children)`` with one child per
+    branch of ``rows[level]``, each child a node or a leaf of
+    ``(multiplier, coeffs)`` pairs.  A row without branches is the node
+    ``(level, ())``.
     """
-    if any(not branches for branches in rows):
-        return None
+    for level, branches in enumerate(rows):
+        if not branches:
+            return None, (level, ())
     engine = _Simplex(num_vars)
     depth = len(rows)
     choice = [0] * (depth + 1)
-    conflicts: dict[int, set[int]] = {}  # level -> lower levels its branches conflict with
+    # level -> the lower levels its branches conflict with, and each branch's tree
+    conflicts: dict[int, tuple[set[int], list[tuple]]] = {}
     level = 0
     while level < depth:
         branches = rows[level]
         if choice[level] < len(branches):
             engine.backtrack(level)  # retracts the level's previous branch, if any
-            culprits = None
+            conflict = None
             for coeffs in branches[choice[level]]:
-                culprits = engine.assert_literal(coeffs, level)
-                if culprits is not None:
+                conflict = engine.assert_literal(coeffs, level)
+                if conflict is not None:
                     break
             else:
-                culprits = engine.check()
-            if culprits is None:
+                conflict = engine.check()
+            if conflict is None:
                 level += 1
                 choice[level] = 0
                 conflicts.pop(level, None)
                 continue
+            culprits, tree = conflict
         else:
-            culprits = conflicts.pop(level, None)
+            culprits, trees = conflicts.pop(level)
+            tree = (level, tuple(trees))
             if not culprits:
-                return None
+                return None, tree
             level = max(culprits)
             engine.backtrack(level)
         culprits.discard(level)
-        conflicts.setdefault(level, set()).update(culprits)
+        lower, trees = conflicts.setdefault(level, (set(), []))
+        lower.update(culprits)
+        trees.append(tree)
         choice[level] += 1
     common, nums = engine.model()
     for branches, pick in zip(rows, choice):
@@ -359,4 +414,4 @@ def solve_dnf(
             if sum(map(mul, coeffs, nums)) < common:
                 raise SolverDefect(f"model {nums} over {common} fails {coeffs} . n >= 1")
     g = math.gcd(common, *nums)
-    return tuple(x // g for x in nums)
+    return tuple(x // g for x in nums), None

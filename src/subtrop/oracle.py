@@ -1,10 +1,12 @@
 """Brute-force cross-check for the main solver.
 
-A deliberately dumb decider used by the test suite and by ``decide
---check`` on UNSAT answers: exhaustive enumeration of one-literal-per-clause
+A deliberately dumb decider used by the test suite and the benchmark's
+reference answers: exhaustive enumeration of one-literal-per-clause
 selections of the CNF, each decided by a from-scratch Fourier-Motzkin pass
 (no code shared with :mod:`subtrop.lra`, forward elimination order, no
-pruning).
+pruning).  It takes time exponential in the number of clauses, so ``decide
+--check`` checks an UNSAT answer by its refutation
+(:mod:`subtrop.refutation`) instead.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 :func:`decide_system` is what the ``decide``, ``witness`` and ``verify``
 commands run; :mod:`subtrop.cli` only parses arguments and prints.  It
-builds only the row branches the search needs, never the CNF, and always
-returns the shrunk integer vector.
+builds only the row branches the search needs, never the CNF.  A SAT
+decision carries the shrunk integer vector, and an UNSAT one the search's
+refutation, which :func:`~subtrop.refutation.refutes` checks.
 """
 
 from __future__ import annotations
@@ -17,17 +18,26 @@ from .parser import _MAX_DIGITS, ParseError
 
 
 class Decision(_Value):
-    """Result of the full decision pipeline on one system."""
+    """Result of the full decision pipeline on one system.
 
-    __slots__ = ("status", "n", "zero_row")
+    ``refutation`` is the tree of :func:`~subtrop.lra.solve_dnf` when the
+    search answers UNSAT, made of tuples only, and None otherwise.
+    """
+
+    __slots__ = ("status", "n", "zero_row", "refutation")
     status: str  # "sat" | "unsat"
     n: tuple[int, ...] | None
     zero_row: int | None
+    refutation: tuple | None
 
-    def __init__(self, status: str, n: tuple[int, ...] | None, zero_row: int | None):
+    def __init__(
+        self, status: str, n: tuple[int, ...] | None, zero_row: int | None,
+        refutation: tuple | None = None,
+    ):
         object.__setattr__(self, "status", status)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "zero_row", zero_row)
+        object.__setattr__(self, "refutation", refutation)
 
 
 def decide_system(system: SignedSystem) -> Decision:
@@ -37,7 +47,8 @@ def decide_system(system: SignedSystem) -> Decision:
     such systems are unsatisfiable regardless of the linear condition.
     Otherwise the search picks one dominating positive monomial per row
     (:func:`~subtrop.lra.solve_dnf` over :func:`~subtrop.condition.build_dnf`),
-    which returns an integer vector.  That vector is moved toward 0
+    which returns an integer vector or, when no choice is feasible, its
+    refutation, kept on the decision.  The vector is moved toward 0
     (:func:`~subtrop.condition.shrink`), which first checks that it
     certifies the system; one that does not raises
     :class:`~subtrop.lra.SolverDefect`.
@@ -45,9 +56,9 @@ def decide_system(system: SignedSystem) -> Decision:
     zeros = zero_sign_rows(system)
     if zeros:
         return Decision("unsat", None, zeros[0])
-    n = solve_dnf(system.d, build_dnf(system))
+    n, refutation = solve_dnf(system.d, build_dnf(system))
     if n is None:
-        return Decision("unsat", None, None)
+        return Decision("unsat", None, None, refutation)
     try:
         n = shrink(system, n)
     except ValueError:

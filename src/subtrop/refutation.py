@@ -1,0 +1,58 @@
+"""An independent check of an UNSAT answer: the search's refutation tree.
+
+The rows that matter are those with negative monomials, in index order;
+``level`` i names the i-th of them.  Some ``n`` satisfies the dominance
+condition exactly when it satisfies, in every such row, the *branch* of
+some positive monomial ``j``: ``(e_j - e_k) . n >= 1`` for each negative
+``k``.  A refutation is a tree over these choices.  A node
+``(level, children)`` has one child per positive monomial of its row, in
+increasing order.  A leaf is a nonempty tuple of ``(y, a)`` pairs: positive
+ints ``y`` and literals ``a . n >= 1``, each ``a`` a form of a branch chosen
+on the leaf's path, with ``sum(y * a) = 0``.  No ``n`` meets a leaf's
+literals, since they would give ``0 >= sum(y) > 0``.  Any ``n`` that
+satisfies the condition would meet every literal on some path: at each
+node, its row's positive monomial with the largest ``e_j . n`` has a
+branch that ``n`` satisfies.  So a tree that passes :func:`refutes` proves
+that no ``n`` exists.
+
+The check reads only the sign and exponent matrices, in exact ints, and
+shares no code with the search (:mod:`subtrop.lra`), the reduction
+(:mod:`subtrop.condition`) or the brute-force oracle.  It visits each
+node and leaf once, with an explicit stack, and carries the set of forms
+chosen on the path to each.
+"""
+
+from __future__ import annotations
+
+
+def refutes(system, tree) -> bool:
+    """True when ``tree`` refutes the dominance condition of ``system``."""
+    exponents = system.e.entries
+    rows = []  # (positive, negative) of each row with negative monomials
+    for signs in system.s.entries:
+        negative = [k for k, sign in enumerate(signs) if sign < 0]
+        if negative:
+            rows.append(([j for j, sign in enumerate(signs) if sign > 0], negative))
+    stack = [(tree, frozenset())]  # a subtree and the literals chosen on its path
+    while stack:
+        item, chosen = stack.pop()
+        if not isinstance(item, tuple) or not item:
+            return False
+        if isinstance(item[0], int):  # a node
+            level, children = item
+            if not 0 <= level < len(rows) or len(children) != len(rows[level][0]):
+                return False
+            positive, negative = rows[level]
+            for j, child in zip(positive, children):
+                branch = {tuple(a - b for a, b in zip(exponents[j], exponents[k]))
+                          for k in negative}
+                stack.append((child, chosen | branch))
+            continue
+        total = [0] * system.d
+        for y, coeffs in item:
+            if type(y) is not int or y <= 0 or coeffs not in chosen:
+                return False
+            total = [t + y * a for t, a in zip(total, coeffs)]
+        if any(total):
+            return False
+    return True

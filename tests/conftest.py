@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,6 +7,8 @@ import pytest
 from subtrop import lra, parse_system
 from subtrop.condition import LinearCondition
 from subtrop.lra import solve_dnf
+
+from gensys import random_signed_system
 
 DATA = Path(__file__).parent / "data"
 
@@ -52,19 +55,28 @@ def expand(witness_rows):
     return [(k, j, i) for i, neg, pos in witness_rows for k in neg for j in pos]
 
 
+def pin_batch():
+    """300 seeded systems for the model digest, with up to 8 monomials in 4 variables."""
+    rng = random.Random(13)
+    return [
+        random_signed_system(rng, max_rows=4, max_monomials=8, max_vars=4, max_exp=6)
+        for _ in range(300)
+    ]
+
+
 def solve_condition(condition: LinearCondition):
-    """``solve_dnf`` on the CNF itself: a row per clause, a one-form branch per literal."""
+    """``solve_dnf``'s vector on the CNF itself: a row per clause, a one-form branch per literal."""
     rows = [[(lit.coeffs,) for lit in c.literals] for c in condition.clauses]
-    return solve_dnf(condition.num_vars, rows)
+    return solve_dnf(condition.num_vars, rows)[0]
 
 
 def solve_rows(num_vars: int, rows):
-    """``solve_dnf`` on one row with one branch that asserts every ``coeffs . n >= 1``."""
-    return solve_dnf(num_vars, ((tuple(map(tuple, rows)),),))
+    """``solve_dnf``'s vector on one row with one branch that asserts every ``coeffs . n >= 1``."""
+    return solve_dnf(num_vars, ((tuple(map(tuple, rows)),),))[0]
 
 
 def exact(solve, *args):
-    """The model behind ``solve(*args)`` as Fractions, or None when it returns None.
+    """The model behind ``solve(*args)`` as Fractions, or None when it finds none.
 
     ``solve`` is :func:`~subtrop.lra.solve_dnf` or a helper that calls it
     once.  The model is recorded from ``_Simplex.model()``, the
@@ -81,7 +93,7 @@ def exact(solve, *args):
 
     lra._Simplex.model = recording
     try:
-        n = solve(*args)
+        solve(*args)
     finally:
         lra._Simplex.model = model
-    return None if n is None else recorded[-1]
+    return recorded[-1] if recorded else None

@@ -170,7 +170,7 @@ def test_criterion_6_dnf_cnf_agreement():
     rng = random.Random(606)
     for _ in range(200):
         system = random_signed_system(rng, max_rows=1, parametric=True, ensure_positive=False)
-        dnf_sat = solve_dnf(system.d, build_dnf(system)) is not None
+        dnf_sat = solve_dnf(system.d, build_dnf(system))[0] is not None
         assert dnf_sat == exhaustive_decide(build_cnf(system))
     clock.check()
     report(6, "single-row branch search matches the CNF oracle on 200 random systems")
@@ -181,7 +181,7 @@ def test_criterion_7_scaling_invariance(sat_instances):
     rng = random.Random(707)
     for system, decision in sat_instances:
         condition = build_cnf(system)
-        n = solve_dnf(system.d, build_dnf(system))
+        n, _ = solve_dnf(system.d, build_dnf(system))
         assert condition.satisfied_by(n)
         for _ in range(5):
             delta = rng.randint(1, 100)

@@ -69,11 +69,7 @@ class TestDecide:
             expected = (0 if decision.status == "sat" else 1, json.dumps(obj) + "\n", "")
             assert run(capsys, "decide", path, "--format", "json") == expected, path.name
             checked = run(capsys, "decide", path, "--format", "json", "--check")
-            if checked[0] == 2:  # the oracle refuses to re-decide this UNSAT answer
-                assert (decision.status, checked[1]) == ("unsat", ""), path.name
-                assert checked[2].endswith("selections exceed the limit 1000000\n")
-            else:
-                assert checked == expected, path.name
+            assert checked == expected, path.name
         assert len(shapes) == 3
 
     def test_zero_row_text_diagnostic(self, capsys):
@@ -117,7 +113,7 @@ class TestDecide:
         text = "vars x y\npoly f1 = a*y^3 + b*x - c*x^2*y^3\npoly f2 = -d*y^3 + e*x*y^3\n"
         system = parse_system(text)
         decision = decide_system(system)
-        assert solve_dnf(system.d, build_dnf(system)) == (3, -2)
+        assert solve_dnf(system.d, build_dnf(system)) == ((3, -2), None)
         assert decision.n == (1, -1)
         path = tmp_path / "loose.spp"
         path.write_text(text)
@@ -744,7 +740,6 @@ class TestExplainBytes:
         assert seen_d == set(range(1, 9))
 
     def test_explain_builds_no_cnf_objects(self, capsys, tmp_path, monkeypatch):
-        import subtrop.cli as cli
         import subtrop.condition as condition
 
         paths = explain_inputs(tmp_path)
@@ -757,7 +752,6 @@ class TestExplainBytes:
         def refuse(*args, **kwargs):
             raise AssertionError("explain built a CNF object")
 
-        monkeypatch.setattr(cli, "build_cnf", refuse)
         monkeypatch.setattr(condition, "build_cnf", refuse)
         monkeypatch.setattr(condition, "LinearLiteral", refuse)
         monkeypatch.setattr(condition, "Clause", refuse)
@@ -872,15 +866,21 @@ class TestExplainPipe:
 
 
 class TestDefectExitCodes:
-    def test_oracle_disagreement_exits_3(self, capsys, monkeypatch):
-        # the oracle re-decides UNSAT answers only
+    def test_failed_refutation_exits_3(self, capsys, monkeypatch):
+        # an UNSAT answer is checked against its refutation; example3's tree without
+        # its last child, or no tree at all, fails that check
         import subtrop.cli as cli
+        from subtrop.pipeline import Decision
 
-        monkeypatch.setattr(cli, "exhaustive_decide", lambda cond: True)
-        code, out, err = run(capsys, "decide", DATA / "example3.spp", "--check")
-        assert code == 3
-        assert out == ""
-        assert "disagrees" in err
+        path = DATA / "example3.spp"
+        level, children = decide_system(load("example3.spp")).refutation
+        assert run(capsys, "decide", path, "--check") == (1, "UNSAT\n", "")
+        for tree in ((level, children[:-1]), None):
+            decision = Decision("unsat", None, None, tree)
+            monkeypatch.setattr(cli, "decide_system", lambda system: decision)
+            code, out, err = run(capsys, "decide", path, "--check")
+            assert (code, out) == (3, "")
+            assert err == "check failed: the refutation does not refute the system\n"
 
     def test_sat_vector_failing_its_condition_exits_3(self, capsys, monkeypatch):
         # a SAT answer is checked against its certificate, not by enumeration
@@ -890,11 +890,11 @@ class TestDefectExitCodes:
         def bogus(system):
             return Decision("sat", (0, 0), None)
 
-        def explode(cond):
-            raise AssertionError("the oracle must not run on a SAT answer")
+        def explode(system, tree):
+            raise AssertionError("no refutation is checked on a SAT answer")
 
         monkeypatch.setattr(cli, "decide_system", bogus)
-        monkeypatch.setattr(cli, "exhaustive_decide", explode)
+        monkeypatch.setattr(cli, "refutes", explode)
         code, out, err = run(capsys, "decide", DATA / "example2.spp", "--check")
         assert code == 3
         assert out == ""
@@ -976,13 +976,14 @@ class TestDefectExitCodes:
         assert code == 1
         assert json.loads(out)["reason"] == "zero-row"
 
-    def test_check_skips_oracle_on_zero_rows(self, capsys, monkeypatch):
+    def test_check_skips_refutation_on_zero_rows(self, capsys, monkeypatch):
+        # a zero row is its own reason, and the search, which gives refutations, never runs
         import subtrop.cli as cli
 
-        def explode(cond):
-            raise AssertionError("oracle must not run for zero-row systems")
+        def explode(system, tree):
+            raise AssertionError("no refutation is checked for zero-row systems")
 
-        monkeypatch.setattr(cli, "exhaustive_decide", explode)
+        monkeypatch.setattr(cli, "refutes", explode)
         code, out, _ = run(capsys, "decide", DATA / "zero_row.spp", "--check")
         assert code == 1
         assert "identically zero" in out
@@ -1056,11 +1057,11 @@ class TestCoefficientBindings:
 
 class TestDecideSystem:
     def test_single_row_dnf_matches_cnf_on_goldens(self, capsys):
-        # --check re-decides one-row UNSAT answers with the oracle and checks SAT vectors
+        # --check checks one-row UNSAT answers by their refutation and SAT vectors by certifies
         for name in ["intro_f.spp", "intro_g.spp", "intro_f_ones.spp"]:
             code, _, err = run(capsys, "decide", DATA / name, "--check")
             assert code in (0, 1)
-            assert "disagrees" not in err
+            assert err == ""
 
     def test_decision_carries_certifying_vector(self):
         system = load("example2.spp")
@@ -1068,12 +1069,12 @@ class TestDecideSystem:
         assert decision.status == "sat"
         condition = build_cnf(system)
         assert condition.satisfied_by(decision.n)
-        assert condition.satisfied_by(solve_dnf(system.d, build_dnf(system)))
+        assert condition.satisfied_by(solve_dnf(system.d, build_dnf(system))[0])
 
     def test_model_failing_the_cnf_is_a_solver_defect(self, monkeypatch):
         import subtrop.pipeline as pipeline
         from subtrop import SolverDefect
 
-        monkeypatch.setattr(pipeline, "solve_dnf", lambda num_vars, rows: (0, 0))
+        monkeypatch.setattr(pipeline, "solve_dnf", lambda num_vars, rows: ((0, 0), None))
         with pytest.raises(SolverDefect):
             decide_system(load("example2.spp"))

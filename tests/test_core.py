@@ -261,7 +261,10 @@ class TestRowSupports:
 
 
 def value_instances() -> list:
-    """One freshly built instance of each value type, from example2 and intro_f_ones."""
+    """One freshly built instance of each value type, from example2, example3 and intro_f_ones.
+
+    example3's decision carries a refutation tree of four leaves.
+    """
     system = load("example2.spp")
     concrete = load("intro_f_ones.spp")
     condition = build_cnf(system)
@@ -270,7 +273,7 @@ def value_instances() -> list:
     return [
         system, system.s, system.e, system.c, concrete.c,
         condition, condition.clauses[0], condition.clauses[0].literals[0],
-        decision, witness,
+        decision, decide_system(load("example3.spp")), witness,
         verify_witness(concrete, decide_system(concrete).n),
     ]
 
@@ -311,7 +314,13 @@ class TestValueTypes:
             "ConcreteCoefficients(values=((Fraction(1, 1),),))"
         )
         decision = decide_system(load("example2.spp"))
-        assert repr(decision) == "Decision(status='sat', n=(-5, -4), zero_row=None)"
+        assert repr(decision) == (
+            "Decision(status='sat', n=(-5, -4), zero_row=None, refutation=None)"
+        )
+        assert repr(decide_system(load("intro_g.spp"))) == (
+            "Decision(status='unsat', n=None, zero_row=None, "
+            "refutation=(0, (((1, (-1,)), (1, (1,))),)))"
+        )
         for value in value_instances():
             text = repr(value)
             assert text.startswith(type(value).__name__ + "(")

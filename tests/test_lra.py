@@ -21,7 +21,7 @@ from subtrop.condition import (
 from subtrop.lra import solve_dnf
 from subtrop.oracle import exhaustive_decide
 
-from conftest import exact, load, solve_condition, solve_rows
+from conftest import exact, load, pin_batch, solve_condition, solve_rows
 from gensys import random_condition, random_signed_system
 
 
@@ -218,7 +218,7 @@ class TestRowSearch:
                 ensure_positive=rng.random() < 0.8,
             )
             cond = build_cnf(system)
-            model = solve_dnf(system.d, build_dnf(system))
+            model, _ = solve_dnf(system.d, build_dnf(system))
             if math.prod(len(c.literals) for c in cond.clauses) <= 1000:
                 oracle_runs += 1
                 assert (model is not None) == exhaustive_decide(cond), system
@@ -242,7 +242,7 @@ class TestRowSearch:
                 ),
                 None,
             )
-            model = solve_dnf(system.d, rows)
+            model, _ = solve_dnf(system.d, rows)
             assert (model is None) == (first is None)
             if model is not None:
                 checked += 1
@@ -252,10 +252,10 @@ class TestRowSearch:
         assert checked > 30
 
     def test_row_without_branches_is_unsat(self):
-        assert solve_dnf(1, ((),)) is None
+        assert solve_dnf(1, ((),)) == (None, (0, ()))
 
     def test_no_rows_gives_zero_vector(self):
-        assert solve_dnf(2, ()) == (0, 0)
+        assert solve_dnf(2, ()) == ((0, 0), None)
 
     def test_hard_unsat_template(self):
         # 2.2e14 literal selections but 1120 branch selections; every one is infeasible
@@ -288,15 +288,6 @@ PINNED_MODELS = {
 }
 # the CLI smoke test for the search wall; it takes about a second, so CI runs it
 SLOW_DATA = {"wall_8_20_8_1.spp"}
-
-
-def pin_batch():
-    """300 seeded systems for the model digest, with up to 8 monomials in 4 variables."""
-    rng = random.Random(13)
-    return [
-        random_signed_system(rng, max_rows=4, max_monomials=8, max_vars=4, max_exp=6)
-        for _ in range(300)
-    ]
 
 
 class TestPinnedModels:
@@ -350,14 +341,16 @@ class TestBounds:
     def test_opposite_bounds_clash_at_assert_time(self, monkeypatch):
         # level 0 bounds the slack x - y below, level 1 bounds z, and level 2 bounds
         # x - y above: the clash names levels 0 and 2 only, so the search jumps from
-        # level 2 straight to level 0 and never tries level 1's second branch
+        # level 2 straight to level 0 and never tries level 1's second branch.  The
+        # two literals sum to 0 with the multipliers 1 and 1.
         calls = []
         assert_literal = lra._Simplex.assert_literal
         check = lra._Simplex.check
 
         def recording_assert(self, coeffs, level):
             result = assert_literal(self, coeffs, level)
-            calls.append((coeffs, level, result and set(result)))  # the search edits it
+            # the search edits the level set
+            calls.append((coeffs, level, result and (set(result[0]), result[1])))
             return result
 
         def recording_check(self):
@@ -376,7 +369,7 @@ class TestBounds:
         assert calls[:6] == [
             ((1, -1, 0), 0, None), "check",
             ((0, 0, 1), 1, None), "check",
-            ((-1, 1, 0), 2, {0, 2}),  # no check: the clash needs no pivot
+            ((-1, 1, 0), 2, ({0, 2}, ((1, (1, -1, 0)), (1, (-1, 1, 0))))),  # no pivot
             ((5, 0, 0), 0, None),
         ]
         assert model[0] == Fraction(1, 5) and model[1] - model[0] >= 1 and model[2] == 1
@@ -448,11 +441,87 @@ class TestBounds:
             return new(cls, *args, **kwargs)
 
         monkeypatch.setattr(Fraction, "__new__", counting)
-        assert solve_dnf(sat.d, build_dnf(sat)) == (15, 64, -86)
-        assert solve_dnf(unsat.d, build_dnf(unsat)) is None
+        assert solve_dnf(sat.d, build_dnf(sat))[0] == (15, 64, -86)
+        assert solve_dnf(unsat.d, build_dnf(unsat))[0] is None
         assert built == []
         Fraction(1, 3)
         assert built == [(1, 3)]  # the counter sees every construction
+
+
+class TestConflicts:
+    """Each conflict comes with positive int multipliers that sum its literals to 0."""
+
+    def test_opposite_bounds_take_each_others_scale(self):
+        # (3, -3) bounds x - y below by 1/3 and (-2, 2) above by -1/2: 2 * (3, -3) +
+        # 3 * (-2, 2) = 0; the all-zero literal is a conflict by itself
+        engine = lra._Simplex(2)
+        assert engine.assert_literal((3, -3), 0) is None
+        assert engine.assert_literal((-2, 2), 1) == ({0, 1}, ((2, (3, -3)), (3, (-2, 2))))
+        assert engine.assert_literal((0, 0), 2) == ({2}, ((1, (0, 0)),))
+
+    def test_violated_row_gives_its_lcm_scaled_entries(self):
+        # x >= 1/2 and y >= 1/3 block the slack x + y, bounded above by -1: with the
+        # lcm 6, the basic slack gets 1 * 6 / 1 and the columns 1 * 6 / 2 and 1 * 6 / 3
+        engine = lra._Simplex(2)
+        for level, coeffs in enumerate([(2, 0), (0, 3), (-1, -1)]):
+            assert engine.assert_literal(coeffs, level) is None
+        assert engine.check() == ({0, 1, 2}, ((6, (-1, -1)), (3, (2, 0)), (2, (0, 3))))
+        assert solve_dnf(2, [[[(2, 0), (0, 3), (-1, -1)]]]) == (
+            None, (0, (((6, (-1, -1)), (3, (2, 0)), (2, (0, 3))),))
+        )
+
+    def test_every_conflict_sums_its_asserted_literals_to_zero(self, monkeypatch):
+        # on every data file, the pinned batch and conditions with shared, scaled and
+        # all-zero literals, in exact ints: each literal of a conflict is asserted at
+        # that moment, and the conflict's levels are exactly those of its literals
+        asserted: dict = {}  # coeffs -> the level of its first assertion still in force
+        seen = {"clash": 0, "zero": 0, "row": 0, "scaled": 0}
+        assert_literal, check, backtrack = (
+            lra._Simplex.assert_literal, lra._Simplex.check, lra._Simplex.backtrack
+        )
+
+        def verify(conflict, num_vars):
+            if conflict is None:
+                return
+            levels, leaf = conflict
+            assert leaf and all(type(y) is int and y > 0 for y, _ in leaf)
+            assert {asserted[coeffs] for _, coeffs in leaf} == levels
+            assert [sum(y * c[i] for y, c in leaf) for i in range(num_vars)] == [0] * num_vars
+            seen["scaled"] += any(y > 1 for y, _ in leaf)
+
+        def recording_assert(self, coeffs, level):
+            asserted.setdefault(coeffs, level)
+            conflict = assert_literal(self, coeffs, level)
+            verify(conflict, self.num_vars)
+            if conflict is not None:
+                seen["zero" if len(conflict[1]) == 1 else "clash"] += 1
+            return conflict
+
+        def recording_check(self):
+            conflict = check(self)
+            verify(conflict, self.num_vars)
+            seen["row"] += conflict is not None
+            return conflict
+
+        def recording_backtrack(self, level):
+            for coeffs in [c for c, at in asserted.items() if at >= level]:
+                del asserted[coeffs]
+            backtrack(self, level)
+
+        monkeypatch.setattr(lra._Simplex, "assert_literal", recording_assert)
+        monkeypatch.setattr(lra._Simplex, "check", recording_check)
+        monkeypatch.setattr(lra._Simplex, "backtrack", recording_backtrack)
+        for system in [load(name) for name in sorted([*PINNED_MODELS, *SLOW_DATA])] + pin_batch():
+            asserted.clear()
+            solve_dnf(system.d, build_dnf(system))
+        rng = random.Random(24)
+        for _ in range(150):
+            asserted.clear()
+            solve_condition(tricky_condition(rng))
+        # 75 all-zero literals, 2156 bound clashes and 290 violated rows; 456 conflicts
+        # have a multiplier above 1
+        assert seen["zero"] > 50 and seen["clash"] > 1000 and seen["row"] > 200
+        assert seen["scaled"] > 300
 
 
 def lcm_scaled(values):
@@ -468,7 +537,7 @@ def sat_models():
         rows = build_dnf(system)
         model = exact(solve_dnf, system.d, rows)
         if model is not None:
-            pairs.append((model, solve_dnf(system.d, rows)))
+            pairs.append((model, solve_dnf(system.d, rows)[0]))
     return pairs
 
 
@@ -498,8 +567,8 @@ class TestScaleToInteger:
     def test_clears_denominators(self):
         # the models (-5/2, -2) and (15/377, 64/377, -86/377) of PINNED_MODELS
         example2, head = load("example2.spp"), load("certify_head_42.spp")
-        assert solve_dnf(example2.d, build_dnf(example2)) == (-5, -4)
-        assert solve_dnf(head.d, build_dnf(head)) == (15, 64, -86)
+        assert solve_dnf(example2.d, build_dnf(example2)) == ((-5, -4), None)
+        assert solve_dnf(head.d, build_dnf(head)) == ((15, 64, -86), None)
 
     def test_integral_model_unchanged(self):
         assert exact(solve_rows, 2, [(1, 0), (-1, 1)]) == (1, 2)
@@ -558,7 +627,7 @@ class TestShrinkModel:
         # the simplex model n = 1 is already minimal, so shrinking keeps it
         system = load("intro_f.spp")
         decision = decide_system(system)
-        assert solve_dnf(system.d, build_dnf(system)) == (1,)
+        assert solve_dnf(system.d, build_dnf(system)) == ((1,), None)
         assert decision.n == (1,)
         assert shrink(system, (1,)) == (1,)
 
@@ -575,7 +644,7 @@ class TestShrinkModel:
                 continue
             sat += 1
             n = decision.n
-            scaled = solve_dnf(system.d, build_dnf(system))
+            scaled, _ = solve_dnf(system.d, build_dnf(system))
             assert certifies(system, n)
             assert all(abs(x) <= abs(y) for x, y in zip(n, scaled, strict=True))
             moved += n != scaled
