@@ -33,12 +33,12 @@ from itertools import repeat
 from operator import getitem, sub
 from types import SimpleNamespace
 
-from .condition import certifies, dominance_rows
+from .condition import dominance_rows
 from .core import SignedSystem, SubtropError
 from .lra import SolverDefect
 from .parser import _MAX_DIGITS, parse_system
 from .pipeline import Decision, decide_system, parse_coefficient_bindings
-from .refutation import refutes
+from .refutation import certifies, refutes
 from .witness import (
     VerificationReport,
     WitnessFailure,
@@ -101,7 +101,7 @@ def _run_checks(system: SignedSystem, decision: Decision) -> int:
     """Cross-check a decision; 0 when every check holds, 3 on a disagreement.
 
     A SAT vector ``n`` must certify the system
-    (:func:`~subtrop.condition.certifies`), and that alone proves
+    (:func:`~subtrop.refutation.certifies`), and that alone proves
     ``f(r^n) > 0`` for all positive coefficients and all ``r >= t``, so
     nothing is sampled or evaluated.  In a row with negative monomials
     ``N``, let ``j*`` be the positive monomial with the largest
@@ -113,8 +113,8 @@ def _run_checks(system: SignedSystem, decision: Decision) -> int:
     sum of positive terms.  ``verify`` checks the witness arithmetic.  An
     UNSAT answer must carry a refutation that
     :func:`~subtrop.refutation.refutes` accepts: a tree of Farkas
-    combinations over the search's branch choices, checked in one walk by
-    code that shares nothing with the search.
+    combinations over the search's branch choices, checked in one walk.
+    Both checkers share no code with the search or the reduction.
     """
     if decision.status == "unsat":
         if not refutes(system, decision.refutation):

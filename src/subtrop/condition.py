@@ -21,7 +21,9 @@ their (row, positive, negative) provenance, for ``explain``.
 The same argmax argument checks a given vector without building either
 form: n satisfies the CNF exactly when, in every row with negative
 monomials, the largest ``e_j . n`` over positive j is at least 1 more than
-the largest ``e_k . n`` over negative k (:func:`certifies`).
+the largest ``e_k . n`` over negative k.  That check lives apart, in
+:func:`~subtrop.refutation.certifies`, so that it shares no code with this
+module.
 
 All of these walk the rows through :func:`dominance_rows`, the one
 definition of the order of clauses, literals and branches.  ``explain``
@@ -54,10 +56,7 @@ class LinearLiteral(_Value):
     neg: int
 
     def __init__(self, coeffs, row: int, pos: int, neg: int):
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "row", row)
-        object.__setattr__(self, "pos", pos)
-        object.__setattr__(self, "neg", neg)
+        super().__init__(tuple(coeffs), row, pos, neg)
 
     def value_at(self, n):
         if len(n) != len(self.coeffs):
@@ -77,9 +76,7 @@ class Clause(_Value):
     literals: tuple[LinearLiteral, ...]
 
     def __init__(self, row: int, neg: int, literals):
-        object.__setattr__(self, "row", row)
-        object.__setattr__(self, "neg", neg)
-        object.__setattr__(self, "literals", tuple(literals))
+        super().__init__(row, neg, tuple(literals))
 
     def satisfied_by(self, n) -> bool:
         return any(lit.satisfied_by(n) for lit in self.literals)
@@ -93,8 +90,7 @@ class LinearCondition(_Value):
     clauses: tuple[Clause, ...]
 
     def __init__(self, num_vars: int, clauses):
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "clauses", tuple(clauses))
+        super().__init__(num_vars, tuple(clauses))
 
     def satisfied_by(self, n) -> bool:
         """True when every clause has at least one literal with value >= 1 at ``n``."""
@@ -194,19 +190,6 @@ def _argmax_rows(system: SignedSystem, heights: list) -> Iterator[tuple[int | No
         yield top, negative
 
 
-def certifies(system: SignedSystem, n) -> bool:
-    """True when ``n`` satisfies :func:`build_cnf` of ``system``, in O(u*v*d) steps.
-
-    The check is :func:`_argmax_rows`, without building the CNF or any
-    branch form.  A row with negative monomials passes when its highest
-    positive monomial stands at least 1 above its highest negative one; a
-    row with negative monomials but no positive ones fails, and a row
-    without negative monomials passes.  Exact for ``int`` and ``Fraction``
-    entries.
-    """
-    return all(top is not None for top, _ in _argmax_rows(system, _heights(system, n)))
-
-
 def _descend(forms: list[tuple[int, ...]], values: list[int], n: list[int]) -> bool:
     """Move ``n`` toward 0 inside ``{m : a . m >= 1 for a in forms}``; whether it moved.
 
@@ -262,9 +245,9 @@ def _descend(forms: list[tuple[int, ...]], values: list[int], n: list[int]) -> b
 def shrink(system: SignedSystem, n) -> tuple[int, ...]:
     """A certified integer vector no farther from 0 than ``n`` in any coordinate.
 
-    ``n`` must certify ``system`` (:func:`certifies`), or ValueError is
-    raised.  Any certified vector is a valid answer, and a smaller one
-    gives a smaller witness point ``t^n`` that is cheaper to check exactly.
+    ``n`` must certify ``system``, or ValueError is raised.  Any certified
+    vector is a valid answer, and a smaller one gives a smaller witness
+    point ``t^n`` that is cheaper to check exactly.
     Each round takes the polyhedron of the branches that the rows' highest
     positive monomials pick at the current vector, which contains it, and
     moves the vector toward 0 inside it (:func:`_descend`).  The next round

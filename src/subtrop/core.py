@@ -28,15 +28,23 @@ class SubtropError(Exception):
 class _Value:
     """Base of the package's immutable value types.
 
-    A subclass lists its fields in ``__slots__`` and sets each one once, in
-    ``__init__``, with ``object.__setattr__``.  Equality, hashing, ``repr``
-    and pickling go by the fields in that order, as for a frozen dataclass,
+    A subclass lists its fields in ``__slots__``, and ``__init__`` takes one
+    value per field, in that order; a subclass that converts or checks its
+    arguments passes them on to it.  Equality, hashing, ``repr`` and
+    pickling go by the fields in that order, as for a frozen dataclass,
     and assigning or deleting a field raises :class:`AttributeError`.  The
     value types are not dataclasses because importing :mod:`dataclasses`
     and building each class costs more than deciding a small system.
     """
 
     __slots__ = ()
+
+    def __init__(self, *fields):
+        names = self.__slots__
+        if len(fields) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got {len(fields)}")
+        for name, value in zip(names, fields):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -77,13 +85,13 @@ _INT = frozenset((int,))
 _STR = frozenset((str,))
 
 
-def _freeze_int_matrix(matrix, entries, cols: int, what: str) -> tuple[tuple[int, ...], ...]:
-    """Set ``matrix.entries`` to ``entries`` frozen, and ``matrix.cols``; rows have ``cols`` ints.
+def _freeze_int_matrix(entries, cols: int, what: str) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``(entries, cols)`` with ``entries`` frozen, after checking that rows have ``cols`` ints.
 
     A negative ``cols`` means "take it from the first row", which needs at
-    least one row.  Returns the frozen entries.  The common case is checked
-    by two C-level scans; only when one fails are the rows walked in Python,
-    to accept ``int`` subclasses or name the first bad row or entry.
+    least one row.  The common case is checked by two C-level scans; only
+    when one fails are the rows walked in Python, to accept ``int``
+    subclasses or name the first bad row or entry.
     """
     entries = _frozen_rows(entries)
     if cols < 0:
@@ -97,9 +105,7 @@ def _freeze_int_matrix(matrix, entries, cols: int, what: str) -> tuple[tuple[int
                 raise ValueError(f"{what} row {row} has {len(row)} entries, expected {cols}")
             for x in row:
                 _require_int(x, what)
-    object.__setattr__(matrix, "entries", entries)
-    object.__setattr__(matrix, "cols", cols)
-    return entries
+    return entries, cols
 
 
 class ExponentMatrix(_Value):
@@ -114,7 +120,7 @@ class ExponentMatrix(_Value):
     cols: int
 
     def __init__(self, entries, cols: int = -1):
-        entries = _freeze_int_matrix(self, entries, cols, "exponent")
+        entries, cols = _freeze_int_matrix(entries, cols, "exponent")
         if min(chain.from_iterable(entries), default=0) < 0 or len(set(entries)) < len(entries):
             seen = set()
             for row in entries:
@@ -124,6 +130,7 @@ class ExponentMatrix(_Value):
                 if row in seen:
                     raise ValueError(f"duplicate monomial row {row}")
                 seen.add(row)
+        super().__init__(entries, cols)
 
     @property
     def rows(self) -> int:
@@ -144,10 +151,11 @@ class SignMatrix(_Value):
     cols: int
 
     def __init__(self, entries, cols: int = -1):
-        entries = _freeze_int_matrix(self, entries, cols, "sign")
+        entries, cols = _freeze_int_matrix(entries, cols, "sign")
         if not _SIGNS.issuperset(chain.from_iterable(entries)):
             bad = next(x for x in chain.from_iterable(entries) if x not in _SIGNS)
             raise ValueError(f"sign entries must be -1, 0 or 1, got {bad}")
+        super().__init__(entries, cols)
 
     @property
     def rows(self) -> int:
@@ -165,7 +173,6 @@ class ParametricCoefficients(_Value):
 
     def __init__(self, names):
         names = _frozen_rows(names)
-        object.__setattr__(self, "names", names)
         present = list(filter(partial(is_not, None), chain.from_iterable(names)))
         # C-level scans: the names but None are of type str, nonempty and unique; the
         # walk below runs only when one fails, to name the first bad name
@@ -180,6 +187,7 @@ class ParametricCoefficients(_Value):
                 if name in seen:
                     raise ValueError(f"duplicate coefficient name {name!r}")
                 seen.add(name)
+        super().__init__(names)
 
 
 def _as_positive_fraction(x, what: str) -> Fraction:
@@ -200,10 +208,9 @@ class ConcreteCoefficients(_Value):
     values: tuple[tuple[Fraction, ...], ...]
 
     def __init__(self, values):
-        rows = tuple(
+        super().__init__(tuple(
             tuple(_as_positive_fraction(x, "coefficient") for x in row) for row in values
-        )
-        object.__setattr__(self, "values", rows)
+        ))
 
 
 CoefficientSpec = ParametricCoefficients | ConcreteCoefficients
@@ -227,10 +234,7 @@ class SignedSystem(_Value):
     var_names: tuple[str, ...]
 
     def __init__(self, s: SignMatrix, e: ExponentMatrix, c: CoefficientSpec, var_names):
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "var_names", tuple(var_names))
+        super().__init__(s, e, c, tuple(var_names))
         if not self.var_names:
             raise ValueError("a system needs at least one variable")
         if len(set(self.var_names)) != len(self.var_names):

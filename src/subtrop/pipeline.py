@@ -1,10 +1,12 @@
 """The decision pipeline as a library: reduce, search, shrink, and read coefficient files.
 
 :func:`decide_system` is what the ``decide``, ``witness`` and ``verify``
-commands run; :mod:`subtrop.cli` only parses arguments and prints.  It
-builds only the row branches the search needs, never the CNF.  A SAT
-decision carries the shrunk integer vector, and an UNSAT one the search's
-refutation, which :func:`~subtrop.refutation.refutes` checks.
+commands run.  :mod:`subtrop.cli` parses arguments and prints, and it
+also holds ``explain``'s writer and the cross-checks of ``decide
+--check``.  :func:`decide_system` builds only the row branches the search
+needs, never the CNF.  A SAT decision carries the shrunk integer vector,
+which :func:`~subtrop.refutation.certifies` checks, and an UNSAT one the
+search's refutation, which :func:`~subtrop.refutation.refutes` checks.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from .parser import _MAX_DIGITS, ParseError
 class Decision(_Value):
     """Result of the full decision pipeline on one system.
 
-    ``refutation`` is the tree of :func:`~subtrop.lra.solve_dnf` when the
-    search answers UNSAT, made of tuples only, and None otherwise.
+    All four fields are required.  ``refutation`` is the tree of
+    :func:`~subtrop.lra.solve_dnf` when the search answers UNSAT, made of
+    tuples only, and None otherwise.
     """
 
     __slots__ = ("status", "n", "zero_row", "refutation")
@@ -29,15 +32,6 @@ class Decision(_Value):
     n: tuple[int, ...] | None
     zero_row: int | None
     refutation: tuple | None
-
-    def __init__(
-        self, status: str, n: tuple[int, ...] | None, zero_row: int | None,
-        refutation: tuple | None = None,
-    ):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "zero_row", zero_row)
-        object.__setattr__(self, "refutation", refutation)
 
 
 def decide_system(system: SignedSystem) -> Decision:
@@ -55,7 +49,7 @@ def decide_system(system: SignedSystem) -> Decision:
     """
     zeros = zero_sign_rows(system)
     if zeros:
-        return Decision("unsat", None, zeros[0])
+        return Decision("unsat", None, zeros[0], None)
     n, refutation = solve_dnf(system.d, build_dnf(system))
     if n is None:
         return Decision("unsat", None, None, refutation)
@@ -63,7 +57,7 @@ def decide_system(system: SignedSystem) -> Decision:
         n = shrink(system, n)
     except ValueError:
         raise SolverDefect(f"row search returned a vector {n} that fails the CNF") from None
-    return Decision("sat", n, None)
+    return Decision("sat", n, None, None)
 
 
 def parse_coefficient_bindings(text: str) -> dict[str, Fraction]:

@@ -1,4 +1,9 @@
-"""An independent check of an UNSAT answer: the search's refutation tree.
+"""Independent checks of both answers: a SAT vector and an UNSAT refutation tree.
+
+A SAT vector ``n`` passes :func:`certifies` when, in every row with
+negative monomials, the highest positive monomial by ``e_j . n`` stands at
+least 1 above the highest negative one: ``n`` then meets that monomial's
+branch, defined below.
 
 The rows that matter are those with negative monomials, in index order;
 ``level`` i names the i-th of them.  Some ``n`` satisfies the dominance
@@ -15,14 +20,33 @@ node, its row's positive monomial with the largest ``e_j . n`` has a
 branch that ``n`` satisfies.  So a tree that passes :func:`refutes` proves
 that no ``n`` exists.
 
-The check reads only the sign and exponent matrices, in exact ints, and
-shares no code with the search (:mod:`subtrop.lra`), the reduction
-(:mod:`subtrop.condition`) or the brute-force oracle.  It visits each
+Both checks read only the sign and exponent matrices, in exact
+arithmetic, and share no code with the search (:mod:`subtrop.lra`), the
+reduction (:mod:`subtrop.condition`) or the brute-force oracle, so a
+defect there cannot hide itself from them.  :func:`refutes` visits each
 node and leaf once, with an explicit stack, and carries the set of forms
 chosen on the path to each.
 """
 
 from __future__ import annotations
+
+
+def certifies(system, n) -> bool:
+    """True when ``n`` satisfies the dominance condition of ``system``, in O(u*v + v*d) steps.
+
+    A row without negative monomials passes, and a row with negative but no
+    positive monomials fails.  Exact for ``int`` and ``Fraction`` entries; a vector of the
+    wrong length raises :class:`ValueError`.
+    """
+    if len(n) != system.e.cols:
+        raise ValueError(f"expected a vector of length {system.e.cols}, got {len(n)}")
+    heights = [sum(a * x for a, x in zip(exps, n)) for exps in system.e.entries]
+    for signs in system.s.entries:
+        negative = [h for h, sign in zip(heights, signs) if sign < 0]
+        positive = [h for h, sign in zip(heights, signs) if sign > 0]
+        if negative and (not positive or max(positive) < max(negative) + 1):
+            return False
+    return True
 
 
 def refutes(system, tree) -> bool:

@@ -15,7 +15,8 @@ and checks ``f(r^n) > 0`` by exact evaluation.
 An exponent vector n is a plain sequence of ints.  One gate checks it for
 :func:`symbolic_t` and :func:`verify_witness` alike: it rejects systems
 with an identically zero row, entries that are not ints (a ``bool`` or a
-``Fraction`` among them) and vectors that fail the dominance condition.
+``Fraction`` among them) and vectors that fail the dominance condition
+(:func:`~subtrop.refutation.certifies`, which ``decide --check`` runs too).
 :func:`verify_witness` builds no symbolic witness.  It computes ``t`` from
 per-row sums, one numerator and one denominator in ints, and checks at
 ``r = t`` unless it is given an ``r >= t``.  It keeps ``r^n`` as int
@@ -30,7 +31,7 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
-from .condition import certifies, dominance_rows
+from .condition import dominance_rows
 from .core import (
     _ONE,
     ConcreteCoefficients,
@@ -40,6 +41,7 @@ from .core import (
     _Value,
     zero_sign_rows,
 )
+from .refutation import certifies
 
 
 class PreconditionViolated(SubtropError):
@@ -85,10 +87,6 @@ class SymbolicWitness(_Value):
     rows: tuple[_NamedRow, ...]
     n: tuple[int, ...]
 
-    def __init__(self, rows: tuple[_NamedRow, ...], n: tuple[int, ...]):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "n", n)
-
     def to_json_dict(self) -> dict:
         rows = [{"row": i, "neg": list(neg), "pos": list(pos)} for i, neg, pos in self.rows]
         return {"t": {"one": 1, "rows": rows}, "n": list(self.n)}
@@ -110,18 +108,6 @@ class VerificationReport(_Value):
     r_value: Fraction
     point: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
-
-    def __init__(
-        self,
-        t_value: Fraction,
-        r_value: Fraction,
-        point: tuple[Fraction, ...],
-        values: tuple[Fraction, ...],
-    ):
-        object.__setattr__(self, "t_value", t_value)
-        object.__setattr__(self, "r_value", r_value)
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "values", values)
 
 
 def _named_rows(system: SignedSystem) -> tuple[_NamedRow, ...]:

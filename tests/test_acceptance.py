@@ -21,9 +21,10 @@ from subtrop import (
     uniform_bound,
     verify_witness,
 )
-from subtrop.condition import build_cnf, build_dnf, certifies
+from subtrop.condition import build_cnf, build_dnf
 from subtrop.lra import solve_dnf
 from subtrop.oracle import exhaustive_decide
+from subtrop.refutation import certifies
 
 from conftest import expand, load, read_data, solve_condition, t_of
 from gensys import random_bindings, random_condition, random_signed_system

@@ -888,7 +888,7 @@ class TestDefectExitCodes:
         from subtrop.pipeline import Decision
 
         def bogus(system):
-            return Decision("sat", (0, 0), None)
+            return Decision("sat", (0, 0), None, None)
 
         def explode(system, tree):
             raise AssertionError("no refutation is checked on a SAT answer")
@@ -899,6 +899,27 @@ class TestDefectExitCodes:
         assert code == 3
         assert out == ""
         assert "does not satisfy the linear condition" in err
+
+    def test_reduction_defect_fails_the_sat_check(self, capsys, monkeypatch):
+        # with the reduction's walk missing each system's last row, the search and
+        # shrink's own check both pass a vector that fails that row; the SAT check
+        # reads the matrices itself, so --check still catches it
+        import subtrop.condition as condition
+
+        walk = condition.dominance_rows
+        monkeypatch.setattr(condition, "dominance_rows", lambda system: list(walk(system))[:-1])
+        for name, wrong in [
+            ("example2.spp", "[0, 1]"),
+            ("certify_head_42.spp", "[0, 0, 0]"),
+            ("search_head_3.spp", "[0, -3, 6, 0, 0, 3]"),
+        ]:
+            path = DATA / name
+            assert run(capsys, "decide", path, "--format", "json") == (
+                0, f'{{"status": "sat", "n": {wrong}}}\n', ""
+            )
+            assert run(capsys, "decide", path, "--check", "--format", "json") == (
+                3, "", "check failed: the vector does not satisfy the linear condition\n"
+            )
 
     def test_witness_failure_exits_4(self, capsys, monkeypatch):
         import subtrop.cli as cli

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from subtrop import instantiate, parse_system
-from subtrop.condition import build_cnf, build_dnf, certifies
+from subtrop.condition import build_cnf, build_dnf
+from subtrop.refutation import certifies
 
 from conftest import load
 from gensys import random_bindings, random_signed_system

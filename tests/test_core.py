@@ -4,8 +4,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from subtrop import SignedSystem
 from subtrop import decide_system, symbolic_t, verify_witness
@@ -18,36 +16,10 @@ from subtrop.core import (
     zero_sign_rows,
 )
 from subtrop.condition import build_cnf, dominance_rows
+from subtrop.pipeline import Decision
 
 from conftest import load
 from gensys import random_signed_system
-
-nonzero_fractions = st.fractions().filter(lambda x: x != 0)
-
-
-class TestRational:
-    def test_canonical_form(self):
-        x = Fraction(6, -4)
-        assert x.numerator == -3
-        assert x.denominator == 2
-
-    @given(nonzero_fractions, nonzero_fractions)
-    def test_reciprocal_product_is_one(self, a, b):
-        assert (a / b) * (b / a) == 1
-
-    @given(st.fractions(), st.fractions())
-    def test_order_matches_subtraction_sign(self, a, b):
-        diff = a - b
-        assert (a < b) == (diff < 0)
-        assert (a == b) == (diff == 0)
-        assert (a > b) == (diff > 0)
-
-    @given(st.fractions(), st.fractions(), st.integers(min_value=0, max_value=12))
-    def test_arithmetic_is_exact(self, a, b, e):
-        assert a + b - b == a
-        if b != 0:
-            assert (a * b) / b == a
-        assert a**e == Fraction(a.numerator**e, a.denominator**e)
 
 
 class TestMatrices:
@@ -276,6 +248,16 @@ def value_instances() -> list:
         decision, decide_system(load("example3.spp")), witness,
         verify_witness(concrete, decide_system(concrete).n),
     ]
+
+
+class TestValueConstructor:
+    """``_Value.__init__`` takes exactly one value per field, with no defaults."""
+
+    def test_decision_needs_all_four_fields(self):
+        assert Decision("sat", (1,), None, None).refutation is None
+        for fields in [("sat", (1,), None), ("sat", (1,), None, None, None), ()]:
+            with pytest.raises(TypeError, match=f"Decision takes 4 fields, got {len(fields)}$"):
+                Decision(*fields)
 
 
 class TestValueTypes:
