@@ -18,7 +18,9 @@ any :class:`~subtrop.core.SubtropError` but the two defects below), 3 a
 failed ``decide --check`` (a SAT vector that fails its condition, or an
 UNSAT refutation that fails its check), 4 solver defect: a witness
 failure (:class:`~subtrop.witness.WitnessFailure`), a failed internal check
-(:class:`~subtrop.lra.SolverDefect`) or any other unexpected exception, so
+(:class:`~subtrop.lra.SolverDefect`, also raised by ``witness`` and ``verify``
+when the pipeline's own SAT vector fails
+:func:`~subtrop.refutation.certifies`) or any other unexpected exception, so
 that a crash is never read as unsat.  Reports go to stdout, diagnostics to
 stderr.  JSON output is byte-stable: the same input and flags always
 produce the same bytes.  The decision pipeline itself is
@@ -138,6 +140,18 @@ def cmd_decide(args) -> int:
     return 0 if decision.status == "sat" else 1
 
 
+def _certified(system: SignedSystem, n: tuple[int, ...]) -> tuple[int, ...]:
+    """The pipeline's SAT vector ``n``, once :func:`~subtrop.refutation.certifies` accepts it.
+
+    A vector that fails is a fault of the search or the reduction, not of
+    the input, so it raises :class:`~subtrop.lra.SolverDefect` (exit 4)
+    before the witness functions' own gate can report it as an input error.
+    """
+    if not certifies(system, n):
+        raise SolverDefect(f"{n} does not satisfy the dominance condition")
+    return n
+
+
 def cmd_witness(args) -> int:
     system = _load_system(args.input)
     decision = decide_system(system)
@@ -145,7 +159,7 @@ def cmd_witness(args) -> int:
         _print_decision(decision, args.format)
         print("no witness: the system has no positive solution scheme", file=sys.stderr)
         return 1
-    witness = symbolic_t(system, decision.n)
+    witness = symbolic_t(system, _certified(system, decision.n))
     if args.format == "json":
         print(json.dumps(witness.to_json_dict()))
     else:
@@ -205,9 +219,10 @@ def cmd_verify(args) -> int:
     if decision.status == "unsat":
         _print_decision(decision, args.format)
         return 1
+    n = _certified(system, decision.n)
     r = uniform_bound(system) if args.use_uniform_bound else None
-    report = verify_witness(system, decision.n, r, max_bits=args.max_bits)
-    _unlimited_digits(_print_exact_report, report, decision.n, args.format)
+    report = verify_witness(system, n, r, max_bits=args.max_bits)
+    _unlimited_digits(_print_exact_report, report, n, args.format)
     return 0
 
 

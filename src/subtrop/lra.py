@@ -7,8 +7,10 @@ variable (``coeffs / gcd``, signed so that a form and its negation share
 it), and a literal becomes a lower or upper bound on that slack; a literal
 with a single nonzero coefficient bounds its variable directly.  Bounds are
 asserted and retracted on one tableau, and each remembers the literal that
-set it.  The row of a basic slack that loses its last bound is dropped, and
-built again from the slack's form when a bound is next asserted on it.
+set it.  The tableau is kept as the inverse of the matrix of the nonbasic
+variables' forms: ``d x d`` integers over one positive determinant, however
+many slacks exist.  A basic variable's row is its form times that inverse,
+and a check builds only the row of the variable it finds violated.
 Bland's rule (smallest index first) picks every pivot, so each check
 terminates.  An infeasible check names the bounds of one violated tableau
 row, whose conjunction is infeasible by Farkas' lemma, and explains it as a
@@ -28,11 +30,12 @@ Two facts keep :class:`~fractions.Fraction` out of the module:
 * Every nonbasic value is 0 or a bound.  A nonbasic variable starts at 0
   and only ever moves onto a bound: when a bound it violates is asserted,
   or when it leaves the basis at the bound its row violated.  So each
-  nonbasic value is such a pair, and each basic value is its integer row
-  applied to them, ``sum(nums[p] * s_p / g_p) / den``.  A check computes the
-  basic values it reads over one common denominator, as integers, instead
-  of carrying them from step to step; moving a nonbasic variable is one
-  assignment and a pivot updates the rows alone.
+  nonbasic value is such a pair, and ``n`` is the integer inverse applied
+  to them, ``n_i = sum(A[i][p] * s_p / g_p) / det``.  Each round of a check
+  computes ``n`` once over one common denominator, as integers, and reads
+  each bounded basic value as its form times that point, instead of
+  carrying values from step to step; moving a nonbasic variable is one
+  assignment and a pivot updates the inverse alone.
 
 The one entry point, :func:`solve_dnf`, searches rows, as
 :func:`~subtrop.condition.build_dnf` gives them: a level is a row with
@@ -100,12 +103,6 @@ ZERO = (0, 1)
 Conflict = tuple[set[int], tuple[tuple[int, tuple[int, ...]], ...]]
 
 
-def _reduced(den: int, nums: list[int]) -> tuple[int, list[int]]:
-    """Row ``(den, nums)`` divided by the common factor of its entries."""
-    g = math.gcd(den, *nums)
-    return (den, nums) if g == 1 else (den // g, [c // g for c in nums])
-
-
 def _within(point: tuple[int, int], bound: tuple[int, int]) -> bool:
     """Whether ``point`` satisfies ``bound``: lower if its sign is +1, upper if -1.
 
@@ -119,13 +116,15 @@ class _Simplex:
     """Tableau, nonbasic assignment and leveled bounds of the incremental simplex.
 
     Variables ``0 .. num_vars-1`` are the entries of ``n``; slacks follow in
-    creation order.  There are always ``num_vars`` nonbasic variables;
-    ``nonbasic[p]`` is the one in column ``p`` and ``column`` inverts that.
-    ``rows`` maps each basic variable to its row ``(den, nums)``: the
-    variable equals ``sum(nums[p] * nonbasic[p]) / den``, with integer
-    ``nums`` and ``den > 0``, so pivots run on integers.  A basic slack
-    without bounds can never be violated, so it keeps no row; the row is
-    rebuilt from the slack's form when a bound is next asserted on it.
+    creation order.  ``forms[var]`` is a unit vector for an entry of ``n``
+    and the primitive form of a slack.  There are always ``num_vars``
+    nonbasic variables; ``nonbasic[p]`` is the one in column ``p`` and
+    ``column`` inverts that.  With ``M`` the matrix of the nonbasic forms,
+    row ``p`` that of ``nonbasic[p]``, ``M . n`` is the vector ``N`` of
+    nonbasic values.  The tableau is the integer matrix ``A``, one list
+    ``inverse[i]`` per entry of ``n``, with ``A = det * M^-1`` and
+    ``det = |det M| > 0``: ``n = A . N / det``, and a variable's row is its
+    form times ``A``, over ``det``.
 
     Lower bounds are positive and upper bounds negative (see the module
     docstring), so a variable holding both is infeasible, and each variable
@@ -133,52 +132,40 @@ class _Simplex:
     ``1/g`` or ``(-1, g)`` for ``-1/g``, or None, asserted at decision level
     ``level[var]`` by the literal ``source[var]``.  The trail keeps what
     each assertion replaced, so :meth:`backtrack` restores older bounds
-    exactly.
+    exactly; the variables on the trail are those with a bound.
 
     ``value[var]`` of a nonbasic variable is ``(0, 1)`` or a bound once
-    asserted on ``var``.  A basic variable's value is its row applied to
-    those values; :meth:`check` computes it when it reads it and never
-    reads the stale entry ``value`` holds for it.
+    asserted on ``var``.  :meth:`check` computes a basic variable's value
+    when it reads it and never reads the stale entry ``value`` holds for it.
     """
 
     def __init__(self, num_vars: int):
         self.num_vars = num_vars
+        self.forms: list[tuple[int, ...]] = [
+            tuple(int(i == j) for i in range(num_vars)) for j in range(num_vars)
+        ]
         self.value: list[tuple[int, int]] = [ZERO] * num_vars
         self.bound: list[tuple[int, int] | None] = [None] * num_vars
         self.level: list[int] = [0] * num_vars
         self.source: list[tuple[int, ...] | None] = [None] * num_vars
         self.nonbasic = list(range(num_vars))
         self.column = {j: j for j in range(num_vars)}
-        self.rows: dict[int, tuple[int, list[int]]] = {}
+        self.inverse: list[list[int]] = [list(form) for form in self.forms]
+        self.det = 1
         self.trail: list[tuple] = []  # (var, old bound, old level, level, old source)
-        self._forms: list[tuple[int, ...]] = []
         self._slacks: dict[tuple[int, ...], int] = {}
         self._literals: dict[tuple[int, ...], tuple[int, tuple[int, int]] | None] = {}
 
     def _new_slack(self, form: tuple[int, ...]) -> int:
-        """A new slack for ``form . n``, basic and without bounds, so without a row."""
+        """A new slack for ``form . n``, basic and without bounds."""
         var = len(self.value)
-        self._forms.append(form)
+        self.forms.append(form)
         self.value.append(ZERO)  # read only once the slack is nonbasic
         self.bound.append(None)
         self.level.append(0)
         self.source.append(None)
         self._slacks[form] = var
         return var
-
-    def _activate(self, var: int):
-        """Give slack ``var`` its row over the current nonbasic variables."""
-        form = self._forms[var - self.num_vars]
-        den = math.lcm(*(self.rows[j][0] for j, a in enumerate(form) if a and j in self.rows))
-        nums = [0] * self.num_vars
-        for j, a in enumerate(form):
-            if a and j in self.rows:
-                row_den, row = self.rows[j]
-                scale = a * (den // row_den)
-                nums = [x + scale * c for x, c in zip(nums, row)]
-            elif a:
-                nums[self.column[j]] += a * den
-        self.rows[var] = _reduced(den, nums)
 
     def _literal(self, coeffs: tuple[int, ...]) -> tuple[int, tuple[int, int]] | None:
         """``coeffs . n >= 1`` as (variable, bound); None if all zero.
@@ -219,8 +206,6 @@ class _Simplex:
         if literal is None:
             return {level}, ((1, coeffs),)
         var, bound = literal
-        if var not in self.rows and var not in self.column:
-            self._activate(var)
         old = self.bound[var]
         if old is not None:
             if _within(old, bound):
@@ -243,72 +228,73 @@ class _Simplex:
             self.bound[var] = old
             self.level[var] = old_level
             self.source[var] = old_source
-            self._drop_if_free(var)
 
-    def _drop_if_free(self, var: int):
-        """Forget the row of a basic slack without bounds; it can never be violated."""
-        if self.bound[var] is None and var >= self.num_vars:
-            self.rows.pop(var, None)
+    def _pivot(self, basic: int, p: int, target: tuple[int, int], row: list[int]):
+        """Swap ``basic``, of tableau row ``row / det``, with the nonbasic of column ``p``.
 
-    def _pivot(self, basic: int, p: int, target: tuple[int, int]):
-        """Swap ``basic`` with the nonbasic of column ``p``; ``basic`` leaves at ``target``."""
-        rows = self.rows
+        ``basic`` leaves at ``target``.  Solving ``det * basic = row . N`` for
+        column ``p``'s variable and substituting it into ``n = A . N / det``
+        keeps column ``p`` of ``A`` and turns every other column ``q`` into
+        ``(row[p] * A_q - row[q] * A_p) / det``, over the new ``det = row[p]``.
+        By Sylvester's identity the division is exact; the sign of ``row[p]``
+        is folded into ``A`` so that ``det`` stays positive.
+        """
+        det = self.det
+        sign = 1 if row[p] > 0 else -1
+        new_det = sign * row[p]
+        if sign < 0:
+            row = [-c for c in row]
+        inverse = self.inverse
+        for i, coords in enumerate(inverse):
+            b = coords[p]
+            coords = [(new_det * a - c * b) // det for a, c in zip(coords, row)]
+            coords[p] = sign * b
+            inverse[i] = coords
+        self.det = new_det
         entering = self.nonbasic[p]
-        den, row = rows.pop(basic)
-        a = row[p]
-        # entering = (den * basic - sum of the row's other terms) / a, written with
-        # basic in column p and a positive denominator
-        sign = 1 if a > 0 else -1
-        new_den = sign * a
-        new_row = [-sign * c for c in row]
-        new_row[p] = sign * den
-        for other, (other_den, other_row) in rows.items():
-            c = other_row[p]
-            if not c:
-                continue
-            nums = [b * new_den + c * e for b, e in zip(other_row, new_row)]
-            nums[p] = c * new_row[p]
-            rows[other] = _reduced(other_den * new_den, nums)
-        rows[entering] = (new_den, new_row)
         self.value[basic] = target
         self.nonbasic[p] = basic
         del self.column[entering]
         self.column[basic] = p
-        self._drop_if_free(entering)
 
-    def _columns(self) -> tuple[int, list[int]]:
-        """``(common, nums)``: column p's variable has value ``nums[p] / common``."""
+    def _point(self) -> tuple[int, list[int]]:
+        """``(common, x)``: ``n`` is ``x / (det * common)``, each nonbasic at its value."""
         values = [self.value[var] for var in self.nonbasic]
         common = math.lcm(*(g for _, g in values))
-        return common, [s * (common // g) for s, g in values]
+        columns = [s * (common // g) for s, g in values]
+        return common, [sum(map(mul, coords, columns)) for coords in self.inverse]
 
     def check(self) -> Conflict | None:
         """Restore every bound by Bland-rule pivoting; the conflict, or None.
 
         On conflict, the levels are those of the bounds in the violated
         row: the basic variable's violated bound and, for each nonbasic
-        variable of the row, the bound that blocks it.  The row says
-        ``den * x_b = sum(c_p * x_p)`` of the variables' forms, and a bound
-        ``(s, g)`` comes from the literal ``s * g * form``.  Signed by the
-        basic bound, the row sums those literals to 0 with the multipliers
-        ``den / g_b`` and ``|c_p| / g_p``, all positive because each
-        ``x_p`` is blocked at the bound of sign ``-sign(s_b * c_p)``; times
-        ``L``, the lcm of the ``g``, they are integers.
+        variable of the row, the bound that blocks it.  The row, made
+        primitive, says ``den * x_b = sum(c_p * x_p)`` of the variables'
+        forms, and a bound ``(s, g)`` comes from the literal
+        ``s * g * form``.  Signed by the basic bound, the row sums those
+        literals to 0 with the multipliers ``den / g_b`` and ``|c_p| / g_p``,
+        all positive because each ``x_p`` is blocked at the bound of sign
+        ``-sign(s_b * c_p)``; times ``L``, the lcm of the ``g``, they are
+        integers.
         """
-        value, bounds, nonbasic, rows = self.value, self.bound, self.nonbasic, self.rows
+        value, bounds, nonbasic, column, forms = (
+            self.value, self.bound, self.nonbasic, self.column, self.forms
+        )
+        bounded = sorted({entry[0] for entry in self.trail})
         while True:
-            common, columns = self._columns()
-            for basic in sorted(rows):
-                bound = bounds[basic]
-                if bound is None:
+            common, point = self._point()
+            scale = self.det * common
+            for basic in bounded:
+                if basic in column:
                     continue
-                # basic = num / (den * common) violates s/g when s * num * g < den * common
-                den, row = rows[basic]
-                s, g = bound
-                if s * sum(map(mul, row, columns)) * g < den * common:
+                # basic = form . point / scale violates s/g when s * (form . point) * g < scale
+                s, g = bound = bounds[basic]
+                if s * sum(map(mul, forms[basic], point)) * g < scale:
                     break
             else:
                 return None
+            row = [sum(map(mul, forms[basic], a)) for a in zip(*self.inverse)]
             # a nonbasic variable must move by sign(s * c) to move basic toward its
             # bound; it is blocked when it sits at a bound of the opposite sign
             free = [
@@ -316,30 +302,28 @@ class _Simplex:
                 if c and not (value[var] == bounds[var] and s * c * value[var][0] < 0)
             ]
             if not free:
-                return self._explain(basic, den, row)
-            self._pivot(basic, min(free, key=nonbasic.__getitem__), bound)
+                return self._explain(basic, row)
+            self._pivot(basic, min(free, key=nonbasic.__getitem__), bound, row)
 
-    def _explain(self, basic: int, den: int, row: list[int]) -> Conflict:
-        """The conflict of ``basic``'s violated row ``(den, row)``, every column blocked."""
+    def _explain(self, basic: int, row: list[int]) -> Conflict:
+        """The conflict of ``basic``'s violated row ``row / det``, every column blocked.
+
+        The row is first made primitive, so that the multipliers do not
+        depend on the scale ``det`` that the pivots left.
+        """
         level, source, bounds = self.level, self.source, self.bound
-        terms = [(c, var) for c, var in zip(row, self.nonbasic) if c]
+        g = math.gcd(self.det, *row)
+        terms = [(c // g, var) for c, var in zip(row, self.nonbasic) if c]
         lcm = math.lcm(bounds[basic][1], *(bounds[var][1] for _, var in terms))
-        leaf = ((den * lcm // bounds[basic][1], source[basic]),) + tuple(
+        leaf = ((self.det // g * lcm // bounds[basic][1], source[basic]),) + tuple(
             (abs(c) * lcm // bounds[var][1], source[var]) for c, var in terms
         )
         return {level[basic]} | {level[var] for _, var in terms}, leaf
 
     def model(self) -> tuple[int, list[int]]:
         """``(common, nums)``: variable j of ``n`` has value ``nums[j] / common``."""
-        common, columns = self._columns()
-        rows, column = self.rows, self.column
-        dens = math.lcm(*(rows[j][0] for j in range(self.num_vars) if j in rows))
-        nums = [
-            columns[column[j]] * dens if j in column
-            else sum(map(mul, rows[j][1], columns)) * (dens // rows[j][0])
-            for j in range(self.num_vars)
-        ]
-        return common * dens, nums
+        common, point = self._point()
+        return self.det * common, point
 
 
 def solve_dnf(

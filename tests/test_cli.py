@@ -921,6 +921,29 @@ class TestDefectExitCodes:
                 3, "", "check failed: the vector does not satisfy the linear condition\n"
             )
 
+    def test_reduction_defect_in_witness_and_verify_exits_4(self, capsys, monkeypatch, tmp_path):
+        # the same defect under witness and verify: the pipeline's own vector is a
+        # solver defect, exit 4 with nothing on stdout, and never an input error
+        import subtrop.condition as condition
+
+        walk = condition.dominance_rows
+        monkeypatch.setattr(condition, "dominance_rows", lambda system: list(walk(system))[:-1])
+        ones = tmp_path / "search_head_3_ones.coeffs"
+        names = load("search_head_3.spp").c.names
+        ones.write_text("".join(f"{name} = 1\n" for row in names for name in row if name))
+        for name, wrong, coeffs in [
+            ("example2.spp", "(0, 1)", DATA / "example2_ones.coeffs"),
+            ("certify_head_42.spp", "(0, 0, 0)", DATA / "certify_head_42.coeffs"),
+            ("search_head_3.spp", "(0, -3, 6, 0, 0, 3)", ones),
+        ]:
+            path = DATA / name
+            expected = f"solver defect: {wrong} does not satisfy the dominance condition\n"
+            for fmt in ("text", "json"):
+                assert run(capsys, "witness", path, "--format", fmt) == (4, "", expected)
+                assert run(
+                    capsys, "verify", path, "--coeffs", coeffs, "--format", fmt
+                ) == (4, "", expected)
+
     def test_witness_failure_exits_4(self, capsys, monkeypatch):
         import subtrop.cli as cli
         from subtrop import WitnessFailure

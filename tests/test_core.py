@@ -196,7 +196,7 @@ class TestMatrices:
             )
 
 
-class TestRowSupports:
+class TestDominanceRows:
     """``dominance_rows`` gives each row's positive and negative monomial indices."""
 
     def test_example2_row_one(self):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -284,7 +285,7 @@ PINNED_MODELS = {
     "sec2.spp": None,
     "zero_row.spp": (Fraction(0),),
 }
-# the CLI smoke test for the search wall; it takes about a second, so CI runs it
+# the CLI smoke test for the search wall; a call takes about half a second, so CI runs it
 SLOW_DATA = {"wall_8_20_8_1.spp"}
 
 
@@ -306,6 +307,90 @@ class TestPinnedModels:
         ) == 108
         digest = hashlib.sha256(repr(models).encode()).hexdigest()
         assert digest == "108eac697cbed73ace0960ab8aaead00d7ab9376a8e06ce7649a97439d19116f"
+
+
+class TestPinnedTrees:
+    """The whole answer, refutation trees included, stays byte for byte the same."""
+
+    def test_answers_and_trees_digest(self, data_dir):
+        # every data file, the wall template included, then the pinned batch
+        systems = [load(path.name) for path in sorted(data_dir.glob("*.spp"))] + pin_batch()
+        answers = [solve_dnf(system.d, build_dnf(system)) for system in systems]
+        assert len(answers) == 311 and sum(n is not None for n, _ in answers) == 229
+        digest = hashlib.sha256(repr(answers).encode()).hexdigest()
+        assert digest == "e541fcbdb4e9521665e0562a2bc8b133ce9856cab2ed421977e98d3aa7de1a3d"
+
+
+def fraction_inverse(matrix):
+    """The inverse of a square int matrix over Fraction, by Gauss-Jordan elimination."""
+    d = len(matrix)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
+            for i, row in enumerate(matrix)]
+    for col in range(d):
+        pivot = next(i for i in range(col, d) if rows[i][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for i in range(d):
+            if i != col and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[col])]
+    return [row[d:] for row in rows]
+
+
+class TestTableauInverse:
+    """The tableau is ``A`` over ``det > 0``, with ``A`` times the nonbasic forms ``det * I``."""
+
+    def test_inverse_and_rows_after_every_step(self, monkeypatch):
+        # after every assertion, check and backtrack: A . M = det * I for the matrix M
+        # of the nonbasic forms, and each bounded basic variable's row form . A / det
+        # is the row form . M^-1 solved over Fraction
+        assert_literal, check, backtrack = (
+            lra._Simplex.assert_literal, lra._Simplex.check, lra._Simplex.backtrack
+        )
+        seen = {"steps": 0, "rows": 0, "scaled": 0}
+
+        def inspect(engine):
+            d, det = engine.num_vars, engine.det
+            assert type(det) is int and det > 0
+            forms = [engine.forms[var] for var in engine.nonbasic]
+            assert [
+                [sum(a * form[j] for a, form in zip(coords, forms)) for j in range(d)]
+                for coords in engine.inverse
+            ] == [[det * (i == j) for j in range(d)] for i in range(d)]
+            solved = fraction_inverse(forms)
+            for var in {entry[0] for entry in engine.trail} - set(engine.column):
+                form = engine.forms[var]
+                row = [Fraction(sum(map(operator.mul, form, col)), det)
+                       for col in zip(*engine.inverse)]
+                assert row == [sum(f * x for f, x in zip(form, col)) for col in zip(*solved)]
+                seen["rows"] += 1
+            seen["steps"] += 1
+            seen["scaled"] += det > 1
+
+        def recording_assert(self, coeffs, level):
+            result = assert_literal(self, coeffs, level)
+            inspect(self)
+            return result
+
+        def recording_check(self):
+            result = check(self)
+            inspect(self)
+            return result
+
+        def recording_backtrack(self, level):
+            backtrack(self, level)
+            inspect(self)
+
+        monkeypatch.setattr(lra._Simplex, "assert_literal", recording_assert)
+        monkeypatch.setattr(lra._Simplex, "check", recording_check)
+        monkeypatch.setattr(lra._Simplex, "backtrack", recording_backtrack)
+        for system in pin_batch():
+            solve_dnf(system.d, build_dnf(system))
+        rng = random.Random(25)
+        for _ in range(150):
+            solve_condition(tricky_condition(rng))
+        # 4935 steps, 5064 bounded basic rows, and det > 1 after 1778 of the steps
+        assert seen["steps"] > 4000 and seen["rows"] > 4000 and seen["scaled"] > 1000
 
 
 class TestBounds:
@@ -386,9 +471,9 @@ class TestBounds:
             if var in engine.column:
                 s, g = engine.value[var]
                 return Fraction(s, g)
-            den, row = engine.rows[var]
             values = [exact_value(engine, nb) for nb in engine.nonbasic]
-            return sum(c * x for c, x in zip(row, values)) / den
+            n = [sum(map(operator.mul, coords, values)) / engine.det for coords in engine.inverse]
+            return sum(f * x for f, x in zip(engine.forms[var], n))
 
         def inspect(engine):
             seen = asserted.setdefault(id(engine), {})
@@ -411,7 +496,7 @@ class TestBounds:
             inspect(self)
             if result is None:
                 for var, bound in enumerate(self.bound):
-                    if bound is not None and (var in self.column or var in self.rows):
+                    if bound is not None:
                         s, g = bound
                         x = exact_value(self, var)
                         assert x >= Fraction(1, g) if s > 0 else x <= Fraction(-1, g)
@@ -552,7 +637,7 @@ def assert_smallest_multiple(model, n):
     assert math.gcd(delta.numerator, *n) == 1
 
 
-class TestScaleToInteger:
+class TestSmallestIntegerMultiple:
     """``solve_dnf`` answers with the smallest positive integer multiple of its model."""
 
     def test_clears_denominators(self):
