@@ -79,7 +79,7 @@ class TestBuildCnf:
         assert lines[2] == "clause 1 4: [0: 5 -3] [1: 2 -2] [2: 2 -3]"
 
 
-class TestBuildDnfOneRow:
+class TestBuildDnfSingle:
     """``build_dnf`` on one-row systems."""
 
     def test_intro_f_two_branches(self):
