@@ -167,29 +167,6 @@ def build_dnf(system: SignedSystem) -> tuple[tuple[tuple[tuple[int, ...], ...], 
     )
 
 
-def _heights(system: SignedSystem, n) -> list:
-    """Each monomial's height ``e_j . n``, in index order."""
-    if len(n) != system.d:
-        raise ValueError(f"expected a vector of length {system.d}, got {len(n)}")
-    return [sum(map(mul, exps, n)) for exps in system.e.entries]
-
-
-def _argmax_rows(system: SignedSystem, heights: list) -> Iterator[tuple[int | None, list[int]]]:
-    """``(top, negative)`` for each row with negative monomials, at the given heights.
-
-    ``top`` is the row's highest positive monomial, the first in index
-    order on a tie, and ``negative`` holds the row's negative monomials.
-    ``top`` is None when no positive monomial stands 1 above the highest
-    negative one, so that the vector behind ``heights`` does not certify
-    the system.  Rows come in the order of :func:`dominance_rows`.
-    """
-    for _, positive, negative in dominance_rows(system):
-        top = max(positive, key=heights.__getitem__, default=None)
-        if top is not None and heights[top] < max(map(heights.__getitem__, negative)) + 1:
-            top = None
-        yield top, negative
-
-
 def _descend(forms: list[tuple[int, ...]], values: list[int], n: list[int]) -> bool:
     """Move ``n`` toward 0 inside ``{m : a . m >= 1 for a in forms}``; whether it moved.
 
@@ -245,25 +222,31 @@ def _descend(forms: list[tuple[int, ...]], values: list[int], n: list[int]) -> b
 def shrink(system: SignedSystem, n) -> tuple[int, ...]:
     """A certified integer vector no farther from 0 than ``n`` in any coordinate.
 
-    ``n`` must certify ``system``, or ValueError is raised.  Any certified
-    vector is a valid answer, and a smaller one gives a smaller witness
-    point ``t^n`` that is cheaper to check exactly.
-    Each round takes the polyhedron of the branches that the rows' highest
-    positive monomials pick at the current vector, which contains it, and
-    moves the vector toward 0 inside it (:func:`_descend`).  The next round
-    picks the branches again at the new vector; the rounds end when the
-    vector is a fixed point of its own polyhedron.  Every point reached lies
-    in such a polyhedron, so it certifies, and since ``sum(|n_i|)`` falls
-    with every round but the last, the rounds end.
+    ``n`` must have length ``d`` and certify ``system``, or ValueError is
+    raised.  Any certified vector is a valid answer, and a smaller one gives
+    a smaller witness point ``t^n`` that is cheaper to check exactly.
+    Each round picks, in each row with negative monomials, the positive
+    monomial of greatest height ``e_j . n``, the first on a tie, and checks
+    that it stands at least 1 above every negative one, so that its branch
+    holds at ``n``.  The
+    branches picked define a polyhedron that contains the vector, and the
+    round moves the vector toward 0 inside it (:func:`_descend`).  The
+    rounds end when the vector is a fixed point of its own polyhedron.
+    Every point reached lies in such a polyhedron, so it certifies, and
+    since ``sum(|n_i|)`` falls with every round but the last, the rounds end.
     """
+    if len(n) != system.d:
+        raise ValueError(f"expected a vector of length {system.d}, got {len(n)}")
     exponents = system.e.entries
+    rows = list(dominance_rows(system))
     n = list(n)
     while True:
-        heights = _heights(system, n)
+        heights = [sum(map(mul, exps, n)) for exps in exponents]
         forms: list[tuple[int, ...]] = []
         values: list[int] = []
-        for top, negative in _argmax_rows(system, heights):
-            if top is None:
+        for _, positive, negative in rows:
+            top = max(positive, key=heights.__getitem__, default=None)
+            if top is None or heights[top] < max(map(heights.__getitem__, negative)) + 1:
                 raise ValueError(f"{tuple(n)} does not certify the system")
             forms += [tuple(map(sub, exponents[top], exponents[k])) for k in negative]
             values += [heights[top] - heights[k] for k in negative]

@@ -6,10 +6,11 @@ arithmetic only.  Each distinct primitive linear form gets one slack
 variable (``coeffs / gcd``, signed so that a form and its negation share
 it), and a literal becomes a lower or upper bound on that slack; a literal
 with a single nonzero coefficient bounds its variable directly.  Bounds are
-asserted and retracted on one tableau, and each remembers the literal that
-set it.  The tableau is kept as the inverse of the matrix of the nonbasic
-variables' forms: ``d x d`` integers over one positive determinant, however
-many slacks exist.  A basic variable's row is its form times that inverse,
+asserted and retracted on one tableau, each kept as one record of its
+value, its decision level and the literal that set it.  The tableau is
+kept as the inverse of the matrix of the nonbasic variables' forms:
+``d x d`` integers over one positive determinant, however many slacks
+exist.  A basic variable's row is its form times that inverse,
 and a check builds only the row of the variable it finds violated.
 Bland's rule (smallest index first) picks every pivot, so each check
 terminates.  An infeasible check names the bounds of one violated tableau
@@ -30,12 +31,13 @@ Two facts keep :class:`~fractions.Fraction` out of the module:
 * Every nonbasic value is 0 or a bound.  A nonbasic variable starts at 0
   and only ever moves onto a bound: when a bound it violates is asserted,
   or when it leaves the basis at the bound its row violated.  So each
-  nonbasic value is such a pair, and ``n`` is the integer inverse applied
-  to them, ``n_i = sum(A[i][p] * s_p / g_p) / det``.  Each round of a check
-  computes ``n`` once over one common denominator, as integers, and reads
-  each bounded basic value as its form times that point, instead of
-  carrying values from step to step; moving a nonbasic variable is one
-  assignment and a pivot updates the inverse alone.
+  tableau column holds such a pair, its nonbasic variable's value, and
+  ``n`` is the integer inverse applied to them,
+  ``n_i = sum(A[i][p] * s_p / g_p) / det``; basic variables hold none.
+  Each round of a check computes ``n`` once over one common denominator,
+  as integers, and reads each bounded basic value as its form times that
+  point, instead of carrying values from step to step; moving a nonbasic
+  variable is one assignment and a pivot updates the inverse alone.
 
 The one entry point, :func:`solve_dnf`, searches rows, as
 :func:`~subtrop.condition.build_dnf` gives them: a level is a row with
@@ -128,15 +130,16 @@ class _Simplex:
 
     Lower bounds are positive and upper bounds negative (see the module
     docstring), so a variable holding both is infeasible, and each variable
-    holds at most one bound: ``bound[var]``, the pair ``(1, g)`` for
-    ``1/g`` or ``(-1, g)`` for ``-1/g``, or None, asserted at decision level
-    ``level[var]`` by the literal ``source[var]``.  The trail keeps what
-    each assertion replaced, so :meth:`backtrack` restores older bounds
-    exactly; the variables on the trail are those with a bound.
+    holds at most one bound.  ``bound[var]`` is None or the one record
+    ``(pair, level, source)``: the pair ``(1, g)`` for ``1/g`` or ``(-1, g)``
+    for ``-1/g``, asserted at decision level ``level`` by the literal
+    ``source``.  The trail holds ``(var, the record it replaced)`` for each
+    assertion, so :meth:`backtrack` restores older bounds exactly; the
+    variables on the trail are those with a bound.
 
-    ``value[var]`` of a nonbasic variable is ``(0, 1)`` or a bound once
-    asserted on ``var``.  :meth:`check` computes a basic variable's value
-    when it reads it and never reads the stale entry ``value`` holds for it.
+    ``at[p]`` is the value of ``nonbasic[p]``: ``(0, 1)`` or a bound once
+    asserted on that variable.  A basic variable has no stored value;
+    :meth:`check` computes it when it reads it.
     """
 
     def __init__(self, num_vars: int):
@@ -144,28 +147,15 @@ class _Simplex:
         self.forms: list[tuple[int, ...]] = [
             tuple(int(i == j) for i in range(num_vars)) for j in range(num_vars)
         ]
-        self.value: list[tuple[int, int]] = [ZERO] * num_vars
-        self.bound: list[tuple[int, int] | None] = [None] * num_vars
-        self.level: list[int] = [0] * num_vars
-        self.source: list[tuple[int, ...] | None] = [None] * num_vars
+        self.at: list[tuple[int, int]] = [ZERO] * num_vars
+        self.bound: list[tuple | None] = [None] * num_vars  # (pair, level, source)
         self.nonbasic = list(range(num_vars))
         self.column = {j: j for j in range(num_vars)}
         self.inverse: list[list[int]] = [list(form) for form in self.forms]
         self.det = 1
-        self.trail: list[tuple] = []  # (var, old bound, old level, level, old source)
+        self.trail: list[tuple] = []  # (var, the record it replaced)
         self._slacks: dict[tuple[int, ...], int] = {}
         self._literals: dict[tuple[int, ...], tuple[int, tuple[int, int]] | None] = {}
-
-    def _new_slack(self, form: tuple[int, ...]) -> int:
-        """A new slack for ``form . n``, basic and without bounds."""
-        var = len(self.value)
-        self.forms.append(form)
-        self.value.append(ZERO)  # read only once the slack is nonbasic
-        self.bound.append(None)
-        self.level.append(0)
-        self.source.append(None)
-        self._slacks[form] = var
-        return var
 
     def _literal(self, coeffs: tuple[int, ...]) -> tuple[int, tuple[int, int]] | None:
         """``coeffs . n >= 1`` as (variable, bound); None if all zero.
@@ -174,7 +164,7 @@ class _Simplex:
         entry positive, the literal bounds ``form . n`` by ``1/g``: from
         below, ``(1, g)``, when ``g > 0`` and from above, ``(-1, -g)``, when
         ``g < 0``.  A form with one nonzero entry is a variable of ``n``
-        itself.
+        itself; any other form is a slack, new ones basic and without bounds.
         """
         if coeffs in self._literals:
             return self._literals[coeffs]
@@ -188,7 +178,9 @@ class _Simplex:
                 form = tuple(a // g for a in coeffs)
                 var = self._slacks.get(form)
                 if var is None:
-                    var = self._new_slack(form)
+                    var = self._slacks[form] = len(self.forms)
+                    self.forms.append(form)
+                    self.bound.append(None)
             found = (var, (1, g) if g > 0 else (-1, -g))
         self._literals[coeffs] = found
         return found
@@ -208,26 +200,25 @@ class _Simplex:
         var, bound = literal
         old = self.bound[var]
         if old is not None:
-            if _within(old, bound):
+            pair, old_level, old_source = old
+            if _within(pair, bound):
                 return None
-            if old[0] != bound[0]:
-                return {self.level[var], level}, ((bound[1], self.source[var]), (old[1], coeffs))
-        self.trail.append((var, old, self.level[var], level, self.source[var]))
-        self.bound[var] = bound
-        self.level[var] = level
-        self.source[var] = coeffs
-        if var in self.column and not _within(self.value[var], bound):
-            self.value[var] = bound
+            if pair[0] != bound[0]:
+                return {old_level, level}, ((bound[1], old_source), (pair[1], coeffs))
+        self.trail.append((var, old))
+        self.bound[var] = (bound, level, coeffs)
+        p = self.column.get(var)
+        if p is not None and not _within(self.at[p], bound):
+            self.at[p] = bound
         return None
 
     def backtrack(self, level: int):
         """Retract every bound asserted at ``level`` or above; every value stays."""
-        trail = self.trail
-        while trail and trail[-1][3] >= level:
-            var, old, old_level, _, old_source = trail.pop()
-            self.bound[var] = old
-            self.level[var] = old_level
-            self.source[var] = old_source
+        trail, bounds = self.trail, self.bound
+        # the trail is a stack, so its top entry's variable holds the record it set
+        while trail and bounds[trail[-1][0]][1] >= level:
+            var, old = trail.pop()
+            bounds[var] = old
 
     def _pivot(self, basic: int, p: int, target: tuple[int, int], row: list[int]):
         """Swap ``basic``, of tableau row ``row / det``, with the nonbasic of column ``p``.
@@ -252,16 +243,15 @@ class _Simplex:
             inverse[i] = coords
         self.det = new_det
         entering = self.nonbasic[p]
-        self.value[basic] = target
+        self.at[p] = target
         self.nonbasic[p] = basic
         del self.column[entering]
         self.column[basic] = p
 
     def _point(self) -> tuple[int, list[int]]:
         """``(common, x)``: ``n`` is ``x / (det * common)``, each nonbasic at its value."""
-        values = [self.value[var] for var in self.nonbasic]
-        common = math.lcm(*(g for _, g in values))
-        columns = [s * (common // g) for s, g in values]
+        common = math.lcm(*(g for _, g in self.at))
+        columns = [s * (common // g) for s, g in self.at]
         return common, [sum(map(mul, coords, columns)) for coords in self.inverse]
 
     def check(self) -> Conflict | None:
@@ -278,8 +268,8 @@ class _Simplex:
         ``-sign(s_b * c_p)``; times ``L``, the lcm of the ``g``, they are
         integers.
         """
-        value, bounds, nonbasic, column, forms = (
-            self.value, self.bound, self.nonbasic, self.column, self.forms
+        at, bounds, nonbasic, column, forms = (
+            self.at, self.bound, self.nonbasic, self.column, self.forms
         )
         bounded = sorted({entry[0] for entry in self.trail})
         while True:
@@ -289,7 +279,7 @@ class _Simplex:
                 if basic in column:
                     continue
                 # basic = form . point / scale violates s/g when s * (form . point) * g < scale
-                s, g = bound = bounds[basic]
+                s, g = bound = bounds[basic][0]
                 if s * sum(map(mul, forms[basic], point)) * g < scale:
                     break
             else:
@@ -298,8 +288,8 @@ class _Simplex:
             # a nonbasic variable must move by sign(s * c) to move basic toward its
             # bound; it is blocked when it sits at a bound of the opposite sign
             free = [
-                p for p, (c, var) in enumerate(zip(row, nonbasic))
-                if c and not (value[var] == bounds[var] and s * c * value[var][0] < 0)
+                p for p, (c, var, value) in enumerate(zip(row, nonbasic, at))
+                if c and not (s * c * value[0] < 0 and bounds[var] and bounds[var][0] == value)
             ]
             if not free:
                 return self._explain(basic, row)
@@ -311,14 +301,14 @@ class _Simplex:
         The row is first made primitive, so that the multipliers do not
         depend on the scale ``det`` that the pivots left.
         """
-        level, source, bounds = self.level, self.source, self.bound
         g = math.gcd(self.det, *row)
-        terms = [(c // g, var) for c, var in zip(row, self.nonbasic) if c]
-        lcm = math.lcm(bounds[basic][1], *(bounds[var][1] for _, var in terms))
-        leaf = ((self.det // g * lcm // bounds[basic][1], source[basic]),) + tuple(
-            (abs(c) * lcm // bounds[var][1], source[var]) for c, var in terms
+        terms = [(c // g, self.bound[var]) for c, var in zip(row, self.nonbasic) if c]
+        (_, h), level, source = self.bound[basic]
+        lcm = math.lcm(h, *(record[0][1] for _, record in terms))
+        leaf = ((self.det // g * lcm // h, source),) + tuple(
+            (abs(c) * lcm // record[0][1], record[2]) for c, record in terms
         )
-        return {level[basic]} | {level[var] for _, var in terms}, leaf
+        return {level} | {record[1] for _, record in terms}, leaf
 
     def model(self) -> tuple[int, list[int]]:
         """``(common, nums)``: variable j of ``n`` has value ``nums[j] / common``."""

@@ -50,7 +50,12 @@ def certifies(system, n) -> bool:
 
 
 def refutes(system, tree) -> bool:
-    """True when ``tree`` refutes the dominance condition of ``system``."""
+    """True when ``tree`` refutes the dominance condition of ``system``.
+
+    Any other ``tree`` gives False, whatever its shape: a node must be a
+    pair ``(int, tuple)``, a leaf a tuple of pairs, and a literal a tuple of
+    ints.
+    """
     exponents = system.e.entries
     rows = []  # (positive, negative) of each row with negative monomials
     for signs in system.s.entries:
@@ -63,6 +68,8 @@ def refutes(system, tree) -> bool:
         if not isinstance(item, tuple) or not item:
             return False
         if isinstance(item[0], int):  # a node
+            if len(item) != 2 or not isinstance(item[1], tuple):
+                return False
             level, children = item
             if not 0 <= level < len(rows) or len(children) != len(rows[level][0]):
                 return False
@@ -73,8 +80,13 @@ def refutes(system, tree) -> bool:
                 stack.append((child, chosen | branch))
             continue
         total = [0] * system.d
-        for y, coeffs in item:
-            if type(y) is not int or y <= 0 or coeffs not in chosen:
+        for pair in item:
+            if not isinstance(pair, tuple) or len(pair) != 2:
+                return False
+            y, coeffs = pair
+            if type(y) is not int or y <= 0 or not isinstance(coeffs, tuple):
+                return False
+            if not all(type(a) is int for a in coeffs) or coeffs not in chosen:
                 return False
             total = [t + y * a for t, a in zip(total, coeffs)]
         if any(total):

@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +25,33 @@ def load(name: str):
 @pytest.fixture
 def data_dir() -> Path:
     return DATA
+
+
+# Over 20 times the slowest test; a search that stops terminating fails here.
+TIME_LIMIT_S = 60
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail each test that runs past ``TIME_LIMIT_S`` instead of letting it stall the suite.
+
+    The limit is an interval timer on SIGALRM, so it is not set where the
+    platform has no such signal.
+    """
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"test ran past {TIME_LIMIT_S} s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def sign_row_terms(system):

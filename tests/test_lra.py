@@ -469,7 +469,7 @@ class TestBounds:
 
         def exact_value(engine, var):
             if var in engine.column:
-                s, g = engine.value[var]
+                s, g = engine.at[engine.column[var]]
                 return Fraction(s, g)
             values = [exact_value(engine, nb) for nb in engine.nonbasic]
             n = [sum(map(operator.mul, coords, values)) / engine.det for coords in engine.inverse]
@@ -478,8 +478,9 @@ class TestBounds:
         def inspect(engine):
             seen = asserted.setdefault(id(engine), {})
             for var in engine.nonbasic:
-                assert engine.value[var] == (0, 1) or engine.value[var] in seen.get(var, ())
-                at_slack_bound[0] += var >= engine.num_vars and engine.value[var] != (0, 1)
+                value = engine.at[engine.column[var]]
+                assert value == (0, 1) or value in seen.get(var, ())
+                at_slack_bound[0] += var >= engine.num_vars and value != (0, 1)
             inspected[0] += 1
 
         def recording_assert(self, coeffs, level):
@@ -487,7 +488,7 @@ class TestBounds:
             result = assert_literal(self, coeffs, level)
             if len(self.trail) > depth:
                 var = self.trail[-1][0]
-                asserted.setdefault(id(self), {}).setdefault(var, set()).add(self.bound[var])
+                asserted.setdefault(id(self), {}).setdefault(var, set()).add(self.bound[var][0])
             inspect(self)
             return result
 
@@ -495,9 +496,9 @@ class TestBounds:
             result = check(self)
             inspect(self)
             if result is None:
-                for var, bound in enumerate(self.bound):
-                    if bound is not None:
-                        s, g = bound
+                for var, record in enumerate(self.bound):
+                    if record is not None:
+                        s, g = record[0]
                         x = exact_value(self, var)
                         assert x >= Fraction(1, g) if s > 0 else x <= Fraction(-1, g)
             return result

@@ -138,6 +138,12 @@ class TestRejection:
         for bad in (-1, 2, 3):
             assert not refutes(system, (bad, children)), bad
         assert not refutes(system, None)
+        # a node of one entry or with non-tuple children, a literal that is a list,
+        # and a pair of three entries are rejected, not errors, anywhere in the tree
+        tree = (level, children)
+        for bad in [(0,), (0, 5), ((1, [1, 0]),), ((1, (1, 0), 7),)]:
+            for path, _ in subtrees(tree):
+                assert not refutes(system, replaced(tree, path, bad)), (bad, path)
         # level -1 must not read as the last row, whose node (1, ()) checks
         system = parse_system("vars x y\npoly f = a*x - b*y\npoly g = -d*x*y\n")
         assert refutes(system, (1, ()))
