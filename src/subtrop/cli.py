@@ -19,29 +19,29 @@ failed ``decide --check`` (a SAT vector that fails its condition, or an
 UNSAT refutation that fails its check), 4 solver defect: a witness
 failure (:class:`~subtrop.witness.WitnessFailure`), a failed internal check
 (:class:`~subtrop.lra.SolverDefect`, also raised by ``witness`` and ``verify``
-when the pipeline's own SAT vector fails
-:func:`~subtrop.refutation.certifies`) or any other unexpected exception, so
-that a crash is never read as unsat.  Reports go to stdout, diagnostics to
-stderr.  JSON output is byte-stable: the same input and flags always
-produce the same bytes.  The decision pipeline itself is
-:mod:`subtrop.pipeline`.
+when the pipeline's own SAT vector fails the witness functions' gate,
+:class:`~subtrop.witness.UncertifiedExponent`) or any other unexpected
+exception, so that a crash is never read as unsat.  Reports go to stdout,
+diagnostics to stderr.  JSON output is byte-stable: the same input and
+flags always produce the same bytes.  This module holds no library code:
+the decision pipeline is :mod:`subtrop.pipeline`, and ``explain``'s writer
+is :func:`~subtrop.condition.write_cnf`.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from itertools import repeat
-from operator import getitem, sub
 from types import SimpleNamespace
 
-from .condition import dominance_rows
+from .condition import write_cnf
 from .core import SignedSystem, SubtropError
 from .lra import SolverDefect
 from .parser import _MAX_DIGITS, parse_system
 from .pipeline import Decision, decide_system, parse_coefficient_bindings
 from .refutation import certifies, refutes
 from .witness import (
+    UncertifiedExponent,
     VerificationReport,
     WitnessFailure,
     instantiate,
@@ -140,18 +140,6 @@ def cmd_decide(args) -> int:
     return 0 if decision.status == "sat" else 1
 
 
-def _certified(system: SignedSystem, n: tuple[int, ...]) -> tuple[int, ...]:
-    """The pipeline's SAT vector ``n``, once :func:`~subtrop.refutation.certifies` accepts it.
-
-    A vector that fails is a fault of the search or the reduction, not of
-    the input, so it raises :class:`~subtrop.lra.SolverDefect` (exit 4)
-    before the witness functions' own gate can report it as an input error.
-    """
-    if not certifies(system, n):
-        raise SolverDefect(f"{n} does not satisfy the dominance condition")
-    return n
-
-
 def cmd_witness(args) -> int:
     system = _load_system(args.input)
     decision = decide_system(system)
@@ -159,7 +147,10 @@ def cmd_witness(args) -> int:
         _print_decision(decision, args.format)
         print("no witness: the system has no positive solution scheme", file=sys.stderr)
         return 1
-    witness = symbolic_t(system, _certified(system, decision.n))
+    try:  # the pipeline's own vector failing the gate is a defect, not an input error
+        witness = symbolic_t(system, decision.n)
+    except UncertifiedExponent as exc:
+        raise SolverDefect(str(exc)) from None
     if args.format == "json":
         print(json.dumps(witness.to_json_dict()))
     else:
@@ -219,86 +210,19 @@ def cmd_verify(args) -> int:
     if decision.status == "unsat":
         _print_decision(decision, args.format)
         return 1
-    n = _certified(system, decision.n)
     r = uniform_bound(system) if args.use_uniform_bound else None
-    report = verify_witness(system, n, r, max_bits=args.max_bits)
-    _unlimited_digits(_print_exact_report, report, n, args.format)
+    try:  # the pipeline's own vector failing the gate is a defect, not an input error
+        report = verify_witness(system, decision.n, r, max_bits=args.max_bits)
+    except UncertifiedExponent as exc:
+        raise SolverDefect(str(exc)) from None
+    _unlimited_digits(_print_exact_report, report, decision.n, args.format)
     return 0
 
 
 def cmd_explain(args) -> int:
-    """Print the CNF of :func:`~subtrop.condition.build_cnf` row by row, without building it.
-
-    The text equals ``build_cnf(system).to_debug_text()`` and the JSON equals
-    ``json.dumps`` of ``{"num_vars", "clauses"}``.  The rows come from
-    :func:`~subtrop.condition.dominance_rows`.  Each int becomes text once
-    per call, with its separator, in a token table per coordinate.  In a
-    row, the tokens of ``e_j[c] - a`` over the positive ``j`` form a column,
-    made for the first negative ``k`` with ``e_k[c] = a`` and reused by the
-    others.  A clause is then joins in C of each literal's head, one token
-    from each of ``e_k``'s ``d`` columns and its close, so no literal
-    becomes an object or a format call of its own.  Each row's clauses are
-    written as soon as they are made, so the whole output is never held at
-    once.  A sum of exponents may pass the digit limit of int-to-text
-    conversion, which is lifted while writing.
-    """
-    _unlimited_digits(_write_cnf, _load_system(args.input), args.format == "json")
+    """Print the CNF of the dominance condition (:func:`~subtrop.condition.write_cnf`)."""
+    _unlimited_digits(write_cnf, _load_system(args.input), sys.stdout.write, args.format == "json")
     return 0
-
-
-class _Memo(dict):
-    """A dict that fills a missing key with ``make(key)`` the first time it is asked for."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
-# a token table past this many entries is cleared after a row, so that exponents
-# with many distinct differences hold memory per row, not per call
-_TOKENS_KEPT = 4096
-
-
-def _write_cnf(system: SignedSystem, as_json: bool):
-    """Write the text or JSON of :func:`cmd_explain` for ``system``."""
-    d, exponents = system.d, system.e.entries
-    write = sys.stdout.write  # looked up per call, so that redirect_stdout applies
-    if as_json:
-        write(f'{{"num_vars": {d}, "clauses": [')
-        tokens = [_Memo("%d".__mod__)] + [_Memo(", %d".__mod__)] * (d - 1)
-        head, close, between = ', {{"pos": {}, "coeffs": [', "]}", ", "
-        clause = '{{"row": {}, "neg": %d, "literals": [%s]}}'
-    else:
-        tokens = [_Memo(" %d".__mod__)] * d
-        head, close, between, clause = " [{}:", "]", "", "clause {} %d:%s\n"
-    sep = ""
-    for i, positive, negative in dominance_rows(system):
-        heads = list(map(head.format, positive))
-        if as_json and heads:
-            heads[0] = heads[0][2:]  # no separator before the first literal
-        template = clause.format(i)
-        values = list(zip(*map(exponents.__getitem__, positive))) or [()] * d
-        columns = [  # per coordinate c and value a, the tokens of e_j[c] - a
-            _Memo(lambda a, v=v, t=t: list(map(t.__getitem__, map(sub, v, repeat(a)))))
-            for v, t in zip(values, tokens)
-        ]
-        clauses = [
-            template % (k, "".join(map("".join, zip(heads, *map(getitem, columns, exponents[k]),
-                                                    repeat(close)))))
-            for k in negative
-        ]
-        write(sep + between.join(clauses))
-        sep = between
-        for table in tokens:
-            if len(table) > _TOKENS_KEPT:
-                table.clear()
-    if as_json:
-        write("]}\n")
 
 
 _FORMATS = ("text", "json")

@@ -26,10 +26,11 @@ the largest ``e_k . n`` over negative k.  That check lives apart, in
 module.
 
 All of these walk the rows through :func:`dominance_rows`, the one
-definition of the order of clauses, literals and branches.  ``explain``
-prints the CNF's clauses from that walk, formatting each clause from the
-exponent rows in one step; the CNF as objects (:func:`build_cnf`) is built
-only for the brute-force oracle of the tests and the benchmark.
+definition of the order of clauses, literals and branches.
+:func:`write_cnf`, which ``explain`` runs, writes the CNF's clauses from
+that walk, formatting each clause from the exponent rows in one step; the
+CNF as objects (:func:`build_cnf`) is built only for the brute-force oracle
+of the tests and the benchmark.
 
 The argmax argument also bounds where a vector can move: at a certified n,
 the branches of each row's highest positive monomial define a convex
@@ -40,8 +41,8 @@ system.  :func:`shrink` walks n toward 0 inside that polyhedron.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import compress
-from operator import mul, sub
+from itertools import compress, repeat
+from operator import getitem, mul, sub
 
 from .core import SignedSystem, _Value
 
@@ -144,6 +145,75 @@ def build_cnf(system: SignedSystem) -> LinearCondition:
         for k in negative
     )
     return LinearCondition(system.d, clauses)
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``make(key)`` the first time it is asked for."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+# a token table past this many entries is cleared after a row, so that exponents
+# with many distinct differences hold memory per row, not per call
+_TOKENS_KEPT = 4096
+
+
+def write_cnf(system: SignedSystem, write, as_json: bool):
+    """Pass the text or JSON of :func:`build_cnf` to ``write``, row by row, without building it.
+
+    The text equals ``build_cnf(system).to_debug_text()`` plus a newline, or
+    is empty when there are no clauses, and the JSON equals ``json.dumps``
+    of ``{"num_vars", "clauses"}`` plus a newline.  The rows come from
+    :func:`dominance_rows`.  Each int becomes text once per call, with its
+    separator, in a token table per coordinate.  In a row, the tokens of
+    ``e_j[c] - a`` over the positive ``j`` form a column, made for the first
+    negative ``k`` with ``e_k[c] = a`` and reused by the others.  A clause
+    is then joins in C of each literal's head, one token from each of
+    ``e_k``'s ``d`` columns and its close, so no literal becomes an object
+    or a format call of its own.  Each row's clauses are passed to
+    ``write`` as soon as they are made, so the whole output is never held
+    at once.  A sum of exponents may pass the digit limit of int-to-text
+    conversion, which the caller lifts (``explain`` does).
+    """
+    d, exponents = system.d, system.e.entries
+    if as_json:
+        write(f'{{"num_vars": {d}, "clauses": [')
+        tokens = [_Memo("%d".__mod__)] + [_Memo(", %d".__mod__)] * (d - 1)
+        head, close, between = ', {{"pos": {}, "coeffs": [', "]}", ", "
+        clause = '{{"row": {}, "neg": %d, "literals": [%s]}}'
+    else:
+        tokens = [_Memo(" %d".__mod__)] * d
+        head, close, between, clause = " [{}:", "]", "", "clause {} %d:%s\n"
+    sep = ""
+    for i, positive, negative in dominance_rows(system):
+        heads = list(map(head.format, positive))
+        if as_json and heads:
+            heads[0] = heads[0][2:]  # no separator before the first literal
+        template = clause.format(i)
+        values = list(zip(*map(exponents.__getitem__, positive))) or [()] * d
+        columns = [  # per coordinate c and value a, the tokens of e_j[c] - a
+            _Memo(lambda a, v=v, t=t: list(map(t.__getitem__, map(sub, v, repeat(a)))))
+            for v, t in zip(values, tokens)
+        ]
+        clauses = [
+            template % (k, "".join(map("".join, zip(heads, *map(getitem, columns, exponents[k]),
+                                                    repeat(close)))))
+            for k in negative
+        ]
+        write(sep + between.join(clauses))
+        sep = between
+        for table in tokens:
+            if len(table) > _TOKENS_KEPT:
+                table.clear()
+    if as_json:
+        write("]}\n")
 
 
 def build_dnf(system: SignedSystem) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:

@@ -154,7 +154,7 @@ class _Simplex:
         self.inverse: list[list[int]] = [list(form) for form in self.forms]
         self.det = 1
         self.trail: list[tuple] = []  # (var, the record it replaced)
-        self._slacks: dict[tuple[int, ...], int] = {}
+        self._variables = {form: j for j, form in enumerate(self.forms)}  # form -> variable
         self._literals: dict[tuple[int, ...], tuple[int, tuple[int, int]] | None] = {}
 
     def _literal(self, coeffs: tuple[int, ...]) -> tuple[int, tuple[int, int]] | None:
@@ -163,24 +163,21 @@ class _Simplex:
         With ``coeffs = g * form``, ``form`` primitive and its first nonzero
         entry positive, the literal bounds ``form . n`` by ``1/g``: from
         below, ``(1, g)``, when ``g > 0`` and from above, ``(-1, -g)``, when
-        ``g < 0``.  A form with one nonzero entry is a variable of ``n``
-        itself; any other form is a slack, new ones basic and without bounds.
+        ``g < 0``.  A unit form is a variable of ``n`` itself; any other form
+        is a slack, new ones basic and without bounds.
         """
         if coeffs in self._literals:
             return self._literals[coeffs]
-        support = [j for j, a in enumerate(coeffs) if a]
+        lead = next(filter(None, coeffs), 0)
         found = None
-        if support:
-            g = math.gcd(*coeffs) if coeffs[support[0]] > 0 else -math.gcd(*coeffs)
-            if len(support) == 1:
-                var = support[0]
-            else:
-                form = tuple(a // g for a in coeffs)
-                var = self._slacks.get(form)
-                if var is None:
-                    var = self._slacks[form] = len(self.forms)
-                    self.forms.append(form)
-                    self.bound.append(None)
+        if lead:
+            g = math.gcd(*coeffs) if lead > 0 else -math.gcd(*coeffs)
+            form = tuple(a // g for a in coeffs)
+            var = self._variables.get(form)
+            if var is None:
+                var = self._variables[form] = len(self.forms)
+                self.forms.append(form)
+                self.bound.append(None)
             found = (var, (1, g) if g > 0 else (-1, -g))
         self._literals[coeffs] = found
         return found

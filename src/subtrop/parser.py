@@ -264,16 +264,21 @@ def _read_parametric(source: str) -> SignedSystem | None:
         terms += len(names)
     if not name_rows or len(seen_names) < terms:
         return None
-    return _parametric_system(sign_rows, name_rows, mono_index, var_index)
+    return _system(sign_rows, name_rows, mono_index, var_index, ParametricCoefficients, None)
 
 
-def _parametric_system(sign_rows, name_rows, mono_index, var_index) -> SignedSystem:
-    """The system whose row i has ``sign_rows[i][j]`` and ``name_rows[i][j]`` at column j."""
+def _system(sign_rows, coefficient_rows, mono_index, var_index, kind, fill) -> SignedSystem:
+    """The system whose row i has ``sign_rows[i][j]`` and ``coefficient_rows[i][j]`` at column j.
+
+    ``kind`` is the coefficient type, :class:`ParametricCoefficients` or
+    :class:`ConcreteCoefficients`, and ``fill`` its entry at the columns a
+    row leaves out: None for a name, 1 for a value.  Signs are 0 there.
+    """
     v = len(mono_index)
     return SignedSystem(
         SignMatrix(tuple(_scatter(signs, 0, v) for signs in sign_rows), cols=v),
         ExponentMatrix(tuple(mono_index), cols=len(var_index)),
-        ParametricCoefficients(tuple(_scatter(names, None, v) for names in name_rows)),
+        kind(tuple(_scatter(row, fill, v) for row in coefficient_rows)),
         tuple(var_index),
     )
 
@@ -358,8 +363,8 @@ def _walk(source: str) -> SignedSystem:
                 names[col] = name
             sign_rows.append(signs)
             name_rows.append(names)
-        return _parametric_system(sign_rows, name_rows, mono_index, var_index)
-    sum_rows: list[dict[int, Fraction]] = []
+        return _system(sign_rows, name_rows, mono_index, var_index, ParametricCoefficients, None)
+    sign_rows, value_rows = [], []
     for lineno, line, terms in polys:
         sums: dict[int, Fraction] = {}
         for sign, value, name, exponents, index in terms:
@@ -370,28 +375,10 @@ def _walk(source: str) -> SignedSystem:
                 )
             col = mono_index.setdefault(exponents, len(mono_index))
             sums[col] = sums.get(col, 0) + sign * (_ONE if value is None else value)
-        sum_rows.append(sums)
-    v = len(mono_index)
-    s_entries = []
-    c_values = []
-    for sums in sum_rows:
-        sign_row = [0] * v
-        value_row = [_ONE] * v
-        for j, total in sums.items():
-            if total > 0:
-                sign_row[j] = 1
-                value_row[j] = total
-            elif total < 0:
-                sign_row[j] = -1
-                value_row[j] = -total
-        s_entries.append(tuple(sign_row))
-        c_values.append(tuple(value_row))
-    return SignedSystem(
-        SignMatrix(tuple(s_entries), cols=v),
-        ExponentMatrix(tuple(mono_index), cols=len(var_index)),
-        ConcreteCoefficients(tuple(c_values)),
-        tuple(var_index),
-    )
+        # a column whose terms sum to 0 keeps sign 0 and the placeholder value 1
+        sign_rows.append({col: 1 if total > 0 else -1 for col, total in sums.items() if total})
+        value_rows.append({col: abs(total) for col, total in sums.items() if total})
+    return _system(sign_rows, value_rows, mono_index, var_index, ConcreteCoefficients, _ONE)
 
 
 def _monomial_factors(system: SignedSystem, j: int) -> str:

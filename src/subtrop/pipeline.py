@@ -1,10 +1,10 @@
 """The decision pipeline as a library: reduce, search, shrink, and read coefficient files.
 
 :func:`decide_system` is what the ``decide``, ``witness`` and ``verify``
-commands run.  :mod:`subtrop.cli` parses arguments and prints, and it
-also holds ``explain``'s writer and the cross-checks of ``decide
---check``.  :func:`decide_system` builds only the row branches the search
-needs, never the CNF.  A SAT decision carries the shrunk integer vector,
+commands run.  :mod:`subtrop.cli` parses arguments, prints and runs the
+cross-checks of ``decide --check``; ``explain``'s writer is
+:func:`~subtrop.condition.write_cnf`.  :func:`decide_system` builds only
+the row branches the search needs, never the CNF.  A SAT decision carries the shrunk integer vector,
 which :func:`~subtrop.refutation.certifies` checks, and an UNSAT one the
 search's refutation, which :func:`~subtrop.refutation.refutes` checks.
 """

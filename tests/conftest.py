@@ -1,3 +1,4 @@
+import json
 import random
 import signal
 from fractions import Fraction
@@ -70,6 +71,24 @@ def sign_row_terms(system):
         negative = [k for k, sign in enumerate(row) if sign < 0]
         terms += [(names[k], names[j], i, j, k) for k in negative for j in positive]
     return terms
+
+
+def reference_explain_json(condition) -> str:
+    """``explain --format json`` stdout, encoded as one object with list coefficients."""
+    obj = {
+        "num_vars": condition.num_vars,
+        "clauses": [
+            {
+                "row": clause.row,
+                "neg": clause.neg,
+                "literals": [
+                    {"pos": lit.pos, "coeffs": list(lit.coeffs)} for lit in clause.literals
+                ],
+            }
+            for clause in condition.clauses
+        ],
+    }
+    return json.dumps(obj) + "\n"
 
 
 def t_of(system) -> Fraction:

@@ -12,7 +12,7 @@ from subtrop.condition import build_cnf, build_dnf
 from subtrop.lra import solve_dnf
 from subtrop.pipeline import decide_system, parse_coefficient_bindings
 
-from conftest import DATA, load
+from conftest import DATA, load, reference_explain_json
 from gensys import (
     long_row_text,
     random_exponent_rows,
@@ -494,14 +494,17 @@ class TestVerify:
 
 
 class TestWitnessCalls:
-    """``verify`` computes t once, from the rows, and ``decide --check`` not at all."""
+    """``verify`` computes t once, from the rows, and ``decide --check`` not at all.
+
+    Each command checks the pipeline's vector with ``certifies`` once.
+    """
 
     @pytest.fixture
     def calls(self, monkeypatch):
         import subtrop.cli as cli
         import subtrop.witness as witness
 
-        counts = {"symbolic_t": 0, "_t_from_rows": 0}
+        counts = {"symbolic_t": 0, "_t_from_rows": 0, "certifies": 0}
         for name in counts:
             original = getattr(witness, name)
 
@@ -518,7 +521,7 @@ class TestWitnessCalls:
         # certifies alone proves f(r^n) > 0 for every coefficient choice
         code, _, err = run(capsys, "decide", DATA / "example2.spp", "--check")
         assert code == 0, err
-        assert calls == {"symbolic_t": 0, "_t_from_rows": 0}
+        assert calls == {"symbolic_t": 0, "_t_from_rows": 0, "certifies": 1}
 
     def test_check_evaluates_nothing_for_large_n(self, capsys, monkeypatch):
         # max|n| is 52,294 here: an exact evaluation of f(t^n) runs for over 15 s
@@ -539,7 +542,12 @@ class TestWitnessCalls:
             capsys, "verify", DATA / "example2.spp", "--coeffs", DATA / "example2_ones.coeffs"
         )
         assert code == 0, err
-        assert calls == {"symbolic_t": 0, "_t_from_rows": 1}
+        assert calls == {"symbolic_t": 0, "_t_from_rows": 1, "certifies": 1}
+
+    def test_witness_certifies_once(self, capsys, calls):
+        code, _, err = run(capsys, "witness", DATA / "example2.spp")
+        assert code == 0, err
+        assert calls == {"symbolic_t": 1, "_t_from_rows": 0, "certifies": 1}
 
 
 class TestLongRows:
@@ -590,24 +598,6 @@ class TestExplain:
         assert run(capsys, "decide", path)[:2] == (
             1, "UNSAT\nidentically zero polynomial in row 0\n"
         )
-
-
-def reference_explain_json(condition) -> str:
-    """``explain --format json`` stdout, encoded as one object with list coefficients."""
-    obj = {
-        "num_vars": condition.num_vars,
-        "clauses": [
-            {
-                "row": clause.row,
-                "neg": clause.neg,
-                "literals": [
-                    {"pos": lit.pos, "coeffs": list(lit.coeffs)} for lit in clause.literals
-                ],
-            }
-            for clause in condition.clauses
-        ],
-    }
-    return json.dumps(obj) + "\n"
 
 
 def explain_inputs(tmp_path):
@@ -821,7 +811,7 @@ class TestExplainBytes:
     def test_token_tables_are_cleared_past_their_bound(self, capsys, tmp_path, monkeypatch):
         # row f has 70 x 70 distinct exponent differences, more than a token table
         # keeps; row g is written after the tables were cleared
-        import subtrop.cli as cli
+        import subtrop.condition as condition
 
         positive = " + ".join(f"a{j}*x^{1000 * j}" for j in range(1, 71))
         negative = "".join(f" - b{k}*x^{k}" for k in range(1, 71))
@@ -833,10 +823,10 @@ class TestExplainBytes:
             cleared.append(len(table))
             dict.clear(table)
 
-        monkeypatch.setattr(cli._Memo, "clear", clear)
+        monkeypatch.setattr(condition._Memo, "clear", clear)
         self.assert_explain_bytes(capsys, path)
         assert cleared == [70 * 70, 70 * 70]
-        assert cli._TOKENS_KEPT < 70 * 70
+        assert condition._TOKENS_KEPT < 70 * 70
 
 
 class TestExplainPipe:

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from subtrop import instantiate, parse_system
-from subtrop.condition import build_cnf, build_dnf
+from subtrop.condition import build_cnf, build_dnf, write_cnf
 from subtrop.refutation import certifies
 
-from conftest import load
+from conftest import DATA, load, reference_explain_json
 from gensys import random_bindings, random_signed_system
 
 
@@ -77,6 +77,24 @@ class TestBuildCnf:
         lines = cond.to_debug_text().splitlines()
         assert lines[0] == "clause 0 0: [1: -3 1] [3: -5 2]"
         assert lines[2] == "clause 1 4: [0: 5 -3] [1: 2 -2] [2: 2 -3]"
+
+
+class TestWriteCnf:
+    """The writer passes build_cnf's text and JSON to any callable, with no CLI."""
+
+    @pytest.mark.parametrize("name", [path.name for path in sorted(DATA.glob("*.spp"))] + [None])
+    def test_bytes_equal_the_cnf_objects(self, name):
+        # None: row 1 has negative monomials and no positive one, an empty clause
+        text = "vars x y\npoly f = a*x - b*y\npoly g = -c*x\n"
+        system = load(name) if name else parse_system(text)
+        cond = build_cnf(system)
+        assert name or cond.clauses[-1].literals == ()
+        parts: list[str] = []
+        write_cnf(system, parts.append, False)
+        assert "".join(parts) == (cond.to_debug_text() + "\n" if cond.clauses else "")
+        parts.clear()
+        write_cnf(system, parts.append, True)
+        assert "".join(parts) == reference_explain_json(cond)
 
 
 class TestBuildDnfOneRow:
