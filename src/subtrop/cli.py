@@ -14,17 +14,18 @@ Arguments are read from one table, ``_COMMANDS``, by a short loop: building
 :mod:`argparse` parsers cost more than deciding a small system.
 
 Exit codes: 0 sat/ok, 1 unsat, 2 usage or input error (an ``OSError``, or
-any :class:`~subtrop.core.SubtropError` but the two defects below), 3 a
+any :class:`~subtrop.core.SubtropError` but the defects below), 3 a
 failed ``decide --check`` (a SAT vector that fails its condition, or an
 UNSAT refutation that fails its check), 4 solver defect: a witness
 failure (:class:`~subtrop.witness.WitnessFailure`), a failed internal check
-(:class:`~subtrop.lra.SolverDefect`, also raised by ``witness`` and ``verify``
-when the pipeline's own SAT vector fails the witness functions' gate,
-:class:`~subtrop.witness.UncertifiedExponent`) or any other unexpected
-exception, so that a crash is never read as unsat.  Reports go to stdout,
-diagnostics to stderr.  JSON output is byte-stable: the same input and
-flags always produce the same bytes.  This module holds no library code:
-the decision pipeline is :mod:`subtrop.pipeline`, and ``explain``'s writer
+(:class:`~subtrop.lra.SolverDefect`), the pipeline's own SAT vector failing
+the witness functions' gate in ``witness`` or ``verify``
+(:class:`~subtrop.witness.UncertifiedExponent`, which no other vector
+reaches here) or any other unexpected exception, so that a crash is never
+read as unsat.  Reports go to stdout, diagnostics to stderr.  JSON output
+is byte-stable: the same input and flags always produce the same bytes.
+This module holds no library code: the decision pipeline is
+:mod:`subtrop.pipeline`, and ``explain``'s writer
 is :func:`~subtrop.condition.write_cnf`.
 """
 
@@ -147,10 +148,7 @@ def cmd_witness(args) -> int:
         _print_decision(decision, args.format)
         print("no witness: the system has no positive solution scheme", file=sys.stderr)
         return 1
-    try:  # the pipeline's own vector failing the gate is a defect, not an input error
-        witness = symbolic_t(system, decision.n)
-    except UncertifiedExponent as exc:
-        raise SolverDefect(str(exc)) from None
+    witness = symbolic_t(system, decision.n)
     if args.format == "json":
         print(json.dumps(witness.to_json_dict()))
     else:
@@ -211,10 +209,7 @@ def cmd_verify(args) -> int:
         _print_decision(decision, args.format)
         return 1
     r = uniform_bound(system) if args.use_uniform_bound else None
-    try:  # the pipeline's own vector failing the gate is a defect, not an input error
-        report = verify_witness(system, decision.n, r, max_bits=args.max_bits)
-    except UncertifiedExponent as exc:
-        raise SolverDefect(str(exc)) from None
+    report = verify_witness(system, decision.n, r, max_bits=args.max_bits)
     _unlimited_digits(_print_exact_report, report, decision.n, args.format)
     return 0
 
@@ -384,7 +379,7 @@ def main(argv=None) -> int:
     except WitnessFailure as exc:
         print(f"witness failure (solver defect): {exc}", file=sys.stderr)
         return 4
-    except SolverDefect as exc:
+    except (SolverDefect, UncertifiedExponent) as exc:
         print(f"solver defect: {exc}", file=sys.stderr)
         return 4
     except (SubtropError, OSError) as exc:

@@ -6,8 +6,10 @@ monomial, a coefficient matrix of the same shape, and an exponent matrix
 whose row j is the exponent vector of monomial j over the d variables.
 Coefficients are either pairwise-distinct indeterminate names (the system
 is a template quantified over all positive coefficient values) or concrete
-positive rationals.  An exponent vector ``n`` is a plain ``tuple[int, ...]``
-with no type of its own; :mod:`subtrop.witness` checks its entries.
+positive rationals.  In both kinds a coefficient exists exactly where its
+sign is nonzero, and ``None`` marks every zero-sign position.  An exponent
+vector ``n`` is a plain ``tuple[int, ...]`` with no type of its own;
+:mod:`subtrop.witness` checks its entries.
 
 All numeric work is exact, in ints and :class:`fractions.Fraction`; nothing
 in this package touches floating point.
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from operator import is_, is_not, not_
 
 
@@ -202,29 +204,30 @@ def _as_positive_fraction(x, what: str) -> Fraction:
 
 
 class ConcreteCoefficients(_Value):
-    """Coefficient matrix of positive rationals; 1 is the placeholder at zero-sign positions."""
+    """Coefficient matrix of positive rationals.
+
+    ``None`` marks positions whose sign is zero (no coefficient exists there).
+    """
 
     __slots__ = ("values",)
-    values: tuple[tuple[Fraction, ...], ...]
+    values: tuple[tuple[Fraction | None, ...], ...]
 
     def __init__(self, values):
         super().__init__(tuple(
-            tuple(_as_positive_fraction(x, "coefficient") for x in row) for row in values
+            tuple(None if x is None else _as_positive_fraction(x, "coefficient") for x in row)
+            for row in values
         ))
 
 
 CoefficientSpec = ParametricCoefficients | ConcreteCoefficients
-
-_ONE = Fraction(1)
 
 
 class SignedSystem(_Value):
     """A polynomial system in factored sign/coefficient/exponent form.
 
     Shapes: ``s`` is u x v, ``c`` matches ``s``, ``e`` is v x d with
-    ``d == len(var_names)``.  Parametric systems carry a name exactly at
-    every nonzero-sign position; concrete systems carry the placeholder 1
-    at every zero-sign position.
+    ``d == len(var_names)``.  A coefficient, a name or a value, is present
+    exactly at the nonzero-sign positions, and ``None`` fills the others.
     """
 
     __slots__ = ("s", "e", "c", "var_names")
@@ -247,31 +250,21 @@ class SignedSystem(_Value):
             raise ValueError(
                 f"exponent matrix has {self.e.cols} columns for {len(self.var_names)} variables"
             )
-        grid = self.c.names if isinstance(self.c, ParametricCoefficients) else self.c.values
+        if isinstance(self.c, ParametricCoefficients):
+            grid, what = self.c.names, "name"
+        else:
+            grid, what = self.c.values, "value"
         if len(grid) != self.s.rows or not frozenset((self.s.cols,)).issuperset(map(len, grid)):
             raise ValueError("coefficient matrix shape does not match the sign matrix")
         # each row's check is one C-level scan; its entries are walked only to name
         # the first bad one
-        rows = enumerate(zip(self.s.entries, grid))
-        if isinstance(self.c, ParametricCoefficients):
-            for i, (sign_row, name_row) in rows:
-                if list(map(is_, name_row, repeat(None))) != list(map(not_, sign_row)):
-                    for j, (sign, name) in enumerate(zip(sign_row, name_row)):
-                        if (name is None) != (sign == 0):
-                            raise ValueError(
-                                f"coefficient name at ({i}, {j}) must be present iff the sign "
-                                "is nonzero"
-                            )
-        else:
-            for i, (sign_row, value_row) in rows:
-                placeholders = list(compress(value_row, map(not_, sign_row)))
-                if placeholders.count(_ONE) != len(placeholders):
-                    for j, (sign, value) in enumerate(zip(sign_row, value_row)):
-                        if sign == 0 and value != _ONE:
-                            raise ValueError(
-                                f"zero-sign position ({i}, {j}) must hold the placeholder 1, "
-                                f"got {value}"
-                            )
+        for i, (sign_row, row) in enumerate(zip(self.s.entries, grid)):
+            if list(map(is_, row, repeat(None))) != list(map(not_, sign_row)):
+                j = next(j for j, (sign, x) in enumerate(zip(sign_row, row))
+                         if (x is None) != (sign == 0))
+                raise ValueError(
+                    f"coefficient {what} at ({i}, {j}) must be present iff the sign is nonzero"
+                )
 
     @property
     def u(self) -> int:

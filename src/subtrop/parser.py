@@ -20,9 +20,9 @@ Parsing normalizes the monomials of all polynomials into one shared
 exponent matrix, ordered by first occurrence in the text, which makes
 repeated runs produce identical matrices.  Within one concrete polynomial,
 terms with equal exponent vectors are summed and the sign is taken from
-the sum; a sum of exactly zero leaves a zero sign entry behind.  Within
-one parametric polynomial, repeating a monomial is an error.  A number has
-at most 4300 digits (``_MAX_DIGITS``).
+the sum; a sum of exactly zero leaves a zero sign entry and no coefficient
+behind.  Within one parametric polynomial, repeating a monomial is an
+error.  A number has at most 4300 digits (``_MAX_DIGITS``).
 """
 
 from __future__ import annotations
@@ -264,21 +264,21 @@ def _read_parametric(source: str) -> SignedSystem | None:
         terms += len(names)
     if not name_rows or len(seen_names) < terms:
         return None
-    return _system(sign_rows, name_rows, mono_index, var_index, ParametricCoefficients, None)
+    return _system(sign_rows, name_rows, mono_index, var_index, ParametricCoefficients)
 
 
-def _system(sign_rows, coefficient_rows, mono_index, var_index, kind, fill) -> SignedSystem:
+def _system(sign_rows, coefficient_rows, mono_index, var_index, kind) -> SignedSystem:
     """The system whose row i has ``sign_rows[i][j]`` and ``coefficient_rows[i][j]`` at column j.
 
     ``kind`` is the coefficient type, :class:`ParametricCoefficients` or
-    :class:`ConcreteCoefficients`, and ``fill`` its entry at the columns a
-    row leaves out: None for a name, 1 for a value.  Signs are 0 there.
+    :class:`ConcreteCoefficients`.  At the columns a row leaves out, the
+    sign is 0 and the coefficient None.
     """
     v = len(mono_index)
     return SignedSystem(
         SignMatrix(tuple(_scatter(signs, 0, v) for signs in sign_rows), cols=v),
         ExponentMatrix(tuple(mono_index), cols=len(var_index)),
-        kind(tuple(_scatter(row, fill, v) for row in coefficient_rows)),
+        kind(tuple(_scatter(row, None, v) for row in coefficient_rows)),
         tuple(var_index),
     )
 
@@ -363,7 +363,7 @@ def _walk(source: str) -> SignedSystem:
                 names[col] = name
             sign_rows.append(signs)
             name_rows.append(names)
-        return _system(sign_rows, name_rows, mono_index, var_index, ParametricCoefficients, None)
+        return _system(sign_rows, name_rows, mono_index, var_index, ParametricCoefficients)
     sign_rows, value_rows = [], []
     for lineno, line, terms in polys:
         sums: dict[int, Fraction] = {}
@@ -375,10 +375,10 @@ def _walk(source: str) -> SignedSystem:
                 )
             col = mono_index.setdefault(exponents, len(mono_index))
             sums[col] = sums.get(col, 0) + sign * (_ONE if value is None else value)
-        # a column whose terms sum to 0 keeps sign 0 and the placeholder value 1
+        # a column whose terms sum to 0 keeps sign 0 and no value
         sign_rows.append({col: 1 if total > 0 else -1 for col, total in sums.items() if total})
         value_rows.append({col: abs(total) for col, total in sums.items() if total})
-    return _system(sign_rows, value_rows, mono_index, var_index, ConcreteCoefficients, _ONE)
+    return _system(sign_rows, value_rows, mono_index, var_index, ConcreteCoefficients)
 
 
 def _monomial_factors(system: SignedSystem, j: int) -> str:

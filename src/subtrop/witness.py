@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Mapping
 
 from .condition import dominance_rows
 from .core import (
-    _ONE,
     ConcreteCoefficients,
     SignedSystem,
     SubtropError,
@@ -155,22 +155,18 @@ def instantiate(system: SignedSystem, bindings: Mapping[str, Fraction | int]) ->
     """Replace parametric coefficient names by concrete positive values.
 
     Every name occurring in the system must be bound; extra bindings are
-    ignored so one value file can serve several systems.
+    ignored so one value file can serve several systems.  A zero-sign
+    position has no name and gets no value: it stays None.
     """
     if not system.is_parametric:
         raise ValueError("system already has concrete coefficients")
-    rows = []
-    for name_row in system.c.names:
-        row = []
-        for name in name_row:
-            if name is None:
-                row.append(_ONE)
-                continue
-            if name not in bindings:
-                raise UnboundCoefficient(f"no value bound for coefficient {name!r}")
-            row.append(bindings[name])
-        rows.append(tuple(row))
-    return SignedSystem(system.s, system.e, ConcreteCoefficients(tuple(rows)), system.var_names)
+    for name in filter(None, chain.from_iterable(system.c.names)):
+        if name not in bindings:
+            raise UnboundCoefficient(f"no value bound for coefficient {name!r}")
+    values = ConcreteCoefficients(tuple(
+        tuple(None if name is None else bindings[name] for name in row) for row in system.c.names
+    ))
+    return SignedSystem(system.s, system.e, values, system.var_names)
 
 
 def uniform_bound(system: SignedSystem) -> Fraction:

@@ -64,9 +64,7 @@ def random_signed_system(
     spec = ConcreteCoefficients(
         tuple(
             tuple(
-                random_positive_value(rng, integer=integer_coeffs)
-                if signs[i][j] != 0
-                else Fraction(1)
+                random_positive_value(rng, integer=integer_coeffs) if signs[i][j] != 0 else None
                 for j in range(v)
             )
             for i in range(u)

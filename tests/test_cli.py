@@ -949,11 +949,13 @@ class TestDefectExitCodes:
         assert "witness failure" in err
 
     def test_exit_code_follows_exception_class(self, capsys, monkeypatch):
-        # the two defects exit 4 with their own line; every other SubtropError is an
+        # the three defects exit 4 with their own line; every other SubtropError is an
         # input error and exits 2 with an "error: " line
         import subtrop.cli as cli
         import subtrop.oracle  # noqa: F401  (defines TooManySelections)
-        from subtrop import ParseError, SolverDefect, SubtropError, WitnessFailure
+        from subtrop import (
+            ParseError, SolverDefect, SubtropError, UncertifiedExponent, WitnessFailure,
+        )
 
         def subclasses(cls):
             for sub in cls.__subclasses__():
@@ -963,12 +965,12 @@ class TestDefectExitCodes:
         defects = {
             WitnessFailure: "witness failure (solver defect): ",
             SolverDefect: "solver defect: ",
+            UncertifiedExponent: "solver defect: ",
         }
         classes = set(subclasses(SubtropError))
         assert sorted(cls.__name__ for cls in classes - set(defects)) == [
             "NonIntegerCoefficient", "NonPositivePoint", "ParseError", "PreconditionViolated",
-            "SizeLimitExceeded", "TooManySelections", "UnboundCoefficient", "UncertifiedExponent",
-            "_InputError",
+            "SizeLimitExceeded", "TooManySelections", "UnboundCoefficient", "_InputError",
         ]
         assert set(defects) <= classes
         for cls in classes:

@@ -16,19 +16,20 @@ from subtrop.core import (
     zero_sign_rows,
 )
 from subtrop.condition import build_cnf, dominance_rows
-from subtrop.pipeline import Decision
+from subtrop.pipeline import Decision, parse_coefficient_bindings
+from subtrop.witness import instantiate
 
-from conftest import load
+from conftest import DATA, load, read_data
 from gensys import random_signed_system
 
 
 class TestMatrices:
     def test_concrete_coefficients_keep_exact_values(self):
         half = Fraction(1, 2)
-        values = ConcreteCoefficients(((half, 3, True),)).values
+        values = ConcreteCoefficients(((half, 3, True, None),)).values
         assert values[0][0] is half
-        assert values == ((half, Fraction(3), Fraction(1)),)
-        assert all(type(x) is Fraction for x in values[0])
+        assert values == ((half, Fraction(3), Fraction(1), None),)
+        assert all(type(x) is Fraction for x in values[0][:3])
         for bad, shown in [(Fraction(-1, 2), "-1/2"), (0, "0"), (-3, "-3"), (False, "0")]:
             with pytest.raises(ValueError, match=f"must be strictly positive, got {shown}$"):
                 ConcreteCoefficients(((bad,),))
@@ -88,11 +89,20 @@ class TestMatrices:
         with pytest.raises(ValueError):
             SignedSystem(s, e, c, ("x", "y"))
 
-    def test_placeholder_one_enforced_at_zero_signs(self):
-        s = SignMatrix(((1, 0),))
-        e = ExponentMatrix(((2,), (1,)), cols=1)
-        with pytest.raises(ValueError, match="placeholder"):
-            SignedSystem(s, e, ConcreteCoefficients(((1, 2),)), ("x",))
+    def test_value_errors_name_their_position(self):
+        s = SignMatrix(((1, -1, 0), (1, 0, -1)))
+        e = ExponentMatrix(((2,), (1,), (0,)), cols=1)
+        system = SignedSystem(s, e, ConcreteCoefficients(((1, 2, None), (3, None, 1))), ("x",))
+        assert system.c.values == ((1, 2, None), (3, None, 1))
+        missing = ConcreteCoefficients(((1, 2, None), (3, None, None)))
+        extra = ConcreteCoefficients(((1, 2, None), (3, 5, 1)))
+        one_at_zero_sign = ConcreteCoefficients(((1, 2, 1), (3, None, 1)))
+        for values, where in ((missing, "(1, 2)"), (extra, "(1, 1)"), (one_at_zero_sign, "(0, 2)")):
+            with pytest.raises(ValueError) as err:
+                SignedSystem(s, e, values, ("x",))
+            assert str(err.value) == (
+                f"coefficient value at {where} must be present iff the sign is nonzero"
+            )
 
     def test_parametric_name_exactly_at_nonzero_signs(self):
         s = SignMatrix(((1, 0),))
@@ -181,11 +191,6 @@ class TestMatrices:
     def test_coefficient_errors_name_their_position(self):
         s = SignMatrix(((1, -1, 0), (1, 0, -1)))
         e = ExponentMatrix(((2,), (1,), (0,)), cols=1)
-        one = Fraction(1)
-        with pytest.raises(ValueError) as err:
-            SignedSystem(s, e, ConcreteCoefficients(((1, 2, 1), (3, 5, 1))), ("x",))
-        assert str(err.value) == "zero-sign position (1, 1) must hold the placeholder 1, got 5"
-        SignedSystem(s, e, ConcreteCoefficients(((1, 2, one), (3, one, 1))), ("x",))
         missing = ParametricCoefficients((("a", "b", None), ("c", None, None)))
         extra = ParametricCoefficients((("a", "b", None), ("c", "d", "e")))
         for names, where in ((missing, "(1, 2)"), (extra, "(1, 1)")):
@@ -194,6 +199,41 @@ class TestMatrices:
             assert str(err.value) == (
                 f"coefficient name at {where} must be present iff the sign is nonzero"
             )
+
+
+def assert_none_exactly_at_zero_signs(system):
+    grid = system.c.names if system.is_parametric else system.c.values
+    absent = [[x is None for x in row] for row in grid]
+    assert absent == [[sign == 0 for sign in row] for row in system.s.entries]
+
+
+class TestCoefficientPresence:
+    """A grid of either kind holds None exactly where the sign is 0."""
+
+    @pytest.mark.parametrize("name", sorted(path.name for path in DATA.glob("*.spp")))
+    def test_data_files(self, name):
+        assert_none_exactly_at_zero_signs(load(name))
+
+    @pytest.mark.parametrize("name, coeffs", [
+        ("certify_head_42.spp", "certify_head_42.coeffs"),
+        ("example2.spp", "example2_ones.coeffs"),
+        ("intro_f.spp", "intro_ones.coeffs"),
+        ("intro_g.spp", "intro_ones.coeffs"),
+    ])
+    def test_instantiated_data_files(self, name, coeffs):
+        bindings = parse_coefficient_bindings(read_data(coeffs))
+        assert_none_exactly_at_zero_signs(instantiate(load(name), bindings))
+
+    def test_gensys_systems(self):
+        rng = random.Random(27)
+        zeros = {True: 0, False: 0}
+        for index in range(200):
+            parametric = index % 2 == 0
+            system = random_signed_system(rng, parametric=parametric, integer_coeffs=index % 4 == 1)
+            assert system.is_parametric == parametric
+            assert_none_exactly_at_zero_signs(system)
+            zeros[parametric] += sum(row.count(0) for row in system.s.entries)
+        assert min(zeros.values()) > 100
 
 
 class TestDominanceRows:

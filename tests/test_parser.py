@@ -14,6 +14,8 @@ from gensys import random_signed_system
 # orders monomial columns by first occurrence in the text, which is a column
 # permutation of these.
 SEC2_PRINTED_S = ((1, 0, -1), (0, -1, 1), (-1, 1, 0))
+# The printed coefficient matrix shows 1 at the zero signs, where no
+# coefficient exists; test_three_poly_example_matrices reads those as None.
 SEC2_PRINTED_C = ((2, 1, 4), (1, 3, 6), (1, 5, 1))
 SEC2_PRINTED_E = ((2, 1), (1, 2), (3, 0))
 
@@ -40,16 +42,19 @@ class TestGoldenParses:
         assert system.e.entries == ((2, 1), (3, 0), (1, 2))
         assert system.s.entries == ((1, -1, 0), (0, 1, -1), (-1, 0, 1))
         assert system.c.values == (
-            (Fraction(2), Fraction(4), Fraction(1)),
-            (Fraction(1), Fraction(6), Fraction(3)),
-            (Fraction(1), Fraction(1), Fraction(5)),
+            (Fraction(2), Fraction(4), None),
+            (None, Fraction(6), Fraction(3)),
+            (Fraction(1), None, Fraction(5)),
         )
         # same system as the printed matrices, up to the column permutation
         assert column_triples(system.s.entries, system.e.entries, system.c.values) == (
             column_triples(
                 SEC2_PRINTED_S,
                 SEC2_PRINTED_E,
-                tuple(tuple(Fraction(x) for x in row) for row in SEC2_PRINTED_C),
+                tuple(
+                    tuple(Fraction(x) if sign else None for x, sign in zip(row, signs))
+                    for row, signs in zip(SEC2_PRINTED_C, SEC2_PRINTED_S)
+                ),
             )
         )
 
@@ -69,7 +74,7 @@ class TestGoldenParses:
     def test_cancellation_keeps_the_zero_column(self):
         system = parse_system("vars x1\npoly g = x1 - x1\n")
         assert system.s.entries == ((0,),)
-        assert system.c.values == ((Fraction(1),),)
+        assert system.c.values == ((None,),)
         assert system.e.entries == ((1,),)
 
     def test_concrete_terms_with_equal_monomials_are_summed(self):

@@ -60,7 +60,7 @@ def positional_values(system) -> dict:
     }
 
 
-class TestRatioTerms:
+class TestSymbolicRows:
     def test_matches_sign_row_reference(self):
         # the witness's rows multiply out to the paper's pairs: row-major, then
         # negative k, then positive j; a row without positive or without
@@ -186,7 +186,7 @@ class TestSymbolicT:
         assert rows_t(witness, positional_values(concrete)) == _t_from_rows(concrete) == 3
 
 
-class TestEvaluateT:
+class TestReportedT:
     def test_unit_coefficients(self):
         system = instantiate(load("intro_f.spp"), INTRO_BINDINGS)
         assert verify_witness(system, (1,)).t_value == 3
@@ -221,15 +221,13 @@ class TestInstantiate:
         system = instantiate(load("intro_f.spp"), {**INTRO_BINDINGS, "spare": Fraction(9)})
         assert system.c.values == ((Fraction(1), Fraction(1), Fraction(1)),)
 
-    def test_bound_fractions_are_kept_and_placeholders_shared(self):
-        from subtrop.core import _ONE
-
+    def test_bound_fractions_are_kept_and_zero_signs_stay_none(self):
         template = load("example2.spp")
         bindings = random_bindings(random.Random(28), template)
         system = instantiate(template, bindings)
         for name_row, value_row in zip(template.c.names, system.c.values):
             for name, value in zip(name_row, value_row):
-                assert value is (_ONE if name is None else bindings[name])
+                assert value is (None if name is None else bindings[name])
 
     def test_decision_is_unchanged_by_instantiation(self):
         rng = random.Random(22)
@@ -435,7 +433,7 @@ def certified_system(rng: random.Random):
             row[j] = 1 if heights[j] == top or no_negative else rng.choice((-1, 1))
         signs.append(tuple(row))
     values = tuple(
-        tuple(random_positive_value(rng) if x else Fraction(1) for x in row) for row in signs
+        tuple(random_positive_value(rng) if x else None for x in row) for row in signs
     )
     system = SignedSystem(
         SignMatrix(tuple(signs), cols=len(exps)),
