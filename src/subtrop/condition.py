@@ -41,7 +41,7 @@ system.  :func:`shrink` walks n toward 0 inside that polyhedron.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import compress, repeat
+from itertools import repeat
 from operator import getitem, mul, sub
 
 from .core import SignedSystem, _Value
@@ -118,13 +118,11 @@ def dominance_rows(system: SignedSystem) -> Iterator[tuple[int, list[int], list[
     :func:`build_cnf` and ``explain``, branches in increasing pos and forms
     in increasing neg for :func:`build_dnf`.
     """
-    columns = range(system.s.cols)
-    for i, row in enumerate(system.s.entries):
-        # one C-level scan finds the nonzero signs; only those are read in Python
-        support = list(compress(columns, row))
-        negative = [k for k in support if row[k] < 0]
+    for i, terms in enumerate(system.s.entries):
+        # a row holds only its terms, in increasing column, so this reads no other column
+        negative = [k for k, sign in terms if sign < 0]
         if negative:
-            yield i, [j for j in support if row[j] > 0], negative
+            yield i, [j for j, sign in terms if sign > 0], negative
 
 
 def build_cnf(system: SignedSystem) -> LinearCondition:

@@ -1,15 +1,15 @@
 """Value types shared by every stage of the positivity pipeline.
 
 A system of polynomial inequalities ``f_i(x) > 0`` is stored in factored
-form: a sign matrix with one row per inequality and one column per
-monomial, a coefficient matrix of the same shape, and an exponent matrix
-whose row j is the exponent vector of monomial j over the d variables.
-Coefficients are either pairwise-distinct indeterminate names (the system
-is a template quantified over all positive coefficient values) or concrete
-positive rationals.  In both kinds a coefficient exists exactly where its
-sign is nonzero, and ``None`` marks every zero-sign position.  An exponent
-vector ``n`` is a plain ``tuple[int, ...]`` with no type of its own;
-:mod:`subtrop.witness` checks its entries.
+form, each row by its terms alone: sign row i holds a pair ``(j, sign)``,
+sign -1 or 1, for each monomial j of ``f_i``, in increasing j, and
+coefficient row i one coefficient per pair, in the same order.  Row j of
+the dense exponent matrix is the exponent vector of monomial j over the d
+variables.  Coefficients are either pairwise-distinct indeterminate names
+(the system is a template quantified over all positive coefficient values)
+or concrete positive rationals.  An exponent vector ``n`` is a plain
+``tuple[int, ...]`` with no type of its own; :mod:`subtrop.witness` checks
+its entries.
 
 All numeric work is exact, in ints and :class:`fractions.Fraction`; nothing
 in this package touches floating point.
@@ -17,10 +17,10 @@ in this package touches floating point.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from functools import partial
-from itertools import chain, repeat
-from operator import is_, is_not, not_
+from itertools import chain
+from operator import lt
 
 
 class SubtropError(Exception):
@@ -85,36 +85,16 @@ def _require_int(x, what: str) -> int:
 
 _INT = frozenset((int,))
 _STR = frozenset((str,))
-
-
-def _freeze_int_matrix(entries, cols: int, what: str) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """``(entries, cols)`` with ``entries`` frozen, after checking that rows have ``cols`` ints.
-
-    A negative ``cols`` means "take it from the first row", which needs at
-    least one row.  The common case is checked by two C-level scans; only
-    when one fails are the rows walked in Python, to accept ``int``
-    subclasses or name the first bad row or entry.
-    """
-    entries = _frozen_rows(entries)
-    if cols < 0:
-        if not entries:
-            raise ValueError(f"cols is required for {what} matrices with no rows")
-        cols = len(entries[0])
-    if not (frozenset((cols,)).issuperset(map(len, entries))
-            and _INT.issuperset(map(type, chain.from_iterable(entries)))):
-        for row in entries:
-            if len(row) != cols:
-                raise ValueError(f"{what} row {row} has {len(row)} entries, expected {cols}")
-            for x in row:
-                _require_int(x, what)
-    return entries, cols
+_PAIR = frozenset((tuple,))
 
 
 class ExponentMatrix(_Value):
     """v x d matrix of nonnegative integers; row j is the exponent vector of monomial j.
 
     ``cols`` may be omitted when there is at least one row.  No two rows may
-    be equal: each monomial appears exactly once.
+    be equal: each monomial appears exactly once.  The common case is
+    checked by C-level scans; only when one fails are the rows walked in
+    Python, to accept ``int`` subclasses or name the first bad row or entry.
     """
 
     __slots__ = ("entries", "cols")
@@ -122,7 +102,18 @@ class ExponentMatrix(_Value):
     cols: int
 
     def __init__(self, entries, cols: int = -1):
-        entries, cols = _freeze_int_matrix(entries, cols, "exponent")
+        entries = _frozen_rows(entries)
+        if cols < 0:
+            if not entries:
+                raise ValueError("cols is required for exponent matrices with no rows")
+            cols = len(entries[0])
+        if not (frozenset((cols,)).issuperset(map(len, entries))
+                and _INT.issuperset(map(type, chain.from_iterable(entries)))):
+            for row in entries:
+                if len(row) != cols:
+                    raise ValueError(f"exponent row {row} has {len(row)} entries, expected {cols}")
+                for x in row:
+                    _require_int(x, "exponent")
         if min(chain.from_iterable(entries), default=0) < 0 or len(set(entries)) < len(entries):
             seen = set()
             for row in entries:
@@ -142,21 +133,52 @@ class ExponentMatrix(_Value):
         return self.entries[j]
 
 
-_SIGNS = frozenset((-1, 0, 1))
+_SIGNS = frozenset((-1, 1))
+
+
+def _check_terms(i: int, row: tuple, cols: int):
+    """Raise the error of the first bad term of sign row ``i``; accept ``int`` subclasses."""
+    last = -1
+    for t, pair in enumerate(row):
+        if type(pair) is not tuple or len(pair) != 2:
+            raise TypeError(f"term {t} of sign row {i} must be a (column, sign) pair, got {pair!r}")
+        j, sign = pair
+        _require_int(j, f"column of term {t} of sign row {i}")
+        if not 0 <= j < cols:
+            raise ValueError(f"column {j} of sign row {i} is outside 0..{cols - 1}")
+        if j <= last:
+            raise ValueError(f"column {j} of sign row {i} does not come after column {last}")
+        _require_int(sign, f"sign at ({i}, {j})")
+        if sign not in _SIGNS:
+            raise ValueError(f"sign at ({i}, {j}) must be -1 or 1, got {sign}")
+        last = j
 
 
 class SignMatrix(_Value):
-    """u x v matrix over {-1, 0, 1}; entry (i, j) is the sign of monomial j in row i."""
+    """u rows over v monomial columns, each holding only its nonzero signs.
+
+    Row i is the tuple of its terms ``(j, sign)``, sign -1 or 1, in strictly
+    increasing j in ``range(cols)``; a column that a row leaves out has sign
+    0 there.  Storage and checks are O(terms), whatever ``cols`` is.
+    """
 
     __slots__ = ("entries", "cols")
-    entries: tuple[tuple[int, ...], ...]
+    entries: tuple[tuple[tuple[int, int], ...], ...]
     cols: int
 
-    def __init__(self, entries, cols: int = -1):
-        entries, cols = _freeze_int_matrix(entries, cols, "sign")
-        if not _SIGNS.issuperset(chain.from_iterable(entries)):
-            bad = next(x for x in chain.from_iterable(entries) if x not in _SIGNS)
-            raise ValueError(f"sign entries must be -1, 0 or 1, got {bad}")
+    def __init__(self, entries, cols: int):
+        _require_int(cols, "cols")
+        entries = _frozen_rows(entries)
+        for i, row in enumerate(entries):
+            # C-level scans of the row's terms; only a row that fails one is walked
+            if not (_PAIR.issuperset(map(type, row)) and frozenset((2,)).issuperset(map(len, row))):
+                _check_terms(i, row, cols)
+            elif row:
+                columns, signs = zip(*row)
+                if not (_INT.issuperset(map(type, chain(columns, signs)))
+                        and _SIGNS.issuperset(signs) and 0 <= columns[0] and columns[-1] < cols
+                        and all(map(lt, columns, columns[1:]))):
+                    _check_terms(i, row, cols)
         super().__init__(entries, cols)
 
     @property
@@ -165,57 +187,53 @@ class SignMatrix(_Value):
 
 
 class ParametricCoefficients(_Value):
-    """Coefficient matrix of pairwise-distinct indeterminate names.
-
-    ``None`` marks positions whose sign is zero (no coefficient exists there).
-    """
+    """Pairwise-distinct indeterminate names, row i one per term of sign row i, in its order."""
 
     __slots__ = ("names",)
-    names: tuple[tuple[str | None, ...], ...]
+    names: tuple[tuple[str, ...], ...]
 
     def __init__(self, names):
         names = _frozen_rows(names)
-        present = list(filter(partial(is_not, None), chain.from_iterable(names)))
-        # C-level scans: the names but None are of type str, nonempty and unique; the
-        # walk below runs only when one fails, to name the first bad name
-        unique = set(present) if _STR.issuperset(map(type, present)) else ()
-        if len(unique) < len(present) or "" in unique:
+        flat = list(chain.from_iterable(names))
+        # C-level scans: the names are of type str, nonempty and unique; the walk
+        # below runs only when one fails, to name the first bad name
+        unique = set(flat) if _STR.issuperset(map(type, flat)) else ()
+        if len(unique) < len(flat) or "" in unique:
             seen: set[str] = set()
-            for name in chain.from_iterable(names):
-                if name is None:
-                    continue
-                if not isinstance(name, str) or not name:
-                    raise TypeError(f"coefficient name must be a nonempty string, got {name!r}")
-                if name in seen:
-                    raise ValueError(f"duplicate coefficient name {name!r}")
-                seen.add(name)
+            for i, row in enumerate(names):
+                for t, name in enumerate(row):
+                    if not isinstance(name, str) or not name:
+                        raise TypeError(f"name {t} of coefficient row {i} must be a nonempty "
+                                        f"string, got {name!r}")
+                    if name in seen:
+                        raise ValueError(f"duplicate coefficient name {name!r}: name {t} of "
+                                         f"coefficient row {i}")
+                    seen.add(name)
         super().__init__(names)
 
 
-def _as_positive_fraction(x, what: str) -> Fraction:
-    # an exact Fraction is kept as it is; a normalised Fraction has a positive
-    # denominator, so the numerator carries the sign
+def _as_positive_fraction(x, i: int, t: int) -> Fraction:
+    # value t of coefficient row i; an exact Fraction is kept as it is, and a
+    # normalised Fraction has a positive denominator, so the numerator carries the sign
     if isinstance(x, float):
-        raise TypeError(f"{what} must not be a float (exact rationals only): {x!r}")
+        raise TypeError(f"value {t} of coefficient row {i} must not be a float "
+                        f"(exact rationals only): {x!r}")
     value = x if type(x) is Fraction else Fraction(x)
     if value.numerator <= 0:
-        raise ValueError(f"{what} must be strictly positive, got {value}")
+        raise ValueError(f"value {t} of coefficient row {i} must be strictly positive, got {value}")
     return value
 
 
 class ConcreteCoefficients(_Value):
-    """Coefficient matrix of positive rationals.
-
-    ``None`` marks positions whose sign is zero (no coefficient exists there).
-    """
+    """Positive rationals, row i one per term of sign row i, in its order."""
 
     __slots__ = ("values",)
-    values: tuple[tuple[Fraction | None, ...], ...]
+    values: tuple[tuple[Fraction, ...], ...]
 
     def __init__(self, values):
         super().__init__(tuple(
-            tuple(None if x is None else _as_positive_fraction(x, "coefficient") for x in row)
-            for row in values
+            tuple([_as_positive_fraction(x, i, t) for t, x in enumerate(row)])
+            for i, row in enumerate(values)
         ))
 
 
@@ -225,9 +243,8 @@ CoefficientSpec = ParametricCoefficients | ConcreteCoefficients
 class SignedSystem(_Value):
     """A polynomial system in factored sign/coefficient/exponent form.
 
-    Shapes: ``s`` is u x v, ``c`` matches ``s``, ``e`` is v x d with
-    ``d == len(var_names)``.  A coefficient, a name or a value, is present
-    exactly at the nonzero-sign positions, and ``None`` fills the others.
+    Shapes: ``s`` has u rows over v columns, ``c`` one coefficient per term
+    of ``s``, and ``e`` is v x d with ``d == len(var_names)``.
     """
 
     __slots__ = ("s", "e", "c", "var_names")
@@ -251,20 +268,18 @@ class SignedSystem(_Value):
                 f"exponent matrix has {self.e.cols} columns for {len(self.var_names)} variables"
             )
         if isinstance(self.c, ParametricCoefficients):
-            grid, what = self.c.names, "name"
+            rows, what = self.c.names, "name"
         else:
-            grid, what = self.c.values, "value"
-        if len(grid) != self.s.rows or not frozenset((self.s.cols,)).issuperset(map(len, grid)):
+            rows, what = self.c.values, "value"
+        if len(rows) != self.s.rows:
             raise ValueError("coefficient matrix shape does not match the sign matrix")
-        # each row's check is one C-level scan; its entries are walked only to name
-        # the first bad one
-        for i, (sign_row, row) in enumerate(zip(self.s.entries, grid)):
-            if list(map(is_, row, repeat(None))) != list(map(not_, sign_row)):
-                j = next(j for j, (sign, x) in enumerate(zip(sign_row, row))
-                         if (x is None) != (sign == 0))
+        for i, (terms, row) in enumerate(zip(self.s.entries, rows)):
+            if len(row) < len(terms):
+                raise ValueError(f"coefficient {what} at ({i}, {terms[len(row)][0]}) must be "
+                                 "present iff the sign is nonzero")
+            if len(row) > len(terms):
                 raise ValueError(
-                    f"coefficient {what} at ({i}, {j}) must be present iff the sign is nonzero"
-                )
+                    f"coefficient row {i} has {len(row)} {what}s for {len(terms)} terms")
 
     @property
     def u(self) -> int:
@@ -283,15 +298,19 @@ class SignedSystem(_Value):
         return isinstance(self.c, ParametricCoefficients)
 
     def coefficient_name(self, i: int, j: int) -> str:
-        """Name of coefficient (i, j); concrete systems get positional names c_<i+1>_<j+1>."""
+        """Name of coefficient (i, j); concrete systems get positional names c_<i+1>_<j+1>.
+
+        A zero-sign position has no coefficient, in either kind, and raises ValueError.
+        """
+        terms = self.s.entries[i]
+        t = bisect_left(terms, (j,))  # (j,) sorts before every (j, sign)
+        if t == len(terms) or terms[t][0] != j:
+            raise ValueError(f"no coefficient exists at zero-sign position ({i}, {j})")
         if isinstance(self.c, ParametricCoefficients):
-            name = self.c.names[i][j]
-            if name is None:
-                raise ValueError(f"no coefficient exists at zero-sign position ({i}, {j})")
-            return name
+            return self.c.names[i][t]
         return f"c_{i + 1}_{j + 1}"
 
 
 def zero_sign_rows(system: SignedSystem) -> tuple[int, ...]:
-    """Indices of rows whose polynomial is identically zero (every sign entry is 0)."""
-    return tuple(i for i, row in enumerate(system.s.entries) if not any(row))
+    """Indices of rows whose polynomial is identically zero (no term)."""
+    return tuple(i for i, terms in enumerate(system.s.entries) if not terms)

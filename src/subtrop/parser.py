@@ -20,9 +20,9 @@ Parsing normalizes the monomials of all polynomials into one shared
 exponent matrix, ordered by first occurrence in the text, which makes
 repeated runs produce identical matrices.  Within one concrete polynomial,
 terms with equal exponent vectors are summed and the sign is taken from
-the sum; a sum of exactly zero leaves a zero sign entry and no coefficient
-behind.  Within one parametric polynomial, repeating a monomial is an
-error.  A number has at most 4300 digits (``_MAX_DIGITS``).
+the sum; a sum of exactly zero leaves no term behind, though its monomial
+keeps its column.  Within one parametric polynomial, repeating a monomial
+is an error.  A number has at most 4300 digits (``_MAX_DIGITS``).
 """
 
 from __future__ import annotations
@@ -168,14 +168,6 @@ def _parse_terms(
         i += 1
 
 
-def _scatter(entries: dict[int, object], fill, v: int) -> tuple:
-    """Dense row of length ``v``: ``entries[j]`` at the columns it names, ``fill`` elsewhere."""
-    row = [fill] * v
-    for j, x in entries.items():
-        row[j] = x
-    return tuple(row)
-
-
 def parse_system(source: str) -> SignedSystem:
     """Parse ``.spp`` text into a :class:`SignedSystem`.
 
@@ -268,17 +260,22 @@ def _read_parametric(source: str) -> SignedSystem | None:
 
 
 def _system(sign_rows, coefficient_rows, mono_index, var_index, kind) -> SignedSystem:
-    """The system whose row i has ``sign_rows[i][j]`` and ``coefficient_rows[i][j]`` at column j.
+    """The system whose row i has the terms ``sign_rows[i]``, dicts keyed by column j.
 
-    ``kind`` is the coefficient type, :class:`ParametricCoefficients` or
-    :class:`ConcreteCoefficients`.  At the columns a row leaves out, the
-    sign is 0 and the coefficient None.
+    ``coefficient_rows[i]`` has the same keys, and ``kind`` is
+    :class:`ParametricCoefficients` or :class:`ConcreteCoefficients`.  Each
+    row keeps only its terms, sorted by column: the pairs ``(j, sign)`` and
+    their coefficients, so nothing is built for a column a row leaves out.
     """
-    v = len(mono_index)
+    signs, coefficients = [], []
+    for sign_row, coefficient_row in zip(sign_rows, coefficient_rows):
+        columns = sorted(sign_row)
+        signs.append(tuple(zip(columns, map(sign_row.__getitem__, columns))))
+        coefficients.append(tuple(map(coefficient_row.__getitem__, columns)))
     return SignedSystem(
-        SignMatrix(tuple(_scatter(signs, 0, v) for signs in sign_rows), cols=v),
+        SignMatrix(signs, len(mono_index)),
         ExponentMatrix(tuple(mono_index), cols=len(var_index)),
-        kind(tuple(_scatter(row, None, v) for row in coefficient_rows)),
+        kind(coefficients),
         tuple(var_index),
     )
 
@@ -390,60 +387,52 @@ def _monomial_factors(system: SignedSystem, j: int) -> str:
     return "*".join(factors)
 
 
-def _term_body(system: SignedSystem, i: int, j: int) -> str:
+def _term_body(system: SignedSystem, j: int, coefficient) -> str:
     factors = _monomial_factors(system, j)
     if system.is_parametric:
-        name = system.c.names[i][j]
-        return f"{name}*{factors}" if factors else name
-    value = system.c.values[i][j]
+        return f"{coefficient}*{factors}" if factors else coefficient
     if not factors:
-        return str(value)
-    return factors if value == 1 else f"{value}*{factors}"
+        return str(coefficient)
+    return factors if coefficient == 1 else f"{coefficient}*{factors}"
 
 
 def print_system(system: SignedSystem) -> str:
     """Canonical text for a system; re-parsing it reproduces the system exactly.
 
-    Rows are printed in order, each listing its nonzero terms by monomial
-    column.  Monomial columns that would otherwise first appear too late to
+    Rows are printed in order, each listing its terms by monomial column.
+    Monomial columns that would otherwise first appear too late to
     reproduce the original column order (possible after concrete-mode
-    cancellations), and rows with no nonzero term at all, are represented by
-    a canceling ``+ m - m`` pair, which parses back to a zero sign entry.
+    cancellations), and rows with no term at all, are represented by a
+    canceling ``+ m - m`` pair, which parses back to a zero sign entry.
     """
     lines = ["vars " + " ".join(system.var_names)]
-    u, v = system.u, system.v
-    signs = system.s.entries
+    u, v, rows = system.u, system.v, system.s.entries
+    coefficients = system.c.names if system.is_parametric else system.c.values
     inserted: dict[int, set[int]] = {}
     if u and not system.is_parametric:
-        first_nonzero = [
-            next((i for i in range(u) if signs[i][j] != 0), u) for j in range(v)
-        ]
-        required = list(first_nonzero)
-        for j in range(v - 2, -1, -1):
-            required[j] = min(required[j], required[j + 1])
-        for j in range(v):
-            row = min(required[j], u - 1)
-            if row < first_nonzero[j]:
+        # the first row with a term at each column, as each row overwrites the later ones
+        first = {j: i for i in range(u - 1, -1, -1) for j, _ in rows[i]}
+        required = u  # the least first row over this column and every later one
+        for j in range(v - 1, -1, -1):
+            required = min(required, first.get(j, u))
+            row = min(required, u - 1)
+            if row < first.get(j, u):
                 inserted.setdefault(row, set()).add(j)
-    for i in range(u):
+    for i, (terms, row) in enumerate(zip(rows, coefficients)):
         pairs = inserted.get(i, set())
-        cols = sorted({j for j in range(v) if signs[i][j] != 0} | pairs)
-        if not cols:
+        if not (terms or pairs):
             if system.is_parametric or v == 0:
                 raise ValueError(f"row {i} has no printable term")
-            cols = [0]
             pairs = {0}
-        pieces: list[tuple[int, str]] = []
-        for j in cols:
-            if j in pairs:
-                body = _monomial_factors(system, j) or "1"
-                pieces.append((1, body))
-                pieces.append((-1, body))
-            else:
-                pieces.append((signs[i][j], _term_body(system, i, j)))
-        first_sign, first_body = pieces[0]
+        pieces: list[tuple[int, int, str]] = []
+        for j in pairs:
+            body = _monomial_factors(system, j) or "1"
+            pieces += [(j, 1, body), (j, -1, body)]
+        pieces += [(j, sign, _term_body(system, j, c)) for (j, sign), c in zip(terms, row)]
+        pieces.sort(key=lambda piece: piece[0])  # stable: a pair keeps its + before its -
+        _, first_sign, first_body = pieces[0]
         text = ("-" if first_sign < 0 else "") + first_body
-        for sign, body in pieces[1:]:
+        for _, sign, body in pieces[1:]:
             text += (" - " if sign < 0 else " + ") + body
         lines.append(f"poly f{i + 1} = {text}")
     return "\n".join(lines) + "\n"

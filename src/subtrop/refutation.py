@@ -32,7 +32,7 @@ from __future__ import annotations
 
 
 def certifies(system, n) -> bool:
-    """True when ``n`` satisfies the dominance condition of ``system``, in O(u*v + v*d) steps.
+    """True when ``n`` satisfies the dominance condition of ``system``, in O(terms + v*d) steps.
 
     A row without negative monomials passes, and a row with negative but no
     positive monomials fails.  Exact for ``int`` and ``Fraction`` entries; a vector of the
@@ -41,9 +41,9 @@ def certifies(system, n) -> bool:
     if len(n) != system.e.cols:
         raise ValueError(f"expected a vector of length {system.e.cols}, got {len(n)}")
     heights = [sum(a * x for a, x in zip(exps, n)) for exps in system.e.entries]
-    for signs in system.s.entries:
-        negative = [h for h, sign in zip(heights, signs) if sign < 0]
-        positive = [h for h, sign in zip(heights, signs) if sign > 0]
+    for terms in system.s.entries:
+        negative = [heights[k] for k, sign in terms if sign < 0]
+        positive = [heights[j] for j, sign in terms if sign > 0]
         if negative and (not positive or max(positive) < max(negative) + 1):
             return False
     return True
@@ -58,10 +58,10 @@ def refutes(system, tree) -> bool:
     """
     exponents = system.e.entries
     rows = []  # (positive, negative) of each row with negative monomials
-    for signs in system.s.entries:
-        negative = [k for k, sign in enumerate(signs) if sign < 0]
+    for terms in system.s.entries:
+        negative = [k for k, sign in terms if sign < 0]
         if negative:
-            rows.append(([j for j, sign in enumerate(signs) if sign > 0], negative))
+            rows.append(([j for j, sign in terms if sign > 0], negative))
     stack = [(tree, frozenset())]  # a subtree and the literals chosen on its path
     while stack:
         item, chosen = stack.pop()

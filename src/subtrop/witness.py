@@ -155,36 +155,30 @@ def instantiate(system: SignedSystem, bindings: Mapping[str, Fraction | int]) ->
     """Replace parametric coefficient names by concrete positive values.
 
     Every name occurring in the system must be bound; extra bindings are
-    ignored so one value file can serve several systems.  A zero-sign
-    position has no name and gets no value: it stays None.
+    ignored so one value file can serve several systems.  Each term's value
+    takes the place of its name.
     """
     if not system.is_parametric:
         raise ValueError("system already has concrete coefficients")
-    for name in filter(None, chain.from_iterable(system.c.names)):
+    for name in chain.from_iterable(system.c.names):
         if name not in bindings:
             raise UnboundCoefficient(f"no value bound for coefficient {name!r}")
-    values = ConcreteCoefficients(tuple(
-        tuple(None if name is None else bindings[name] for name in row) for row in system.c.names
-    ))
+    values = ConcreteCoefficients(tuple(map(bindings.__getitem__, row)) for row in system.c.names)
     return SignedSystem(system.s, system.e, values, system.var_names)
 
 
 def uniform_bound(system: SignedSystem) -> Fraction:
     """``1 + v * (sum of all negative-sign coefficients)`` for integer systems.
 
-    Requires concrete integer coefficients >= 1 at every nonzero-sign
-    position.  The sum runs over the negative entries of the whole matrix,
-    so the result dominates the analogous bound of any single row and in
-    particular dominates t.
+    Requires concrete integer coefficients >= 1 on every term.  The sum
+    runs over the negative terms of every row, so the result dominates the
+    analogous bound of any single row and in particular dominates t.
     """
     if system.is_parametric:
         raise NonIntegerCoefficient("the bound needs concrete integer coefficients")
     total = Fraction(0)
-    for i, sign_row in enumerate(system.s.entries):
-        for j, sign in enumerate(sign_row):
-            if sign == 0:
-                continue
-            value = system.c.values[i][j]
+    for i, (terms, values) in enumerate(zip(system.s.entries, system.c.values)):
+        for (j, sign), value in zip(terms, values):
             if value.denominator != 1:
                 raise NonIntegerCoefficient(f"coefficient ({i}, {j}) = {value} is not an integer")
             if sign < 0:
@@ -210,7 +204,7 @@ def _row_values(system: SignedSystem, coords) -> list[tuple[int, int]]:
     ]
     values = []
     for sign_row, value_row in zip(system.s.entries, system.c.values):
-        terms = [(s, c, m) for s, c, m in zip(sign_row, value_row, monomials) if s != 0]
+        terms = [(s, c, monomials[j]) for (j, s), c in zip(sign_row, value_row)]
         den = math.lcm(*(c.denominator for _, c, _ in terms))
         total = sum(s * c.numerator * (den // c.denominator) * m for s, c, m in terms)
         values.append((total, den * common))
@@ -250,20 +244,20 @@ def _t_from_rows(system: SignedSystem) -> Fraction:
     without negative monomials contributes an empty sum, 0, and those are
     the rows that :func:`~subtrop.condition.dominance_rows` skips.  So
     ``t = 1 + sum_i (sum_{k in N_i} c_k) * (sum_{j in P_i} 1 / c_j)``, over
-    the rows it yields, as the same rational.
+    the rows it yields, as the same rational.  Each row's terms are read
+    side by side with its coefficients.
 
     With ``c = p / q`` in lowest terms, ``sum_k c_k = a / b`` over
     ``b = lcm(q_k)`` and ``sum_j 1 / c_j = sum_j q_j / p_j = a' / b'`` over
     ``b' = lcm(p_j)``, so row i adds ``a a' / (b b')``.  The rows are added
     over the lcm of their denominators, and one Fraction is built at the end.
     """
-    values = system.c.values
-    numerators = []
-    denominators = []
-    for i, positive, negative in dominance_rows(system):
-        row = values[i]
-        neg = [row[k] for k in negative]
-        pos = [row[j] for j in positive]
+    numerators, denominators = [], []
+    for terms, row in zip(system.s.entries, system.c.values):
+        neg = [c for (_, sign), c in zip(terms, row) if sign < 0]
+        if not neg:
+            continue
+        pos = [c for (_, sign), c in zip(terms, row) if sign > 0]
         neg_den = math.lcm(*(c.denominator for c in neg))
         neg_sum = sum(c.numerator * (neg_den // c.denominator) for c in neg)
         pos_den = math.lcm(*(c.numerator for c in pos))

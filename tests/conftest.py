@@ -55,6 +55,18 @@ def time_limit():
         signal.signal(signal.SIGALRM, previous)
 
 
+def dense_signs(system) -> tuple[tuple[int, ...], ...]:
+    """The u x v sign matrix of ``system``, with 0 at every column a row has no term at."""
+    rows = [dict(row) for row in system.s.entries]
+    return tuple(tuple(row.get(j, 0) for j in range(system.v)) for row in rows)
+
+
+def coefficients_by_column(system, i: int) -> dict:
+    """Row ``i``'s coefficients, names or values, keyed by the column of their term."""
+    row = system.c.names[i] if system.is_parametric else system.c.values[i]
+    return dict(zip([j for j, _ in system.s.entries[i]], row))
+
+
 def sign_row_terms(system):
     """The paper's pairwise terms of t, read from the sign rows and the naming rule.
 
@@ -64,11 +76,11 @@ def sign_row_terms(system):
     terms = []
     for i, row in enumerate(system.s.entries):
         if system.is_parametric:
-            names = system.c.names[i]
+            names = coefficients_by_column(system, i)
         else:
-            names = [f"c_{i + 1}_{j + 1}" for j in range(len(row))]
-        positive = [j for j, sign in enumerate(row) if sign > 0]
-        negative = [k for k, sign in enumerate(row) if sign < 0]
+            names = {j: f"c_{i + 1}_{j + 1}" for j, _ in row}
+        positive = [j for j, sign in row if sign > 0]
+        negative = [k for k, sign in row if sign < 0]
         terms += [(names[k], names[j], i, j, k) for k in negative for j in positive]
     return terms
 
@@ -93,7 +105,7 @@ def reference_explain_json(condition) -> str:
 
 def t_of(system) -> Fraction:
     """The paper's t of a concrete system, summed pairwise: 1 + sum of c_neg / c_pos."""
-    values = system.c.values
+    values = [coefficients_by_column(system, i) for i in range(system.u)]
     return Fraction(1) + sum(values[i][k] / values[i][j] for *_, i, j, k in sign_row_terms(system))
 
 

@@ -61,29 +61,30 @@ def random_signed_system(
     signs = random_sign_rows(rng, u, v, ensure_positive=ensure_positive)
     if parametric:
         return template_system(signs, exps)
+    terms = sparse_rows(signs)
     spec = ConcreteCoefficients(
-        tuple(
-            tuple(
-                random_positive_value(rng, integer=integer_coeffs) if signs[i][j] != 0 else None
-                for j in range(v)
-            )
-            for i in range(u)
-        )
+        tuple(tuple(random_positive_value(rng, integer=integer_coeffs) for _ in row)
+              for row in terms)
     )
     var_names = tuple(f"x{i + 1}" for i in range(d))
-    return SignedSystem(SignMatrix(signs, cols=v), ExponentMatrix(exps, cols=d), spec, var_names)
+    return SignedSystem(SignMatrix(terms, v), ExponentMatrix(exps, cols=d), spec, var_names)
+
+
+def sparse_rows(signs):
+    """The ``(column, sign)`` terms of each dense sign row, as :class:`SignMatrix` stores them."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in signs)
 
 
 def template_system(signs, exps) -> SignedSystem:
-    """The template with coefficient ``k<i>_<j>`` on every signed entry (1-based)."""
-    u, v, d = len(signs), len(exps), len(exps[0])
-    names = tuple(
-        tuple(f"k{i + 1}_{j + 1}" if signs[i][j] != 0 else None for j in range(v))
-        for i in range(u)
-    )
-    var_names = tuple(f"x{i + 1}" for i in range(d))
+    """The template with coefficient ``k<i>_<j>`` on every signed entry (1-based).
+
+    ``signs`` holds dense rows over the columns of ``exps``.
+    """
+    terms = sparse_rows(signs)
+    names = tuple(tuple(f"k{i + 1}_{j + 1}" for j, _ in row) for i, row in enumerate(terms))
+    var_names = tuple(f"x{i + 1}" for i in range(len(exps[0])))
     return SignedSystem(
-        SignMatrix(signs, cols=v), ExponentMatrix(exps, cols=d),
+        SignMatrix(terms, len(exps)), ExponentMatrix(exps, cols=len(exps[0])),
         ParametricCoefficients(names), var_names,
     )
 
@@ -95,12 +96,7 @@ def random_positive_value(rng: random.Random, *, integer: bool = False) -> Fract
 
 
 def random_bindings(rng: random.Random, system: SignedSystem) -> dict[str, Fraction]:
-    return {
-        name: random_positive_value(rng)
-        for row in system.c.names
-        for name in row
-        if name is not None
-    }
+    return {name: random_positive_value(rng) for row in system.c.names for name in row}
 
 
 def random_condition(

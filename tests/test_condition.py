@@ -58,11 +58,11 @@ class TestBuildCnf:
             system = random_signed_system(rng, parametric=True, ensure_positive=False)
             cond = build_cnf(system)
             rows = system.s.entries
-            assert len(cond.clauses) == sum(x < 0 for row in rows for x in row)
+            assert len(cond.clauses) == sum(x < 0 for row in rows for _, x in row)
             for clause in cond.clauses:
-                row = rows[clause.row]
+                row = dict(rows[clause.row])
                 assert row[clause.neg] < 0
-                assert [l.pos for l in clause.literals] == [j for j, x in enumerate(row) if x > 0]
+                assert [l.pos for l in clause.literals] == [j for j, x in row.items() if x > 0]
 
     def test_condition_ignores_coefficient_values(self):
         rng = random.Random(12)

@@ -2,11 +2,12 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
 from subtrop import SignedSystem
-from subtrop import decide_system, symbolic_t, verify_witness
+from subtrop import decide_system, parse_system, print_system, symbolic_t, verify_witness
 from subtrop.core import (
     ConcreteCoefficients,
     ExponentMatrix,
@@ -19,17 +20,17 @@ from subtrop.condition import build_cnf, dominance_rows
 from subtrop.pipeline import Decision, parse_coefficient_bindings
 from subtrop.witness import instantiate
 
-from conftest import DATA, load, read_data
-from gensys import random_signed_system
+from conftest import DATA, dense_signs, load, read_data
+from gensys import random_exponent_rows, random_signed_system, template_system
 
 
 class TestMatrices:
     def test_concrete_coefficients_keep_exact_values(self):
         half = Fraction(1, 2)
-        values = ConcreteCoefficients(((half, 3, True, None),)).values
+        values = ConcreteCoefficients(((half, 3, True),)).values
         assert values[0][0] is half
-        assert values == ((half, Fraction(3), Fraction(1), None),)
-        assert all(type(x) is Fraction for x in values[0][:3])
+        assert values == ((half, Fraction(3), Fraction(1)),)
+        assert all(type(x) is Fraction for x in values[0])
         for bad, shown in [(Fraction(-1, 2), "-1/2"), (0, "0"), (-3, "-3"), (False, "0")]:
             with pytest.raises(ValueError, match=f"must be strictly positive, got {shown}$"):
                 ConcreteCoefficients(((bad,),))
@@ -50,22 +51,32 @@ class TestMatrices:
         assert ExponentMatrix((), cols=2).rows == 0
 
     def test_sign_matrix_rejects_other_values(self):
-        with pytest.raises(ValueError, match="sign entries"):
-            SignMatrix(((2, 0),))
+        with pytest.raises(ValueError, match="must be -1 or 1"):
+            SignMatrix((((0, 2),),), 2)
 
     def test_rows_must_match_cols_and_hold_ints(self):
-        for matrix in (ExponentMatrix, SignMatrix):
-            with pytest.raises(ValueError, match="entries, expected 2"):
-                matrix(((1, 0), (1,)))
-            with pytest.raises(ValueError, match="entries, expected 3"):
-                matrix(((1, 0),), cols=3)
+        with pytest.raises(ValueError, match="entries, expected 2"):
+            ExponentMatrix(((1, 0), (1,)))
+        with pytest.raises(ValueError, match="entries, expected 3"):
+            ExponentMatrix(((1, 0),), cols=3)
+        with pytest.raises(ValueError, match="cols is required"):
+            ExponentMatrix(())
+        # a sign row's columns lie in range(cols), and every term is a pair of ints
+        with pytest.raises(ValueError, match="column 2 of sign row 1 is outside 0..1$"):
+            SignMatrix((((0, 1),), ((2, 1),)), 2)
+        with pytest.raises(ValueError, match="column 1 of sign row 0 is outside 0..0$"):
+            SignMatrix((((0, 1), (1, 1)),), 1)
+        with pytest.raises(TypeError, match=r"must be a \(column, sign\) pair, got \(0, 1, 1\)$"):
+            SignMatrix((((0, 1, 1),),), 2)
+        with pytest.raises(TypeError, match="cols"):
+            SignMatrix(())
+        for matrix in (ExponentMatrix, lambda rows: SignMatrix([[tuple(row)] for row in rows], 2)):
             with pytest.raises(TypeError, match="must be an int"):
                 matrix(((1, True),))
             with pytest.raises(TypeError, match="must be an int"):
                 matrix(((1, 1.0),))
-            with pytest.raises(ValueError, match="cols is required"):
-                matrix(())
-            assert matrix((), cols=2).cols == 2
+        assert ExponentMatrix((), cols=2).cols == 2
+        assert SignMatrix((), 2).cols == 2
 
     def test_parametric_names_must_be_distinct(self):
         with pytest.raises(ValueError, match="duplicate coefficient name"):
@@ -80,7 +91,7 @@ class TestMatrices:
             ConcreteCoefficients(((0.5,),))
 
     def test_system_dimension_checks(self):
-        s = SignMatrix(((1, -1),))
+        s = SignMatrix((((0, 1), (1, -1)),), 2)
         e = ExponentMatrix(((2,), (1,)), cols=1)
         c = ConcreteCoefficients(((1, 1),))
         SignedSystem(s, e, c, ("x",))
@@ -88,48 +99,60 @@ class TestMatrices:
             SignedSystem(s, ExponentMatrix(((2,),), cols=1), c, ("x",))
         with pytest.raises(ValueError):
             SignedSystem(s, e, c, ("x", "y"))
+        with pytest.raises(ValueError, match="shape does not match"):
+            SignedSystem(s, e, ConcreteCoefficients(((1, 1), (1,))), ("x",))
 
     def test_value_errors_name_their_position(self):
-        s = SignMatrix(((1, -1, 0), (1, 0, -1)))
+        s = SignMatrix((((0, 1), (1, -1)), ((0, 1), (2, -1))), 3)
         e = ExponentMatrix(((2,), (1,), (0,)), cols=1)
-        system = SignedSystem(s, e, ConcreteCoefficients(((1, 2, None), (3, None, 1))), ("x",))
-        assert system.c.values == ((1, 2, None), (3, None, 1))
-        missing = ConcreteCoefficients(((1, 2, None), (3, None, None)))
-        extra = ConcreteCoefficients(((1, 2, None), (3, 5, 1)))
-        one_at_zero_sign = ConcreteCoefficients(((1, 2, 1), (3, None, 1)))
-        for values, where in ((missing, "(1, 2)"), (extra, "(1, 1)"), (one_at_zero_sign, "(0, 2)")):
+        system = SignedSystem(s, e, ConcreteCoefficients(((1, 2), (3, 1))), ("x",))
+        assert system.c.values == ((1, 2), (3, 1))
+        # a short row names the first term left without a value; a long row names the row
+        missing = ConcreteCoefficients(((1, 2), (3,)))
+        with pytest.raises(ValueError) as err:
+            SignedSystem(s, e, missing, ("x",))
+        assert str(err.value) == (
+            "coefficient value at (1, 2) must be present iff the sign is nonzero"
+        )
+        extra = ConcreteCoefficients(((1, 2), (3, 5, 1)))
+        one_at_zero_sign = ConcreteCoefficients(((1, 2, 1), (3, 1)))
+        for values, where, count in ((extra, 1, 3), (one_at_zero_sign, 0, 3)):
             with pytest.raises(ValueError) as err:
                 SignedSystem(s, e, values, ("x",))
-            assert str(err.value) == (
-                f"coefficient value at {where} must be present iff the sign is nonzero"
-            )
+            assert str(err.value) == f"coefficient row {where} has {count} values for 2 terms"
 
     def test_parametric_name_exactly_at_nonzero_signs(self):
-        s = SignMatrix(((1, 0),))
+        s = SignMatrix((((0, 1),),), 2)
         e = ExponentMatrix(((2,), (1,)), cols=1)
-        with pytest.raises(ValueError, match="iff the sign is nonzero"):
+        with pytest.raises(ValueError, match="^coefficient row 0 has 2 names for 1 terms$"):
             SignedSystem(s, e, ParametricCoefficients((("a", "b"),)), ("x",))
-        system = SignedSystem(s, e, ParametricCoefficients((("a", None),)), ("x",))
+        system = SignedSystem(s, e, ParametricCoefficients((("a",),)), ("x",))
         assert system.coefficient_name(0, 0) == "a"
 
     def test_int_subclass_entries_are_accepted(self):
         class Small(int):
             pass
 
-        assert SignMatrix(((Small(1), 0, Small(-1)),)).entries == ((1, 0, -1),)
+        terms = (((Small(0), Small(1)), (2, Small(-1))),)
+        assert SignMatrix(terms, 3).entries == (((0, 1), (2, -1)),)
         assert ExponentMatrix(((Small(2), 0),)).entries == ((2, 0),)
 
     def test_non_int_entries_are_named_in_the_message(self):
-        for matrix, what in ((ExponentMatrix, "exponent"), (SignMatrix, "sign")):
-            for bad in (True, 1.0):
-                with pytest.raises(TypeError) as err:
-                    matrix(((1, 0), (0, bad)))
-                assert str(err.value) == f"{what} must be an int, got {bad!r}"
+        for bad in (True, 1.0):
+            with pytest.raises(TypeError) as err:
+                ExponentMatrix(((1, 0), (0, bad)))
+            assert str(err.value) == f"exponent must be an int, got {bad!r}"
+            with pytest.raises(TypeError) as err:
+                SignMatrix((((0, 1),), ((1, bad),)), 2)
+            assert str(err.value) == f"sign at (1, 1) must be an int, got {bad!r}"
+            with pytest.raises(TypeError) as err:
+                SignMatrix((((0, 1),), ((0, 1), (bad, 1))), 2)
+            assert str(err.value) == f"column of term 1 of sign row 1 must be an int, got {bad!r}"
 
     def test_sign_error_names_the_first_bad_entry(self):
         with pytest.raises(ValueError) as err:
-            SignMatrix(((1, -1, 0), (0, 2, 3)))
-        assert str(err.value) == "sign entries must be -1, 0 or 1, got 2"
+            SignMatrix((((0, 1), (1, -1)), ((1, 2), (2, 3))), 3)
+        assert str(err.value) == "sign at (1, 1) must be -1 or 1, got 2"
 
     def test_exponent_error_names_the_first_negative_in_row_order(self):
         # not the smallest: min() would name -5, and the second row's -7
@@ -143,22 +166,24 @@ class TestMatrices:
             ExponentMatrix(((0, -1), (1, 0), (1, 0)))
 
     def test_row_errors_come_in_row_order(self):
-        # row 0 holds a float, row 1 has the wrong length: row 0 is named
+        # row 0 holds a float, row 1 a column out of range: row 0 is named
         with pytest.raises(TypeError, match="got 1.0$"):
-            SignMatrix(((1, 1.0), (1,)))
-        with pytest.raises(ValueError, match="has 1 entries, expected 2$"):
-            SignMatrix(((1, 0), (1,), (1, 1.0)))
+            SignMatrix((((0, 1), (1, 1.0)), ((5, 1),)), 2)
+        with pytest.raises(ValueError, match="column 5 of sign row 1 is outside 0..1$"):
+            SignMatrix((((0, 1),), ((5, 1),), ((1, 1.0),)), 2)
 
     def test_names_must_be_nonempty_strings(self):
         for bad in ("", 0, 7, b"a", ["a"]):  # a list is unhashable as well
             with pytest.raises(TypeError) as err:
-                ParametricCoefficients((("a", None), (bad, "b")))
-            assert str(err.value) == f"coefficient name must be a nonempty string, got {bad!r}"
+                ParametricCoefficients((("a",), (bad, "b")))
+            assert str(err.value) == (
+                f"name 0 of coefficient row 1 must be a nonempty string, got {bad!r}"
+            )
 
         class Name(str):
             pass
 
-        assert ParametricCoefficients(((Name("a"), None, "b"),)).names == (("a", None, "b"),)
+        assert ParametricCoefficients(((Name("a"), "b"),)).names == (("a", "b"),)
 
         class Opaque:
             """A name that must be rejected by type, never asked for its truth or equality."""
@@ -171,48 +196,132 @@ class TestMatrices:
             def __eq__(self, other):
                 raise AssertionError("compared")
 
-        with pytest.raises(TypeError, match="^coefficient name must be a nonempty string, got <"):
-            ParametricCoefficients((("a", None), (Opaque(), "b")))
+        with pytest.raises(TypeError, match="^name 0 of coefficient row 1 must be a nonempty "
+                                            "string, got <"):
+            ParametricCoefficients((("a",), (Opaque(), "b")))
 
     def test_name_errors_come_in_row_order(self):
-        with pytest.raises(ValueError, match="^duplicate coefficient name 'a'$"):
+        with pytest.raises(ValueError, match="^duplicate coefficient name 'a': name 1 of "
+                                             "coefficient row 0$"):
             ParametricCoefficients((("a", "a", ""),))
         with pytest.raises(TypeError, match="got ''$"):
-            ParametricCoefficients((("a", ""), ("a", None)))
+            ParametricCoefficients((("a", ""), ("a",)))
 
     def test_name_and_sign_errors_come_in_row_order(self):
-        s = SignMatrix(((1, -1, 0), (1, 0, -1)))
+        s = SignMatrix((((0, 1), (1, -1)), ((0, 1), (2, -1))), 3)
         e = ExponentMatrix(((2,), (1,), (0,)), cols=1)
-        # a name at the zero sign (0, 2) comes before the missing name at (1, 2)
-        names = ParametricCoefficients((("a", "b", "z"), ("c", None, None)))
-        with pytest.raises(ValueError, match=r"^coefficient name at \(0, 2\) must be present"):
+        # row 0's extra name comes before the missing name at (1, 2)
+        names = ParametricCoefficients((("a", "b", "z"), ("c",)))
+        with pytest.raises(ValueError, match=r"^coefficient row 0 has 3 names for 2 terms$"):
             SignedSystem(s, e, names, ("x",))
 
     def test_coefficient_errors_name_their_position(self):
-        s = SignMatrix(((1, -1, 0), (1, 0, -1)))
+        s = SignMatrix((((0, 1), (1, -1)), ((0, 1), (2, -1))), 3)
         e = ExponentMatrix(((2,), (1,), (0,)), cols=1)
-        missing = ParametricCoefficients((("a", "b", None), ("c", None, None)))
-        extra = ParametricCoefficients((("a", "b", None), ("c", "d", "e")))
-        for names, where in ((missing, "(1, 2)"), (extra, "(1, 1)")):
-            with pytest.raises(ValueError) as err:
-                SignedSystem(s, e, names, ("x",))
-            assert str(err.value) == (
-                f"coefficient name at {where} must be present iff the sign is nonzero"
-            )
+        missing = ParametricCoefficients((("a", "b"), ("c",)))
+        with pytest.raises(ValueError) as err:
+            SignedSystem(s, e, missing, ("x",))
+        assert str(err.value) == (
+            "coefficient name at (1, 2) must be present iff the sign is nonzero"
+        )
+        extra = ParametricCoefficients((("a", "b"), ("c", "d", "e")))
+        with pytest.raises(ValueError) as err:
+            SignedSystem(s, e, extra, ("x",))
+        assert str(err.value) == "coefficient row 1 has 3 names for 2 terms"
 
 
-def assert_none_exactly_at_zero_signs(system):
-    grid = system.c.names if system.is_parametric else system.c.values
-    absent = [[x is None for x in row] for row in grid]
-    assert absent == [[sign == 0 for sign in row] for row in system.s.entries]
+class TestRejections:
+    """Every malformed row of the term form is refused with an error that names its place."""
+
+    E = ExponentMatrix(((2,), (1,), (0,)), cols=1)
+
+    @pytest.mark.parametrize("row, error, message", [
+        (((1, 1), (0, -1)), ValueError, "column 0 of sign row 1 does not come after column 1"),
+        (((0, 1), (0, -1)), ValueError, "column 0 of sign row 1 does not come after column 0"),
+        (((-1, 1),), ValueError, "column -1 of sign row 1 is outside 0..2"),
+        (((0, 1), (3, 1)), ValueError, "column 3 of sign row 1 is outside 0..2"),
+        (((0, 1), (2, 0)), ValueError, "sign at (1, 2) must be -1 or 1, got 0"),
+        (((1, 2),), ValueError, "sign at (1, 1) must be -1 or 1, got 2"),
+        (((0, 1), (1, True)), TypeError, "sign at (1, 1) must be an int, got True"),
+        (((0, 1), [1, 1]), TypeError,
+         "term 1 of sign row 1 must be a (column, sign) pair, got [1, 1]"),
+        (((0, 1), (1,)), TypeError,
+         "term 1 of sign row 1 must be a (column, sign) pair, got (1,)"),
+    ])
+    def test_bad_terms(self, row, error, message):
+        with pytest.raises(error) as err:
+            SignMatrix((((0, 1),), row), 3)
+        assert str(err.value) == message
+
+    def test_coefficient_row_of_the_wrong_length(self):
+        s = SignMatrix((((0, 1),), ((1, -1), (2, 1))), 3)
+        with pytest.raises(ValueError) as err:
+            SignedSystem(s, self.E, ConcreteCoefficients(((1,), (2,))), ("x",))
+        assert str(err.value) == (
+            "coefficient value at (1, 2) must be present iff the sign is nonzero"
+        )
+        with pytest.raises(ValueError) as err:
+            SignedSystem(s, self.E, ParametricCoefficients((("a", "b"), ("c", "d"))), ("x",))
+        assert str(err.value) == "coefficient row 0 has 2 names for 1 terms"
+
+    @pytest.mark.parametrize("names, error, message", [
+        ((("a",), ("b", "a")), ValueError,
+         "duplicate coefficient name 'a': name 1 of coefficient row 1"),
+        ((("a",), ("b", "")), TypeError,
+         "name 1 of coefficient row 1 must be a nonempty string, got ''"),
+    ])
+    def test_bad_names(self, names, error, message):
+        with pytest.raises(error) as err:
+            ParametricCoefficients(names)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("value, error, message", [
+        (0, ValueError, "value 1 of coefficient row 1 must be strictly positive, got 0"),
+        (Fraction(-2, 3), ValueError,
+         "value 1 of coefficient row 1 must be strictly positive, got -2/3"),
+        (0.5, TypeError,
+         "value 1 of coefficient row 1 must not be a float (exact rationals only): 0.5"),
+    ])
+    def test_bad_values(self, value, error, message):
+        with pytest.raises(error) as err:
+            ConcreteCoefficients(((1,), (2, value)))
+        assert str(err.value) == message
+
+
+class TestCoefficientName:
+    """A coefficient exists only at a term; a zero-sign position raises in both kinds."""
+
+    SOURCE = "vars x y\npoly f = 2*x - x*y + 3\npoly g = x - x + y\n"
+
+    def test_concrete_zero_sign_position_raises(self):
+        system = parse_system(self.SOURCE)
+        assert not system.is_parametric
+        with pytest.raises(ValueError) as err:
+            system.coefficient_name(1, 0)
+        assert str(err.value) == "no coefficient exists at zero-sign position (1, 0)"
+        assert system.coefficient_name(0, 1) == "c_1_2"
+        assert system.coefficient_name(1, 3) == "c_2_4"
+
+    def test_parametric_zero_sign_position_raises(self):
+        system = load("example2.spp")
+        with pytest.raises(ValueError) as err:
+            system.coefficient_name(0, 4)
+        assert str(err.value) == "no coefficient exists at zero-sign position (0, 4)"
+        assert [system.coefficient_name(1, j) for j in (0, 1, 2, 4)] == ["c21", "c22", "c23", "c24"]
+
+
+def assert_one_coefficient_per_term(system):
+    rows = system.c.names if system.is_parametric else system.c.values
+    assert list(map(len, rows)) == list(map(len, system.s.entries))
+    assert None not in chain.from_iterable(rows)
 
 
 class TestCoefficientPresence:
-    """A grid of either kind holds None exactly where the sign is 0."""
+    """A coefficient row of either kind holds one coefficient per term of its sign row."""
 
     @pytest.mark.parametrize("name", sorted(path.name for path in DATA.glob("*.spp")))
     def test_data_files(self, name):
-        assert_none_exactly_at_zero_signs(load(name))
+        assert_one_coefficient_per_term(load(name))
 
     @pytest.mark.parametrize("name, coeffs", [
         ("certify_head_42.spp", "certify_head_42.coeffs"),
@@ -222,7 +331,7 @@ class TestCoefficientPresence:
     ])
     def test_instantiated_data_files(self, name, coeffs):
         bindings = parse_coefficient_bindings(read_data(coeffs))
-        assert_none_exactly_at_zero_signs(instantiate(load(name), bindings))
+        assert_one_coefficient_per_term(instantiate(load(name), bindings))
 
     def test_gensys_systems(self):
         rng = random.Random(27)
@@ -231,9 +340,48 @@ class TestCoefficientPresence:
             parametric = index % 2 == 0
             system = random_signed_system(rng, parametric=parametric, integer_coeffs=index % 4 == 1)
             assert system.is_parametric == parametric
-            assert_none_exactly_at_zero_signs(system)
-            zeros[parametric] += sum(row.count(0) for row in system.s.entries)
+            assert_one_coefficient_per_term(system)
+            zeros[parametric] += sum(system.v - len(row) for row in system.s.entries)
         assert min(zeros.values()) > 100
+
+
+class TestSparseStorage:
+    """A system stores each row's terms and nothing for the columns a row leaves out."""
+
+    def assert_rows_hold_terms(self, system, nonzero: int):
+        assert sum(map(len, system.s.entries)) == nonzero
+        for row in system.s.entries:
+            columns = [j for j, _ in row]
+            assert all(a < b for a, b in zip(columns, columns[1:])), columns
+            assert {sign for _, sign in row} <= {-1, 1}
+        assert_one_coefficient_per_term(system)
+
+    def test_generated_parametric_system(self):
+        rng = random.Random(28)
+        exps = random_exponent_rows(rng, 100, 4, 9)
+        signs = [[0] * len(exps) for _ in range(20)]
+        for row in signs:
+            for j in rng.sample(range(len(exps)), 100 if rng.random() < 0.5 else 60):
+                row[j] = rng.choice((-1, 1))
+        system = parse_system(print_system(template_system(signs, exps)))
+        nonzero = sum(x != 0 for row in signs for x in row)
+        assert system.u == 20 and system.v == 100 and nonzero < system.u * system.v
+        self.assert_rows_hold_terms(system, nonzero)
+
+    def test_zero_row(self):
+        system = load("zero_row.spp")
+        self.assert_rows_hold_terms(system, 0)
+        assert system.s.entries == ((),) and system.v == 1
+        assert zero_sign_rows(system) == (0,)
+
+    def test_cancelled_column_keeps_its_exponent_row(self):
+        # x*y cancels in g and appears in no other row; it keeps its column
+        system = parse_system("vars x y\npoly f = 2*x - y + 3\npoly g = x*y - x*y + 1/2*x\n")
+        assert system.e.entries == ((1, 0), (0, 1), (0, 0), (1, 1))
+        self.assert_rows_hold_terms(system, 4)
+        assert all(j != 3 for row in system.s.entries for j, _ in row)
+        assert system.s.entries == (((0, 1), (1, -1), (2, 1)), ((0, 1),))
+        assert zero_sign_rows(system) == ()
 
 
 class TestDominanceRows:
@@ -263,7 +411,7 @@ class TestDominanceRows:
             system = random_signed_system(rng, parametric=rng.random() < 0.5)
             given_rows = {i: (positive, negative) for i, positive, negative in dominance_rows(system)}
             assert list(given_rows) == sorted(given_rows)
-            for i, row in enumerate(system.s.entries):
+            for i, row in enumerate(dense_signs(system)):
                 if i not in given_rows:
                     assert min(row) >= 0
                     continue
@@ -316,7 +464,7 @@ class TestValueTypes:
             # unlike a namedtuple, a value is not equal to the tuple of its fields
             assert a != tuple(getattr(a, name) for name in a.__slots__)
         assert load("example2.spp") != load("example3.spp")
-        assert SignMatrix(((1, -1),)) != ExponentMatrix(((1, 1),))
+        assert SignMatrix((((0, 1), (1, -1)),), 2) != ExponentMatrix(((1, 1),))
 
     def test_assigning_or_deleting_a_field_raises(self):
         for value in value_instances():
@@ -331,7 +479,9 @@ class TestValueTypes:
                 value.extra = 1
 
     def test_repr_names_the_fields(self):
-        assert repr(SignMatrix(((1, -1),))) == "SignMatrix(entries=((1, -1),), cols=2)"
+        assert repr(SignMatrix((((0, 1), (1, -1)),), 2)) == (
+            "SignMatrix(entries=(((0, 1), (1, -1)),), cols=2)"
+        )
         assert repr(ConcreteCoefficients(((1,),))) == (
             "ConcreteCoefficients(values=((Fraction(1, 1),),))"
         )

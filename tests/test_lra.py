@@ -697,8 +697,8 @@ def argmax_branch_polyhedron(system, n):
     heights = [sum(a * x for a, x in zip(e, n)) for e in exps]
     forms = []
     for row in system.s.entries:
-        positive = [j for j, sign in enumerate(row) if sign > 0]
-        negative = [k for k, sign in enumerate(row) if sign < 0]
+        positive = [j for j, sign in row if sign > 0]
+        negative = [k for k, sign in row if sign < 0]
         if negative:
             top = max(heights[j] for j in positive)
             j = next(j for j in positive if heights[j] == top)

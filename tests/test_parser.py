@@ -7,7 +7,7 @@ import pytest
 from subtrop import ParseError, parse_system, parser, print_system
 from subtrop.pipeline import parse_coefficient_bindings
 
-from conftest import load, read_data
+from conftest import coefficients_by_column, dense_signs, load, read_data
 from gensys import random_signed_system
 
 # Matrices as printed in the worked three-polynomial example; our parser
@@ -21,6 +21,13 @@ SEC2_PRINTED_E = ((2, 1), (1, 2), (3, 0))
 
 EX2_PRINTED_S = ((-1, 1, -1, 0, 1), (1, 1, 1, -1, 0))
 EX2_PRINTED_E = ((5, 0), (2, 1), (2, 0), (0, 3), (0, 2))
+
+
+def dense_coefficients(system):
+    """The u x v coefficient grid of ``system``, with None at every column a row has no term at."""
+    return tuple(
+        tuple(map(coefficients_by_column(system, i).get, range(system.v))) for i in range(system.u)
+    )
 
 
 def column_triples(s_rows, e_rows, c_rows=None):
@@ -40,14 +47,21 @@ class TestGoldenParses:
         assert system.var_names == ("x1", "x2")
         # first-occurrence column order: x1^2 x2, x1^3, x1 x2^2
         assert system.e.entries == ((2, 1), (3, 0), (1, 2))
-        assert system.s.entries == ((1, -1, 0), (0, 1, -1), (-1, 0, 1))
+        assert system.s.entries == (((0, 1), (1, -1)), ((1, 1), (2, -1)), ((0, -1), (2, 1)))
+        assert dense_signs(system) == ((1, -1, 0), (0, 1, -1), (-1, 0, 1))
         assert system.c.values == (
+            (Fraction(2), Fraction(4)),
+            (Fraction(6), Fraction(3)),
+            (Fraction(1), Fraction(5)),
+        )
+        assert dense_coefficients(system) == (
             (Fraction(2), Fraction(4), None),
             (None, Fraction(6), Fraction(3)),
             (Fraction(1), None, Fraction(5)),
         )
         # same system as the printed matrices, up to the column permutation
-        assert column_triples(system.s.entries, system.e.entries, system.c.values) == (
+        assert column_triples(dense_signs(system), system.e.entries,
+                              dense_coefficients(system)) == (
             column_triples(
                 SEC2_PRINTED_S,
                 SEC2_PRINTED_E,
@@ -62,24 +76,30 @@ class TestGoldenParses:
         system = load("example2.spp")
         assert system.is_parametric
         assert system.e.entries == ((5, 0), (2, 1), (2, 0), (0, 2), (0, 3))
-        assert system.s.entries == ((-1, 1, -1, 1, 0), (1, 1, 1, 0, -1))
-        assert system.c.names == (
+        assert system.s.entries == (
+            ((0, -1), (1, 1), (2, -1), (3, 1)),
+            ((0, 1), (1, 1), (2, 1), (4, -1)),
+        )
+        assert dense_signs(system) == ((-1, 1, -1, 1, 0), (1, 1, 1, 0, -1))
+        assert system.c.names == (("c11", "c12", "c13", "c15"), ("c21", "c22", "c23", "c24"))
+        assert dense_coefficients(system) == (
             ("c11", "c12", "c13", "c15", None),
             ("c21", "c22", "c23", None, "c24"),
         )
-        assert column_triples(system.s.entries, system.e.entries) == column_triples(
+        assert column_triples(dense_signs(system), system.e.entries) == column_triples(
             EX2_PRINTED_S, EX2_PRINTED_E
         )
 
     def test_cancellation_keeps_the_zero_column(self):
         system = parse_system("vars x1\npoly g = x1 - x1\n")
-        assert system.s.entries == ((0,),)
-        assert system.c.values == ((None,),)
+        assert system.s.entries == ((),)
+        assert system.c.values == ((),)
+        assert system.v == 1
         assert system.e.entries == ((1,),)
 
     def test_concrete_terms_with_equal_monomials_are_summed(self):
         system = parse_system("vars x\npoly f = 2*x - 5*x + x + 1/2*x^2\n")
-        assert system.s.entries == ((-1, 1),)
+        assert system.s.entries == (((0, -1), (1, 1)),)
         assert system.c.values == ((Fraction(2), Fraction(1, 2)),)
 
     def test_repeated_variable_factors_multiply(self):
@@ -303,7 +323,7 @@ class TestPrintRoundTrip:
 
     def test_zero_row_round_trip(self):
         system = parse_system("vars x\npoly f = x - x\npoly g = x + 1\n")
-        assert system.s.entries == ((0, 0), (1, 1))
+        assert system.s.entries == ((), ((0, 1), (1, 1)))
         assert parse_system(print_system(system)) == system
 
     def test_cancelled_column_mentioned_early_round_trips(self):
@@ -311,13 +331,14 @@ class TestPrintRoundTrip:
         source = "vars x y\npoly f = x - x + y\npoly g = x\n"
         system = parse_system(source)
         assert system.e.entries == ((1, 0), (0, 1))
-        assert system.s.entries == ((0, 1), (1, 0))
+        assert system.s.entries == (((1, 1),), ((0, 1),))
         assert parse_system(print_system(system)) == system
 
     def test_trailing_all_zero_column_round_trips(self):
         source = "vars x y\npoly f = y + x - x\n"
         system = parse_system(source)
-        assert system.s.entries == ((1, 0),)
+        assert system.s.entries == (((0, 1),),)
+        assert system.v == 2
         assert parse_system(print_system(system)) == system
 
     def test_parse_is_deterministic(self):

@@ -21,12 +21,13 @@ from subtrop import (
 from subtrop.core import ConcreteCoefficients, ExponentMatrix, SignedSystem, SignMatrix
 from subtrop.witness import _named_rows, _t_from_rows, evaluate_system_at
 
-from conftest import expand, load, sign_row_terms, t_of
+from conftest import dense_signs, expand, load, sign_row_terms, t_of
 from gensys import (
     random_bindings,
     random_exponent_rows,
     random_positive_value,
     random_signed_system,
+    sparse_rows,
 )
 
 INTRO_BINDINGS = {"c2": Fraction(1), "c1": Fraction(1), "c0": Fraction(1)}
@@ -55,8 +56,7 @@ def positional_values(system) -> dict:
     return {
         system.coefficient_name(i, j): value
         for i, (signs, values) in enumerate(zip(system.s.entries, system.c.values))
-        for j, (sign, value) in enumerate(zip(signs, values))
-        if sign
+        for (j, _), value in zip(signs, values)
     }
 
 
@@ -77,7 +77,7 @@ class TestSymbolicRows:
             got = expand(_named_rows(system))
             assert got == [(k, j, i) for k, j, i, *_ in sign_row_terms(system)]
             terms += len(got)
-            kinds |= {(max(row) > 0, min(row) < 0) for row in system.s.entries}
+            kinds |= {(max(row) > 0, min(row) < 0) for row in dense_signs(system)}
         assert kinds == {(True, True), (True, False), (False, True), (False, False)}
         assert terms > 500  # 850
 
@@ -206,7 +206,7 @@ class TestReportedT:
         seen = set()
         for _ in range(100):
             system, n = certified_system(rng)
-            has_pair = any(min(row) < 0 < max(row) for row in system.s.entries)
+            has_pair = any(min(row) < 0 < max(row) for row in dense_signs(system))
             assert (verify_witness(system, n).t_value > 1) == has_pair
             seen.add(has_pair)
         assert seen == {True, False}
@@ -225,9 +225,11 @@ class TestInstantiate:
         template = load("example2.spp")
         bindings = random_bindings(random.Random(28), template)
         system = instantiate(template, bindings)
+        # a zero sign has no term, so it stays without a value
+        assert list(map(len, system.c.values)) == list(map(len, template.s.entries))
         for name_row, value_row in zip(template.c.names, system.c.values):
             for name, value in zip(name_row, value_row):
-                assert value is (None if name is None else bindings[name])
+                assert value is bindings[name]
 
     def test_decision_is_unchanged_by_instantiation(self):
         rng = random.Random(22)
@@ -280,7 +282,7 @@ def term_by_term(system, point):
         monomials.append(value)
     return tuple(
         sum(
-            (sign * c * m for sign, c, m in zip(sign_row, value_row, monomials) if sign != 0),
+            (sign * c * monomials[j] for (j, sign), c in zip(sign_row, value_row)),
             Fraction(0),
         )
         for sign_row, value_row in zip(system.s.entries, system.c.values)
@@ -315,11 +317,7 @@ class TestEvaluateSystemAt:
         for _ in range(30):
             sys_ = random_signed_system(rng, parametric=False, ensure_positive=False)
             expected = tuple(
-                sum(
-                    sign * value
-                    for sign, value in zip(sign_row, value_row)
-                    if sign != 0
-                )
+                sum(sign * value for (_, sign), value in zip(sign_row, value_row))
                 for sign_row, value_row in zip(sys_.s.entries, sys_.c.values)
             )
             assert evaluate_system_at(sys_, (1,) * sys_.d) == expected
@@ -432,11 +430,10 @@ def certified_system(rng: random.Random):
         for j in support:
             row[j] = 1 if heights[j] == top or no_negative else rng.choice((-1, 1))
         signs.append(tuple(row))
-    values = tuple(
-        tuple(random_positive_value(rng) if x else None for x in row) for row in signs
-    )
+    terms = sparse_rows(signs)
+    values = tuple(tuple(random_positive_value(rng) for _ in row) for row in terms)
     system = SignedSystem(
-        SignMatrix(tuple(signs), cols=len(exps)),
+        SignMatrix(terms, len(exps)),
         ExponentMatrix(exps, cols=d),
         ConcreteCoefficients(values),
         tuple(f"x{i + 1}" for i in range(d)),
