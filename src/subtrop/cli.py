@@ -38,8 +38,8 @@ from types import SimpleNamespace
 from .condition import write_cnf
 from .core import SignedSystem, SubtropError
 from .lra import SolverDefect
-from .parser import _MAX_DIGITS, parse_system
-from .pipeline import Decision, decide_system, parse_coefficient_bindings
+from .parser import _MAX_DIGITS, parse_coefficient_bindings, parse_system
+from .pipeline import Decision, decide_system
 from .refutation import certifies, refutes
 from .witness import (
     UncertifiedExponent,

@@ -1,6 +1,6 @@
-"""Line-oriented text format for polynomial systems (``.spp`` files).
+"""Line-oriented text formats: polynomial systems (``.spp``) and coefficient values.
 
-Grammar (``#`` starts a comment, blank lines are ignored)::
+Grammar of an ``.spp`` file (``#`` starts a comment, blank lines are ignored)::
 
     file   :=  header line*
     header :=  'vars' id+
@@ -16,13 +16,16 @@ exponent 0.  Whether a file is parametric or concrete is inferred from its
 first coefficient token (no coefficient tokens at all means concrete, with
 every term weighted 1); mixing named and numeric coefficients is an error.
 
-Parsing normalizes the monomials of all polynomials into one shared
-exponent matrix, ordered by first occurrence in the text, which makes
-repeated runs produce identical matrices.  Within one concrete polynomial,
-terms with equal exponent vectors are summed and the sign is taken from
-the sum; a sum of exactly zero leaves no term behind, though its monomial
-keeps its column.  Within one parametric polynomial, repeating a monomial
-is an error.  A number has at most 4300 digits (``_MAX_DIGITS``).
+Each ``poly`` line is read on its own: split with string methods
+(:func:`_split_terms`) or, where the split declines, walked token by token
+(:func:`_parse_terms`, the grammar's reference and the only source of
+syntax errors); one builder turns the terms into rows.  All polynomials
+share one exponent matrix, its monomials ordered by first occurrence in
+the text.  Within one concrete polynomial, terms with equal exponent
+vectors are summed and the sign is taken from the sum; a sum of exactly
+zero leaves no term behind, though its monomial keeps its column.  Within
+one parametric polynomial, repeating a monomial is an error.  A number has
+at most 4300 digits (``_MAX_DIGITS``), in both formats.
 """
 
 from __future__ import annotations
@@ -56,10 +59,6 @@ _TOKEN_RE = re.compile(r"[A-Za-z_]\w*|[0-9]+|[*^+\-=/]|\S")
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _DIGITS = frozenset("0123456789")
 _TOKEN_START = _IDENT_START | _DIGITS | frozenset("*^+-=/")
-# Finds nothing in a line that has no unexpected token.  A line where it finds a
-# character may still have none, as identifiers take any word character after
-# the first, so that line's tokens are checked one by one.
-_MAYBE_UNEXPECTED = re.compile(r"[^\sA-Za-z0-9_*^+\-=/]")
 # Ends every line's token list; no match of _TOKEN_RE is a newline.
 _END = "\n"
 _ONE = Fraction(1)
@@ -86,15 +85,14 @@ def _number(lineno: int, line: str, tokens: list[str], index: int) -> int:
     return int(tokens[index])
 
 
-def _parse_terms(
-    lineno: int, line: str, tokens: list[str], var_index: dict[str, int]
-) -> list[tuple]:
-    """The terms of one ``poly`` line as ``(sign, value, name, exponents, index)`` tuples.
+def _parse_terms(lineno: int, line: str, var_index: dict[str, int]) -> tuple:
+    """The terms of one ``poly`` line as the lists ``(signs, values, names, monomials, starts)``.
 
-    ``value`` is the numeric coefficient and ``name`` the named one, None when
-    absent, and ``index`` is the position of the term's first token.
-    ``tokens`` ends with ``_END``.
+    Term k has sign ``signs[k]``, the numeric coefficient ``values[k]`` and
+    the named one ``names[k]`` (None when absent), the exponent tuple
+    ``monomials[k]``, and its first token at position ``starts[k]``.
     """
+    tokens = _TOKEN_RE.findall(line) + [_END]
     if tokens[0] != "poly":
         raise _error("expected 'poly'", lineno, line, 0)
     if tokens[1][0] not in _IDENT_START:
@@ -161,221 +159,222 @@ def _parse_terms(
         terms.append((sign, value, name, tuple(exponents), start))
         token = tokens[i]
         if token == _END:
-            return terms
+            return tuple(map(list, zip(*terms)))
         if token not in ("+", "-"):
             raise _error("expected '+', '-' or end of line", lineno, line, i)
         sign = -1 if token == "-" else 1
         i += 1
 
 
-def parse_system(source: str) -> SignedSystem:
-    """Parse ``.spp`` text into a :class:`SignedSystem`.
+def _split_terms(line: str, var_index: dict[str, int], factors: dict) -> tuple | None:
+    """The first four lists of :func:`_parse_terms` for a ``poly`` line it reads, or None.
 
-    A well-formed parametric file is read line by line with string
-    methods (:func:`_read_parametric`).  Any other text, and every text
-    with an error, goes to the token walker (:func:`_walk`), which is the
-    only source of :class:`ParseError`.  Both give equal systems on every
-    text the first one accepts.
+    Terms are split at ``+`` and ``-``, and factors at ``*``; ``factors``
+    keeps each factor text read so far (``x1^5``) as ``(variable index,
+    exponent)``.  Blanks are allowed only around a sign.  Any other line
+    returns None: non-ASCII text, blanks inside a term, any error, and a
+    number of more than ``_MAX_DIGITS`` digits.
     """
-    system = _read_parametric(source)
-    return _walk(source) if system is None else system
-
-
-def _factor(text: str, var_index: dict[str, int]) -> tuple[int, int] | None:
-    """``(variable index, exponent)`` of a factor ``x`` or ``x^digits``, or None."""
-    name, caret, digits = text.partition("^")
-    k = var_index.get(name)
-    if k is None or (caret and not (digits.isdigit() and len(digits) <= _MAX_DIGITS)):
+    head, eq, rhs = line.partition("=")
+    words = head.split()
+    # for ASCII text, str.isidentifier and str.isdigit match the token classes
+    if (not eq or len(words) != 2 or words[0] != "poly" or not words[1].isidentifier()
+            or not line.isascii()):
         return None
-    return k, int(digits) if caret else 1
-
-
-def _read_parametric(source: str) -> SignedSystem | None:
-    """The system of a well-formed parametric ASCII text, or None for any other text.
-
-    Terms are split at ``+`` and ``-``, and factors at ``*``.  Each factor
-    text (``x1^5``) is read once per call and kept as ``(variable index,
-    exponent)``.  A term is ``[sign] name ['*' factor]*``, with blanks
-    allowed only around a sign.  This accepts only texts that the walker
-    reads as the same tokens with no error, so both give the same system;
-    everything else returns None, including concrete files, files with no
-    polynomial, unusual spacing, a repeated name or monomial, and a number
-    of more than ``_MAX_DIGITS`` digits.  Each line is read to its rows at
-    once, so no line's pieces outlive it.
-    """
-    if not source.isascii():
-        return None  # for ASCII text, str.isidentifier and str.isdigit match the walker's classes
-    lines = iter(source.splitlines())
-    words = next(filter(None, (raw.partition("#")[0].split() for raw in lines)), ["vars"])
-    var_index = dict(zip(words[1:], range(len(words))))
-    if (words[0] != "vars" or not var_index or len(var_index) < len(words) - 1
-            or not all(map(str.isidentifier, var_index))):
-        return None
+    pieces = rhs.replace("-", "+-").split("+")
+    if len(pieces) > 1 and not pieces[0].strip():
+        del pieces[0]  # the blank before a leading sign
     d = len(var_index)
-    factors: dict[str, tuple[int, int]] = {}
-    mono_index: dict[tuple[int, ...], int] = {}
-    sign_rows, name_rows = [], []
-    seen_names: set[str] = set()
-    terms = 0
-    for raw in lines:
-        head, eq, rhs = raw.partition("#")[0].partition("=")
-        words = head.split()
-        if not (eq or words):
-            continue
-        if len(words) != 2 or words[0] != "poly" or not words[1].isidentifier():
-            return None
-        pieces = rhs.replace("-", "+-").split("+")
-        if len(pieces) > 1 and not pieces[0].strip():
-            del pieces[0]  # the blank before a leading sign
-        signs: dict[int, int] = {}
-        names: dict[int, str] = {}
-        for piece in pieces:
-            body = piece.strip()
-            sign = 1
-            if body[:1] == "-":
-                sign, body = -1, body[1:].lstrip()
-            name, *texts = body.split("*")
-            if not name.isidentifier() or name in var_index:
+    signs, values, names, monomials = [], [], [], []
+    for piece in pieces:
+        body = piece.strip()
+        sign = 1
+        if body[:1] == "-":
+            sign, body = -1, body[1:].lstrip()
+        texts = body.split("*")
+        first = texts[0]
+        value = name = None
+        if first.isidentifier():
+            if first not in var_index:
+                name = first
+                del texts[0]
+        elif first[:1].isdigit():
+            numerator, slash, denominator = first.partition("/")
+            if not (numerator.isdigit() and (denominator.isdigit() or not slash)
+                    and max(len(numerator), len(denominator)) <= _MAX_DIGITS
+                    and int(numerator) and int(denominator or 1)):
                 return None
-            exponents = [0] * d
-            for text in texts:
-                factor = factors.get(text)
-                if factor is None:
-                    factor = factors[text] = _factor(text, var_index)
-                    if factor is None:
-                        return None
-                exponents[factor[0]] += factor[1]
-            col = mono_index.setdefault(tuple(exponents), len(mono_index))
-            signs[col] = sign
-            names[col] = name
-        if len(names) < len(pieces):
-            return None  # a repeated monomial
-        sign_rows.append(signs)
-        name_rows.append(names)
-        seen_names.update(names.values())
-        terms += len(names)
-    if not name_rows or len(seen_names) < terms:
-        return None
-    return _system(sign_rows, name_rows, mono_index, var_index, ParametricCoefficients)
+            value = Fraction(int(numerator), int(denominator or 1))
+            del texts[0]
+        exponents = [0] * d
+        for text in texts:
+            factor = factors.get(text)
+            if factor is None:
+                variable, caret, digits = text.partition("^")
+                k = var_index.get(variable)
+                if k is None or (caret and not (digits.isdigit() and len(digits) <= _MAX_DIGITS)):
+                    return None
+                factor = factors[text] = k, int(digits) if caret else 1
+            exponents[factor[0]] += factor[1]
+        signs.append(sign)
+        values.append(value)
+        names.append(name)
+        monomials.append(tuple(exponents))
+    return signs, values, names, monomials
 
 
-def _system(sign_rows, coefficient_rows, mono_index, var_index, kind) -> SignedSystem:
-    """The system whose row i has the terms ``sign_rows[i]``, dicts keyed by column j.
+def parse_system(source: str) -> SignedSystem:
+    """Parse ``.spp`` text into a :class:`SignedSystem`, or raise its first :class:`ParseError`.
 
-    ``coefficient_rows[i]`` has the same keys, and ``kind`` is
-    :class:`ParametricCoefficients` or :class:`ConcreteCoefficients`.  Each
-    row keeps only its terms, sorted by column: the pairs ``(j, sign)`` and
-    their coefficients, so nothing is built for a column a row leaves out.
-    """
-    signs, coefficients = [], []
-    for sign_row, coefficient_row in zip(sign_rows, coefficient_rows):
-        columns = sorted(sign_row)
-        signs.append(tuple(zip(columns, map(sign_row.__getitem__, columns))))
-        coefficients.append(tuple(map(coefficient_row.__getitem__, columns)))
-    return SignedSystem(
-        SignMatrix(signs, len(mono_index)),
-        ExponentMatrix(tuple(mono_index), cols=len(var_index)),
-        kind(coefficients),
-        tuple(var_index),
-    )
-
-
-def _walk(source: str) -> SignedSystem:
-    """Parse ``.spp`` text token by token; raises :class:`ParseError` at the first error.
-
-    Each line is split into tokens by one regex call and walked by index.
-    When a file has several errors, the first unexpected character of any
+    When a text has several errors, the first unexpected character of any
     line wins, then a header error, then the first syntax error line by
     line, then coefficient-mode, name and monomial errors term by term.
     """
     lines = []
     for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
+        line = raw.partition("#")[0]
+        if line and not line.isspace():
+            lines.append((lineno, line))
+    try:
+        if not lines:
+            raise ParseError("missing 'vars' header", 1, 1)
+        lineno, line = lines[0]
         tokens = _TOKEN_RE.findall(line)
-        if not tokens:
-            continue
-        if _MAYBE_UNEXPECTED.search(line):
-            for index, token in enumerate(tokens):
+        if tokens[0] != "vars":
+            raise _error("expected 'vars'", lineno, line, 0)
+        var_index: dict[str, int] = {}
+        for index, token in enumerate(tokens[1:], start=1):
+            if token[0] not in _IDENT_START:
+                raise _error("expected a variable name", lineno, line, index)
+            if token in var_index:
+                raise _error(f"duplicate variable {token!r}", lineno, line, index)
+            var_index[token] = len(var_index)
+        if not var_index:
+            raise _error("at least one variable is required", lineno, line, 0)
+        factors: dict[str, tuple[int, int]] = {}
+        mono_index: dict[tuple[int, ...], int] = {}
+        polys = []
+        for lineno, line in lines[1:]:
+            terms = _split_terms(line, var_index, factors) or _parse_terms(lineno, line, var_index)
+            columns = [mono_index.setdefault(m, len(mono_index)) for m in terms[3]]
+            polys.append((lineno, line, terms[0], terms[1], terms[2], columns))
+    except ParseError:
+        # a line read without error has no unexpected token, so only a failed read looks
+        for lineno, line in lines:
+            for index, token in enumerate(_TOKEN_RE.findall(line)):
                 if token[0] not in _TOKEN_START:
-                    raise _error(f"unexpected character {token!r}", lineno, line, index)
-        tokens.append(_END)
-        lines.append((lineno, line, tokens))
-    if not lines:
-        raise ParseError("missing 'vars' header", 1, 1)
+                    raise _error(f"unexpected character {token!r}", lineno, line, index) from None
+        raise
+    return _build(polys, mono_index, var_index)
 
-    lineno, line, tokens = lines[0]
-    if tokens[0] != "vars":
-        raise _error("expected 'vars'", lineno, line, 0)
-    var_index: dict[str, int] = {}
-    for index, token in enumerate(tokens[1:-1], start=1):
-        if token[0] not in _IDENT_START:
-            raise _error("expected a variable name", lineno, line, index)
-        if token in var_index:
-            raise _error(f"duplicate variable {token!r}", lineno, line, index)
-        var_index[token] = len(var_index)
-    if not var_index:
-        raise _error("at least one variable is required", lineno, line, 0)
 
-    polys = [
-        (lineno, line, _parse_terms(lineno, line, tokens, var_index))
-        for lineno, line, tokens in lines[1:]
-    ]
+def _build(polys, mono_index, var_index) -> SignedSystem:
+    """The system of the lines ``(lineno, line, signs, values, names, columns)``.
 
+    Each line is checked whole; only a line that fails is walked term by
+    term (:func:`_term_error`).  Each row keeps only its terms, sorted by
+    column: the pairs ``(j, sign)`` and their coefficients.
+    """
     parametric = next(
-        (name is not None for _, _, terms in polys for _, value, name, _, _ in terms
-         if name is not None or value is not None),
+        (name is not None for *_, values, names, _ in polys
+         for value, name in zip(values, names) if name is not None or value is not None),
         False,
     )
+    seen: set[str] = set()
+    sign_rows, coefficient_rows = [], []
+    for lineno, line, signs, values, names, columns in polys:
+        n = len(columns)
+        if parametric:
+            k = len(seen)
+            seen.update(names)
+            if (values.count(None) < n or None in names or len(seen) - k < n
+                    or len(set(columns)) < n):
+                raise _term_error(lineno, line, var_index, coefficient_rows, values, names, columns)
+            coefficients = names
+        else:
+            if names.count(None) < n:
+                raise _term_error(lineno, line, var_index, None, values, names, columns)
+            sums: dict[int, Fraction] = {}
+            for sign, value, col in zip(signs, values, columns):
+                sums[col] = sums.get(col, 0) + sign * (_ONE if value is None else value)
+            # a column whose terms sum to 0 keeps sign 0 and no value
+            columns = [col for col, total in sums.items() if total]
+            signs = [1 if sums[col] > 0 else -1 for col in columns]
+            coefficients = [abs(sums[col]) for col in columns]
+        order = sorted(range(len(columns)), key=columns.__getitem__)
+        sign_rows.append(tuple(zip(map(columns.__getitem__, order), map(signs.__getitem__, order))))
+        coefficient_rows.append(tuple(map(coefficients.__getitem__, order)))
+    return SignedSystem(
+        SignMatrix(sign_rows, len(mono_index)),
+        ExponentMatrix(tuple(mono_index), cols=len(var_index)),
+        (ParametricCoefficients if parametric else ConcreteCoefficients)(coefficient_rows),
+        tuple(var_index),
+    )
 
-    mono_index: dict[tuple[int, ...], int] = {}
-    if parametric:
-        seen_names: set[str] = set()
-        sign_rows: list[dict[int, int]] = []
-        name_rows: list[dict[int, str]] = []
-        for lineno, line, terms in polys:
-            signs: dict[int, int] = {}
-            names: dict[int, str] = {}
-            for sign, value, name, exponents, index in terms:
-                if value is not None:
-                    raise _error(
-                        "cannot mix numeric and named coefficients in one file",
-                        lineno, line, index,
-                    )
-                if name is None:
-                    raise _error(
-                        "every term of a parametric system needs a named coefficient",
-                        lineno, line, index,
-                    )
-                if name in seen_names:
-                    raise _error(
-                        f"duplicate parametric coefficient name {name!r}", lineno, line, index
-                    )
-                seen_names.add(name)
-                col = mono_index.setdefault(exponents, len(mono_index))
-                if col in signs:
-                    raise _error(
-                        "duplicate monomial in a parametric polynomial", lineno, line, index
-                    )
-                signs[col] = sign
-                names[col] = name
-            sign_rows.append(signs)
-            name_rows.append(names)
-        return _system(sign_rows, name_rows, mono_index, var_index, ParametricCoefficients)
-    sign_rows, value_rows = [], []
-    for lineno, line, terms in polys:
-        sums: dict[int, Fraction] = {}
-        for sign, value, name, exponents, index in terms:
-            if name is not None:
-                raise _error(
-                    "cannot mix numeric and named coefficients in one file",
-                    lineno, line, index,
-                )
-            col = mono_index.setdefault(exponents, len(mono_index))
-            sums[col] = sums.get(col, 0) + sign * (_ONE if value is None else value)
-        # a column whose terms sum to 0 keeps sign 0 and no value
-        sign_rows.append({col: 1 if total > 0 else -1 for col, total in sums.items() if total})
-        value_rows.append({col: abs(total) for col, total in sums.items() if total})
-    return _system(sign_rows, value_rows, mono_index, var_index, ConcreteCoefficients)
+
+def _term_error(lineno, line, var_index, name_rows, values, names, columns) -> ParseError:
+    """The error at the first bad term of a line.
+
+    ``name_rows`` holds the names of the earlier rows of a parametric
+    system and is None for a concrete one.  The term's column comes from
+    :func:`_parse_terms`, as a line that :func:`_split_terms` read keeps no
+    token positions.
+    """
+    seen, row = set().union(*name_rows or ()), set()
+    for k, (value, name, col) in enumerate(zip(values, names, columns)):
+        if (name if name_rows is None else value) is not None:
+            message = "cannot mix numeric and named coefficients in one file"
+        elif name_rows is None:
+            continue
+        elif name is None:
+            message = "every term of a parametric system needs a named coefficient"
+        elif name in seen:
+            message = f"duplicate parametric coefficient name {name!r}"
+        elif col in row:
+            message = "duplicate monomial in a parametric polynomial"
+        else:
+            seen.add(name)
+            row.add(col)
+            continue
+        return _error(message, lineno, line, _parse_terms(lineno, line, var_index)[4][k])
+    raise AssertionError("no bad term in a line that failed its checks")
+
+
+def parse_coefficient_bindings(text: str) -> dict[str, Fraction]:
+    """Parse a values file: one ``name = p`` or ``name = p/q`` per line, ``#`` comments.
+
+    ``p`` and ``q`` are written in ASCII digits, at most 4300 of them
+    (``_MAX_DIGITS``).
+    """
+    bindings: dict[str, Fraction] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        name, eq, value = line.partition("=")
+        name = name.strip()
+        value = value.strip()
+        if not eq or not name or not value:
+            raise ParseError("expected 'name = p' or 'name = p/q'", lineno, 1)
+        if name in bindings:
+            raise ParseError(f"duplicate value for {name!r}", lineno, 1)
+        num, slash, den = (part.strip() for part in value.partition("/"))
+        if not slash:
+            den = "1"
+        # ASCII digits only: int() would also take other decimal digits, signs
+        # and underscores, and str.isdigit alone also takes "²"
+        digits = num.isascii() and num.isdigit() and den.isascii() and den.isdigit()
+        if digits and max(len(num), len(den)) > _MAX_DIGITS:
+            raise ParseError(
+                f"value for {name!r} has a number of more than {_MAX_DIGITS} digits", lineno, 1
+            )
+        if not digits or int(den) == 0:
+            raise ParseError(f"invalid value {value!r}", lineno, 1)
+        fraction = Fraction(int(num), int(den))
+        if fraction <= 0:
+            raise ParseError(f"value for {name!r} must be positive", lineno, 1)
+        bindings[name] = fraction
+    return bindings
 
 
 def _monomial_factors(system: SignedSystem, j: int) -> str:

@@ -1,4 +1,4 @@
-"""The decision pipeline as a library: reduce, search, shrink, and read coefficient files.
+"""The decision pipeline as a library: reduce, search and shrink.
 
 :func:`decide_system` is what the ``decide``, ``witness`` and ``verify``
 commands run.  :mod:`subtrop.cli` parses arguments, prints and runs the
@@ -11,12 +11,9 @@ search's refutation, which :func:`~subtrop.refutation.refutes` checks.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .condition import build_dnf, shrink
 from .core import SignedSystem, _Value, zero_sign_rows
 from .lra import SolverDefect, solve_dnf
-from .parser import _MAX_DIGITS, ParseError
 
 
 class Decision(_Value):
@@ -58,40 +55,3 @@ def decide_system(system: SignedSystem) -> Decision:
     except ValueError:
         raise SolverDefect(f"row search returned a vector {n} that fails the CNF") from None
     return Decision("sat", n, None, None)
-
-
-def parse_coefficient_bindings(text: str) -> dict[str, Fraction]:
-    """Parse a values file: one ``name = p`` or ``name = p/q`` per line, ``#`` comments.
-
-    ``p`` and ``q`` are written in ASCII digits, at most 4300 of them
-    (``parser._MAX_DIGITS``).
-    """
-    bindings: dict[str, Fraction] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        name, eq, value = line.partition("=")
-        name = name.strip()
-        value = value.strip()
-        if not eq or not name or not value:
-            raise ParseError("expected 'name = p' or 'name = p/q'", lineno, 1)
-        if name in bindings:
-            raise ParseError(f"duplicate value for {name!r}", lineno, 1)
-        num, slash, den = (part.strip() for part in value.partition("/"))
-        if not slash:
-            den = "1"
-        # ASCII digits only: int() would also take other decimal digits, signs
-        # and underscores, and str.isdigit alone also takes "²"
-        digits = num.isascii() and num.isdigit() and den.isascii() and den.isdigit()
-        if digits and max(len(num), len(den)) > _MAX_DIGITS:
-            raise ParseError(
-                f"value for {name!r} has a number of more than {_MAX_DIGITS} digits", lineno, 1
-            )
-        if not digits or int(den) == 0:
-            raise ParseError(f"invalid value {value!r}", lineno, 1)
-        fraction = Fraction(int(num), int(den))
-        if fraction <= 0:
-            raise ParseError(f"value for {name!r} must be positive", lineno, 1)
-        bindings[name] = fraction
-    return bindings

@@ -10,7 +10,8 @@ from subtrop import ParseError, parse_system, print_system
 from subtrop.cli import main
 from subtrop.condition import build_cnf, build_dnf
 from subtrop.lra import solve_dnf
-from subtrop.pipeline import decide_system, parse_coefficient_bindings
+from subtrop.parser import parse_coefficient_bindings
+from subtrop.pipeline import decide_system
 
 from conftest import DATA, dense_signs, load, reference_explain_json
 from gensys import (

@@ -17,7 +17,8 @@ from subtrop.core import (
     zero_sign_rows,
 )
 from subtrop.condition import build_cnf, dominance_rows
-from subtrop.pipeline import Decision, parse_coefficient_bindings
+from subtrop.parser import parse_coefficient_bindings
+from subtrop.pipeline import Decision
 from subtrop.witness import instantiate
 
 from conftest import DATA, dense_signs, load, read_data

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from subtrop import ParseError, parse_system, parser, print_system
-from subtrop.pipeline import parse_coefficient_bindings
+from subtrop.parser import parse_coefficient_bindings
 
 from conftest import coefficients_by_column, dense_signs, load, read_data
 from gensys import random_signed_system
@@ -396,41 +397,71 @@ def _outcome(parse, text):
         return str(exc), exc.line, exc.col
 
 
-class TestFastPathAgreesWithWalker:
-    """``parse_system`` reads well-formed parametric text without the token walker.
+_EDGES = (
+    "vars x\npoly f =\n", "vars x\npoly f = # a\n", "vars x\npoly f a*x\n",
+    "vars x\npoly f = +\n", "vars x\npoly f = -\n", "vars x\npoly f = - - a\n",
+    "vars x\npoly f = a +\n", "vars x\npoly f = a - + b\n", "vars x\npoly f = a*\n",
+    "vars x\npoly f = a*x^\n", "vars x\npoly f = a**x\n", "vars x\npoly f = a*x^-1\n",
+    "vars x\npoly f = a*x^1^2\n", "vars x\npoly f = a * x\n", "vars x\npoly = a\n",
+    "vars x\npoly f g = a\n", "vars x\npoly f = a = b\n", "vars x\nvars y\n",
+    "vars\npoly f = a\n", "vars x x\npoly f = a\n", "vars x\n", "# only\n",
+    "vars x\npoly f = x\n", "vars x\npoly f = a*x - b*x\n", "vars x\npoly f = 2*x\n",
+    "vars x\npoly f = a\npoly g = a*x\n", "vars x\n\tpoly\tf\t=\t-a*x\t+b\t\n",
+    "vars x y\npoly f = +a*x^0*y - b*y*x^02 + c*x^3*x^4\n",
+)
 
-    On mutated data files and templates, it must return an equal system or
-    raise the same :class:`ParseError` (message, line and column) as the
-    walker alone.
+
+def _seeded_cases() -> list[str]:
+    """The edge texts, then 3,000 seeded texts: data files and templates, nine in ten mutated."""
+    rng = random.Random(7351)
+    names = ("example2.spp", "example3.spp", "sec2.spp", "certify_head_42.spp",
+             "intro_f.spp", "zero_row.spp")
+    sources = [read_data(name) for name in names]
+    sources += [print_system(random_signed_system(rng, parametric=rng.random() < 0.7))
+                for _ in range(20)]
+    sources += [_frontend_text(rng) for _ in range(20)]
+    return list(_EDGES) + [
+        _mutate(rng, rng.choice(sources)) if case % 10 else rng.choice(sources)
+        for case in range(3000)
+    ]
+
+
+class TestFastPathAgreesWithWalker:
+    """``_split_terms`` reads a ``poly`` line as the token walker does, or declines it.
+
+    On every ``poly`` line of the seeded texts whose header parses, it must
+    return None or exactly the terms of :func:`parser._parse_terms`, token
+    positions left out, where the walker raises no error.
     """
 
     def test_mutations(self):
-        rng = random.Random(7351)
-        names = ("example2.spp", "example3.spp", "sec2.spp", "certify_head_42.spp",
-                 "intro_f.spp", "zero_row.spp")
-        sources = [read_data(name) for name in names]
-        sources += [print_system(random_signed_system(rng, parametric=rng.random() < 0.7))
-                    for _ in range(20)]
-        sources += [_frontend_text(rng) for _ in range(20)]
-        edges = [
-            "vars x\npoly f =\n", "vars x\npoly f = # a\n", "vars x\npoly f a*x\n",
-            "vars x\npoly f = +\n", "vars x\npoly f = -\n", "vars x\npoly f = - - a\n",
-            "vars x\npoly f = a +\n", "vars x\npoly f = a - + b\n", "vars x\npoly f = a*\n",
-            "vars x\npoly f = a*x^\n", "vars x\npoly f = a**x\n", "vars x\npoly f = a*x^-1\n",
-            "vars x\npoly f = a*x^1^2\n", "vars x\npoly f = a * x\n", "vars x\npoly = a\n",
-            "vars x\npoly f g = a\n", "vars x\npoly f = a = b\n", "vars x\nvars y\n",
-            "vars\npoly f = a\n", "vars x x\npoly f = a\n", "vars x\n", "# only\n",
-            "vars x\npoly f = x\n", "vars x\npoly f = a*x - b*x\n", "vars x\npoly f = 2*x\n",
-            "vars x\npoly f = a\npoly g = a*x\n", "vars x\n\tpoly\tf\t=\t-a*x\t+b\t\n",
-            "vars x y\npoly f = +a*x^0*y - b*y*x^02 + c*x^3*x^4\n",
-        ]
-        fast = 0
-        for text in edges:
-            assert _outcome(parse_system, text) == _outcome(parser._walk, text), text
-        for case in range(3000):
-            text = _mutate(rng, rng.choice(sources)) if case % 10 else rng.choice(sources)
-            expected = _outcome(parser._walk, text)
-            assert _outcome(parse_system, text) == expected, text
-            fast += parser._read_parametric(text) is not None
-        # the fast path reads a good share of the cases, so it is under test
-        assert fast > 400
+        split = {True: 0, False: 0}  # lines the split read, by whether a name is in them
+        for text in _seeded_cases():
+            lines = [(lineno, raw.partition("#")[0])
+                     for lineno, raw in enumerate(text.splitlines(), start=1)
+                     if raw.partition("#")[0].strip()]
+            try:
+                var_names = parse_system(lines[0][1]).var_names if lines else ()
+            except ParseError:
+                continue
+            var_index = {name: k for k, name in enumerate(var_names)}
+            factors = {}
+            for lineno, line in lines[1:]:
+                terms = parser._split_terms(line, var_index, factors)
+                if terms is None:
+                    continue
+                assert terms == parser._parse_terms(lineno, line, var_index)[:4], line
+                split[any(name is not None for name in terms[2])] += 1
+        # the split reads a good share of both kinds of line, so both are under test
+        assert split[True] > 2000 and split[False] > 400, split
+
+
+class TestPinnedOutcomes:
+    """Each seeded text parses to the same system, or the same error, byte for byte."""
+
+    def test_outcomes_digest(self):
+        outcomes = [_outcome(parse_system, text) for text in _seeded_cases()]
+        assert len(outcomes) == 3028
+        assert sum(isinstance(outcome, tuple) for outcome in outcomes) == 2339
+        digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+        assert digest == "c44110720e186bf9e36383e32bf261ede35ca039b82da6188c16995dc9f1450d"
