@@ -24,6 +24,10 @@ the witness functions' gate in ``witness`` or ``verify``
 reaches here) or any other unexpected exception, so that a crash is never
 read as unsat.  Reports go to stdout, diagnostics to stderr.  JSON output
 is byte-stable: the same input and flags always produce the same bytes.
+:func:`main` runs every command: it parses INPUT and passes the system to
+the command's handler, with CPython's int-to-text digit limit lifted for
+the call and restored afterwards, so every command prints exact integers
+of any size.
 This module holds no library code: the decision pipeline is
 :mod:`subtrop.pipeline`, and ``explain``'s writer
 is :func:`~subtrop.condition.write_cnf`.
@@ -70,10 +74,6 @@ def _read(path: str) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise _InputError(f"{path} is not UTF-8 text: {exc}") from None
-
-
-def _load_system(path: str) -> SignedSystem:
-    return parse_system(_read(path))
 
 
 def _format_vector(values) -> str:
@@ -130,8 +130,7 @@ def _run_checks(system: SignedSystem, decision: Decision) -> int:
     return 0
 
 
-def cmd_decide(args) -> int:
-    system = _load_system(args.input)
+def cmd_decide(system: SignedSystem, args) -> int:
     decision = decide_system(system)
     if args.check and decision.zero_row is None:
         code = _run_checks(system, decision)
@@ -141,8 +140,7 @@ def cmd_decide(args) -> int:
     return 0 if decision.status == "sat" else 1
 
 
-def cmd_witness(args) -> int:
-    system = _load_system(args.input)
+def cmd_witness(system: SignedSystem, args) -> int:
     decision = decide_system(system)
     if decision.status == "unsat":
         _print_decision(decision, args.format)
@@ -154,23 +152,6 @@ def cmd_witness(args) -> int:
     else:
         print(witness.to_display_text())
     return 0
-
-
-def _unlimited_digits(write, *args):
-    """Call ``write(*args)``, which prints exact ints however many digits they have.
-
-    CPython (3.10.7 and later) refuses to convert an int of more than 4300
-    digits to text by default; the limit is lifted here and restored
-    afterwards.
-    """
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return write(*args)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return write(*args)
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def _print_exact_report(report: VerificationReport, n: tuple[int, ...], fmt: str):
@@ -194,8 +175,7 @@ def _print_exact_report(report: VerificationReport, n: tuple[int, ...], fmt: str
         print("ok")
 
 
-def cmd_verify(args) -> int:
-    system = _load_system(args.input)
+def cmd_verify(system: SignedSystem, args) -> int:
     if system.is_parametric:
         if not args.coeffs:
             print("error: parametric input needs --coeffs <file>", file=sys.stderr)
@@ -210,21 +190,22 @@ def cmd_verify(args) -> int:
         return 1
     r = uniform_bound(system) if args.use_uniform_bound else None
     report = verify_witness(system, decision.n, r, max_bits=args.max_bits)
-    _unlimited_digits(_print_exact_report, report, decision.n, args.format)
+    _print_exact_report(report, decision.n, args.format)
     return 0
 
 
-def cmd_explain(args) -> int:
+def cmd_explain(system: SignedSystem, args) -> int:
     """Print the CNF of the dominance condition (:func:`~subtrop.condition.write_cnf`)."""
-    _unlimited_digits(write_cnf, _load_system(args.input), sys.stdout.write, args.format == "json")
+    write_cnf(system, sys.stdout.write, args.format == "json")
     return 0
 
 
 _FORMATS = ("text", "json")
 
 # Each command's handler and options.  An option maps to its value's type (int or
-# str), to the tuple of values it accepts, or to None for a switch, which takes no
-# value and is False unless given.
+# str), to the tuple of values it accepts, the first being its default, or to None
+# for a switch, which takes no value and is False unless given.  An int or str
+# option that is not given is None.
 _COMMANDS = {
     # --seed is parsed and validated but has no effect, since --check draws no samples;
     # callers that pass it keep working.
@@ -236,8 +217,6 @@ _COMMANDS = {
     ),
     "explain": (cmd_explain, {"--format": _FORMATS}),
 }
-# Values of the valued options that are not given; the others default to None.
-_DEFAULTS = {"format": "text"}
 # The least value of the int options that have one: a size limit below 1 bit
 # would refuse every point.
 _LEAST = {"--max-bits": 1}
@@ -318,7 +297,7 @@ def _parse_args(argv: list[str]):
         raise _UsageError(f"unknown command {argv[0]!r} (choose from {', '.join(_COMMANDS)})")
     handler, options = _COMMANDS[argv[0]]
     values = {
-        _dest(flag): False if kind is None else _DEFAULTS.get(_dest(flag))
+        _dest(flag): False if kind is None else kind[0] if isinstance(kind, tuple) else None
         for flag, kind in options.items()
     }
     inputs = []
@@ -374,8 +353,14 @@ def main(argv=None) -> int:
         print(_HELP, end="")
         return 0
     handler, args = parsed
+    # lift CPython's 4300-digit int-to-text limit so that output is exact; the
+    # parsers refuse a longer number in the input by its length
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
-        return handler(args)
+        return handler(parse_system(_read(args.input)), args)
     except WitnessFailure as exc:
         print(f"witness failure (solver defect): {exc}", file=sys.stderr)
         return 4
@@ -389,6 +374,9 @@ def main(argv=None) -> int:
         message = str(exc).replace("\n", " ")
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 4
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

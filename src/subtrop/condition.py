@@ -177,8 +177,9 @@ def write_cnf(system: SignedSystem, write, as_json: bool):
     ``e_k``'s ``d`` columns and its close, so no literal becomes an object
     or a format call of its own.  Each row's clauses are passed to
     ``write`` as soon as they are made, so the whole output is never held
-    at once.  A sum of exponents may pass the digit limit of int-to-text
-    conversion, which the caller lifts (``explain`` does).
+    at once.  A sum of exponents may pass CPython's 4300-digit limit of
+    int-to-text conversion, which the caller lifts, as :func:`subtrop.cli.main`
+    does for every command.
     """
     d, exponents = system.d, system.e.entries
     if as_json:

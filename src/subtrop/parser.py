@@ -403,6 +403,12 @@ def print_system(system: SignedSystem) -> str:
     reproduce the original column order (possible after concrete-mode
     cancellations), and rows with no term at all, are represented by a
     canceling ``+ m - m`` pair, which parses back to a zero sign entry.
+
+    The round trip holds only while every number printed has at most 4300
+    digits (``_MAX_DIGITS``): a concrete row that sums two 4300-digit
+    coefficients prints a 4301-digit one, which :func:`parse_system` refuses.
+    Printing an int of more than 4300 digits also needs CPython's int-to-text
+    limit lifted by the caller, as :func:`subtrop.cli.main` does.
     """
     lines = ["vars " + " ".join(system.var_names)]
     u, v, rows = system.u, system.v, system.s.entries

@@ -29,6 +29,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def unlimited_digits(fn, *args):
+    """``fn(*args)`` with CPython's int-to-text digit limit lifted, as ``main`` runs a command."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return fn(*args)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return fn(*args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 class TestDecide:
     def test_example2_sat_json(self, capsys):
         code, out, _ = run(capsys, "decide", DATA / "example2.spp", "--format", "json")
@@ -493,6 +505,36 @@ class TestVerify:
             sys.set_int_max_str_digits(limit)
         assert len(payload["point"][0]) > 4300
 
+    def test_vector_beyond_int_text_limit(self, capsys, tmp_path):
+        # the search gives n = (10^4300, 1), whose first entry has 4301 digits
+        path = tmp_path / "huge_n.spp"
+        path.write_text(f"vars x y\npoly f = a*x - b*y^{'9' * 4300}\npoly g = c*y - d\n")
+        n = "1" + "0" * 4300
+        limit = sys.get_int_max_str_digits()
+        t = "t = 1 + (b)*(1/a) + (d)*(1/c)"
+        rows = '[{"row": 0, "neg": ["b"], "pos": ["a"]}, {"row": 1, "neg": ["d"], "pos": ["c"]}]'
+        t_json = f'{{"one": 1, "rows": {rows}}}'
+        for argv, expected in [
+            (["decide"], f"SAT\nn = ({n}, 1)\n"),
+            (["decide", "--check"], f"SAT\nn = ({n}, 1)\n"),
+            (["decide", "--format", "json"], f'{{"status": "sat", "n": [{n}, 1]}}\n'),
+            (["decide", "--check", "--format", "json"], f'{{"status": "sat", "n": [{n}, 1]}}\n'),
+            (["witness"], f"{t}; z = (t^{n}, t^1)\n"),
+            (["witness", "--format", "json"], f'{{"t": {t_json}, "n": [{n}, 1]}}\n'),
+        ]:
+            assert run(capsys, argv[0], path, *argv[1:]) == (0, expected, ""), argv
+            assert sys.get_int_max_str_digits() == limit, argv
+        # verify's evaluation of r^n has no bound of its own, so only a size limit is run
+        coeffs = tmp_path / "ones.coeffs"
+        coeffs.write_text("a = 1\nb = 1\nc = 1\nd = 1\n")
+        assert run(capsys, "verify", path, "--coeffs", coeffs, "--max-bits", "64") == (
+            2, "", "error: a coordinate of r^n would exceed 64 bits\n"
+        )
+        assert sys.get_int_max_str_digits() == limit
+        code, _, err = run(capsys, "decide", tmp_path / "missing.spp")
+        assert code == 2 and err.startswith("error: ")
+        assert sys.get_int_max_str_digits() == limit
+
 
 class TestWitnessCalls:
     """``verify`` computes t once, from the rows, and ``decide --check`` not at all.
@@ -752,13 +794,11 @@ class TestExplainBytes:
 
     def assert_explain_bytes(self, capsys, path):
         """Both formats of ``explain path`` equal the CNF objects' text and JSON dump."""
-        from subtrop.cli import _unlimited_digits
-
         condition = build_cnf(parse_system(path.read_text()))
-        text = _unlimited_digits(condition.to_debug_text) + "\n" if condition.clauses else ""
+        text = unlimited_digits(condition.to_debug_text) + "\n" if condition.clauses else ""
         assert run(capsys, "explain", path) == (0, text, "")
         assert run(capsys, "explain", path, "--format", "json") == (
-            0, _unlimited_digits(reference_explain_json, condition), ""
+            0, unlimited_digits(reference_explain_json, condition), ""
         )
 
     def test_frontend_shaped_rows_share_columns(self, capsys, tmp_path):
@@ -1042,7 +1082,7 @@ class TestLineEndings:
             lf.write_bytes(text.encode())
             other.write_bytes(text.replace("\n", newline).encode())
             if name != "bad.spp":
-                assert cli._load_system(str(other)) == cli._load_system(str(lf)), name
+                assert parse_system(cli._read(str(other))) == parse_system(cli._read(str(lf))), name
             for argv in (["decide"], ["decide", "--format", "json"],
                          ["explain"], ["explain", "--format", "json"]):
                 if argv[0] == "decide" and name == "wall_8_20_8_1.spp":
