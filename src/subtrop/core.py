@@ -11,6 +11,11 @@ or concrete positive rationals.  An exponent vector ``n`` is a plain
 ``tuple[int, ...]`` with no type of its own; :mod:`subtrop.witness` checks
 its entries.
 
+The value constructors check their arguments, for callers of the library.
+:func:`subtrop.parser.parse_system` establishes the same invariants itself,
+so that it can report a fault by line and column, and builds its values
+through ``_Value._make``, which checks nothing.
+
 All numeric work is exact, in ints and :class:`fractions.Fraction`; nothing
 in this package touches floating point.
 """
@@ -47,6 +52,17 @@ class _Value:
             raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got {len(fields)}")
         for name, value in zip(names, fields):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _make(cls, *fields):
+        """An instance holding ``fields`` as given, with none of the subclass's checks.
+
+        For a builder that establishes every invariant of ``cls`` itself and
+        passes exactly what its constructor would store.
+        """
+        self = object.__new__(cls)
+        _Value.__init__(self, *fields)
+        return self
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

@@ -55,7 +55,8 @@ class ParseError(SubtropError):
 # One token per match; its first character tells its kind: an ASCII letter or '_'
 # starts an identifier, a digit a number, one of '*^+-=/' is an operator, and any
 # other character is unexpected.
-_TOKEN_RE = re.compile(r"[A-Za-z_]\w*|[0-9]+|[*^+\-=/]|\S")
+_ID_RE = re.compile(r"[A-Za-z_]\w*")
+_TOKEN_RE = re.compile(_ID_RE.pattern + r"|[0-9]+|[*^+\-=/]|\S")
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _DIGITS = frozenset("0123456789")
 _TOKEN_START = _IDENT_START | _DIGITS | frozenset("*^+-=/")
@@ -274,6 +275,20 @@ def _build(polys, mono_index, var_index) -> SignedSystem:
     Each line is checked whole; only a line that fails is walked term by
     term (:func:`_term_error`).  Each row keeps only its terms, sorted by
     column: the pairs ``(j, sign)`` and their coefficients.
+
+    The values are built through ``_Value._make``, without their
+    constructors' checks, as every invariant those check holds here:
+
+    * exponent rows are the keys of ``mono_index``, so they are distinct
+      tuples of d non-negative ints, and ``mono_index`` numbers them
+      ``range(v)``;
+    * each row's columns are sorted, distinct and in ``range(v)``, and
+      each sign is -1 or 1;
+    * parametric names are nonempty identifiers, unique by ``seen``;
+    * concrete values are nonzero ``abs`` of ``Fraction`` sums, so
+      positive ``Fraction`` values;
+    * each coefficient row holds one entry per term of its sign row;
+    * the variables, from ``var_index``, are distinct and at least one.
     """
     parametric = next(
         (name is not None for *_, values, names, _ in polys
@@ -304,10 +319,11 @@ def _build(polys, mono_index, var_index) -> SignedSystem:
         order = sorted(range(len(columns)), key=columns.__getitem__)
         sign_rows.append(tuple(zip(map(columns.__getitem__, order), map(signs.__getitem__, order))))
         coefficient_rows.append(tuple(map(coefficients.__getitem__, order)))
-    return SignedSystem(
-        SignMatrix(sign_rows, len(mono_index)),
-        ExponentMatrix(tuple(mono_index), cols=len(var_index)),
-        (ParametricCoefficients if parametric else ConcreteCoefficients)(coefficient_rows),
+    kind = ParametricCoefficients if parametric else ConcreteCoefficients
+    return SignedSystem._make(
+        SignMatrix._make(tuple(sign_rows), len(mono_index)),
+        ExponentMatrix._make(tuple(mono_index), len(var_index)),
+        kind._make(tuple(coefficient_rows)),
         tuple(var_index),
     )
 
@@ -343,8 +359,9 @@ def _term_error(lineno, line, var_index, name_rows, values, names, columns) -> P
 def parse_coefficient_bindings(text: str) -> dict[str, Fraction]:
     """Parse a values file: one ``name = p`` or ``name = p/q`` per line, ``#`` comments.
 
-    ``p`` and ``q`` are written in ASCII digits, at most 4300 of them
-    (``_MAX_DIGITS``).
+    ``name`` is an identifier, as an ``.spp`` file's ``id`` token, so that
+    it can match a coefficient name.  ``p`` and ``q`` are written in ASCII
+    digits, at most 4300 of them (``_MAX_DIGITS``).
     """
     bindings: dict[str, Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -356,6 +373,8 @@ def parse_coefficient_bindings(text: str) -> dict[str, Fraction]:
         value = value.strip()
         if not eq or not name or not value:
             raise ParseError("expected 'name = p' or 'name = p/q'", lineno, 1)
+        if not _ID_RE.fullmatch(name):
+            raise ParseError(f"invalid coefficient name {name!r}", lineno, 1)
         if name in bindings:
             raise ParseError(f"duplicate value for {name!r}", lineno, 1)
         num, slash, den = (part.strip() for part in value.partition("/"))

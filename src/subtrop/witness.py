@@ -156,7 +156,9 @@ def instantiate(system: SignedSystem, bindings: Mapping[str, Fraction | int]) ->
 
     Every name occurring in the system must be bound; extra bindings are
     ignored so one value file can serve several systems.  Each term's value
-    takes the place of its name.
+    takes the place of its name.  :class:`ConcreteCoefficients` checks the
+    bound values; the system around them is built without checks, as its
+    shapes are those of ``system``.
     """
     if not system.is_parametric:
         raise ValueError("system already has concrete coefficients")
@@ -164,7 +166,7 @@ def instantiate(system: SignedSystem, bindings: Mapping[str, Fraction | int]) ->
         if name not in bindings:
             raise UnboundCoefficient(f"no value bound for coefficient {name!r}")
     values = ConcreteCoefficients(tuple(map(bindings.__getitem__, row)) for row in system.c.names)
-    return SignedSystem(system.s, system.e, values, system.var_names)
+    return SignedSystem._make(system.s, system.e, values, system.var_names)
 
 
 def uniform_bound(system: SignedSystem) -> Fraction:

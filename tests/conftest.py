@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from subtrop import lra, parse_system
+from subtrop import SignedSystem, lra, parse_system
 from subtrop.condition import LinearCondition
+from subtrop.core import ConcreteCoefficients, ExponentMatrix, SignMatrix
 from subtrop.lra import solve_dnf
 
 from gensys import random_signed_system
@@ -59,6 +60,35 @@ def dense_signs(system) -> tuple[tuple[int, ...], ...]:
     """The u x v sign matrix of ``system``, with 0 at every column a row has no term at."""
     rows = [dict(row) for row in system.s.entries]
     return tuple(tuple(row.get(j, 0) for j in range(system.v)) for row in rows)
+
+
+def rebuild(system):
+    """``system`` built again through the validating constructors of its values."""
+    return SignedSystem(
+        SignMatrix(system.s.entries, system.s.cols),
+        ExponentMatrix(system.e.entries, system.e.cols),
+        type(system.c)(*system.c._fields()),
+        system.var_names,
+    )
+
+
+def assert_constructors_agree(system):
+    """``system`` equals its :func:`rebuild` and stores what the constructors store.
+
+    That is tuples of tuples of ints, and ``str`` names or ``Fraction``
+    values; equality alone would let a list or an int ``1`` through.
+    """
+    assert rebuild(system) == system
+    coefficients = system.c.names if system.is_parametric else system.c.values
+    assert type(system.var_names) is tuple and {type(x) for x in system.var_names} == {str}
+    for rows in (system.s.entries, system.e.entries, coefficients):
+        assert type(rows) is tuple and {type(row) for row in rows} <= {tuple}
+    assert {type(term) for row in system.s.entries for term in row} <= {tuple}
+    assert {type(x) for row in system.s.entries for term in row for x in term} <= {int}
+    assert {type(x) for row in system.e.entries for x in row} <= {int}
+    assert {type(x) for row in coefficients for x in row} <= {
+        str if system.is_parametric else Fraction}
+    assert type(system.s.cols) is int and type(system.e.cols) is int
 
 
 def coefficients_by_column(system, i: int) -> dict:

@@ -1131,6 +1131,21 @@ class TestCoefficientBindings:
             with pytest.raises(ParseError):
                 parse_coefficient_bindings(text)
 
+    def test_rejects_names_no_coefficient_can_have(self):
+        # a name must be an identifier, as a coefficient name in an .spp file is
+        for name in ["c 2", "2c", "a-b", "c.1", "x^2", "\u00e9"]:
+            with pytest.raises(ParseError) as caught:
+                parse_coefficient_bindings(f"c1 = 1\n{name} = 3\n")
+            assert str(caught.value) == f"line 2, column 1: invalid coefficient name {name!r}"
+        assert parse_coefficient_bindings("_c9 = 1\nc_2 = 3\n") == {"_c9": 1, "c_2": 3}
+
+    def test_verify_names_the_bad_binding_line(self, capsys, tmp_path):
+        values = tmp_path / "values.coeffs"
+        values.write_text("c1 = 1\nc 2 = 3\n")
+        code, out, err = run(capsys, "verify", DATA / "intro_f.spp", "--coeffs", values)
+        assert (code, out) == (2, "")
+        assert err == "error: line 2, column 1: invalid coefficient name 'c 2'\n"
+
 
 class TestDecideSystem:
     def test_single_row_dnf_matches_cnf_on_goldens(self, capsys):

@@ -21,7 +21,7 @@ from subtrop.parser import parse_coefficient_bindings
 from subtrop.pipeline import Decision
 from subtrop.witness import instantiate
 
-from conftest import DATA, dense_signs, load, read_data
+from conftest import DATA, assert_constructors_agree, dense_signs, load, read_data
 from gensys import random_exponent_rows, random_signed_system, template_system
 
 
@@ -356,6 +356,7 @@ class TestSparseStorage:
             assert all(a < b for a, b in zip(columns, columns[1:])), columns
             assert {sign for _, sign in row} <= {-1, 1}
         assert_one_coefficient_per_term(system)
+        assert_constructors_agree(system)
 
     def test_generated_parametric_system(self):
         rng = random.Random(28)

@@ -1,14 +1,25 @@
 import hashlib
+import pickle
 import random
 import sys
 from fractions import Fraction
 
 import pytest
 
-from subtrop import ParseError, parse_system, parser, print_system
+from subtrop import ParseError, SignedSystem, parse_system, parser, print_system
+from subtrop.core import ConcreteCoefficients, ExponentMatrix, ParametricCoefficients, SignMatrix
 from subtrop.parser import parse_coefficient_bindings
+from subtrop.witness import instantiate
 
-from conftest import coefficients_by_column, dense_signs, load, read_data
+from conftest import (
+    DATA,
+    assert_constructors_agree,
+    coefficients_by_column,
+    dense_signs,
+    load,
+    read_data,
+    rebuild,
+)
 from gensys import random_signed_system
 
 # Matrices as printed in the worked three-polynomial example; our parser
@@ -465,3 +476,81 @@ class TestPinnedOutcomes:
         assert sum(isinstance(outcome, tuple) for outcome in outcomes) == 2339
         digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
         assert digest == "c44110720e186bf9e36383e32bf261ede35ca039b82da6188c16995dc9f1450d"
+
+
+class TestParsedSystemsPassTheConstructors:
+    """``parse_system`` builds without the constructors' checks, so its output is put to them here."""
+
+    def test_data_files(self):
+        paths = sorted(DATA.glob("*.spp"))
+        assert len(paths) >= 11
+        for path in paths:
+            assert_constructors_agree(parse_system(path.read_text(encoding="utf-8")))
+
+    def test_generated_systems(self):
+        rng = random.Random(31)
+        for parametric in (True, False):
+            for index in range(200):
+                raw = random_signed_system(rng, parametric=parametric,
+                                           integer_coeffs=index % 2 == 0, ensure_positive=False)
+                system = parse_system(print_system(raw))
+                assert system.is_parametric == parametric
+                assert_constructors_agree(system)
+
+    def test_pinned_corpus(self):
+        outcomes = [_outcome(parse_system, text) for text in _seeded_cases()]
+        systems = [outcome for outcome in outcomes if not isinstance(outcome, tuple)]
+        assert len(systems) == 3028 - 2339
+        assert {system.is_parametric for system in systems} == {True, False}
+        for system in systems:
+            assert_constructors_agree(system)
+
+
+_VALIDATING = (SignMatrix, ExponentMatrix, ParametricCoefficients, ConcreteCoefficients,
+               SignedSystem)
+
+
+@pytest.fixture
+def constructor_calls(monkeypatch):
+    """The class names of the validating constructors run, one entry per call."""
+    calls = []
+    for cls in _VALIDATING:
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            calls.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    return calls
+
+
+class TestBuildsWithoutRevalidation:
+    """``parse_system`` runs no validating constructor, and what it builds behaves as if it had."""
+
+    @pytest.mark.parametrize("name, kind", [("example2.spp", "ParametricCoefficients"),
+                                            ("intro_f_ones.spp", "ConcreteCoefficients")])
+    def test_parse_runs_no_validating_constructor(self, constructor_calls, name, kind):
+        system = load(name)
+        assert constructor_calls == []
+        # a pickle round trip goes through the constructors, so the count would see them
+        assert pickle.loads(pickle.dumps(system)) == system
+        assert sorted(constructor_calls) == sorted(
+            ["SignMatrix", "ExponentMatrix", kind, "SignedSystem"])
+
+    def test_instantiate_checks_only_the_values(self, constructor_calls):
+        template = load("intro_f.spp")
+        system = instantiate(template, {"c0": 1, "c1": Fraction(1, 2), "c2": 3})
+        assert constructor_calls == ["ConcreteCoefficients"]
+        assert_constructors_agree(system)
+        with pytest.raises(ValueError, match="strictly positive"):
+            instantiate(template, {"c0": 1, "c1": 0, "c2": 3})
+
+    @pytest.mark.parametrize("name", ["example2.spp", "intro_f_ones.spp", "zero_row.spp"])
+    def test_made_values_equal_constructed_ones(self, name):
+        made, built = load(name), rebuild(load(name))
+        for a, b in [(made, built), (made.s, built.s), (made.e, built.e), (made.c, built.c)]:
+            assert a is not b and type(a) is type(b)
+            assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+            for field in a.__slots__:
+                with pytest.raises(AttributeError):
+                    setattr(a, field, None)
+                with pytest.raises(AttributeError):
+                    delattr(a, field)
