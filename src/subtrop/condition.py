@@ -166,22 +166,20 @@ _TOKENS_KEPT = 4096
 def write_cnf(system: SignedSystem, write, as_json: bool):
     """Pass the text or JSON of :func:`build_cnf` to ``write``, row by row, without building it.
 
-    The text equals ``build_cnf(system).to_debug_text()`` plus a newline, or
-    is empty when there are no clauses, and the JSON equals ``json.dumps``
-    of ``{"num_vars", "clauses"}`` plus a newline.  The rows come from
-    :func:`dominance_rows`.  Each int becomes text once per call, with its
-    separator, in a token table per coordinate.  In a row, the tokens of
-    ``e_j[c] - a`` over the positive ``j`` form a column, made for the first
-    negative ``k`` with ``e_k[c] = a`` and reused by the others.  A clause
-    is then joins in C of each literal's head, one token from each of
-    ``e_k``'s ``d`` columns and its close, so no literal becomes an object
-    or a format call of its own.  Each row's clauses are passed to
-    ``write`` as soon as they are made, so the whole output is never held
-    at once.  A sum of exponents may pass CPython's 4300-digit limit of
-    int-to-text conversion, which the caller lifts, as :func:`subtrop.cli.main`
-    does for every command.
+    The text is ``build_cnf(system).to_debug_text()`` plus a newline, or
+    nothing without clauses; the JSON is ``json.dumps`` of ``{"num_vars",
+    "clauses"}`` plus a newline.  ``write`` gets one string per row of
+    :func:`dominance_rows`, plus the JSON's opening and closing, never the
+    whole output.  Each int becomes text once per call, with its separator,
+    in a token table per coordinate.  A row's tokens of ``e_j[c] - a`` over
+    its positive ``j`` form a column, made for the first negative ``k`` with
+    ``e_k[c] = a`` and reused by the others.  The row's literals lie in one
+    flat list, ``d + 2`` slots each: head, ``d`` tokens, close.  A clause
+    assigns ``e_k``'s columns to the slices ``c + 1::d + 2`` and joins the
+    list once.  Sums of exponents may pass CPython's 4300-digit int-to-text
+    limit, which the caller lifts, as :func:`subtrop.cli.main` does.
     """
-    d, exponents = system.d, system.e.entries
+    d, width, exponents = system.d, system.d + 2, system.e.entries
     if as_json:
         write(f'{{"num_vars": {d}, "clauses": [')
         tokens = [_Memo("%d".__mod__)] + [_Memo(", %d".__mod__)] * (d - 1)
@@ -201,11 +199,13 @@ def write_cnf(system: SignedSystem, write, as_json: bool):
             _Memo(lambda a, v=v, t=t: list(map(t.__getitem__, map(sub, v, repeat(a)))))
             for v, t in zip(values, tokens)
         ]
-        clauses = [
-            template % (k, "".join(map("".join, zip(heads, *map(getitem, columns, exponents[k]),
-                                                    repeat(close)))))
-            for k in negative
-        ]
+        flat = [close] * (width * len(heads))  # per literal: head, d tokens, close
+        flat[::width] = heads
+        clauses = []
+        for k in negative:
+            for c, column in enumerate(map(getitem, columns, exponents[k]), 1):
+                flat[c::width] = column
+            clauses.append(template % (k, "".join(flat)))
         write(sep + between.join(clauses))
         sep = between
         for table in tokens:

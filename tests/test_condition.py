@@ -79,22 +79,91 @@ class TestBuildCnf:
         assert lines[2] == "clause 1 4: [0: 5 -3] [1: 2 -2] [2: 2 -3]"
 
 
+# 12 rows of 60 terms over 6 variables, perfbench/corpus.py's
+# frontend_text(random.Random("explain-pin:12x60"), 12, 60); kept apart from
+# tests/data/*.spp, which the pinned search digests read in full
+FRONTEND = "explain/frontend_12x60.spp"
+
+
+def writer_systems():
+    """Seeded systems of both kinds, d = 1..8, exponents to 30 and rows of up to 60 terms.
+
+    Their rows have from 0 to over 20 positive monomials, so a row's flat
+    list of literals has every length from empty to wide, and the rows of
+    one system differ in length.
+    """
+    for parametric in (True, False):
+        rng = random.Random(f"write-cnf:{parametric}")
+        for _ in range(40):
+            yield random_signed_system(
+                rng, max_rows=5, max_monomials=60, max_vars=8, max_exp=30,
+                parametric=parametric, ensure_positive=False,
+            )
+
+
+def written(system, as_json: bool) -> list[str]:
+    """The strings that :func:`write_cnf` passes to ``write``, in order."""
+    parts: list[str] = []
+    write_cnf(system, parts.append, as_json)
+    return parts
+
+
 class TestWriteCnf:
     """The writer passes build_cnf's text and JSON to any callable, with no CLI."""
 
-    @pytest.mark.parametrize("name", [path.name for path in sorted(DATA.glob("*.spp"))] + [None])
+    def assert_bytes_equal_the_cnf_objects(self, system):
+        cond = build_cnf(system)
+        assert "".join(written(system, False)) == (
+            cond.to_debug_text() + "\n" if cond.clauses else ""
+        )
+        assert "".join(written(system, True)) == reference_explain_json(cond)
+
+    @pytest.mark.parametrize(
+        "name", [path.name for path in sorted(DATA.glob("*.spp"))] + [FRONTEND, None]
+    )
     def test_bytes_equal_the_cnf_objects(self, name):
         # None: row 1 has negative monomials and no positive one, an empty clause
         text = "vars x y\npoly f = a*x - b*y\npoly g = -c*x\n"
         system = load(name) if name else parse_system(text)
-        cond = build_cnf(system)
-        assert name or cond.clauses[-1].literals == ()
-        parts: list[str] = []
-        write_cnf(system, parts.append, False)
-        assert "".join(parts) == (cond.to_debug_text() + "\n" if cond.clauses else "")
-        parts.clear()
-        write_cnf(system, parts.append, True)
-        assert "".join(parts) == reference_explain_json(cond)
+        assert name or build_cnf(system).clauses[-1].literals == ()
+        self.assert_bytes_equal_the_cnf_objects(system)
+
+    def test_bytes_equal_the_cnf_objects_on_seeded_systems(self):
+        # a wrong stride or a slot left over from another clause or row shows here
+        shapes = set()
+        for system in writer_systems():
+            kind = type(system.c).__name__
+            for row in system.s.entries:
+                if any(sign < 0 for _, sign in row):
+                    positive = sum(sign > 0 for _, sign in row)
+                    shapes.add((kind, "positive", "wide" if positive >= 20 else min(positive, 2)))
+            shapes.add((kind, "d", system.d))
+            shapes.add((kind, "exponent > 10", max(map(max, system.e.entries)) > 10))
+            self.assert_bytes_equal_the_cnf_objects(system)
+        assert shapes >= {
+            (kind, *shape)
+            for kind in ("ParametricCoefficients", "ConcreteCoefficients")
+            for shape in [("positive", 0), ("positive", 1), ("positive", "wide"),
+                          ("exponent > 10", True), *(("d", d) for d in range(1, 9))]
+        }
+
+    @pytest.mark.parametrize("name, rows", [
+        ("wall_8_20_8_1.spp", 8), (FRONTEND, 12),
+    ])
+    def test_one_write_per_row_with_negative_monomials(self, name, rows):
+        # the output is streamed: one string per clause-bearing row, and for JSON
+        # its opening and closing, so no string holds the whole output
+        system = load(name)
+        assert sum(any(sign < 0 for _, sign in row) for row in system.s.entries) == rows
+        text = written(system, False)
+        assert len(text) == rows
+        for i, part in enumerate(text):
+            assert {line.split(":")[0].split()[1] for line in part.splitlines()} == {str(i)}
+        parts = written(system, True)
+        assert len(parts) == rows + 2
+        assert parts[0] == f'{{"num_vars": {system.d}, "clauses": [' and parts[-1] == "]}\n"
+        for i, part in enumerate(parts[1:-1]):
+            assert part.startswith(f'{", " if i else ""}{{"row": {i}, '), i
 
 
 class TestBuildDnfOneRow:
