@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain
-from operator import lt
 
 
 class SubtropError(Exception):
@@ -99,18 +97,14 @@ def _require_int(x, what: str) -> int:
     return x
 
 
-_INT = frozenset((int,))
-_STR = frozenset((str,))
-_PAIR = frozenset((tuple,))
-
-
 class ExponentMatrix(_Value):
     """v x d matrix of nonnegative integers; row j is the exponent vector of monomial j.
 
     ``cols`` may be omitted when there is at least one row.  No two rows may
-    be equal: each monomial appears exactly once.  The common case is
-    checked by C-level scans; only when one fails are the rows walked in
-    Python, to accept ``int`` subclasses or name the first bad row or entry.
+    be equal: each monomial appears exactly once.  The constructor names the
+    first bad row or entry in two walks: every row's length and entry types
+    first, then row by row its negative entries and whether it repeats an
+    earlier row.
     """
 
     __slots__ = ("entries", "cols")
@@ -123,22 +117,19 @@ class ExponentMatrix(_Value):
             if not entries:
                 raise ValueError("cols is required for exponent matrices with no rows")
             cols = len(entries[0])
-        if not (frozenset((cols,)).issuperset(map(len, entries))
-                and _INT.issuperset(map(type, chain.from_iterable(entries)))):
-            for row in entries:
-                if len(row) != cols:
-                    raise ValueError(f"exponent row {row} has {len(row)} entries, expected {cols}")
-                for x in row:
-                    _require_int(x, "exponent")
-        if min(chain.from_iterable(entries), default=0) < 0 or len(set(entries)) < len(entries):
-            seen = set()
-            for row in entries:
-                for x in row:
-                    if x < 0:
-                        raise ValueError(f"negative exponent {x} in row {row}")
-                if row in seen:
-                    raise ValueError(f"duplicate monomial row {row}")
-                seen.add(row)
+        for row in entries:
+            if len(row) != cols:
+                raise ValueError(f"exponent row {row} has {len(row)} entries, expected {cols}")
+            for x in row:
+                _require_int(x, "exponent")
+        seen = set()
+        for row in entries:
+            for x in row:
+                if x < 0:
+                    raise ValueError(f"negative exponent {x} in row {row}")
+            if row in seen:
+                raise ValueError(f"duplicate monomial row {row}")
+            seen.add(row)
         super().__init__(entries, cols)
 
     @property
@@ -147,27 +138,6 @@ class ExponentMatrix(_Value):
 
     def row(self, j: int) -> tuple[int, ...]:
         return self.entries[j]
-
-
-_SIGNS = frozenset((-1, 1))
-
-
-def _check_terms(i: int, row: tuple, cols: int):
-    """Raise the error of the first bad term of sign row ``i``; accept ``int`` subclasses."""
-    last = -1
-    for t, pair in enumerate(row):
-        if type(pair) is not tuple or len(pair) != 2:
-            raise TypeError(f"term {t} of sign row {i} must be a (column, sign) pair, got {pair!r}")
-        j, sign = pair
-        _require_int(j, f"column of term {t} of sign row {i}")
-        if not 0 <= j < cols:
-            raise ValueError(f"column {j} of sign row {i} is outside 0..{cols - 1}")
-        if j <= last:
-            raise ValueError(f"column {j} of sign row {i} does not come after column {last}")
-        _require_int(sign, f"sign at ({i}, {j})")
-        if sign not in _SIGNS:
-            raise ValueError(f"sign at ({i}, {j}) must be -1 or 1, got {sign}")
-        last = j
 
 
 class SignMatrix(_Value):
@@ -186,15 +156,23 @@ class SignMatrix(_Value):
         _require_int(cols, "cols")
         entries = _frozen_rows(entries)
         for i, row in enumerate(entries):
-            # C-level scans of the row's terms; only a row that fails one is walked
-            if not (_PAIR.issuperset(map(type, row)) and frozenset((2,)).issuperset(map(len, row))):
-                _check_terms(i, row, cols)
-            elif row:
-                columns, signs = zip(*row)
-                if not (_INT.issuperset(map(type, chain(columns, signs)))
-                        and _SIGNS.issuperset(signs) and 0 <= columns[0] and columns[-1] < cols
-                        and all(map(lt, columns, columns[1:]))):
-                    _check_terms(i, row, cols)
+            # one walk over the row's terms, which names the first bad term
+            last = -1
+            for t, pair in enumerate(row):
+                if type(pair) is not tuple or len(pair) != 2:
+                    raise TypeError(f"term {t} of sign row {i} must be a (column, sign) pair, "
+                                    f"got {pair!r}")
+                j, sign = pair
+                _require_int(j, f"column of term {t} of sign row {i}")
+                if not 0 <= j < cols:
+                    raise ValueError(f"column {j} of sign row {i} is outside 0..{cols - 1}")
+                if j <= last:
+                    raise ValueError(f"column {j} of sign row {i} does not come after "
+                                     f"column {last}")
+                _require_int(sign, f"sign at ({i}, {j})")
+                if sign not in (-1, 1):
+                    raise ValueError(f"sign at ({i}, {j}) must be -1 or 1, got {sign}")
+                last = j
         super().__init__(entries, cols)
 
     @property
@@ -210,21 +188,17 @@ class ParametricCoefficients(_Value):
 
     def __init__(self, names):
         names = _frozen_rows(names)
-        flat = list(chain.from_iterable(names))
-        # C-level scans: the names are of type str, nonempty and unique; the walk
-        # below runs only when one fails, to name the first bad name
-        unique = set(flat) if _STR.issuperset(map(type, flat)) else ()
-        if len(unique) < len(flat) or "" in unique:
-            seen: set[str] = set()
-            for i, row in enumerate(names):
-                for t, name in enumerate(row):
-                    if not isinstance(name, str) or not name:
-                        raise TypeError(f"name {t} of coefficient row {i} must be a nonempty "
-                                        f"string, got {name!r}")
-                    if name in seen:
-                        raise ValueError(f"duplicate coefficient name {name!r}: name {t} of "
-                                         f"coefficient row {i}")
-                    seen.add(name)
+        # one walk over the names, in row order, which names the first bad name
+        seen: set[str] = set()
+        for i, row in enumerate(names):
+            for t, name in enumerate(row):
+                if not isinstance(name, str) or not name:
+                    raise TypeError(f"name {t} of coefficient row {i} must be a nonempty "
+                                    f"string, got {name!r}")
+                if name in seen:
+                    raise ValueError(f"duplicate coefficient name {name!r}: name {t} of "
+                                     f"coefficient row {i}")
+                seen.add(name)
         super().__init__(names)
 
 
@@ -316,8 +290,11 @@ class SignedSystem(_Value):
     def coefficient_name(self, i: int, j: int) -> str:
         """Name of coefficient (i, j); concrete systems get positional names c_<i+1>_<j+1>.
 
-        A zero-sign position has no coefficient, in either kind, and raises ValueError.
+        A zero-sign position has no coefficient, in either kind, and raises ValueError;
+        a row ``i`` outside ``range(u)`` raises IndexError.
         """
+        if not 0 <= i < self.s.rows:
+            raise IndexError(f"row {i} is outside 0..{self.s.rows - 1}")
         terms = self.s.entries[i]
         t = bisect_left(terms, (j,))  # (j,) sorts before every (j, sign)
         if t == len(terms) or terms[t][0] != j:

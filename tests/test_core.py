@@ -165,6 +165,15 @@ class TestMatrices:
             ExponentMatrix(((1, 0), (1, 0), (0, -1)))
         with pytest.raises(ValueError, match=r"^negative exponent -1 in row \(0, -1\)$"):
             ExponentMatrix(((0, -1), (1, 0), (1, 0)))
+        # every row's length and entry types are checked before any row's negative
+        # entries and repeats: a later short row wins over an earlier negative, and a
+        # later bool over an earlier duplicate
+        with pytest.raises(ValueError) as err:
+            ExponentMatrix(((0, -1), (1,)))
+        assert str(err.value) == "exponent row (1,) has 1 entries, expected 2"
+        with pytest.raises(TypeError) as err:
+            ExponentMatrix(((1, 0), (1, 0), (0, True)))
+        assert str(err.value) == "exponent must be an int, got True"
 
     def test_row_errors_come_in_row_order(self):
         # row 0 holds a float, row 1 a column out of range: row 0 is named
@@ -309,6 +318,19 @@ class TestCoefficientName:
             system.coefficient_name(0, 4)
         assert str(err.value) == "no coefficient exists at zero-sign position (0, 4)"
         assert [system.coefficient_name(1, j) for j in (0, 1, 2, 4)] == ["c21", "c22", "c23", "c24"]
+
+    @pytest.mark.parametrize("source, rows, first", [
+        ("vars x\npoly f = a*x - b\npoly g = c*x^2 - d*x\n", 2, "a"),
+        ("vars x\npoly f = 2*x - 1\n", 1, "c_1_1"),
+    ], ids=["parametric", "concrete"])
+    def test_row_outside_the_system_raises(self, source, rows, first):
+        # a negative row is not counted from the end, in either kind
+        system = parse_system(source)
+        assert system.coefficient_name(0, 0) == first
+        for i in (-2, -1, rows, rows + 3):
+            with pytest.raises(IndexError) as err:
+                system.coefficient_name(i, 0)
+            assert str(err.value) == f"row {i} is outside 0..{rows - 1}"
 
 
 def assert_one_coefficient_per_term(system):
