@@ -291,10 +291,13 @@ class SignedSystem(_Value):
         """Name of coefficient (i, j); concrete systems get positional names c_<i+1>_<j+1>.
 
         A zero-sign position has no coefficient, in either kind, and raises ValueError;
-        a row ``i`` outside ``range(u)`` raises IndexError.
+        a row ``i`` outside ``range(u)`` or a column ``j`` outside ``range(v)`` raises
+        IndexError.
         """
         if not 0 <= i < self.s.rows:
             raise IndexError(f"row {i} is outside 0..{self.s.rows - 1}")
+        if not 0 <= j < self.s.cols:
+            raise IndexError(f"column {j} is outside 0..{self.s.cols - 1}")
         terms = self.s.entries[i]
         t = bisect_left(terms, (j,))  # (j,) sorts before every (j, sign)
         if t == len(terms) or terms[t][0] != j:

@@ -16,16 +16,17 @@ exponent 0.  Whether a file is parametric or concrete is inferred from its
 first coefficient token (no coefficient tokens at all means concrete, with
 every term weighted 1); mixing named and numeric coefficients is an error.
 
-Each ``poly`` line is read on its own: split with string methods
-(:func:`_split_terms`) or, where the split declines, walked token by token
-(:func:`_parse_terms`, the grammar's reference and the only source of
-syntax errors); one builder turns the terms into rows.  All polynomials
-share one exponent matrix, its monomials ordered by first occurrence in
-the text.  Within one concrete polynomial, terms with equal exponent
-vectors are summed and the sign is taken from the sum; a sum of exactly
-zero leaves no term behind, though its monomial keeps its column.  Within
-one parametric polynomial, repeating a monomial is an error.  A number has
-at most 4300 digits (``_MAX_DIGITS``), in both formats.
+Each ``poly`` line is read on its own.  A line whose every term starts with
+a coefficient name is split with string methods (:func:`_split_terms`); a
+line the split declines, every concrete one included, is walked token by
+token (:func:`_parse_terms`, the grammar's reference and the only source of
+syntax errors).  One builder turns the terms into rows.  All polynomials
+share one exponent matrix, its monomials ordered by first occurrence in the
+text.  Within one concrete polynomial, terms with equal exponent vectors are
+summed and the sign is taken from the sum; a sum of exactly zero leaves no
+term behind, though its monomial keeps its column.  Within one parametric
+polynomial, repeating a monomial is an error.  A number has at most 4300
+digits (``_MAX_DIGITS``), in both formats.
 """
 
 from __future__ import annotations
@@ -173,8 +174,8 @@ def _split_terms(line: str, var_index: dict[str, int], factors: dict) -> tuple |
     Terms are split at ``+`` and ``-``, and factors at ``*``; ``factors``
     keeps each factor text read so far (``x1^5``) as ``(variable index,
     exponent)``.  Blanks are allowed only around a sign.  Any other line
-    returns None: non-ASCII text, blanks inside a term, any error, and a
-    number of more than ``_MAX_DIGITS`` digits.
+    returns None: a term without a named coefficient, non-ASCII text, blanks
+    inside a term, any error, and an exponent over ``_MAX_DIGITS`` digits.
     """
     head, eq, rhs = line.partition("=")
     words = head.split()
@@ -186,27 +187,17 @@ def _split_terms(line: str, var_index: dict[str, int], factors: dict) -> tuple |
     if len(pieces) > 1 and not pieces[0].strip():
         del pieces[0]  # the blank before a leading sign
     d = len(var_index)
-    signs, values, names, monomials = [], [], [], []
+    signs, names, monomials = [], [], []
     for piece in pieces:
         body = piece.strip()
         sign = 1
         if body[:1] == "-":
             sign, body = -1, body[1:].lstrip()
         texts = body.split("*")
-        first = texts[0]
-        value = name = None
-        if first.isidentifier():
-            if first not in var_index:
-                name = first
-                del texts[0]
-        elif first[:1].isdigit():
-            numerator, slash, denominator = first.partition("/")
-            if not (numerator.isdigit() and (denominator.isdigit() or not slash)
-                    and max(len(numerator), len(denominator)) <= _MAX_DIGITS
-                    and int(numerator) and int(denominator or 1)):
-                return None
-            value = Fraction(int(numerator), int(denominator or 1))
-            del texts[0]
+        name = texts[0]
+        if not name.isidentifier() or name in var_index:
+            return None
+        del texts[0]
         exponents = [0] * d
         for text in texts:
             factor = factors.get(text)
@@ -218,10 +209,9 @@ def _split_terms(line: str, var_index: dict[str, int], factors: dict) -> tuple |
                 factor = factors[text] = k, int(digits) if caret else 1
             exponents[factor[0]] += factor[1]
         signs.append(sign)
-        values.append(value)
         names.append(name)
         monomials.append(tuple(exponents))
-    return signs, values, names, monomials
+    return signs, [None] * len(names), names, monomials
 
 
 def parse_system(source: str) -> SignedSystem:

@@ -28,9 +28,9 @@ are built only for the report, or for the value an error names.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain
-from typing import Mapping
 
 from .condition import dominance_rows
 from .core import (

@@ -332,6 +332,19 @@ class TestCoefficientName:
                 system.coefficient_name(i, 0)
             assert str(err.value) == f"row {i} is outside 0..{rows - 1}"
 
+    @pytest.mark.parametrize("source, columns", [
+        ("vars x\npoly f = a*x - b\npoly g = c*x^2 - d*x\n", 3),
+        ("vars x\npoly f = 2*x - 1\n", 2),
+    ], ids=["parametric", "concrete"])
+    def test_column_outside_the_system_raises(self, source, columns):
+        # a negative column is not counted from the end, nor taken as a zero-sign position
+        system = parse_system(source)
+        assert system.v == columns
+        for j in (-2, -1, columns, columns + 3):
+            with pytest.raises(IndexError) as err:
+                system.coefficient_name(0, j)
+            assert str(err.value) == f"column {j} is outside 0..{columns - 1}"
+
 
 def assert_one_coefficient_per_term(system):
     rows = system.c.names if system.is_parametric else system.c.values

@@ -15,7 +15,7 @@ def test_star_import_binds_exactly_all():
 
 
 def test_cli_imports_no_dataclasses_or_inspect():
-    # pytest itself imports both, so only a fresh interpreter can tell; -S keeps a
+    # pytest itself imports all three, so only a fresh interpreter can tell; -S keeps a
     # site-packages .pth file from importing them first
     import os
     import subprocess
@@ -28,7 +28,7 @@ def test_cli_imports_no_dataclasses_or_inspect():
         "import sys\n"
         "import subtrop.cli\n"
         f"code = subtrop.cli.main(['decide', {example!r}, '--check', '--format', 'json'])\n"
-        "print(code, sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        "print(code, sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
     )
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
