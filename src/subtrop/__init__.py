@@ -20,7 +20,6 @@ from .parser import ParseError, parse_system, print_system
 from .pipeline import Decision, decide_system
 from .witness import (
     NonIntegerCoefficient,
-    NonPositivePoint,
     PreconditionViolated,
     SizeLimitExceeded,
     SymbolicWitness,
@@ -39,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Decision",
     "NonIntegerCoefficient",
-    "NonPositivePoint",
     "ParseError",
     "PreconditionViolated",
     "SignedSystem",

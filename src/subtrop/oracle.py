@@ -4,15 +4,15 @@ A deliberately dumb decider used by the test suite and the benchmark's
 reference answers: exhaustive enumeration of one-literal-per-clause
 selections of the CNF, each decided by a from-scratch Fourier-Motzkin pass
 (no code shared with :mod:`subtrop.lra`, forward elimination order, no
-pruning).  It takes time exponential in the number of clauses, so ``decide
---check`` checks an UNSAT answer by its refutation
-(:mod:`subtrop.refutation`) instead.
+pruning).  Every row starts at bound 1 and is combined with int
+multipliers only, so the elimination runs in ints.  It takes time
+exponential in the number of clauses, so ``decide --check`` checks an
+UNSAT answer by its refutation (:mod:`subtrop.refutation`) instead.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .condition import LinearCondition
 from .core import SubtropError
@@ -26,7 +26,7 @@ class TooManySelections(SubtropError):
 
 def _feasible(rows, num_vars: int) -> bool:
     """Textbook variable elimination, smallest index first, feasibility only."""
-    system = [(list(coeffs), Fraction(1)) for coeffs in rows]
+    system = [(list(coeffs), 1) for coeffs in rows]
     for var in range(num_vars):
         lower, upper, rest = [], [], []
         for coeffs, bound in system:

@@ -20,9 +20,9 @@ with an identically zero row, entries that are not ints (a ``bool`` or a
 :func:`verify_witness` builds no symbolic witness.  It computes ``t`` from
 per-row sums, one numerator and one denominator in ints, and checks at
 ``r = t`` unless it is given an ``r >= t``.  It keeps ``r^n`` as int
-pairs ``(p^n_i, q^n_i)`` and sums each row over one common denominator,
-the same int evaluation that :func:`evaluate_system_at` runs.  Fractions
-are built only for the report, or for the value an error names.
+pairs ``(p^n_i, q^n_i)`` and sums each row over one common denominator
+(:func:`_row_values`).  Fractions are built only for the report, or for
+the value an error names.
 """
 
 from __future__ import annotations
@@ -58,10 +58,6 @@ class UnboundCoefficient(SubtropError):
 
 class NonIntegerCoefficient(SubtropError):
     """The integer-coefficient bound was asked of a non-integer system."""
-
-
-class NonPositivePoint(SubtropError):
-    """Evaluation point has a coordinate <= 0."""
 
 
 class WitnessFailure(SubtropError):
@@ -211,27 +207,6 @@ def _row_values(system: SignedSystem, coords) -> list[tuple[int, int]]:
         total = sum(s * c.numerator * (den // c.denominator) * m for s, c, m in terms)
         values.append((total, den * common))
     return values
-
-
-def evaluate_system_at(system: SignedSystem, point) -> tuple[Fraction, ...]:
-    """Exact values (f_1, ..., f_u) at a strictly positive rational point.
-
-    The rows are summed in ints by :func:`_row_values` and reduced once at
-    the end.
-    """
-    if system.is_parametric:
-        raise ValueError("cannot evaluate a system with parametric coefficients")
-    coords = []
-    for x in point:
-        if isinstance(x, float):
-            raise TypeError(f"point coordinates must be exact rationals, got float {x!r}")
-        coords.append(Fraction(x))
-    if len(coords) != system.d:
-        raise ValueError(f"expected {system.d} coordinates, got {len(coords)}")
-    if any(x <= 0 for x in coords):
-        raise NonPositivePoint(f"point {tuple(coords)} has a coordinate <= 0")
-    values = _row_values(system, [(x.numerator, x.denominator) for x in coords])
-    return tuple(Fraction(total, den) for total, den in values)
 
 
 def _t_from_rows(system: SignedSystem) -> Fraction:

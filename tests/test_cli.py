@@ -1010,7 +1010,7 @@ class TestDefectExitCodes:
         }
         classes = set(subclasses(SubtropError))
         assert sorted(cls.__name__ for cls in classes - set(defects)) == [
-            "NonIntegerCoefficient", "NonPositivePoint", "ParseError", "PreconditionViolated",
+            "NonIntegerCoefficient", "ParseError", "PreconditionViolated",
             "SizeLimitExceeded", "TooManySelections", "UnboundCoefficient", "_InputError",
         ]
         assert set(defects) <= classes

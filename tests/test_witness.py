@@ -5,7 +5,6 @@ import pytest
 
 from subtrop import (
     NonIntegerCoefficient,
-    NonPositivePoint,
     PreconditionViolated,
     SizeLimitExceeded,
     UnboundCoefficient,
@@ -19,7 +18,7 @@ from subtrop import (
     verify_witness,
 )
 from subtrop.core import ConcreteCoefficients, ExponentMatrix, SignedSystem, SignMatrix
-from subtrop.witness import _named_rows, _t_from_rows, evaluate_system_at
+from subtrop.witness import _named_rows, _t_from_rows
 
 from conftest import dense_signs, expand, load, sign_row_terms, t_of
 from gensys import (
@@ -289,51 +288,6 @@ def term_by_term(system, point):
     )
 
 
-class TestEvaluateSystemAt:
-    def test_matches_term_by_term_sums(self):
-        rng = random.Random(25)
-        for index in range(300):
-            system = random_signed_system(
-                rng, max_rows=4, max_monomials=8, parametric=False, ensure_positive=index % 2 == 0
-            )
-            point = tuple(
-                Fraction(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(system.d)
-            )
-            if index % 3 == 0:
-                r = Fraction(rng.randint(2, 9), rng.randint(1, 9))
-                point = tuple(r ** rng.randint(-8, 8) for _ in range(system.d))
-            values = evaluate_system_at(system, point)
-            assert values == term_by_term(system, point)
-            assert all(type(value) is Fraction for value in values)
-
-    def test_intro_f_at_three(self):
-        system = instantiate(load("intro_f.spp"), INTRO_BINDINGS)
-        assert evaluate_system_at(system, (Fraction(3),)) == (Fraction(7),)
-
-    def test_all_ones_point_gives_signed_row_sums(self):
-        system = load("sec2.spp")
-        assert evaluate_system_at(system, (1, 1)) == (-2, 3, 4)
-        rng = random.Random(24)
-        for _ in range(30):
-            sys_ = random_signed_system(rng, parametric=False, ensure_positive=False)
-            expected = tuple(
-                sum(sign * value for (_, sign), value in zip(sign_row, value_row))
-                for sign_row, value_row in zip(sys_.s.entries, sys_.c.values)
-            )
-            assert evaluate_system_at(sys_, (1,) * sys_.d) == expected
-
-    def test_third_row_of_three_poly_example(self):
-        system = load("sec2.spp")
-        assert evaluate_system_at(system, (1, 1))[2] == 4
-
-    def test_rejects_non_positive_points(self):
-        system = load("sec2.spp")
-        with pytest.raises(NonPositivePoint):
-            evaluate_system_at(system, (1, 0))
-        with pytest.raises(NonPositivePoint):
-            evaluate_system_at(system, (Fraction(-1), Fraction(2)))
-
-
 class TestVerifyWitness:
     def test_intro_f_at_t(self):
         system = instantiate(load("intro_f.spp"), INTRO_BINDINGS)
@@ -442,9 +396,9 @@ def certified_system(rng: random.Random):
 
 
 class TestIntegerVerification:
-    """``verify_witness`` against the symbolic witness and ``evaluate_system_at``."""
+    """``verify_witness`` against the symbolic witness and a term-by-term ``Fraction`` sum."""
 
-    def test_matches_symbolic_t_and_evaluate_system_at(self):
+    def test_matches_symbolic_t_and_term_by_term(self):
         rng = random.Random(14)
         dims, pairs = set(), 0
         for index in range(300):
@@ -455,7 +409,7 @@ class TestIntegerVerification:
             assert report.t_value == t == rows_t(symbolic_t(system, n), positional_values(system))
             assert report.r_value == (t if r is None else r)
             assert report.point == tuple(report.r_value**ni for ni in n)
-            assert report.values == evaluate_system_at(system, report.point)
+            assert report.values == term_by_term(system, report.point)
             assert all(value > 0 for value in report.values)
             dims.add(system.d)
             pairs += len(sign_row_terms(system))
