@@ -35,7 +35,8 @@ of the tests and the benchmark.
 The argmax argument also bounds where a vector can move: at a certified n,
 the branches of each row's highest positive monomial define a convex
 polyhedron that contains n, and every integer point of it certifies the
-system.  :func:`shrink` walks n toward 0 inside that polyhedron.
+system.  :func:`shrink` walks n toward 0 inside that polyhedron, picking
+each row's branch among the search's own :func:`build_dnf` rows.
 """
 
 from __future__ import annotations
@@ -288,36 +289,36 @@ def _descend(forms: list[tuple[int, ...]], values: list[int], n: list[int]) -> b
             values[:] = [v + length * g for v, g in zip(values, slopes)]
 
 
-def shrink(system: SignedSystem, n) -> tuple[int, ...]:
-    """A certified integer vector no farther from 0 than ``n`` in any coordinate.
+def shrink(num_vars: int, rows, n) -> tuple[int, ...]:
+    """A vector that meets ``rows`` and lies no farther from 0 than ``n`` in any coordinate.
 
-    ``n`` must have length ``d`` and certify ``system``, or ValueError is
+    ``rows`` are :func:`build_dnf`'s branches of a system, and ``n`` must
+    have length ``num_vars`` and certify that system, or ValueError is
     raised.  Any certified vector is a valid answer, and a smaller one gives
     a smaller witness point ``t^n`` that is cheaper to check exactly.
-    Each round picks, in each row with negative monomials, the positive
-    monomial of greatest height ``e_j . n``, the first on a tie, and checks
-    that it stands at least 1 above every negative one, so that its branch
-    holds at ``n``.  The
-    branches picked define a polyhedron that contains the vector, and the
-    round moves the vector toward 0 inside it (:func:`_descend`).  The
-    rounds end when the vector is a fixed point of its own polyhedron.
-    Every point reached lies in such a polyhedron, so it certifies, and
-    since ``sum(|n_i|)`` falls with every round but the last, the rounds end.
+    Each round picks, in each row, the branch whose first form
+    ``e_j - e_k0`` is largest at ``n``, the first on a tie: every branch of
+    a row starts with the same ``k0``, so this is the positive monomial of
+    greatest height ``e_j . n``.  The round checks that each form of that
+    branch is at least 1 at ``n``.  The branches picked define a polyhedron
+    that contains the vector, and the round moves the vector toward 0 inside
+    it (:func:`_descend`).  The rounds end when the vector is a fixed point
+    of its own polyhedron.  Every point reached lies in such a polyhedron,
+    so it certifies, and since ``sum(|n_i|)`` falls with every round but
+    the last, the rounds end.
     """
-    if len(n) != system.d:
-        raise ValueError(f"expected a vector of length {system.d}, got {len(n)}")
-    exponents = system.e.entries
-    rows = list(dominance_rows(system))
+    if len(n) != num_vars:
+        raise ValueError(f"expected a vector of length {num_vars}, got {len(n)}")
     n = list(n)
     while True:
-        heights = [sum(map(mul, exps, n)) for exps in exponents]
         forms: list[tuple[int, ...]] = []
         values: list[int] = []
-        for _, positive, negative in rows:
-            top = max(positive, key=heights.__getitem__, default=None)
-            if top is None or heights[top] < max(map(heights.__getitem__, negative)) + 1:
+        for branches in rows:
+            branch = max(branches, key=lambda b: sum(map(mul, b[0], n)), default=())
+            branch_values = [sum(map(mul, a, n)) for a in branch]
+            if not branch_values or min(branch_values) < 1:
                 raise ValueError(f"{tuple(n)} does not certify the system")
-            forms += [tuple(map(sub, exponents[top], exponents[k])) for k in negative]
-            values += [heights[top] - heights[k] for k in negative]
+            forms += branch
+            values += branch_values
         if not _descend(forms, values, n):
             return tuple(n)

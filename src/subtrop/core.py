@@ -22,7 +22,6 @@ in this package touches floating point.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 
 
@@ -135,9 +134,6 @@ class ExponentMatrix(_Value):
     @property
     def rows(self) -> int:
         return len(self.entries)
-
-    def row(self, j: int) -> tuple[int, ...]:
-        return self.entries[j]
 
 
 class SignMatrix(_Value):
@@ -286,25 +282,6 @@ class SignedSystem(_Value):
     @property
     def is_parametric(self) -> bool:
         return isinstance(self.c, ParametricCoefficients)
-
-    def coefficient_name(self, i: int, j: int) -> str:
-        """Name of coefficient (i, j); concrete systems get positional names c_<i+1>_<j+1>.
-
-        A zero-sign position has no coefficient, in either kind, and raises ValueError;
-        a row ``i`` outside ``range(u)`` or a column ``j`` outside ``range(v)`` raises
-        IndexError.
-        """
-        if not 0 <= i < self.s.rows:
-            raise IndexError(f"row {i} is outside 0..{self.s.rows - 1}")
-        if not 0 <= j < self.s.cols:
-            raise IndexError(f"column {j} is outside 0..{self.s.cols - 1}")
-        terms = self.s.entries[i]
-        t = bisect_left(terms, (j,))  # (j,) sorts before every (j, sign)
-        if t == len(terms) or terms[t][0] != j:
-            raise ValueError(f"no coefficient exists at zero-sign position ({i}, {j})")
-        if isinstance(self.c, ParametricCoefficients):
-            return self.c.names[i][t]
-        return f"c_{i + 1}_{j + 1}"
 
 
 def zero_sign_rows(system: SignedSystem) -> tuple[int, ...]:

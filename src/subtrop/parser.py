@@ -388,7 +388,7 @@ def parse_coefficient_bindings(text: str) -> dict[str, Fraction]:
 
 def _monomial_factors(system: SignedSystem, j: int) -> str:
     factors = []
-    for name, exponent in zip(system.var_names, system.e.row(j)):
+    for name, exponent in zip(system.var_names, system.e.entries[j]):
         if exponent == 0:
             continue
         factors.append(name if exponent == 1 else f"{name}^{exponent}")

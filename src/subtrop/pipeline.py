@@ -40,18 +40,19 @@ def decide_system(system: SignedSystem) -> Decision:
     (:func:`~subtrop.lra.solve_dnf` over :func:`~subtrop.condition.build_dnf`),
     which returns an integer vector or, when no choice is feasible, its
     refutation, kept on the decision.  The vector is moved toward 0
-    (:func:`~subtrop.condition.shrink`), which first checks that it
-    certifies the system; one that does not raises
+    (:func:`~subtrop.condition.shrink`) among the same rows, which first
+    checks that it certifies the system; one that does not raises
     :class:`~subtrop.lra.SolverDefect`.
     """
     zeros = zero_sign_rows(system)
     if zeros:
         return Decision("unsat", None, zeros[0], None)
-    n, refutation = solve_dnf(system.d, build_dnf(system))
+    rows = build_dnf(system)
+    n, refutation = solve_dnf(system.d, rows)
     if n is None:
         return Decision("unsat", None, None, refutation)
     try:
-        n = shrink(system, n)
+        n = shrink(system.d, rows, n)
     except ValueError:
         raise SolverDefect(f"row search returned a vector {n} that fails the CNF") from None
     return Decision("sat", n, None, None)

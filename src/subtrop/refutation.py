@@ -23,9 +23,10 @@ that no ``n`` exists.
 Both checks read only the sign and exponent matrices, in exact
 arithmetic, and share no code with the search (:mod:`subtrop.lra`), the
 reduction (:mod:`subtrop.condition`) or the brute-force oracle, so a
-defect there cannot hide itself from them.  :func:`refutes` visits each
-node and leaf once, with an explicit stack, and carries the set of forms
-chosen on the path to each.
+defect there cannot hide itself from them.  :func:`refutes` builds each
+branch's set of forms once per call, then visits each node and leaf once,
+with an explicit stack, and carries the set of forms chosen on the path
+to each.
 """
 
 from __future__ import annotations
@@ -57,11 +58,14 @@ def refutes(system, tree) -> bool:
     ints.
     """
     exponents = system.e.entries
-    rows = []  # (positive, negative) of each row with negative monomials
+    rows = []  # per row with negative monomials, each positive monomial's branch as a set
     for terms in system.s.entries:
-        negative = [k for k, sign in terms if sign < 0]
+        negative = [exponents[k] for k, sign in terms if sign < 0]
         if negative:
-            rows.append(([j for j, sign in terms if sign > 0], negative))
+            rows.append([
+                frozenset(tuple(a - b for a, b in zip(exponents[j], e_k)) for e_k in negative)
+                for j, sign in terms if sign > 0
+            ])
     stack = [(tree, frozenset())]  # a subtree and the literals chosen on its path
     while stack:
         item, chosen = stack.pop()
@@ -71,12 +75,9 @@ def refutes(system, tree) -> bool:
             if len(item) != 2 or not isinstance(item[1], tuple):
                 return False
             level, children = item
-            if not 0 <= level < len(rows) or len(children) != len(rows[level][0]):
+            if not 0 <= level < len(rows) or len(children) != len(rows[level]):
                 return False
-            positive, negative = rows[level]
-            for j, child in zip(positive, children):
-                branch = {tuple(a - b for a, b in zip(exponents[j], exponents[k]))
-                          for k in negative}
+            for branch, child in zip(rows[level], children):
                 stack.append((child, chosen | branch))
             continue
         total = [0] * system.d

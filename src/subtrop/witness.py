@@ -32,7 +32,6 @@ from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain
 
-from .condition import dominance_rows
 from .core import (
     ConcreteCoefficients,
     SignedSystem,
@@ -74,9 +73,9 @@ _NamedRow = tuple[int, tuple[str, ...], tuple[str, ...]]
 class SymbolicWitness(_Value):
     """The witness ``x = t^n``, with ``t = 1 + sum over rows of (sum neg) * (sum 1/pos)``.
 
-    ``rows`` holds ``(i, neg, pos)`` for each row i that
-    :func:`~subtrop.condition.dominance_rows` yields, in its order: the
-    names of the row's negative and of its positive coefficients.
+    ``rows`` holds ``(i, neg, pos)`` for each row i with negative
+    monomials, in index order: the names of the row's negative and of its
+    positive coefficients.
     """
 
     __slots__ = ("rows", "n")
@@ -107,15 +106,20 @@ class VerificationReport(_Value):
 
 
 def _named_rows(system: SignedSystem) -> tuple[_NamedRow, ...]:
-    """``(i, neg, pos)`` for each row that :func:`~subtrop.condition.dominance_rows` yields.
+    """``(i, neg, pos)`` for each row with negative monomials, its names read beside its terms.
 
     Concrete systems use the synthesized positional names ``c_<i+1>_<j+1>``.
     """
-    name = system.coefficient_name
-    return tuple(
-        (i, tuple(name(i, k) for k in negative), tuple(name(i, j) for j in positive))
-        for i, positive, negative in dominance_rows(system)
-    )
+    rows = []
+    for i, terms in enumerate(system.s.entries):
+        if system.is_parametric:
+            names = system.c.names[i]
+        else:
+            names = [f"c_{i + 1}_{j + 1}" for j, _ in terms]
+        neg = tuple(name for (_, sign), name in zip(terms, names) if sign < 0)
+        if neg:
+            rows.append((i, neg, tuple(name for (_, sign), name in zip(terms, names) if sign > 0)))
+    return tuple(rows)
 
 
 def _certified_exponent(system: SignedSystem, n) -> tuple[int, ...]:

@@ -713,7 +713,7 @@ class TestShrinkModel:
         decision = decide_system(system)
         assert solve_dnf(system.d, build_dnf(system)) == ((1,), None)
         assert decision.n == (1,)
-        assert shrink(system, (1,)) == (1,)
+        assert shrink(system.d, build_dnf(system), (1,)) == (1,)
 
     def test_shrunk_vector_still_certifies(self):
         # every SAT answer is certified, no farther from 0 than the scaled model in any
@@ -748,8 +748,18 @@ class TestShrinkModel:
         # passes 0; without that stop the walk ends at (2, 0, -1), which also certifies
         system = parse_system("vars x y z\npoly f = a*x^2*y^2*z^3 - b*y^4 - c*x^2*z^6\n")
         assert certifies(system, (2, 0, -1))
-        assert shrink(system, (7, 9, 3)) == (2, 1, 0)
+        assert shrink(system.d, build_dnf(system), (7, 9, 3)) == (2, 1, 0)
+
+    def test_shrunk_vectors_digest(self, data_dir):
+        # decide's exact vectors after shrink: every data file, the wall template
+        # included, then the pinned batch
+        systems = [load(path.name) for path in sorted(data_dir.glob("*.spp"))] + pin_batch()
+        vectors = [decide_system(system).n for system in systems]
+        assert len(vectors) == 311 and sum(n is not None for n in vectors) == 228
+        digest = hashlib.sha256(repr(vectors).encode()).hexdigest()
+        assert digest == "19a58cd444f876486616aa272d651d028995cca997f8ae47899fe749a3974e95"
 
     def test_rejects_uncertified_input(self):
+        system = load("intro_f.spp")
         with pytest.raises(ValueError):
-            shrink(load("intro_f.spp"), (0,))
+            shrink(system.d, build_dnf(system), (0,))

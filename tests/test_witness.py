@@ -20,7 +20,7 @@ from subtrop import (
 from subtrop.core import ConcreteCoefficients, ExponentMatrix, SignedSystem, SignMatrix
 from subtrop.witness import _named_rows, _t_from_rows
 
-from conftest import dense_signs, expand, load, sign_row_terms, t_of
+from conftest import dense_signs, expand, load, read_data, sign_row_terms, t_of
 from gensys import (
     random_bindings,
     random_exponent_rows,
@@ -51,9 +51,9 @@ def text_rows(text: str) -> list:
 
 
 def positional_values(system) -> dict:
-    """The coefficients of a concrete system, keyed by their positional names."""
+    """The coefficients of a concrete system, keyed by the names ``c_<i+1>_<j+1>``."""
     return {
-        system.coefficient_name(i, j): value
+        f"c_{i + 1}_{j + 1}": value
         for i, (signs, values) in enumerate(zip(system.s.entries, system.c.values))
         for (j, _), value in zip(signs, values)
     }
@@ -131,6 +131,17 @@ class TestSymbolicT:
             "t": {"one": 1, "rows": [{"row": 0, "neg": ["c_1_2"], "pos": ["c_1_1", "c_1_3"]}]},
             "n": [1],
         }
+
+    @pytest.mark.parametrize("source, n, rows", [
+        # the cancelled x leaves column 0 out, so row 1's terms lie in columns 2 and 3
+        ("vars x y\npoly f = 2*x - x - x + y\npoly g = 3*x*y - 1/2 + x*y\n", (1, 0),
+         ((1, ("c_2_4",), ("c_2_3",)),)),
+        # row 1 leaves column 3 out, so the name of its negative term in column 4 is c24
+        (read_data("example2.spp"), (-5, -4),
+         ((0, ("c11", "c13"), ("c12", "c15")), (1, ("c24",), ("c21", "c22", "c23")))),
+    ], ids=["concrete", "parametric"])
+    def test_names_skip_zero_sign_columns(self, source, n, rows):
+        assert symbolic_t(parse_system(source), n).rows == rows
 
     def test_names_each_coefficient_once(self):
         # sum of |P_i| + |N_i| names, where the pairwise form has sum of |P_i| |N_i| terms
