@@ -42,8 +42,7 @@ each row's branch among the search's own :func:`build_dnf` rows.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import repeat
-from operator import getitem, mul, sub
+from operator import getitem, itemgetter, mul, sub
 
 from .core import SignedSystem, _Value
 
@@ -173,8 +172,11 @@ def write_cnf(system: SignedSystem, write, as_json: bool):
     :func:`dominance_rows`, plus the JSON's opening and closing, never the
     whole output.  Each int becomes text once per call, with its separator,
     in a token table per coordinate.  A row's tokens of ``e_j[c] - a`` over
-    its positive ``j`` form a column, made for the first negative ``k`` with
-    ``e_k[c] = a`` and reused by the others.  The row's literals lie in one
+    its positive ``j`` form a column, made once for each value ``a`` that
+    some negative ``e_k[c]`` takes.  Its tokens are those of ``x - a`` over
+    the sorted distinct values ``x`` of the ``e_j[c]``, fanned out to every
+    ``j`` by one ``operator.itemgetter`` of each ``j``'s position among them,
+    built once per row and coordinate.  The row's literals lie in one
     flat list, ``d + 2`` slots each: head, ``d`` tokens, close.  A clause
     assigns ``e_k``'s columns to the slices ``c + 1::d + 2`` and joins the
     list once.  Sums of exponents may pass CPython's 4300-digit int-to-text
@@ -195,11 +197,17 @@ def write_cnf(system: SignedSystem, write, as_json: bool):
         if as_json and heads:
             heads[0] = heads[0][2:]  # no separator before the first literal
         template = clause.format(i)
-        values = list(zip(*map(exponents.__getitem__, positive))) or [()] * d
-        columns = [  # per coordinate c and value a, the tokens of e_j[c] - a
-            _Memo(lambda a, v=v, t=t: list(map(t.__getitem__, map(sub, v, repeat(a)))))
-            for v, t in zip(values, tokens)
-        ]
+        columns = []  # per coordinate c and value a, the tokens of e_j[c] - a
+        values = zip(*map(exponents.__getitem__, positive)) if positive else [()] * d
+        for v, t, needed in zip(values, tokens, zip(*map(exponents.__getitem__, negative))):
+            distinct = sorted(set(v))
+            # one index would give a scalar and none a TypeError; with at most one
+            # positive monomial the distinct values' tokens are the column itself
+            gather = (
+                itemgetter(*map({x: p for p, x in enumerate(distinct)}.__getitem__, v))
+                if len(v) > 1 else list
+            )
+            columns.append({a: gather([t[x - a] for x in distinct]) for a in set(needed)})
         flat = [close] * (width * len(heads))  # per literal: head, d tokens, close
         flat[::width] = heads
         clauses = []

@@ -119,13 +119,23 @@ class TestWriteCnf:
         assert "".join(written(system, True)) == reference_explain_json(cond)
 
     @pytest.mark.parametrize(
-        "name", [path.name for path in sorted(DATA.glob("*.spp"))] + [FRONTEND, None]
+        "name",
+        [path.name for path in sorted(DATA.glob("*.spp"))] + [FRONTEND, None, "one-x-value"],
     )
     def test_bytes_equal_the_cnf_objects(self, name):
-        # None: row 1 has negative monomials and no positive one, an empty clause
-        text = "vars x y\npoly f = a*x - b*y\npoly g = -c*x\n"
-        system = load(name) if name else parse_system(text)
-        assert name or build_cnf(system).clauses[-1].literals == ()
+        texts = {
+            # row 1 has negative monomials and no positive one, an empty clause
+            None: "vars x y\npoly f = a*x - b*y\npoly g = -c*x\n",
+            # both positive monomials have x-exponent 1, so the x column gathers
+            # every literal's token from one distinct value
+            "one-x-value": "vars x y\npoly f = a*x*y + b*x*y^3 - c*y^2 - d*x^2\n",
+        }
+        system = parse_system(texts[name]) if name in texts else load(name)
+        if name is None:
+            assert build_cnf(system).clauses[-1].literals == ()
+        if name == "one-x-value":
+            (row,) = system.s.entries
+            assert [system.e.entries[j][0] for j, sign in row if sign > 0] == [1, 1]
         self.assert_bytes_equal_the_cnf_objects(system)
 
     def test_bytes_equal_the_cnf_objects_on_seeded_systems(self):
@@ -135,8 +145,16 @@ class TestWriteCnf:
             kind = type(system.c).__name__
             for row in system.s.entries:
                 if any(sign < 0 for _, sign in row):
-                    positive = sum(sign > 0 for _, sign in row)
-                    shapes.add((kind, "positive", "wide" if positive >= 20 else min(positive, 2)))
+                    positive = [j for j, sign in row if sign > 0]
+                    wide = len(positive) >= 20
+                    shapes.add((kind, "positive", "wide" if wide else min(len(positive), 2)))
+                    # a coordinate on which two or more positive monomials all agree
+                    # gathers the whole column from one distinct value
+                    if len(positive) > 1 and any(
+                        len({system.e.entries[j][c] for j in positive}) == 1
+                        for c in range(system.d)
+                    ):
+                        shapes.add(("positives agree on a coordinate",))
             shapes.add((kind, "d", system.d))
             shapes.add((kind, "exponent > 10", max(map(max, system.e.entries)) > 10))
             self.assert_bytes_equal_the_cnf_objects(system)
@@ -145,7 +163,7 @@ class TestWriteCnf:
             for kind in ("ParametricCoefficients", "ConcreteCoefficients")
             for shape in [("positive", 0), ("positive", 1), ("positive", "wide"),
                           ("exponent > 10", True), *(("d", d) for d in range(1, 9))]
-        }
+        } | {("positives agree on a coordinate",)}
 
     @pytest.mark.parametrize("name, rows", [
         ("wall_8_20_8_1.spp", 8), (FRONTEND, 12),
