@@ -28,9 +28,10 @@ module.
 All of these walk the rows through :func:`dominance_rows`, the one
 definition of the order of clauses, literals and branches.
 :func:`write_cnf`, which ``explain`` runs, writes the CNF's clauses from
-that walk, formatting each clause from the exponent rows in one step; the
-CNF as objects (:func:`build_cnf`) is built only for the brute-force oracle
-of the tests and the benchmark.
+that walk, each clause one join of its literals' openings and tokens, with
+token columns taken from the row before where its distinct exponents
+recur; the CNF as objects (:func:`build_cnf`) is built only for the
+brute-force oracle of the tests and the benchmark.
 
 The argmax argument also bounds where a vector can move: at a certified n,
 the branches of each row's highest positive monomial define a convex
@@ -170,52 +171,77 @@ def write_cnf(system: SignedSystem, write, as_json: bool):
     nothing without clauses; the JSON is ``json.dumps`` of ``{"num_vars",
     "clauses"}`` plus a newline.  ``write`` gets one string per row of
     :func:`dominance_rows`, plus the JSON's opening and closing, never the
-    whole output.  Each int becomes text once per call, with its separator,
-    in a token table per coordinate.  A row's tokens of ``e_j[c] - a`` over
-    its positive ``j`` form a column, made once for each value ``a`` that
-    some negative ``e_k[c]`` takes.  Its tokens are those of ``x - a`` over
-    the sorted distinct values ``x`` of the ``e_j[c]``, fanned out to every
-    ``j`` by one ``operator.itemgetter`` of each ``j``'s position among them,
-    built once per row and coordinate.  The row's literals lie in one
-    flat list, ``d + 2`` slots each: head, ``d`` tokens, close.  A clause
-    assigns ``e_k``'s columns to the slices ``c + 1::d + 2`` and joins the
-    list once.  Sums of exponents may pass CPython's 4300-digit int-to-text
-    limit, which the caller lifts, as :func:`subtrop.cli.main` does.
+    whole output; in JSON, the separator from the row before opens the
+    row's first clause.  Each int becomes text once per call, with its
+    separator, in a token table per coordinate.  A row's tokens of
+    ``e_j[c] - a`` over its positive ``j`` form a column, made once for each
+    value ``a`` that some negative ``e_k[c]`` takes.  Its tokens are those
+    of ``x - a`` over the sorted distinct values ``x`` of the ``e_j[c]``,
+    fanned out to every ``j`` by one ``operator.itemgetter`` of each ``j``'s
+    position among them, built once per row and coordinate.  When the row
+    before had the same distinct values at ``c`` and made a column for each
+    value this row needs, the row's columns are gathered from the row
+    before's instead, each ``j`` taking the token of a positive monomial
+    there with the same ``e[c]``.  Only the row before's columns are kept,
+    so they hold no more memory than one row's.  The row's literals lie in
+    one flat list of ``d + 1`` slots each, an opening and ``d`` tokens, and
+    then the ending (``"]\\n"``, or ``"]}]}"`` in JSON).  A later literal's
+    opening is the joint ``"] [j:"``, made once per row; the first
+    literal's is the clause's own opening, ``"clause i k: [j:"``, filled
+    in per clause.  A clause assigns ``e_k``'s columns to the slices
+    ``c + 1::d + 1`` and is the list's one join.  Sums of exponents may
+    pass CPython's 4300-digit int-to-text limit, which the caller lifts, as
+    :func:`subtrop.cli.main` does.
     """
-    d, width, exponents = system.d, system.d + 2, system.e.entries
+    d, width, exponents = system.d, system.d + 1, system.e.entries
     if as_json:
         write(f'{{"num_vars": {d}, "clauses": [')
         tokens = [_Memo("%d".__mod__)] + [_Memo(", %d".__mod__)] * (d - 1)
-        head, close, between = ', {{"pos": {}, "coeffs": [', "]}", ", "
-        clause = '{{"row": {}, "neg": %d, "literals": [%s]}}'
+        opening = '{{"row": {}, "neg": %d, "literals": [{{"pos": {}, "coeffs": ['
+        empty = '{{"row": {}, "neg": %d, "literals": []}}'
+        joint, ending, between = ']}}, {{"pos": {}, "coeffs": [', "]}]}", ", "
     else:
         tokens = [_Memo(" %d".__mod__)] * d
-        head, close, between, clause = " [{}:", "]", "", "clause {} %d:%s\n"
+        opening, empty = "clause {} %d: [{}:", "clause {} %d:\n"
+        joint, ending, between = "] [{}:", "]\n", ""
     sep = ""
+    kept = [[None] * d] * 3  # the row before's value sets, values and columns, per coordinate
     for i, positive, negative in dominance_rows(system):
-        heads = list(map(head.format, positive))
-        if as_json and heads:
-            heads[0] = heads[0][2:]  # no separator before the first literal
-        template = clause.format(i)
+        if positive:
+            head = opening.format(i, positive[0])
+            flat = [None] * (width * len(positive) + 1)  # per literal: opening, d tokens
+            flat[width::width] = [*map(joint.format, positive[1:]), ending]
+            values = list(zip(*map(exponents.__getitem__, positive)))
+        else:
+            head, flat, values = empty.format(i), [None], [()] * d
+        sets = list(map(set, values))
         columns = []  # per coordinate c and value a, the tokens of e_j[c] - a
-        values = zip(*map(exponents.__getitem__, positive)) if positive else [()] * d
-        for v, t, needed in zip(values, tokens, zip(*map(exponents.__getitem__, negative))):
-            distinct = sorted(set(v))
+        needs = map(set, zip(*map(exponents.__getitem__, negative)))
+        for v, seen, t, needed, last, w, old in zip(values, sets, tokens, needs, *kept):
+            if seen == last and len(v) > 1 and old.keys() >= needed:
+                # the row before has the same distinct values here and a column for each
+                # a: every j takes its token from a positive monomial there with e_j[c]
+                move = itemgetter(*map(dict(zip(w, range(len(w)))).__getitem__, v))
+                columns.append({a: move(old[a]) for a in needed})
+                continue
+            distinct = sorted(seen)
             # one index would give a scalar and none a TypeError; with at most one
             # positive monomial the distinct values' tokens are the column itself
             gather = (
                 itemgetter(*map({x: p for p, x in enumerate(distinct)}.__getitem__, v))
                 if len(v) > 1 else list
             )
-            columns.append({a: gather([t[x - a] for x in distinct]) for a in set(needed)})
-        flat = [close] * (width * len(heads))  # per literal: head, d tokens, close
-        flat[::width] = heads
+            columns.append({a: gather([t[x - a] for x in distinct]) for a in needed})
+        kept = sets, values, columns
+        first, later = sep + head, between + head
         clauses = []
         for k in negative:
+            flat[0] = first % k
+            first = later
             for c, column in enumerate(map(getitem, columns, exponents[k]), 1):
                 flat[c::width] = column
-            clauses.append(template % (k, "".join(flat)))
-        write(sep + between.join(clauses))
+            clauses.append("".join(flat))
+        write("".join(clauses))
         sep = between
         for table in tokens:
             if len(table) > _TOKENS_KEPT:

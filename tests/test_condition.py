@@ -120,7 +120,8 @@ class TestWriteCnf:
 
     @pytest.mark.parametrize(
         "name",
-        [path.name for path in sorted(DATA.glob("*.spp"))] + [FRONTEND, None, "one-x-value"],
+        [path.name for path in sorted(DATA.glob("*.spp"))]
+        + [FRONTEND, None, "one-x-value", "empty-first", "same-x-values"],
     )
     def test_bytes_equal_the_cnf_objects(self, name):
         texts = {
@@ -129,13 +130,37 @@ class TestWriteCnf:
             # both positive monomials have x-exponent 1, so the x column gathers
             # every literal's token from one distinct value
             "one-x-value": "vars x y\npoly f = a*x*y + b*x*y^3 - c*y^2 - d*x^2\n",
+            # the empty clause comes first, so in JSON the separator after its
+            # "literals": [] opens row 1's first clause
+            "empty-first": "vars x y\npoly g = -c*x\npoly f = a*x - b*y\n",
+            # row 1's positive monomials take row 0's distinct exponents in another
+            # order; its negatives take only x-exponents that row 0's take, so its
+            # x columns are gathered from row 0's, and a y-exponent that row 0's
+            # do not, so its y columns are made anew
+            "same-x-values": (
+                "vars x y\npoly f = a*x*y + b*x^3 + c*x*y^2 - d*x^2 - e*y^3 - h*x^3*y\n"
+                "poly g = p*x^3*y^2 + q*x + r*x^3*y - u*x^2*y^2 - w*y^2\n"
+            ),
         }
         system = parse_system(texts[name]) if name in texts else load(name)
+        clauses = build_cnf(system).clauses
         if name is None:
-            assert build_cnf(system).clauses[-1].literals == ()
+            assert clauses[-1].literals == ()
         if name == "one-x-value":
             (row,) = system.s.entries
             assert [system.e.entries[j][0] for j, sign in row if sign > 0] == [1, 1]
+        if name == "empty-first":
+            assert clauses[0].literals == () and clauses[1].literals
+        if name == "same-x-values":
+            (positive_0, negative_0), (positive_1, negative_1) = (
+                [[system.e.entries[j] for j, sign in row if sign * side > 0] for side in (1, -1)]
+                for row in system.s.entries
+            )
+            assert not set(negative_0) & set(negative_1)
+            for c, reused in enumerate((True, False)):
+                values_0, values_1 = [e[c] for e in positive_0], [e[c] for e in positive_1]
+                assert set(values_0) == set(values_1) and values_0 != values_1
+                assert ({e[c] for e in negative_1} <= {e[c] for e in negative_0}) == reused
         self.assert_bytes_equal_the_cnf_objects(system)
 
     def test_bytes_equal_the_cnf_objects_on_seeded_systems(self):
