@@ -29,9 +29,9 @@ All of these walk the rows through :func:`dominance_rows`, the one
 definition of the order of clauses, literals and branches.
 :func:`write_cnf`, which ``explain`` runs, writes the CNF's clauses from
 that walk, each clause one join of its literals' openings and tokens, with
-token columns taken from the row before where its distinct exponents
-recur; the CNF as objects (:func:`build_cnf`) is built only for the
-brute-force oracle of the tests and the benchmark.
+token columns sliced from one run of tokens per coordinate where the
+coordinate's exponents are small; the CNF as objects (:func:`build_cnf`)
+is built only for the brute-force oracle of the tests and the benchmark.
 
 The argmax argument also bounds where a vector can move: at a certified n,
 the branches of each row's highest positive monomial define a convex
@@ -160,7 +160,8 @@ class _Memo(dict):
 
 
 # a token table past this many entries is cleared after a row, so that exponents
-# with many distinct differences hold memory per row, not per call
+# with many distinct differences hold memory per row, not per call; no run of
+# tokens is longer
 _TOKENS_KEPT = 4096
 
 
@@ -172,28 +173,32 @@ def write_cnf(system: SignedSystem, write, as_json: bool):
     "clauses"}`` plus a newline.  ``write`` gets one string per row of
     :func:`dominance_rows`, plus the JSON's opening and closing, never the
     whole output; in JSON, the separator from the row before opens the
-    row's first clause.  Each int becomes text once per call, with its
-    separator, in a token table per coordinate.  A row's tokens of
-    ``e_j[c] - a`` over its positive ``j`` form a column, made once for each
-    value ``a`` that some negative ``e_k[c]`` takes.  Its tokens are those
-    of ``x - a`` over the sorted distinct values ``x`` of the ``e_j[c]``,
-    fanned out to every ``j`` by one ``operator.itemgetter`` of each ``j``'s
-    position among them, built once per row and coordinate.  When the row
-    before had the same distinct values at ``c`` and made a column for each
-    value this row needs, the row's columns are gathered from the row
-    before's instead, each ``j`` taking the token of a positive monomial
-    there with the same ``e[c]``.  Only the row before's columns are kept,
-    so they hold no more memory than one row's.  The row's literals lie in
-    one flat list of ``d + 1`` slots each, an opening and ``d`` tokens, and
-    then the ending (``"]\\n"``, or ``"]}]}"`` in JSON).  A later literal's
-    opening is the joint ``"] [j:"``, made once per row; the first
-    literal's is the clause's own opening, ``"clause i k: [j:"``, filled
-    in per clause.  A clause assigns ``e_k``'s columns to the slices
-    ``c + 1::d + 1`` and is the list's one join.  Sums of exponents may
-    pass CPython's 4300-digit int-to-text limit, which the caller lifts, as
-    :func:`subtrop.cli.main` does.
+    row's first clause.  A row's tokens of ``e_j[c] - a`` over its
+    positive ``j`` form a column, made once for each value ``a`` that some
+    negative ``e_k[c]`` takes.  Each token is an int's text with its
+    separator.  Where the largest exponent ``E`` of coordinate ``c`` gives
+    ``2E + 1`` at most both ``_TOKENS_KEPT`` and the number of literals the
+    call writes, the call formats the run of tokens of ``-E`` to ``E``
+    once, and a column is the run from index ``E - a`` on, read at each
+    ``e_j[c]`` by one ``operator.itemgetter`` built once per row (a slice
+    of one for a lone positive monomial).  Any other coordinate makes each
+    int's text once per call in a token table, cleared after a row once it
+    holds more than ``_TOKENS_KEPT``; a column's tokens are those of
+    ``x - a`` over the sorted distinct values ``x`` of the ``e_j[c]``,
+    fanned out to every ``j`` by one ``itemgetter`` of each ``j``'s
+    position among them, built once per row.  The run never holds more
+    tokens than a table keeps, nor more than the output holds at ``c``.
+    The row's literals lie in one flat list of ``d + 1`` slots each, an
+    opening and ``d`` tokens, and then the ending (``"]\\n"``, or
+    ``"]}]}"`` in JSON).  A later literal's opening is the joint
+    ``"] [j:"``, made once per row; the first literal's is the clause's own
+    opening, ``"clause i k: [j:"``, filled in per clause.  A clause assigns
+    ``e_k``'s columns to the slices ``c + 1::d + 1`` and is the list's one
+    join.  Sums of exponents may pass CPython's 4300-digit int-to-text
+    limit, which the caller lifts, as :func:`subtrop.cli.main` does.
     """
-    d, width, exponents = system.d, system.d + 1, system.e.entries
+    d, exponents = system.d, system.e.entries
+    width = d + 1
     if as_json:
         write(f'{{"num_vars": {d}, "clauses": [')
         tokens = [_Memo("%d".__mod__)] + [_Memo(", %d".__mod__)] * (d - 1)
@@ -204,35 +209,47 @@ def write_cnf(system: SignedSystem, write, as_json: bool):
         tokens = [_Memo(" %d".__mod__)] * d
         opening, empty = "clause {} %d: [{}:", "clause {} %d:\n"
         joint, ending, between = "] [{}:", "]\n", ""
+    rows = list(dominance_rows(system))
+    literals = 0
+    for _, positive, negative in rows:
+        literals += len(positive) * len(negative)
+    # per coordinate, the tokens of -E to E for E its largest exponent, where they
+    # number at most a token table's bound and the call's literals; None elsewhere
+    runs = [None] * d
+    if literals:
+        bound = min(_TOKENS_KEPT, literals)
+        for c in range(d):
+            # a transpose of the exponents would hold a tuple as long as the monomials
+            top = max(map(itemgetter(c), exponents))
+            if 2 * top < bound:
+                runs[c] = list(map(tokens[c].make, range(-top, top + 1)))
     sep = ""
-    kept = [[None] * d] * 3  # the row before's value sets, values and columns, per coordinate
-    for i, positive, negative in dominance_rows(system):
+    for i, positive, negative in rows:
         if positive:
             head = opening.format(i, positive[0])
             flat = [None] * (width * len(positive) + 1)  # per literal: opening, d tokens
             flat[width::width] = [*map(joint.format, positive[1:]), ending]
-            values = list(zip(*map(exponents.__getitem__, positive)))
+            values = zip(*map(exponents.__getitem__, positive))
         else:
-            head, flat, values = empty.format(i), [None], [()] * d
-        sets = list(map(set, values))
+            head, flat, values = empty.format(i), [None], ()
         columns = []  # per coordinate c and value a, the tokens of e_j[c] - a
         needs = map(set, zip(*map(exponents.__getitem__, negative)))
-        for v, seen, t, needed, last, w, old in zip(values, sets, tokens, needs, *kept):
-            if seen == last and len(v) > 1 and old.keys() >= needed:
-                # the row before has the same distinct values here and a column for each
-                # a: every j takes its token from a positive monomial there with e_j[c]
-                move = itemgetter(*map(dict(zip(w, range(len(w)))).__getitem__, v))
-                columns.append({a: move(old[a]) for a in needed})
+        for v, t, needed, run in zip(values, tokens, needs, runs):
+            if run is not None:
+                # run[top - a:] holds the token of x - a at index x; one index would
+                # give a scalar, so a lone positive monomial takes a slice of one
+                gather = itemgetter(*v) if len(v) > 1 else itemgetter(slice(v[0], v[0] + 1))
+                top = len(run) // 2
+                columns.append({a: gather(run[top - a:]) for a in needed})
                 continue
-            distinct = sorted(seen)
-            # one index would give a scalar and none a TypeError; with at most one
-            # positive monomial the distinct values' tokens are the column itself
+            distinct = sorted(set(v))
+            # one index would give a scalar; with one positive monomial the
+            # distinct value's token is the column itself
             gather = (
                 itemgetter(*map({x: p for p, x in enumerate(distinct)}.__getitem__, v))
                 if len(v) > 1 else list
             )
             columns.append({a: gather([t[x - a] for x in distinct]) for a in needed})
-        kept = sets, values, columns
         first, later = sep + head, between + head
         clauses = []
         for k in negative:

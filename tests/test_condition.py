@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from subtrop import instantiate, parse_system
-from subtrop.condition import build_cnf, build_dnf, write_cnf
+from subtrop.condition import _TOKENS_KEPT, build_cnf, build_dnf, dominance_rows, write_cnf
 from subtrop.refutation import certifies
 
 from conftest import DATA, load, reference_explain_json
@@ -101,6 +101,17 @@ def writer_systems():
             )
 
 
+def on_the_run(system) -> list[bool]:
+    """Per coordinate, whether :func:`write_cnf` slices its tokens from one run.
+
+    The run of coordinate c holds the ``2E + 1`` tokens of ``-E`` to ``E``,
+    for E the largest exponent of c; it is made when they number at most
+    ``_TOKENS_KEPT`` and the literals of the call.
+    """
+    literals = sum(len(positive) * len(negative) for _, positive, negative in dominance_rows(system))
+    return [2 * max(e) + 1 <= min(_TOKENS_KEPT, literals) for e in zip(*system.e.entries)]
+
+
 def written(system, as_json: bool) -> list[str]:
     """The strings that :func:`write_cnf` passes to ``write``, in order."""
     parts: list[str] = []
@@ -121,7 +132,8 @@ class TestWriteCnf:
     @pytest.mark.parametrize(
         "name",
         [path.name for path in sorted(DATA.glob("*.spp"))]
-        + [FRONTEND, None, "one-x-value", "empty-first", "same-x-values"],
+        + [FRONTEND, None, "one-x-value", "empty-first", "same-x-values", "mixed-widths",
+           "one-positive-on-the-run"],
     )
     def test_bytes_equal_the_cnf_objects(self, name):
         texts = {
@@ -134,12 +146,23 @@ class TestWriteCnf:
             # "literals": [] opens row 1's first clause
             "empty-first": "vars x y\npoly g = -c*x\npoly f = a*x - b*y\n",
             # row 1's positive monomials take row 0's distinct exponents in another
-            # order; its negatives take only x-exponents that row 0's take, so its
-            # x columns are gathered from row 0's, and a y-exponent that row 0's
-            # do not, so its y columns are made anew
+            # order, and its negatives take x-exponents that row 0's take and a
+            # y-exponent that row 0's do not, so a column left over from row 0
+            # would show
             "same-x-values": (
                 "vars x y\npoly f = a*x*y + b*x^3 + c*x*y^2 - d*x^2 - e*y^3 - h*x^3*y\n"
                 "poly g = p*x^3*y^2 + q*x + r*x^3*y - u*x^2*y^2 - w*y^2\n"
+            ),
+            # x-exponents to 3 and y-exponents near 10^5: the row takes its x
+            # tokens from the run and its y tokens from the distinct values
+            "mixed-widths": (
+                "vars x y\npoly f = a*x^3*y^100000 + b*x*y^99999 + c*x^2*y^100001 + e*y^100002"
+                " - g*x*y^100000 - h*x^3*y^99998 - p*y^100003 - q*x^2*y^99999\n"
+            ),
+            # row 0 has one positive monomial, and both coordinates have a run
+            "one-positive-on-the-run": (
+                "vars x y\npoly f = a*x^2*y - b*x - c*y^2 - d\n"
+                "poly g = p*x + q*y + r*x*y - s - w*x^2*y^2\n"
             ),
         }
         system = parse_system(texts[name]) if name in texts else load(name)
@@ -157,10 +180,17 @@ class TestWriteCnf:
                 for row in system.s.entries
             )
             assert not set(negative_0) & set(negative_1)
-            for c, reused in enumerate((True, False)):
+            for c, shared in enumerate((True, False)):
                 values_0, values_1 = [e[c] for e in positive_0], [e[c] for e in positive_1]
                 assert set(values_0) == set(values_1) and values_0 != values_1
-                assert ({e[c] for e in negative_1} <= {e[c] for e in negative_0}) == reused
+                assert ({e[c] for e in negative_1} <= {e[c] for e in negative_0}) == shared
+        if name == "mixed-widths":
+            assert on_the_run(system) == [True, False]
+            assert max(e[0] for e in system.e.entries) == 3
+            assert min(e[1] for e in system.e.entries) > 99_000
+        if name == "one-positive-on-the-run":
+            assert on_the_run(system) == [True, True]
+            assert [len(positive) for _, positive, _ in dominance_rows(system)] == [1, 3]
         self.assert_bytes_equal_the_cnf_objects(system)
 
     def test_bytes_equal_the_cnf_objects_on_seeded_systems(self):
@@ -174,12 +204,13 @@ class TestWriteCnf:
                     wide = len(positive) >= 20
                     shapes.add((kind, "positive", "wide" if wide else min(len(positive), 2)))
                     # a coordinate on which two or more positive monomials all agree
-                    # gathers the whole column from one distinct value
+                    # repeats one token down the whole column
                     if len(positive) > 1 and any(
                         len({system.e.entries[j][c] for j in positive}) == 1
                         for c in range(system.d)
                     ):
                         shapes.add(("positives agree on a coordinate",))
+            shapes.update((kind, "run", run) for run in on_the_run(system))
             shapes.add((kind, "d", system.d))
             shapes.add((kind, "exponent > 10", max(map(max, system.e.entries)) > 10))
             self.assert_bytes_equal_the_cnf_objects(system)
@@ -187,7 +218,8 @@ class TestWriteCnf:
             (kind, *shape)
             for kind in ("ParametricCoefficients", "ConcreteCoefficients")
             for shape in [("positive", 0), ("positive", 1), ("positive", "wide"),
-                          ("exponent > 10", True), *(("d", d) for d in range(1, 9))]
+                          ("exponent > 10", True), ("run", True), ("run", False),
+                          *(("d", d) for d in range(1, 9))]
         } | {("positives agree on a coordinate",)}
 
     @pytest.mark.parametrize("name, rows", [
