@@ -30,7 +30,8 @@ definition of the order of clauses, literals and branches.
 :func:`write_cnf`, which ``explain`` runs, writes the CNF's clauses from
 that walk, each clause one join of its literals' openings and tokens, with
 token columns sliced from one run of tokens per coordinate where the
-coordinate's exponents are small; the CNF as objects (:func:`build_cnf`)
+coordinate's exponents are small and transposed from a row's own tokens
+elsewhere; the CNF as objects (:func:`build_cnf`)
 is built only for the brute-force oracle of the tests and the benchmark.
 
 The argmax argument also bounds where a vector can move: at a certified n,
@@ -146,22 +147,8 @@ def build_cnf(system: SignedSystem) -> LinearCondition:
     return LinearCondition(system.d, clauses)
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with ``make(key)`` the first time it is asked for."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
-# a token table past this many entries is cleared after a row, so that exponents
-# with many distinct differences hold memory per row, not per call; no run of
-# tokens is longer
+# no run of tokens is longer, so a call's runs hold at most this many tokens per
+# coordinate however long its rows are
 _TOKENS_KEPT = 4096
 
 
@@ -181,13 +168,13 @@ def write_cnf(system: SignedSystem, write, as_json: bool):
     call writes, the call formats the run of tokens of ``-E`` to ``E``
     once, and a column is the run from index ``E - a`` on, read at each
     ``e_j[c]`` by one ``operator.itemgetter`` built once per row (a slice
-    of one for a lone positive monomial).  Any other coordinate makes each
-    int's text once per call in a token table, cleared after a row once it
-    holds more than ``_TOKENS_KEPT``; a column's tokens are those of
-    ``x - a`` over the sorted distinct values ``x`` of the ``e_j[c]``,
-    fanned out to every ``j`` by one ``itemgetter`` of each ``j``'s
-    position among them, built once per row.  The run never holds more
-    tokens than a table keeps, nor more than the output holds at ``c``.
+    of one for a lone positive monomial).  Any other coordinate formats,
+    per row, the tokens of ``x - a`` for each distinct value ``x`` of the
+    ``e_j[c]`` and each needed ``a``, and one transpose of those cells read
+    at every ``j`` gives all of the row's columns at ``c``; the cells
+    number at most the row's distinct ``x`` times its needed ``a``, so they
+    hold memory per row, not per call.  The run never holds more than
+    ``_TOKENS_KEPT`` tokens, nor more than the output holds at ``c``.
     The row's literals lie in one flat list of ``d + 1`` slots each, an
     opening and ``d`` tokens, and then the ending (``"]\\n"``, or
     ``"]}]}"`` in JSON).  A later literal's opening is the joint
@@ -201,12 +188,12 @@ def write_cnf(system: SignedSystem, write, as_json: bool):
     width = d + 1
     if as_json:
         write(f'{{"num_vars": {d}, "clauses": [')
-        tokens = [_Memo("%d".__mod__)] + [_Memo(", %d".__mod__)] * (d - 1)
+        formats = ["%d".__mod__] + [", %d".__mod__] * (d - 1)
         opening = '{{"row": {}, "neg": %d, "literals": [{{"pos": {}, "coeffs": ['
         empty = '{{"row": {}, "neg": %d, "literals": []}}'
         joint, ending, between = ']}}, {{"pos": {}, "coeffs": [', "]}]}", ", "
     else:
-        tokens = [_Memo(" %d".__mod__)] * d
+        formats = [" %d".__mod__] * d
         opening, empty = "clause {} %d: [{}:", "clause {} %d:\n"
         joint, ending, between = "] [{}:", "]\n", ""
     rows = list(dominance_rows(system))
@@ -214,7 +201,7 @@ def write_cnf(system: SignedSystem, write, as_json: bool):
     for _, positive, negative in rows:
         literals += len(positive) * len(negative)
     # per coordinate, the tokens of -E to E for E its largest exponent, where they
-    # number at most a token table's bound and the call's literals; None elsewhere
+    # number at most _TOKENS_KEPT and the call's literals; None elsewhere
     runs = [None] * d
     if literals:
         bound = min(_TOKENS_KEPT, literals)
@@ -222,7 +209,7 @@ def write_cnf(system: SignedSystem, write, as_json: bool):
             # a transpose of the exponents would hold a tuple as long as the monomials
             top = max(map(itemgetter(c), exponents))
             if 2 * top < bound:
-                runs[c] = list(map(tokens[c].make, range(-top, top + 1)))
+                runs[c] = list(map(formats[c], range(-top, top + 1)))
     sep = ""
     for i, positive, negative in rows:
         if positive:
@@ -234,7 +221,7 @@ def write_cnf(system: SignedSystem, write, as_json: bool):
             head, flat, values = empty.format(i), [None], ()
         columns = []  # per coordinate c and value a, the tokens of e_j[c] - a
         needs = map(set, zip(*map(exponents.__getitem__, negative)))
-        for v, t, needed, run in zip(values, tokens, needs, runs):
+        for v, t, needed, run in zip(values, formats, needs, runs):
             if run is not None:
                 # run[top - a:] holds the token of x - a at index x; one index would
                 # give a scalar, so a lone positive monomial takes a slice of one
@@ -242,14 +229,9 @@ def write_cnf(system: SignedSystem, write, as_json: bool):
                 top = len(run) // 2
                 columns.append({a: gather(run[top - a:]) for a in needed})
                 continue
-            distinct = sorted(set(v))
-            # one index would give a scalar; with one positive monomial the
-            # distinct value's token is the column itself
-            gather = (
-                itemgetter(*map({x: p for p, x in enumerate(distinct)}.__getitem__, v))
-                if len(v) > 1 else list
-            )
-            columns.append({a: gather([t[x - a] for x in distinct]) for a in needed})
+            needed = [*needed]  # one order for the cells and the columns' keys
+            cells = {x: [*map(t, map(x.__sub__, needed))] for x in set(v)}
+            columns.append(dict(zip(needed, zip(*map(cells.__getitem__, v)))))
         first, later = sep + head, between + head
         clauses = []
         for k in negative:
@@ -260,9 +242,6 @@ def write_cnf(system: SignedSystem, write, as_json: bool):
             clauses.append("".join(flat))
         write("".join(clauses))
         sep = between
-        for table in tokens:
-            if len(table) > _TOKENS_KEPT:
-                table.clear()
     if as_json:
         write("]}\n")
 

@@ -849,26 +849,6 @@ class TestExplainBytes:
             assert run(capsys, "explain", a, "--format", fmt) == first != other
             assert first[0] == other[0] == 0
 
-    def test_token_tables_are_cleared_past_their_bound(self, capsys, tmp_path, monkeypatch):
-        # row f has 70 x 70 distinct exponent differences, more than a token table
-        # keeps; row g is written after the tables were cleared
-        import subtrop.condition as condition
-
-        positive = " + ".join(f"a{j}*x^{1000 * j}" for j in range(1, 71))
-        negative = "".join(f" - b{k}*x^{k}" for k in range(1, 71))
-        path = tmp_path / "spread.spp"
-        path.write_text(f"vars x\npoly f = {positive}{negative}\npoly g = c*x^70000 - d*x^5\n")
-        cleared = []
-
-        def clear(table):
-            cleared.append(len(table))
-            dict.clear(table)
-
-        monkeypatch.setattr(condition._Memo, "clear", clear)
-        self.assert_explain_bytes(capsys, path)
-        assert cleared == [70 * 70, 70 * 70]
-        assert condition._TOKENS_KEPT < 70 * 70
-
 
 class TestExplainPipe:
     """``explain`` writes row by row to a real stdout, as in a shell pipeline."""

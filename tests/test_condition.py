@@ -133,7 +133,7 @@ class TestWriteCnf:
         "name",
         [path.name for path in sorted(DATA.glob("*.spp"))]
         + [FRONTEND, None, "one-x-value", "empty-first", "same-x-values", "mixed-widths",
-           "one-positive-on-the-run"],
+           "one-positive-on-the-run", "spread"],
     )
     def test_bytes_equal_the_cnf_objects(self, name):
         texts = {
@@ -164,6 +164,13 @@ class TestWriteCnf:
                 "vars x y\npoly f = a*x^2*y - b*x - c*y^2 - d\n"
                 "poly g = p*x + q*y + r*x*y - s - w*x^2*y^2\n"
             ),
+            # x-exponents to 70,000, off the run: row f has 70 distinct positive
+            # values and 70 needed ones, and row g one positive monomial
+            "spread": (
+                "vars x\npoly f = " + " + ".join(f"a{j}*x^{1000 * j}" for j in range(1, 71))
+                + "".join(f" - b{k}*x^{k}" for k in range(1, 71))
+                + "\npoly g = c*x^70000 - d*x^5\n"
+            ),
         }
         system = parse_system(texts[name]) if name in texts else load(name)
         clauses = build_cnf(system).clauses
@@ -191,6 +198,12 @@ class TestWriteCnf:
         if name == "one-positive-on-the-run":
             assert on_the_run(system) == [True, True]
             assert [len(positive) for _, positive, _ in dominance_rows(system)] == [1, 3]
+        if name == "spread":
+            assert on_the_run(system) == [False]
+            (_, positive_f, negative_f), (_, positive_g, _) = dominance_rows(system)
+            for side in (positive_f, negative_f):
+                assert len({system.e.entries[j][0] for j in side}) == len(side) == 70
+            assert len(positive_g) == 1
         self.assert_bytes_equal_the_cnf_objects(system)
 
     def test_bytes_equal_the_cnf_objects_on_seeded_systems(self):
@@ -198,19 +211,22 @@ class TestWriteCnf:
         shapes = set()
         for system in writer_systems():
             kind = type(system.c).__name__
+            runs = on_the_run(system)
             for row in system.s.entries:
                 if any(sign < 0 for _, sign in row):
                     positive = [j for j, sign in row if sign > 0]
                     wide = len(positive) >= 20
                     shapes.add((kind, "positive", "wide" if wide else min(len(positive), 2)))
+                    values = list(zip(*(system.e.entries[j] for j in positive)))
                     # a coordinate on which two or more positive monomials all agree
                     # repeats one token down the whole column
-                    if len(positive) > 1 and any(
-                        len({system.e.entries[j][c] for j in positive}) == 1
-                        for c in range(system.d)
-                    ):
+                    if len(positive) > 1 and any(len(set(v)) == 1 for v in values):
                         shapes.add(("positives agree on a coordinate",))
-            shapes.update((kind, "run", run) for run in on_the_run(system))
+                    # off the run, two positive monomials that share a value read one
+                    # distinct value's cells, so there are fewer cells than monomials
+                    if any(len(set(v)) < len(v) for v, run in zip(values, runs) if not run):
+                        shapes.add((kind, "off the run, positives share a value"))
+            shapes.update((kind, "run", run) for run in runs)
             shapes.add((kind, "d", system.d))
             shapes.add((kind, "exponent > 10", max(map(max, system.e.entries)) > 10))
             self.assert_bytes_equal_the_cnf_objects(system)
@@ -219,6 +235,7 @@ class TestWriteCnf:
             for kind in ("ParametricCoefficients", "ConcreteCoefficients")
             for shape in [("positive", 0), ("positive", 1), ("positive", "wide"),
                           ("exponent > 10", True), ("run", True), ("run", False),
+                          ("off the run, positives share a value",),
                           *(("d", d) for d in range(1, 9))]
         } | {("positives agree on a coordinate",)}
 
